@@ -35,7 +35,7 @@ from .errors import (
     NumericalBlowupError,
     VarwassError,
 )
-from .grid import Grid, gradient, make_grid
+from .grid import Grid, gradient, make_grid, neighbor_mean
 from .varexp import DensityField, ExponentField, conjugate, luxemburg_norm, modular
 
 EXPERIMENT_KINDS = ("norms", "transport", "jko", "pde", "compare", "finsler")
@@ -495,8 +495,7 @@ def _run_oracle(cfg: ExperimentConfig, quiet: bool) -> int:
         # chain rule: d/dt E = <G'(rho), rhs> should equal minus the
         # dissipation integral, up to the face/cell averaging error
         slope = float(np.sum(cfg.energy.deriv(cfg.rho0.density(g)) * rate) * g.dx)
-        s_face = gradient(cfg.energy.deriv(cfg.rho0.density(g)), g)
-        s_cell = 0.5 * (s_face[:-1] + s_face[1:])
+        s_cell = neighbor_mean(gradient(cfg.energy.deriv(cfg.rho0.density(g)), g))
         rate_int = float(np.sum(
             np.abs(s_cell) ** q.values * cfg.rho0.density(g)) * g.dx)
         rows.append(("energy_slope_vs_dissipation", slope, -rate_int,

@@ -21,7 +21,7 @@ import numpy as np
 from . import pde
 from .energy import EnergyModel
 from .errors import NonzeroMeanError, VanishingDensityError
-from .grid import Grid, integrate
+from .grid import Grid, integrate, neighbor_mean
 from .jko import Trajectory
 from .varexp import DensityField, ExponentField, luxemburg_norm
 
@@ -93,15 +93,9 @@ def min_norm_velocity(rho: DensityField, nu: TangentVector, g: Grid) -> Velocity
     must carry zero flux, otherwise no admissible velocity exists.
     """
     values = _check_zero_mean(nu, g)
-    rv = rho.density(g)
-    n = g.n_cells
-    flux = np.zeros(n + 1)
-    flux[1:-1] = -np.cumsum(values[:-1]) * g.dx
-    rho_face = np.zeros(n + 1)
-    rho_face[1:-1] = 0.5 * (rv[:-1] + rv[1:])
-    v = np.zeros(n + 1)
-    interior_rho = rho_face[1:-1]
-    interior_flux = flux[1:-1]
+    interior_flux = -np.cumsum(values[:-1]) * g.dx
+    interior_rho = neighbor_mean(rho.density(g))
+    v = np.zeros(g.n_cells + 1)
     dead = interior_rho <= DENSITY_FLOOR
     flux_scale = max(1.0, float(np.abs(interior_flux).max(initial=0.0)))
     if np.any(dead & (np.abs(interior_flux) > 1e-13 * flux_scale)):
@@ -121,8 +115,7 @@ def tangent_norm(rho: DensityField, nu: TangentVector, p: ExponentField,
     the exponent all live on the same index set.
     """
     v = min_norm_velocity(rho, nu, g).v_face
-    v_cell = 0.5 * (v[:-1] + v[1:])
-    return luxemburg_norm(v_cell, rho, p, g)
+    return luxemburg_norm(neighbor_mean(v), rho, p, g)
 
 
 def finsler_gradient(rho: DensityField, e: EnergyModel, q: ExponentField,

@@ -100,6 +100,15 @@ def gradient(u: np.ndarray, g: Grid) -> np.ndarray:
     return out
 
 
+def neighbor_mean(u: np.ndarray) -> np.ndarray:
+    """Means of adjacent entries, 0.5 * (u[:-1] + u[1:]).
+
+    Takes a face field to cell values, or a cell field to the interior
+    faces. No shape check: it runs inside the explicit time loop.
+    """
+    return 0.5 * (u[:-1] + u[1:])
+
+
 def divergence(f: np.ndarray, g: Grid) -> np.ndarray:
     """Cell-centered divergence of a face flux.
 

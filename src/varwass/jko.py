@@ -18,9 +18,10 @@ whose column sums define the new density. Three backends are available:
                unregularized optimum is the stay-put plan and the discrete
                flow would freeze. The price is a diffusive bias of order eps.
 
-The mirror and projected backends finish with a stay-put comparison: if the
-diagonal plan beats the iterate, the diagonal is returned, so the energy can
-never increase across a step.
+The mirror and projected backends run the same Armijo descent driver and
+differ only in the candidate update it is given. Both finish with a stay-put
+comparison: if the diagonal plan beats the iterate, the diagonal is returned,
+so the energy can never increase across a step.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ import numpy as np
 from . import transport
 from .energy import EnergyModel, total_energy
 from .errors import NonpositiveParameterError, NumericalBlowupError
-from .grid import Grid, gradient
+from .grid import Grid, gradient, neighbor_mean
 from .varexp import DensityField, ExponentField, conjugate
 
 VALID_BACKENDS = ("mirror", "projected", "entropic")
@@ -145,8 +146,15 @@ def _rescale_rows(gam: np.ndarray, mu: np.ndarray) -> np.ndarray:
     return gam * scale[:, None]
 
 
-def _mirror_backend(C, mu, e, dx, opts):
-    """Multiplicative updates, Armijo-checked, uniform-row start."""
+def _armijo_descent(C, mu, e, dx, opts, update):
+    """Armijo-checked descent from the uniform-row start.
+
+    update(gam, grad, eta, mu) proposes the next plan for step size eta; a
+    candidate is accepted once it gains at least 1e-4 of its linearized
+    decrease, otherwise eta is halved. The run counts as converged when no
+    step size down to 1e-16 is accepted, or after three consecutive steps
+    whose drop is below opts.tol relative to the objective.
+    """
     gam = _uniform_rows(mu)
     f_cur = _objective(gam, C, e, dx)
     eta = 1.0 / (1.0 + np.abs(C).max())
@@ -157,8 +165,7 @@ def _mirror_backend(C, mu, e, dx, opts):
         grad = _objective_gradient(gam, C, e, dx)
         accepted = False
         while eta >= 1e-16:
-            z = grad - grad.min(axis=1, keepdims=True)
-            cand = _rescale_rows(gam * np.exp(-eta * z), mu)
+            cand = update(gam, grad, eta, mu)
             f_cand = _objective(cand, C, e, dx)
             lin_gain = float(((gam - cand) * grad).sum())
             if f_cand <= f_cur - 1e-4 * max(lin_gain, 0.0) + 1e-15 * (1.0 + abs(f_cur)):
@@ -181,8 +188,16 @@ def _mirror_backend(C, mu, e, dx, opts):
     return gam, it, converged
 
 
-def _project_rows(y: np.ndarray, mu: np.ndarray) -> np.ndarray:
-    """Euclidean projection of each row onto the scaled simplex of mass mu[i]."""
+def _mirror_update(gam, grad, eta, mu):
+    """Multiplicative (entropic mirror) step on each row."""
+    z = grad - grad.min(axis=1, keepdims=True)
+    return _rescale_rows(gam * np.exp(-eta * z), mu)
+
+
+def _projected_update(gam, grad, eta, mu):
+    """Gradient step, then Euclidean projection of each row onto the scaled
+    simplex of mass mu[i]."""
+    y = gam - eta * grad
     n = y.shape[1]
     out = np.zeros_like(y)
     pos = mu > 0.0
@@ -199,46 +214,36 @@ def _project_rows(y: np.ndarray, mu: np.ndarray) -> np.ndarray:
     return out
 
 
-def _projected_backend(C, mu, e, dx, opts):
-    """Projected gradient on the product of row simplices."""
-    gam = _uniform_rows(mu)
-    f_cur = _objective(gam, C, e, dx)
-    eta = 1.0 / (1.0 + np.abs(C).max())
-    quiet = 0
-    converged = False
-    it = 0
-    for it in range(1, opts.max_iters + 1):
-        grad = _objective_gradient(gam, C, e, dx)
-        accepted = False
-        while eta >= 1e-16:
-            cand = _project_rows(gam - eta * grad, mu)
-            f_cand = _objective(cand, C, e, dx)
-            lin_gain = float(((gam - cand) * grad).sum())
-            if f_cand <= f_cur - 1e-4 * max(lin_gain, 0.0) + 1e-15 * (1.0 + abs(f_cur)):
-                accepted = True
-                break
-            eta *= 0.5
-        if not accepted:
-            converged = True
+def _bisect(f, lo, hi, step, halvings):
+    """Brackets (lo, hi) of the root of each entry of an increasing vectorized f.
+
+    Each bracket is first widened by step, up to 200 times per side, until
+    f(lo) <= 0 <= f(hi); then it is halved at most halvings times. The cap
+    is generous (120 halvings push a bracket of width 2 far below double
+    precision), so the loop stops early once every bracket has shrunk to
+    adjacent doubles: from then on mid rounds to lo or hi, further halvings
+    leave the midpoint 0.5 * (lo + hi) unchanged, and it is bit-identical
+    to the one all halvings would give. A root at exactly 0 never gets
+    there within the cap, because doubles are dense near 0.
+    """
+    for _ in range(200):
+        bad = f(lo) > 0.0
+        if not np.any(bad):
             break
-        drop = f_cur - f_cand
-        gam, f_cur = cand, f_cand
-        eta = min(eta * 1.3, 1e6)
-        if drop <= opts.tol * max(1.0, abs(f_cur)):
-            quiet += 1
-            if quiet >= 3:
-                converged = True
-                break
-        else:
-            quiet = 0
-    return gam, it, converged
-
-
-def _logsumexp_rows(a: np.ndarray) -> np.ndarray:
-    mx = a.max(axis=1, keepdims=True)
-    mx = np.where(np.isfinite(mx), mx, 0.0)
-    with np.errstate(divide="ignore"):
-        return np.log(np.exp(a - mx).sum(axis=1)) + mx[:, 0]
+        lo = np.where(bad, lo - step, lo)
+    for _ in range(200):
+        bad = f(hi) < 0.0
+        if not np.any(bad):
+            break
+        hi = np.where(bad, hi + step, hi)
+    for _ in range(halvings):
+        mid = 0.5 * (lo + hi)
+        if np.all((mid == lo) | (mid == hi)):
+            break
+        up = f(mid) >= 0.0
+        hi = np.where(up, mid, hi)
+        lo = np.where(up, lo, mid)
+    return lo, hi
 
 
 def _solve_column_scalar(log_target: np.ndarray, e: EnergyModel, dx: float,
@@ -246,30 +251,13 @@ def _solve_column_scalar(log_target: np.ndarray, e: EnergyModel, dx: float,
     """Solve sigma + G'(exp(sigma)/dx)/eps = log_target per column, in sigma = log s.
 
     The left side is strictly increasing in sigma (G is convex), so a
-    bracketed bisection converges unconditionally; 120 halvings push the
-    bracket far below double precision.
+    bracketed bisection converges unconditionally.
     """
 
     def f(sig):
         return sig + e.deriv(np.exp(sig) / dx) / eps - log_target
 
-    lo = log_target - 1.0
-    hi = log_target + 1.0
-    for _ in range(200):
-        bad = f(lo) > 0.0
-        if not np.any(bad):
-            break
-        lo = np.where(bad, lo - 1.0, lo)
-    for _ in range(200):
-        bad = f(hi) < 0.0
-        if not np.any(bad):
-            break
-        hi = np.where(bad, hi + 1.0, hi)
-    for _ in range(120):
-        mid = 0.5 * (lo + hi)
-        up = f(mid) >= 0.0
-        hi = np.where(up, mid, hi)
-        lo = np.where(up, lo, mid)
+    lo, hi = _bisect(f, log_target - 1.0, log_target + 1.0, 1.0, 120)
     return 0.5 * (lo + hi)
 
 
@@ -285,31 +273,10 @@ def _solve_columns_mixed(W: np.ndarray, eps_vec: np.ndarray, e: EnergyModel,
 
     def f(sig):
         phi = e.deriv(np.exp(sig) / dx)
-        t = W - phi[None, :] / eps_vec[:, None]
-        mx = t.max(axis=0)
-        mx_safe = np.where(np.isfinite(mx), mx, 0.0)
-        with np.errstate(divide="ignore"):
-            lse = np.log(np.exp(t - mx_safe[None, :]).sum(axis=0)) + mx_safe
-        return sig - lse
+        return sig - transport._logsumexp(W - phi[None, :] / eps_vec[:, None], axis=0)
 
-    start = _logsumexp_rows(W.T)
-    lo = start - 1.0
-    hi = start + 1.0
-    for _ in range(200):
-        bad = f(lo) > 0.0
-        if not np.any(bad):
-            break
-        lo = np.where(bad, lo - 1.0, lo)
-    for _ in range(200):
-        bad = f(hi) < 0.0
-        if not np.any(bad):
-            break
-        hi = np.where(bad, hi + 1.0, hi)
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        up = f(mid) >= 0.0
-        hi = np.where(up, mid, hi)
-        lo = np.where(up, lo, mid)
+    start = transport._logsumexp(W.T, axis=1)
+    lo, hi = _bisect(f, start - 1.0, start + 1.0, 1.0, 80)
     return 0.5 * (lo + hi)
 
 
@@ -341,30 +308,15 @@ def _entropic_temperatures(opts: JkoOptions, p: ExponentField, h: float,
     # divisor, so the moment is increasing in eps and bisection applies.
     a = np.abs(disp)[None, :] ** pv / (pv * h ** (pv - 1.0))
 
-    def moments(eps: np.ndarray) -> np.ndarray:
-        w = np.exp(-a / eps[:, None])
-        return (d2[None, :] * w).sum(axis=1) / w.sum(axis=1)
+    def excess(log_eps: np.ndarray) -> np.ndarray:
+        w = np.exp(-a / np.exp(log_eps)[:, None])
+        return (d2[None, :] * w).sum(axis=1) / w.sum(axis=1) - target
 
-    # Continuum width sqrt(target) is the right scale; bracket around it.
-    guess = opts.smoothing ** pv[:, 0] / (pv[:, 0] * h ** (pv[:, 0] - 1.0))
-    lo = guess.copy()
-    hi = guess.copy()
-    for _ in range(200):
-        need = moments(lo) > target
-        if not need.any():
-            break
-        lo[need] *= 0.25
-    for _ in range(200):
-        need = moments(hi) < target
-        if not need.any():
-            break
-        hi[need] *= 4.0
-    for _ in range(100):
-        mid = np.sqrt(lo * hi)
-        high = moments(mid) > target
-        hi = np.where(high, mid, hi)
-        lo = np.where(high, lo, mid)
-    return np.sqrt(lo * hi)
+    # Continuum width sqrt(target) is the right scale; bracket around it in
+    # log eps and return the geometric midpoint of the final eps bracket.
+    guess = np.log(opts.smoothing ** pv[:, 0] / (pv[:, 0] * h ** (pv[:, 0] - 1.0)))
+    lo, hi = _bisect(excess, guess, guess, math.log(4.0), 100)
+    return np.sqrt(np.exp(lo) * np.exp(hi))
 
 
 def _log_reference(g: Grid, p: ExponentField, h: float,
@@ -414,12 +366,12 @@ def _entropic_backend(log_ref, mu, e, dx, opts, eps_vec):
     converged = False
     it = 0
     for it in range(1, opts.max_iters + 1):
-        u = eps_vec * (log_mu - _logsumexp_rows(neg_c - phi[None, :] / epsr))
+        u = eps_vec * (log_mu - transport._logsumexp(neg_c - phi[None, :] / epsr, axis=1))
         u = np.where(np.isfinite(log_mu), u, -np.inf)
         with np.errstate(invalid="ignore"):
             w_log = u[:, None] / epsr + neg_c
         if uniform:
-            log_col = _logsumexp_rows(w_log.T)
+            log_col = transport._logsumexp(w_log.T, axis=1)
             sigma = _solve_column_scalar(log_col, e, dx, eps0)
         else:
             sigma = _solve_columns_mixed(w_log, eps_vec, e, dx)
@@ -453,16 +405,13 @@ def jko_step(rho_prev: DensityField, e: EnergyModel, p: ExponentField, h: float,
     C = cost.values
     dx = g.dx
 
-    if opts.backend == "mirror":
-        gam, iters, converged = _mirror_backend(C, mu, e, dx, opts)
-    elif opts.backend == "projected":
-        gam, iters, converged = _projected_backend(C, mu, e, dx, opts)
-    else:
+    if opts.backend == "entropic":
         eps_vec = _entropic_temperatures(opts, p, h, mu.size, dx)
         log_ref = _log_reference(g, p, h, eps_vec)
         gam, iters, converged = _entropic_backend(log_ref, mu, e, dx, opts, eps_vec)
-
-    if opts.backend in ("mirror", "projected"):
+    else:
+        update = _mirror_update if opts.backend == "mirror" else _projected_update
+        gam, iters, converged = _armijo_descent(C, mu, e, dx, opts, update)
         # Stay-put comparison: the diagonal plan costs nothing and keeps the
         # old energy, so accepting the better of the two makes the step
         # objective, and with it the energy, provably nonincreasing.
@@ -508,8 +457,9 @@ def run_flow(rho0: DensityField, e: EnergyModel, p: ExponentField, h: float,
              t_end: float, g: Grid, opts: JkoOptions | None = None) -> Trajectory:
     """ceil(t_end / h) successive steps from rho0.
 
-    t_end = 0 yields the single-state trajectory. Step failures are
-    re-raised with the offending step index prepended.
+    t_end = 0 yields the single-state trajectory. A failing step re-raises
+    its own exception, with "step k: " prepended to the message when the
+    first argument is a string; type, attributes and traceback are kept.
     """
     if t_end < 0.0:
         raise ValueError(f"t_end must be nonnegative, got {t_end}")
@@ -523,7 +473,9 @@ def run_flow(rho0: DensityField, e: EnergyModel, p: ExponentField, h: float,
         try:
             step = jko_step(current, e, p, h, g, opts)
         except Exception as exc:
-            raise type(exc)(f"step {k}: {exc}") from exc
+            if exc.args and isinstance(exc.args[0], str):
+                exc.args = (f"step {k}: {exc.args[0]}",) + exc.args[1:]
+            raise
         current = step.rho_next
         states.append(current)
         steps.append(step)
@@ -539,8 +491,7 @@ def _predicted_displacement(rho_next: DensityField, e: EnergyModel,
     the direction the optimality condition of the step problem moves mass.
     q is the pointwise conjugate of p.
     """
-    s_face = gradient(e.deriv(rho_next.density(g)), g)
-    s_cell = 0.5 * (s_face[:-1] + s_face[1:])
+    s_cell = neighbor_mean(gradient(e.deriv(rho_next.density(g)), g))
     q = conjugate(p).values
     mag = np.abs(s_cell)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -576,8 +527,7 @@ def el_residual(step: JkoStepResult, e: EnergyModel, p: ExponentField, h: float,
 def dissipation_rate(rho: DensityField, e: EnergyModel, p: ExponentField,
                      g: Grid) -> float:
     """Integral of |grad G'(rho)|^q(x) / p(x) * rho, the step dissipation bound."""
-    s_face = gradient(e.deriv(rho.density(g)), g)
-    s_cell = 0.5 * (s_face[:-1] + s_face[1:])
+    s_cell = neighbor_mean(gradient(e.deriv(rho.density(g)), g))
     q = conjugate(p).values
     rate = np.abs(s_cell) ** q / p.values * rho.density(g)
     return float(rate.sum() * g.dx)

@@ -18,7 +18,7 @@ import numpy as np
 
 from .energy import EnergyModel, total_energy
 from .errors import NumericalBlowupError, SizeMismatchError
-from .grid import Grid, divergence, gradient
+from .grid import Grid, divergence, gradient, neighbor_mean
 from .jko import Trajectory
 from .varexp import DensityField, ExponentField
 
@@ -51,13 +51,6 @@ class PdeConfig:
             raise ValueError(f"fixed_dt must be positive, got {self.fixed_dt}")
 
 
-def _face_mean(u: np.ndarray) -> np.ndarray:
-    """Arithmetic face averages of a cell field, boundary entries zero."""
-    out = np.zeros(u.size + 1)
-    out[1:-1] = 0.5 * (u[:-1] + u[1:])
-    return out
-
-
 def rhs(rho: DensityField, e: EnergyModel, q: ExponentField, g: Grid,
         delta_reg: float = DELTA_REG) -> np.ndarray:
     """Spatial operator div(rho |grad G'(rho)|^(q-2) grad G'(rho)) on cells.
@@ -71,20 +64,17 @@ def rhs(rho: DensityField, e: EnergyModel, q: ExponentField, g: Grid,
         raise SizeMismatchError(
             f"exponent field must have shape ({g.n_cells},), got {q.values.shape}"
         )
-    s = gradient(e.deriv(rv), g)
-    rho_face = _face_mean(rv)
-    q_face = _face_mean(q.values)
-    flux = rho_face * (s * s + delta_reg * delta_reg) ** ((q_face - 2.0) / 2.0) * s
-    flux[0] = 0.0
-    flux[-1] = 0.0
+    s = gradient(e.deriv(rv), g)[1:-1]
+    flux = np.zeros(g.n_cells + 1)
+    flux[1:-1] = (neighbor_mean(rv) * (s * s + delta_reg * delta_reg)
+                  ** ((neighbor_mean(q.values) - 2.0) / 2.0) * s)
     return divergence(flux, g)
 
 
 def _diffusivity(rv: np.ndarray, e: EnergyModel, q: ExponentField, g: Grid,
                  delta_reg: float) -> np.ndarray:
     """Cellwise effective diffusivity rho (|s|^2+delta^2)^((q-2)/2) G''(rho)."""
-    s_face = gradient(e.deriv(rv), g)
-    s_cell = 0.5 * (s_face[:-1] + s_face[1:])
+    s_cell = neighbor_mean(gradient(e.deriv(rv), g))
     mag = (s_cell * s_cell + delta_reg * delta_reg) ** ((q.values - 2.0) / 2.0)
     return rv * mag * e.second(rv)
 

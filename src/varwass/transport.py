@@ -174,6 +174,13 @@ def _constraint_column(k: int, n: int) -> np.ndarray:
     return col
 
 
+def _equality_rhs(mu: np.ndarray, nu: np.ndarray):
+    """nu with any sub-tolerance total-mass gap folded in, so the equalities
+    are exactly consistent, and the right-hand side of the 2n-1 equalities."""
+    nu_eff = nu * (mu.sum() / nu.sum()) if nu.sum() > 0 else nu.copy()
+    return nu_eff, np.concatenate([mu, nu_eff[:-1]])
+
+
 def solve_exact(cost: CostMatrix, mu: np.ndarray, nu: np.ndarray,
                 max_pivots: int = 50_000) -> ExactResult:
     """Exact transport plan by a dense revised simplex.
@@ -192,15 +199,7 @@ def solve_exact(cost: CostMatrix, mu: np.ndarray, nu: np.ndarray,
     if n > 64:
         raise SizeMismatchError(f"exact solver is limited to n <= 64, got {n}")
     C = cost.values
-    # Fold any sub-tolerance total-mass gap into nu so the equalities are
-    # exactly consistent.
-    total = mu.sum()
-    if nu.sum() > 0:
-        nu_eff = nu * (total / nu.sum())
-    else:
-        nu_eff = nu.copy()
-
-    b_vec = np.concatenate([mu, nu_eff[:-1]])
+    nu_eff, b_vec = _equality_rhs(mu, nu)
     basis, alloc = _northwest_corner(mu, nu_eff)
     basis = list(basis)
     B = np.column_stack([_constraint_column(k, n) for k in basis])
@@ -290,9 +289,7 @@ def solve_brute_force(cost: CostMatrix, mu: np.ndarray, nu: np.ndarray):
     n = cost.n
     if n > 4:
         raise SizeMismatchError(f"brute force is limited to n <= 4, got {n}")
-    total = mu.sum()
-    nu_eff = nu * (total / nu.sum()) if nu.sum() > 0 else nu.copy()
-    b_vec = np.concatenate([mu, nu_eff[:-1]])
+    nu_eff, b_vec = _equality_rhs(mu, nu)
     cols = np.column_stack([_constraint_column(k, n) for k in range(n * n)])
     c_flat = cost.values.ravel()
     best_val = np.inf
@@ -332,14 +329,11 @@ class EntropicResult:
 
 
 def _logsumexp(a: np.ndarray, axis: int) -> np.ndarray:
+    """log(sum(exp(a))) along axis, shifted by the maximum; all -inf slices give -inf."""
     mx = np.max(a, axis=axis, keepdims=True)
     mx_safe = np.where(np.isfinite(mx), mx, 0.0)
-    out = np.log(np.sum(np.exp(a - mx_safe), axis=axis)) + np.squeeze(mx_safe, axis=axis)
-    # rows that are entirely -inf stay -inf
-    all_neginf = np.squeeze(~np.isfinite(mx), axis=axis)
-    if np.any(all_neginf):
-        out = np.where(all_neginf, -np.inf, out)
-    return out
+    with np.errstate(divide="ignore"):
+        return np.log(np.sum(np.exp(a - mx_safe), axis=axis)) + np.squeeze(mx_safe, axis=axis)
 
 
 def solve_entropic(cost: CostMatrix, mu: np.ndarray, nu: np.ndarray, eps: float,
@@ -380,6 +374,23 @@ def solve_entropic(cost: CostMatrix, mu: np.ndarray, nu: np.ndarray, eps: float,
     return EntropicResult(coupling, value, it, converged, violation)
 
 
+def _quantile_segments(a: np.ndarray, b: np.ndarray):
+    """Merge the normalized CDFs of cell masses a and b into quantile segments.
+
+    Returns (seg, i, j): on each segment of positive length seg the quantile
+    functions of a and b sit in cells i and j. The sweep stops at the
+    smaller of the two CDF ends. Repeated CDF values (vacuum cells, or a
+    value both CDFs share) give zero-length segments, which are dropped.
+    """
+    ca = np.cumsum(a) / a.sum()
+    cb = np.cumsum(b) / b.sum()
+    s = np.sort(np.concatenate([ca, cb]))
+    s = s[s <= min(ca[-1], cb[-1])]
+    seg = np.diff(s, prepend=0.0)
+    s, seg = s[seg > 0.0], seg[seg > 0.0]
+    return seg, np.searchsorted(ca, s), np.searchsorted(cb, s)
+
+
 def wasserstein_1d(p_const: float, mu: DensityField, nu: DensityField, g: Grid) -> float:
     """Constant-exponent Wasserstein distance through quantile functions.
 
@@ -397,23 +408,9 @@ def wasserstein_1d(p_const: float, mu: DensityField, nu: DensityField, g: Grid) 
         raise MarginalMismatchError(f"total masses differ: {ta!r} vs {tb!r}")
     if ta <= 0.0:
         return 0.0
-    ca = np.cumsum(a) / ta
-    cb = np.cumsum(b) / tb
+    seg, i, j = _quantile_segments(a, b)
     x = g.centers
-    i = j = 0
-    s_prev = 0.0
-    acc = 0.0
-    n = g.n_cells
-    while i < n and j < n:
-        s_next = min(ca[i], cb[j])
-        seg = s_next - s_prev
-        if seg > 0.0:
-            acc += seg * abs(x[i] - x[j]) ** p_const
-        if ca[i] <= s_next:
-            i += 1
-        if cb[j] <= s_next:
-            j += 1
-        s_prev = s_next
+    acc = float(np.sum(seg * np.abs(x[i] - x[j]) ** p_const))
     return float((ta * acc) ** (1.0 / p_const))
 
 
@@ -430,34 +427,15 @@ def displacement_interpolant(mu: DensityField, nu: DensityField, t: float,
         raise ValueError(f"interpolation parameter must lie in [0, 1], got {t}")
     a = g.check_cell_field(mu.mass, "mu mass")
     b = g.check_cell_field(nu.mass, "nu mass")
-    ca = np.cumsum(a) / a.sum()
-    cb = np.cumsum(b) / b.sum()
+    seg, i, j = _quantile_segments(a, b)
     x = g.centers
     n = g.n_cells
-    i = j = 0
-    s_prev = 0.0
-    masses = np.zeros(n)
-    while i < n and j < n:
-        s_next = min(ca[i], cb[j])
-        seg = s_next - s_prev
-        if seg > 0.0:
-            pos = (1.0 - t) * x[i] + t * x[j]
-            # linear deposit between the two neighboring cell centers
-            ratio = (pos - g.a) / g.dx - 0.5
-            left = int(np.floor(ratio))
-            frac = ratio - left
-            left = max(min(left, n - 1), -1)
-            if left < 0:
-                masses[0] += seg
-            elif left >= n - 1:
-                masses[n - 1] += seg
-            else:
-                masses[left] += seg * (1.0 - frac)
-                masses[left + 1] += seg * frac
-        if ca[i] <= s_next:
-            i += 1
-        if cb[j] <= s_next:
-            j += 1
-        s_prev = s_next
+    pos = (1.0 - t) * x[i] + t * x[j]
+    # linear deposit between the two neighboring cell centers; a particle
+    # beyond an outer center goes entirely to the end cell
+    ratio = np.clip((pos - g.a) / g.dx - 0.5, 0.0, n - 1)
+    left = np.minimum(np.floor(ratio), n - 2).astype(int)
+    frac = ratio - left
+    masses = np.bincount(left, seg * (1.0 - frac), n) + np.bincount(left + 1, seg * frac, n)
     masses /= masses.sum()
     return DensityField(masses)

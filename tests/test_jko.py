@@ -1,6 +1,8 @@
 """Minimizing-movement stepper: stationarity, comparisons against the
 explicit solver, optimality diagnostics, and bookkeeping invariants."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -147,6 +149,80 @@ def test_run_flow_prefixes_step_index_on_failure():
     opts = jko.JkoOptions(backend="entropic", smoothing=0.6)
     with pytest.raises(NumericalBlowupError, match=r"^step 1:"):
         jko.run_flow(rho0, ENTROPY, affine_p(g), 1e-3, 1e-3, g, opts)
+
+
+class _CodedError(RuntimeError):
+    """An exception whose constructor takes more than a message."""
+
+    def __init__(self, message, code):
+        super().__init__(message, code)
+        self.code = code
+
+
+def test_run_flow_reraises_the_step_exception_itself(monkeypatch):
+    g = make_grid(0.0, 1.0, 8)
+    rho0 = uniform(g)
+    calls, raised = [], []
+
+    def failing_step(rho, *args):
+        calls.append(rho)
+        if len(calls) == 2:
+            raised.append(_CodedError("solver gave up", 7))
+            raise raised[0]
+        return SimpleNamespace(rho_next=rho)
+
+    monkeypatch.setattr(jko, "jko_step", failing_step)
+    with pytest.raises(_CodedError) as info:
+        jko.run_flow(rho0, ENTROPY, affine_p(g), 1e-2, 3e-2, g)
+    assert info.value is raised[0]
+    assert info.value.code == 7
+    assert info.value.args == ("step 2: solver gave up", 7)
+
+
+# ------------------------------------------------------------ shared bisection
+
+def _fixed_count_halving(f, lo, hi, step, halvings):
+    """Bracket growth then exactly `halvings` halvings: the reference loop."""
+    for _ in range(200):
+        bad = f(lo) > 0.0
+        if not np.any(bad):
+            break
+        lo = np.where(bad, lo - step, lo)
+    for _ in range(200):
+        bad = f(hi) < 0.0
+        if not np.any(bad):
+            break
+        hi = np.where(bad, hi + step, hi)
+    for _ in range(halvings):
+        mid = 0.5 * (lo + hi)
+        up = f(mid) >= 0.0
+        hi = np.where(up, mid, hi)
+        lo = np.where(up, lo, mid)
+    return 0.5 * (lo + hi)
+
+
+@pytest.mark.parametrize("with_zero", [True, False])
+def test_bisection_is_bit_identical_to_fixed_count_halving(with_zero):
+    # -7.3 needs the lower end grown, 3.7 and 40/3 the upper end; a root at
+    # exactly 0 never reaches adjacent doubles, so only the cap stops it
+    roots = np.array([-7.3, 0.0, 3.7, 40.0 / 3.0] if with_zero else [-7.3, 3.7, 40.0 / 3.0])
+    evaluations = {"shared": 0, "reference": 0}
+
+    def counted(key):
+        def f(x):
+            evaluations[key] += 1
+            return np.sinh(x - roots)
+        return f
+
+    start = np.full(roots.size, 1.5)
+    lo, hi = jko._bisect(counted("shared"), start - 1.0, start + 1.0, 1.0, 120)
+    want = _fixed_count_halving(counted("reference"), start - 1.0, start + 1.0, 1.0, 120)
+    np.testing.assert_array_equal(0.5 * (lo + hi), want)
+    np.testing.assert_allclose(want, roots, rtol=1e-15, atol=1e-30)
+    if with_zero:
+        assert evaluations["shared"] == evaluations["reference"]
+    else:
+        assert evaluations["shared"] < evaluations["reference"] - 50
 
 
 # ------------------------------------------------------- optimality residual

@@ -25,6 +25,16 @@ def random_masses(rng, n):
     return w / w.sum()
 
 
+def vacuum_pair(n):
+    """Two mass vectors with empty first, last and interior cells."""
+    rng = np.random.default_rng(97)
+    mu = random_masses(rng, n)
+    nu = random_masses(rng, n)
+    mu[[0, n // 2, n // 2 + 1]] = 0.0
+    nu[[n // 3, n - 1]] = 0.0
+    return mu / mu.sum(), nu / nu.sum()
+
+
 def plain_power_cost(g, p_const):
     x = np.asarray(g.centers)
     values = np.abs(x[None, :] - x[:, None]) ** p_const
@@ -266,9 +276,12 @@ class TestWasserstein1d:
     def test_matches_linear_program(self):
         g = make_grid(0.0, 1.0, 16)
         rng = np.random.default_rng(89)
-        for p_const in (1.5, 2.0, 3.0):
-            mu = DensityField.from_masses(random_masses(rng, 16))
-            nu = DensityField.from_masses(random_masses(rng, 16))
+        cases = [(p_const, random_masses(rng, 16), random_masses(rng, 16))
+                 for p_const in (1.5, 2.0, 3.0)]
+        cases += [(p_const, *vacuum_pair(16)) for p_const in (1.5, 2.0, 3.0)]
+        for p_const, mu, nu in cases:
+            mu = DensityField.from_masses(mu)
+            nu = DensityField.from_masses(nu)
             lp = solve_exact(plain_power_cost(g, p_const), mu.mass, nu.mass)
             want = lp.value ** (1.0 / p_const)
             got = wasserstein_1d(p_const, mu, nu, g)
@@ -278,14 +291,15 @@ class TestWasserstein1d:
 class TestDisplacementInterpolant:
     def test_endpoints(self):
         g = make_grid(0.0, 1.0, 16)
-        mu = DensityField.cosine_bump(g, 0.4)
-        nu = DensityField.gaussian(g, 0.6, 0.15)
-        np.testing.assert_allclose(
-            displacement_interpolant(mu, nu, 0.0, g).mass, mu.mass, atol=1e-12
-        )
-        np.testing.assert_allclose(
-            displacement_interpolant(mu, nu, 1.0, g).mass, nu.mass, atol=1e-12
-        )
+        pairs = [(DensityField.cosine_bump(g, 0.4), DensityField.gaussian(g, 0.6, 0.15)),
+                 tuple(DensityField.from_masses(m) for m in vacuum_pair(16))]
+        for mu, nu in pairs:
+            np.testing.assert_allclose(
+                displacement_interpolant(mu, nu, 0.0, g).mass, mu.mass, atol=1e-12
+            )
+            np.testing.assert_allclose(
+                displacement_interpolant(mu, nu, 1.0, g).mass, nu.mass, atol=1e-12
+            )
 
     def test_midpoint_is_a_density(self):
         g = make_grid(0.0, 1.0, 16)
