@@ -334,17 +334,15 @@ def _run_transport(cfg: ExperimentConfig, quiet: bool) -> int:
 
 def _trajectory_rows(cfg: ExperimentConfig, traj: jko.Trajectory):
     """Shared row assembly for the jko experiment CSV."""
-    g, e, p, h = cfg.grid, cfg.energy, cfg.p, cfg.h
-    energies = [total_energy(s, e, g) for s in traj.states]
-    rows = [(0, 0.0, energies[0], 0.0, float(traj.states[0].density(g).max()),
-             0.0, 0.0, 0.0)]
+    g, e = cfg.grid, cfg.energy
+    slacks = jko.dissipation_check(traj, e, cfg.p, cfg.h, g).per_step_slack
+    rows = [(0, 0.0, total_energy(traj.states[0], e, g), 0.0,
+             float(traj.states[0].density(g).max()), 0.0, 0.0, 0.0, 0, True)]
     for k, step in enumerate(traj.steps, start=1):
-        slack = (energies[k - 1] - energies[k]) - h * jko.dissipation_rate(
-            traj.states[k], e, p, g)
         rows.append((
-            k, float(traj.times[k]), energies[k], step.transport_cost,
+            k, float(traj.times[k]), step.energy_after, step.transport_cost,
             float(step.rho_next.density(g).max()), step.mass_error,
-            step.el_residual, slack,
+            step.el_residual, slacks[k - 1], step.iterations, step.converged,
         ))
     return rows
 
@@ -355,7 +353,8 @@ def _run_jko(cfg: ExperimentConfig, quiet: bool) -> int:
     rows = _trajectory_rows(cfg, traj)
     _write_csv(cfg, "jko.csv",
                ["step", "time", "energy", "transport_cost", "max_density",
-                "mass_error", "el_residual", "dissipation_slack"], rows, quiet)
+                "mass_error", "el_residual", "dissipation_slack", "iterations",
+                "converged"], rows, quiet)
     return 0
 
 

@@ -22,6 +22,13 @@ The mirror and projected backends run the same Armijo descent driver and
 differ only in the candidate update it is given. Both finish with a stay-put
 comparison: if the diagonal plan beats the iterate, the diagonal is returned,
 so the energy can never increase across a step.
+
+The entropic backend's column equation is the proximal map of the energy
+(Peyre, SIAM J. Imaging Sci. 2015). It is solved by safeguarded Newton steps
+in the shared root finder _bisect, which closes each bracket to the adjacent
+doubles that plain halving would reach. The cost, the per-row temperatures
+and the reflected kernel depend only on the grid, p, h, eps and smoothing,
+so _step_plan builds them once and a flow reuses them for every step.
 """
 
 from __future__ import annotations
@@ -32,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import transport
-from .energy import EnergyModel, total_energy
+from .energy import RHO_FLOOR, EnergyModel, total_energy
 from .errors import NonpositiveParameterError, NumericalBlowupError
 from .grid import Grid, gradient, neighbor_mean
 from .varexp import DensityField, ExponentField, conjugate
@@ -214,69 +221,115 @@ def _projected_update(gam, grad, eta, mu):
     return out
 
 
-def _bisect(f, lo, hi, step, halvings):
+def _bisect(f, lo, hi, step, halvings, with_slope=False):
     """Brackets (lo, hi) of the root of each entry of an increasing vectorized f.
 
     Each bracket is first widened by step, up to 200 times per side, until
-    f(lo) <= 0 <= f(hi); then it is halved at most halvings times. The cap
+    f(lo) <= 0 <= f(hi); then it is refined at most halvings times. The cap
     is generous (120 halvings push a bracket of width 2 far below double
     precision), so the loop stops early once every bracket has shrunk to
     adjacent doubles: from then on mid rounds to lo or hi, further halvings
     leave the midpoint 0.5 * (lo + hi) unchanged, and it is bit-identical
     to the one all halvings would give. A root at exactly 0 never gets
     there within the cap, because doubles are dense near 0.
+
+    With with_slope set, f returns the pair (f(x), f'(x)) and the trial
+    points are safeguarded Newton steps, started at the midpoint of the
+    grown bracket; each evaluation moves the bracket end on its side of the
+    root to the trial point. A Newton point is pushed one ulp further, so
+    that once it has converged the next trial lands across the root and
+    closes the bracket to adjacent doubles: the same pair, and so the same
+    midpoint, that plain halving finds wherever f is monotone in floating
+    point. The midpoint replaces a Newton point that is not strictly inside
+    the bracket (a point on an end was evaluated already), or whose step is
+    more than half the step before last, as in Numerical Recipes' rtsafe:
+    far out on a convex branch Newton crawls by a fixed amount per step.
+    The stop rule and the cap are those of plain halving. Without a slope
+    the loop is the same with a NaN slope: every Newton point is rejected
+    and each trial is the bracket midpoint, which is plain halving.
     """
+    if with_slope:
+        pair, value = f, (lambda x: f(x)[0])
+    else:
+        pair, value = (lambda x: (f(x), np.nan)), f
     for _ in range(200):
-        bad = f(lo) > 0.0
+        bad = value(lo) > 0.0
         if not np.any(bad):
             break
         lo = np.where(bad, lo - step, lo)
     for _ in range(200):
-        bad = f(hi) < 0.0
+        bad = value(hi) < 0.0
         if not np.any(bad):
             break
         hi = np.where(bad, hi + step, hi)
+    x = 0.5 * (lo + hi)
+    last = before = hi - lo
     for _ in range(halvings):
         mid = 0.5 * (lo + hi)
         if np.all((mid == lo) | (mid == hi)):
             break
-        up = f(mid) >= 0.0
-        hi = np.where(up, mid, hi)
-        lo = np.where(up, lo, mid)
+        fx, slope = pair(x)
+        up = fx >= 0.0
+        hi = np.where(up, x, hi)
+        lo = np.where(up, lo, x)
+        newton = fx / slope
+        trial = np.nextafter(x - newton, np.where(up, -np.inf, np.inf))
+        ok = (lo < trial) & (trial < hi) & (2.0 * np.abs(newton) <= before)
+        before, last = last, np.where(ok, np.abs(newton), 0.5 * (hi - lo))
+        x = np.where(ok, trial, 0.5 * (lo + hi))
     return lo, hi
 
 
 def _solve_column_scalar(log_target: np.ndarray, e: EnergyModel, dx: float,
-                         eps: float) -> np.ndarray:
+                         eps: float, start: np.ndarray | None = None) -> np.ndarray:
     """Solve sigma + G'(exp(sigma)/dx)/eps = log_target per column, in sigma = log s.
 
-    The left side is strictly increasing in sigma (G is convex), so a
-    bracketed bisection converges unconditionally.
+    The left side is strictly increasing in sigma (G is convex), with slope
+    1 + G''(t) t / eps at t = exp(sigma)/dx, so the safeguarded Newton steps
+    of _bisect converge unconditionally. For the entropy G'' t = 1 and the
+    equation is linear away from the RHO_FLOOR clamp: one step lands. The
+    bracket starts at start +- 1, by default log_target +- 1; the dual
+    ascent passes the previous iteration's roots, which saves the bracket
+    growth when the default start is far from the root.
     """
 
     def f(sig):
-        return sig + e.deriv(np.exp(sig) / dx) / eps - log_target
+        t = np.exp(sig) / dx
+        return (sig + e.deriv(t) / eps - log_target,
+                1.0 + _clamped_curvature(e, t) / eps)
 
-    lo, hi = _bisect(f, log_target - 1.0, log_target + 1.0, 1.0, 120)
+    start = log_target if start is None else start
+    lo, hi = _bisect(f, start - 1.0, start + 1.0, 1.0, 120, with_slope=True)
     return 0.5 * (lo + hi)
 
 
+def _clamped_curvature(e: EnergyModel, t: np.ndarray) -> np.ndarray:
+    """d G'(t) / d log t of the clamped slope: G''(t) t, and 0 at or below RHO_FLOOR."""
+    return np.where(t > RHO_FLOOR, e.second(t) * t, 0.0)
+
+
 def _solve_columns_mixed(W: np.ndarray, eps_vec: np.ndarray, e: EnergyModel,
-                         dx: float) -> np.ndarray:
+                         dx: float, start: np.ndarray | None = None) -> np.ndarray:
     """Solve sigma_j = log sum_i exp(W_ij - G'(exp(sigma_j)/dx)/eps_i) per column.
 
     This is the column stationarity condition when rows carry individual
     temperatures. The left-minus-right function is strictly increasing in
-    sigma_j, so a vectorized bracketed bisection over all columns at once
-    does the job; each evaluation costs one n-by-n pass.
+    sigma_j, with slope 1 + (sum_i w_ij / eps_i) G''(t_j) t_j, where w is
+    the column softmax of W_ij - G'(t_j)/eps_i. One n-by-n pass gives the
+    value and, from the same exponentials, that slope, so _bisect takes
+    safeguarded Newton steps over all columns at once. The bracket starts
+    at start +- 1, by default at the column log-sum-exp of W.
     """
+    inv_eps = 1.0 / eps_vec
 
     def f(sig):
-        phi = e.deriv(np.exp(sig) / dx)
-        return sig - transport._logsumexp(W - phi[None, :] / eps_vec[:, None], axis=0)
+        t = np.exp(sig) / dx
+        lse, w = transport._logsumexp(W - e.deriv(t)[None, :] / eps_vec[:, None],
+                                      axis=0, weights=True)
+        return sig - lse, 1.0 + (inv_eps @ w) * _clamped_curvature(e, t)
 
-    start = transport._logsumexp(W.T, axis=1)
-    lo, hi = _bisect(f, start - 1.0, start + 1.0, 1.0, 80)
+    start = transport._logsumexp(W.T, axis=1) if start is None else start
+    lo, hi = _bisect(f, start - 1.0, start + 1.0, 1.0, 80, with_slope=True)
     return 0.5 * (lo + hi)
 
 
@@ -344,6 +397,43 @@ def _log_reference(g: Grid, p: ExponentField, h: float,
     return np.logaddexp(t0, np.logaddexp(t_left, t_right))
 
 
+#: Step plans by content key, least recently used first; see _step_plan.
+_PLANS: dict = {}
+_PLAN_SLOTS = 4
+
+
+def _step_plan(g: Grid, p: ExponentField, h: float, opts: JkoOptions):
+    """(cost, eps_vec, log_ref) of a step: what stays fixed through a flow.
+
+    The cost depends only on the grid, p and h; the entropic temperatures
+    and the reflected kernel also on eps and smoothing (for the other
+    backends eps_vec and log_ref are None). A plan is kept under the content
+    of those inputs, not their identity, so an in-place edit of p.values
+    gets a fresh plan. The _PLAN_SLOTS most recently used plans are kept,
+    enough for callers that alternate backends or step sizes on one grid.
+    The arrays are shared by every step that uses the plan, so they are
+    read-only.
+    """
+    entropic = opts.backend == "entropic"
+    key = (g.a, g.b, g.n_cells, h, p.values.tobytes(),
+           (opts.eps, opts.smoothing) if entropic else None)
+    plan = _PLANS.pop(key, None)
+    if plan is None:
+        cost = transport.build_cost(g, p, h)
+        eps_vec = log_ref = None
+        if entropic:
+            eps_vec = _entropic_temperatures(opts, p, h, g.n_cells, g.dx)
+            log_ref = _log_reference(g, p, h, eps_vec)
+        for arr in (cost.values, eps_vec, log_ref):
+            if arr is not None:
+                arr.setflags(write=False)
+        plan = (cost, eps_vec, log_ref)
+    _PLANS[key] = plan
+    while len(_PLANS) > _PLAN_SLOTS:
+        del _PLANS[next(iter(_PLANS))]
+    return plan
+
+
 def _entropic_backend(log_ref, mu, e, dx, opts, eps_vec):
     """Dual block ascent for the KL-smoothed joint program.
 
@@ -352,7 +442,11 @@ def _entropic_backend(log_ref, mu, e, dx, opts, eps_vec):
     The primal iterate gamma_ij = exp(u_i / eps_i + log_ref_ij - G'(s_j/dx)
     / eps_i) has exact row marginals after each row update, log_ref being
     the wall-reflected reference from _log_reference. Uniform temperatures
-    take a cheaper separable path for the column equation.
+    take a cheaper separable path for the column equation. Each column
+    solve starts from the previous iteration's roots. The start does not
+    change the answer wherever the column function is monotone in floating
+    point: the finder closes on the same adjacent doubles from any bracket
+    that holds the root.
     """
     n = mu.size
     uniform = bool(np.all(eps_vec == eps_vec[0]))
@@ -363,6 +457,7 @@ def _entropic_backend(log_ref, mu, e, dx, opts, eps_vec):
     phi = e.deriv(mu / dx)  # G' at the previous density, a natural warm start
     neg_c = log_ref
     u = np.zeros(n)
+    sigma = None
     converged = False
     it = 0
     for it in range(1, opts.max_iters + 1):
@@ -372,9 +467,9 @@ def _entropic_backend(log_ref, mu, e, dx, opts, eps_vec):
             w_log = u[:, None] / epsr + neg_c
         if uniform:
             log_col = transport._logsumexp(w_log.T, axis=1)
-            sigma = _solve_column_scalar(log_col, e, dx, eps0)
+            sigma = _solve_column_scalar(log_col, e, dx, eps0, sigma)
         else:
-            sigma = _solve_columns_mixed(w_log, eps_vec, e, dx)
+            sigma = _solve_columns_mixed(w_log, eps_vec, e, dx, sigma)
         phi_new = e.deriv(np.exp(sigma) / dx)
         delta = float(np.max(np.abs(phi_new - phi)))
         phi = phi_new
@@ -401,13 +496,11 @@ def jko_step(rho_prev: DensityField, e: EnergyModel, p: ExponentField, h: float,
         raise NonpositiveParameterError(f"step size h must be positive, got {h}")
     opts = opts or JkoOptions()
     mu = g.check_cell_field(rho_prev.mass, "previous mass")
-    cost = transport.build_cost(g, p, h)
+    cost, eps_vec, log_ref = _step_plan(g, p, h, opts)
     C = cost.values
     dx = g.dx
 
     if opts.backend == "entropic":
-        eps_vec = _entropic_temperatures(opts, p, h, mu.size, dx)
-        log_ref = _log_reference(g, p, h, eps_vec)
         gam, iters, converged = _entropic_backend(log_ref, mu, e, dx, opts, eps_vec)
     else:
         update = _mirror_update if opts.backend == "mirror" else _projected_update

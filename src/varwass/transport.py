@@ -328,12 +328,21 @@ class EntropicResult:
     marginal_violation: float
 
 
-def _logsumexp(a: np.ndarray, axis: int) -> np.ndarray:
-    """log(sum(exp(a))) along axis, shifted by the maximum; all -inf slices give -inf."""
+def _logsumexp(a: np.ndarray, axis: int, weights: bool = False):
+    """log(sum(exp(a))) along axis, shifted by the maximum; all -inf slices give -inf.
+
+    With weights set, also returns the softmax exp(a - logsumexp) along
+    axis, taken from the same exponentials.
+    """
     mx = np.max(a, axis=axis, keepdims=True)
     mx_safe = np.where(np.isfinite(mx), mx, 0.0)
+    z = np.exp(a - mx_safe)
+    total = np.sum(z, axis=axis)
     with np.errstate(divide="ignore"):
-        return np.log(np.sum(np.exp(a - mx_safe), axis=axis)) + np.squeeze(mx_safe, axis=axis)
+        lse = np.log(total) + np.squeeze(mx_safe, axis=axis)
+    if not weights:
+        return lse
+    return lse, z / np.expand_dims(total, axis)
 
 
 def solve_entropic(cost: CostMatrix, mu: np.ndarray, nu: np.ndarray, eps: float,

@@ -54,10 +54,11 @@ def test_jko_zero_horizon_single_row(tmp_path):
     comment, header, rows = read_csv(tmp_path / "out" / "jko.csv")
     assert header == ["step", "time", "energy", "transport_cost",
                       "max_density", "mass_error", "el_residual",
-                      "dissipation_slack"]
+                      "dissipation_slack", "iterations", "converged"]
     assert len(rows) == 1
     assert rows[0][0] == "0"
     assert float(rows[0][1]) == 0.0
+    assert rows[0][-2:] == ["0", "1"]
 
 
 def test_csv_comment_records_config_hash_and_seed(tmp_path):

@@ -225,6 +225,144 @@ def test_bisection_is_bit_identical_to_fixed_count_halving(with_zero):
         assert evaluations["shared"] < evaluations["reference"] - 50
 
 
+def _column(e, log_target, dx=1.0 / 32.0, eps=0.5):
+    """The scalar column equation and its slope, as _solve_column_scalar poses it."""
+    def pair(sig):
+        t = np.exp(sig) / dx
+        return sig + e.deriv(t) / eps - log_target, 1.0 + jko._clamped_curvature(e, t) / eps
+    return pair
+
+
+ENERGIES = {"entropy": ENTROPY, "quadratic": QUADRATIC,
+            "power1.5": builtin_energy("power", m=1.5),
+            "power3": builtin_energy("power", m=3.0)}
+
+
+@pytest.mark.parametrize("name", sorted(ENERGIES))
+def test_newton_mode_agrees_with_bisection(name):
+    # exp(sigma)/dx <= RHO_FLOOR below sigma = -31.1: the first three roots
+    # sit in the clamp, where the slope drops to 1; the bracket midpoint
+    # -25 is far from all of them
+    e = ENERGIES[name]
+    roots = np.array([-45.0, -36.0, -31.5, -20.0, -3.0, 0.7, 4.2])
+    pair = _column(e, np.zeros(roots.size))
+    target = pair(roots)[0]
+    evaluations = {"slope": 0, "plain": 0}
+
+    def counted(key):
+        def f(x):
+            evaluations[key] += 1
+            value, slope = _column(e, target)(x)
+            return (value, slope) if key == "slope" else value
+        return f
+
+    lo, hi = np.full(roots.size, -60.0), np.full(roots.size, 10.0)
+    newton = 0.5 * np.add(*jko._bisect(counted("slope"), lo, hi, 1.0, 120, with_slope=True))
+    plain = 0.5 * np.add(*jko._bisect(counted("plain"), lo, hi, 1.0, 120))
+    ulp = np.spacing(np.maximum(1.0, np.abs(plain)))
+    assert np.all(np.abs(newton - plain) <= 4.0 * ulp)
+    np.testing.assert_allclose(plain, roots, rtol=1e-13)
+    if name == "entropy":
+        assert evaluations["slope"] <= 8
+    assert evaluations["slope"] < evaluations["plain"]
+
+
+# ---------------------------------------------------------------- step plan
+
+def test_step_plan_is_reused_and_read_only(monkeypatch):
+    monkeypatch.setattr(jko, "_PLANS", {})
+    g = make_grid(0.0, 1.0, 16)
+    p = affine_p(g)
+    rho0 = DensityField.cosine_bump(g, amplitude=0.5)
+    opts = blur_opts(1e-3)
+    first = jko.jko_step(rho0, ENTROPY, p, 1e-3, g, opts)
+    plan = jko._step_plan(g, p, 1e-3, opts)
+    second = jko.jko_step(rho0, ENTROPY, p, 1e-3, g, opts)
+    assert jko._step_plan(g, p, 1e-3, opts) is plan
+    assert np.array_equal(first.rho_next.mass, second.rho_next.mass)
+    assert first.iterations == second.iterations
+    for arr in (plan[0].values, plan[1], plan[2]):
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
+
+
+def test_step_plan_follows_its_inputs(monkeypatch):
+    monkeypatch.setattr(jko, "_PLANS", {})
+    g = make_grid(0.0, 1.0, 16)
+    p = affine_p(g)
+    h = 1e-3
+    opts = blur_opts(h)
+    plan = jko._step_plan(g, p, h, opts)
+    wider = jko._step_plan(g, p, h, blur_opts(h, factor=1.0))
+    longer = jko._step_plan(g, p, 2 * h, opts)
+    assert wider is not plan and not np.array_equal(wider[1], plan[1])
+    assert longer is not plan and not np.array_equal(longer[0].values, plan[0].values)
+    p.values[0] += 0.5
+    edited = jko._step_plan(g, p, h, opts)
+    assert edited is not plan
+    np.testing.assert_array_equal(edited[0].values,
+                                  jko.transport.build_cost(g, p, h).values)
+
+
+def test_run_flow_builds_the_temperatures_once(monkeypatch):
+    monkeypatch.setattr(jko, "_PLANS", {})
+    calls = []
+    original = jko._entropic_temperatures
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(jko, "_entropic_temperatures", counted)
+    g = make_grid(0.0, 1.0, 16)
+    h = 1e-3
+    traj = jko.run_flow(DensityField.cosine_bump(g, amplitude=0.5), ENTROPY,
+                        affine_p(g), h, 5 * h, g, blur_opts(h))
+    assert len(traj.steps) == 5
+    assert len(calls) == 1
+
+
+# ----------------------------------------------------------- invariant sweep
+
+# Total dual iterations of each 5-step flow, taken once with the plain
+# bisection column solves that the safeguarded Newton ones replaced.
+SWEEP_ITERATIONS = {
+    ("entropy", "constant", None): 622, ("entropy", "constant", 0.03): 188,
+    ("entropy", "ramp", None): 546, ("entropy", "ramp", 0.03): 475,
+    ("quadratic", "constant", None): 824, ("quadratic", "constant", 0.03): 229,
+    ("quadratic", "ramp", None): 895, ("quadratic", "ramp", 0.03): 610,
+    ("power1.5", "constant", None): 965, ("power1.5", "constant", 0.03): 266,
+    ("power1.5", "ramp", None): 940, ("power1.5", "ramp", 0.03): 714,
+    ("power3", "constant", None): 2572, ("power3", "constant", 0.03): 633,
+    ("power3", "ramp", None): 5820, ("power3", "ramp", 0.03): 1535,
+}
+
+
+@pytest.mark.parametrize("name,exponent,smoothing", sorted(
+    SWEEP_ITERATIONS, key=lambda k: (k[0], k[1], k[2] is not None)))
+def test_entropic_sweep_keeps_iterations_and_invariants(name, exponent, smoothing):
+    # n=32 with 10 vacuum cells (about 30%), eps=0.2; the uniform-temperature
+    # cases run the scalar column solve, the smoothed ramp ones the mixed one
+    g = make_grid(0.0, 1.0, 32)
+    h = 1e-3
+    rng = np.random.default_rng(2024)
+    v = 0.1 + rng.random(g.n_cells)
+    v[rng.choice(g.n_cells, size=10, replace=False)] = 0.0
+    rho0 = DensityField.from_masses(v / v.sum())
+    p = (ExponentField.constant(2.0, g.n_cells) if exponent == "constant"
+         else ExponentField.affine(1.5, 3.0, g))
+    opts = jko.JkoOptions(backend="entropic", eps=0.2, smoothing=smoothing,
+                          exact_coupling=False)
+    traj = jko.run_flow(rho0, ENERGIES[name], p, h, 5 * h, g, opts)
+    assert all(step.converged for step in traj.steps)
+    assert sum(step.iterations for step in traj.steps) == SWEEP_ITERATIONS[
+        (name, exponent, smoothing)]
+    for state in traj.states:
+        assert abs(state.total_mass - 1.0) <= 1e-12
+        assert state.mass.min() >= 0.0
+
+
 # ------------------------------------------------------- optimality residual
 
 def test_el_residual_zero_at_uniform():
