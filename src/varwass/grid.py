@@ -96,7 +96,7 @@ def gradient(u: np.ndarray, g: Grid) -> np.ndarray:
     """
     u = g.check_cell_field(u)
     out = np.zeros(g.n_cells + 1)
-    out[1:-1] = np.diff(u) / g.dx
+    out[1:-1] = (u[1:] - u[:-1]) / g.dx
     return out
 
 
@@ -121,7 +121,7 @@ def divergence(f: np.ndarray, g: Grid) -> np.ndarray:
         raise BoundaryFluxError(
             f"boundary faces must carry zero flux, got f[0]={f[0]}, f[-1]={f[-1]}"
         )
-    return np.diff(f) / g.dx
+    return (f[1:] - f[:-1]) / g.dx
 
 
 def integrate(u: np.ndarray, g: Grid) -> float:

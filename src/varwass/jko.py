@@ -446,9 +446,12 @@ def _entropic_backend(log_ref, mu, e, dx, opts, eps_vec):
     solve starts from the previous iteration's roots. The start does not
     change the answer wherever the column function is monotone in floating
     point: the finder closes on the same adjacent doubles from any bracket
-    that holds the root.
+    that holds the root. Zero total mass has only the zero plan, returned
+    without entering the dual loop, whose potentials are all -inf there.
     """
     n = mu.size
+    if mu.sum() == 0.0:
+        return np.zeros((n, n)), 0, True
     uniform = bool(np.all(eps_vec == eps_vec[0]))
     eps0 = float(eps_vec[0])
     epsr = eps_vec[:, None]

@@ -95,9 +95,9 @@ class DensityField:
         m = np.asarray(self.mass, dtype=float)
         if m.ndim != 1 or m.size == 0:
             raise ValueError("mass must be a nonempty 1-D array")
-        if not np.all(np.isfinite(m)):
+        if not np.isfinite(m).all():
             raise ValueError("mass must be finite")
-        if np.any(m < 0.0):
+        if (m < 0.0).any():
             raise ValueError(f"mass must be nonnegative, got min {m.min()}")
         if self.require_unit_mass and abs(m.sum() - 1.0) > MASS_TOL:
             raise ValueError(

@@ -1,6 +1,7 @@
 """Minimizing-movement stepper: stationarity, comparisons against the
 explicit solver, optimality diagnostics, and bookkeeping invariants."""
 
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -361,6 +362,24 @@ def test_entropic_sweep_keeps_iterations_and_invariants(name, exponent, smoothin
     for state in traj.states:
         assert abs(state.total_mass - 1.0) <= 1e-12
         assert state.mass.min() >= 0.0
+
+
+@pytest.mark.parametrize("smoothing", [None, 0.05])
+@pytest.mark.parametrize("exact", [True, False])
+def test_entropic_step_on_zero_mass_is_silent(smoothing, exact):
+    # every row potential is -inf at zero mass; the dual loop must not run
+    g = make_grid(0.0, 1.0, 8)
+    rho = DensityField(np.zeros(g.n_cells), require_unit_mass=False)
+    opts = jko.JkoOptions(backend="entropic", smoothing=smoothing,
+                          exact_coupling=exact)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        step = jko.jko_step(rho, ENTROPY, affine_p(g), 1e-3, g, opts)
+    assert step.iterations == 0
+    assert step.converged
+    assert np.all(step.rho_next.mass == 0.0)
+    assert np.all(step.coupling.gamma == 0.0)
+    assert step.transport_cost == 0.0
 
 
 # ------------------------------------------------------- optimality residual

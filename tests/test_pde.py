@@ -1,6 +1,8 @@
 """Reference explicit solver: spatial operator accuracy, conservation,
 dissipation, ordering, and the stability guards."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -254,3 +256,170 @@ def test_stride_thins_the_record():
     assert thin.times[-1] == dense.times[-1]
     assert np.array_equal(thin.states[-1].density(g),
                           dense.states[-1].density(g))
+
+
+# ---------------------------------------------------------- reference loop
+
+def _reference_rhs(rho, e, q, g, delta_reg):
+    """The spatial operator as first written, np.diff on every difference."""
+    rv = rho.density(g)
+    s = np.diff(e.deriv(rv)) / g.dx
+    flux = np.zeros(g.n_cells + 1)
+    flux[1:-1] = (0.5 * (rv[:-1] + rv[1:]) * (s * s + delta_reg * delta_reg)
+                  ** ((0.5 * (q.values[:-1] + q.values[1:]) - 2.0) / 2.0) * s)
+    return np.diff(flux) / g.dx
+
+
+def _reference_solve(rho0, e, q, cfg, g, steps):
+    """The Euler loop that recomputed every invariant at every step.
+
+    Returns the recorded times and masses; steps["n"] counts the Euler
+    steps taken, also when a guard raises.
+    """
+    m = g.check_cell_field(rho0.mass, "initial mass").copy()
+    total0 = m.sum()
+    times, masses = [0.0], [rho0.mass]
+    t = 0.0
+    t_final = cfg.t_end
+    while t < t_final - 1e-15 * max(1.0, t_final):
+        rv = m / g.dx
+        slope = np.zeros(g.n_cells + 1)
+        slope[1:-1] = np.diff(e.deriv(rv)) / g.dx
+        s_cell = 0.5 * (slope[:-1] + slope[1:])
+        mag = (s_cell * s_cell + cfg.delta_reg * cfg.delta_reg) ** ((q.values - 2.0) / 2.0)
+        d_max = float((rv * mag * e.second(rv)).max())
+        dt_stable = cfg.cfl * g.dx**2 / max(d_max, 1e-30) if d_max > 0.0 else np.inf
+        if cfg.fixed_dt is not None:
+            if cfg.fixed_dt > dt_stable * (1.0 + 1e-9):
+                raise NumericalBlowupError(
+                    f"fixed_dt={cfg.fixed_dt} exceeds the stability bound "
+                    f"{dt_stable:.3e} at t={t:.6g}"
+                )
+            dt = cfg.fixed_dt
+        else:
+            dt = dt_stable
+        dt = min(dt, t_final - t)
+        if not np.isfinite(dt) or dt <= 0.0:
+            break
+        rate = _reference_rhs(DensityField(m, require_unit_mass=False), e, q, g,
+                              cfg.delta_reg)
+        m = m + dt * rate * g.dx
+        t += dt
+        steps["n"] += 1
+        if steps["n"] > cfg.max_steps:
+            raise NumericalBlowupError(
+                f"step budget {cfg.max_steps} exhausted at t={t:.6g}"
+            )
+        if not np.all(np.isfinite(m)) or (m / g.dx).max() > pde.BLOWUP_DENSITY:
+            raise NumericalBlowupError(
+                f"density blew up at t={t:.6g} (max {np.nanmax(m) / g.dx:.3e})"
+            )
+        if m.min() < -1e-12:
+            raise NumericalBlowupError(
+                f"density went negative at t={t:.6g} (min {m.min():.3e}); "
+                "the explicit step lost monotonicity"
+            )
+        m = np.maximum(m, 0.0)
+        if steps["n"] % cfg.stride == 0 or t >= t_final - 1e-15 * max(1.0, t_final):
+            times.append(t)
+            masses.append(m * (total0 / m.sum()))
+    return np.asarray(times), masses
+
+
+def _counting_rhs(monkeypatch):
+    calls = {"n": 0}
+    original = pde.rhs
+
+    def counted(*args, **kwargs):
+        calls["n"] += 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(pde, "rhs", counted)
+    return calls
+
+
+REFERENCE_ENERGIES = {"entropy": ENTROPY, "quadratic": builtin_energy("quadratic"),
+                      "power3": builtin_energy("power", 3.0),
+                      "power1.5": builtin_energy("power", 1.5)}
+REFERENCE_EXPONENTS = {"2": (2.0, 0.0), "2+x": (2.0, 1.0), "1.5+1.5x": (1.5, 1.5)}
+
+
+@pytest.mark.parametrize("fixed", [False, True])
+@pytest.mark.parametrize("stride", [1, 7])
+@pytest.mark.parametrize("exponent", sorted(REFERENCE_EXPONENTS))
+@pytest.mark.parametrize("name", sorted(REFERENCE_ENERGIES))
+def test_solve_is_bit_identical_to_reference_loop(name, exponent, stride, fixed):
+    # q is the conjugate of the transport exponent p, as the solver is used
+    g = make_grid(0.0, 1.0, 24)
+    e = REFERENCE_ENERGIES[name]
+    q = ExponentField.affine(*REFERENCE_EXPONENTS[exponent], g).conjugate()
+    rho0 = DensityField.cosine_bump(g, amplitude=0.5)
+    fixed_dt = None
+    if fixed:
+        free = pde.solve(rho0, e, q, pde.PdeConfig(t_end=0.02), g)
+        fixed_dt = 0.5 * float(np.diff(free.times)[:-1].min())
+    cfg = pde.PdeConfig(t_end=0.02, stride=stride, fixed_dt=fixed_dt)
+    want_times, want_masses = _reference_solve(rho0, e, q, cfg, g, {"n": 0})
+    traj = pde.solve(rho0, e, q, cfg, g)
+    assert len(traj) > 3
+    np.testing.assert_array_equal(traj.times, want_times)
+    assert len(traj.states) == len(want_masses)
+    for state, want in zip(traj.states, want_masses):
+        np.testing.assert_array_equal(state.mass, want)
+
+
+def _understated_curvature(level):
+    """Quadratic energy whose G'' reads a tenth of the truth, so the
+    stability estimate lets dt run ten times too large; cosine data at the
+    given density level."""
+    quadratic = builtin_energy("quadratic")
+    e = replace(quadratic, second=lambda t: 0.1 * quadratic.second(t))
+    g = make_grid(0.0, 1.0, 24)
+    vals = level * (1.0 + 0.5 * np.cos(np.pi * g.centers))
+    rho0 = DensityField.from_masses(vals * g.dx, require_unit_mass=False)
+    return rho0, e, ExponentField.constant(2.0, 24), pde.PdeConfig(t_end=1.0), g
+
+
+def _oversized_fixed_dt():
+    # the stable bound shrinks as q = 1.5 flattens the slope: a fixed dt
+    # just under the first bound passes step 1 and fails later
+    g = make_grid(0.0, 1.0, 24)
+    q = ExponentField.constant(3.0, 24).conjugate()
+    rho0 = DensityField.cosine_bump(g, amplitude=0.5)
+    first_dt = pde.solve(rho0, ENTROPY, q, pde.PdeConfig(t_end=1e-3), g).times[1]
+    cfg = pde.PdeConfig(t_end=1e-3, fixed_dt=0.999 * float(first_dt))
+    return rho0, ENTROPY, q, cfg, g
+
+
+ERROR_CASES = {
+    # case: (inputs, message, Euler steps taken when the guard fires); the
+    # dt guard fires before a step, the density guards after it
+    "fixed_dt": (_oversized_fixed_dt, "exceeds the stability bound", 1),
+    "blowup": (lambda: _understated_curvature(3e5), "blew up", 14),
+    "negative": (lambda: _understated_curvature(100.0), "went negative", 14),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ERROR_CASES))
+def test_solve_raises_at_the_reference_step(case, monkeypatch):
+    make, message, taken = ERROR_CASES[case]
+    rho0, e, q, cfg, g = make()
+    steps = {"n": 0}
+    with pytest.raises(NumericalBlowupError, match=message) as want:
+        _reference_solve(rho0, e, q, cfg, g, steps)
+    calls = _counting_rhs(monkeypatch)
+    with pytest.raises(NumericalBlowupError) as got:
+        pde.solve(rho0, e, q, cfg, g)
+    assert str(got.value) == str(want.value)
+    assert calls["n"] == steps["n"] == taken
+
+
+@pytest.mark.parametrize("t_end", [0.0, 2e-4, 1e-3])
+def test_solve_calls_rhs_once_per_step(t_end, monkeypatch):
+    # a tracer that wraps pde.rhs counts Euler steps from these calls
+    g = make_grid(0.0, 1.0, 24)
+    q = ExponentField.affine(2.0, 1.0, g).conjugate()
+    calls = _counting_rhs(monkeypatch)
+    traj = pde.solve(DensityField.cosine_bump(g, amplitude=0.5), ENTROPY, q,
+                     pde.PdeConfig(t_end=t_end), g)
+    assert calls["n"] == len(traj) - 1
