@@ -11,8 +11,11 @@ failure. Outputs are CSV files, one per series, each starting with a comment
 line that records the config hash, library version, and effective seed, so
 identical config bytes and seed reproduce identical output bytes.
 
-The config schema is YAML with the sections shown in the README; unknown
-keys inside known sections are rejected, which catches most typos early.
+The config is YAML with the sections and keys of ``_SCHEMA``, which the
+README lists. Unknown sections and keys are rejected, which catches most
+typos early, and any malformed value exits 3 with its section named.
+Omitted [solver] and [pde] keys take the ``jko.JkoOptions`` and
+``pde.PdeConfig`` defaults.
 """
 
 from __future__ import annotations
@@ -20,7 +23,9 @@ from __future__ import annotations
 import argparse
 import hashlib
 import sys
-from dataclasses import dataclass
+from contextlib import contextmanager
+from dataclasses import dataclass, replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -28,17 +33,10 @@ import yaml
 
 from . import __version__, finsler, jko, pde, transport
 from .energy import EnergyModel, builtin_energy, total_energy
-from .errors import (
-    ConfigError,
-    ConfigValidationError,
-    ExponentRangeError,
-    NumericalBlowupError,
-    VarwassError,
-)
-from .grid import Grid, gradient, make_grid, neighbor_mean
+from .errors import ConfigError, ConfigValidationError, ExponentRangeError, VarwassError
+from .grid import Grid, make_grid
 from .varexp import DensityField, ExponentField, conjugate, luxemburg_norm, modular
 
-EXPERIMENT_KINDS = ("norms", "transport", "jko", "pde", "compare", "finsler")
 RANDOMIZED_KINDS = ("norms",)
 
 
@@ -75,42 +73,111 @@ def _fmt(v) -> str:
     return str(v)
 
 
-def _section(raw: dict, name: str, allowed: set[str], required: bool = False) -> dict:
-    sec = raw.get(name)
-    if sec is None:
-        if required:
-            raise ConfigValidationError(f"missing required section [{name}]")
-        return {}
-    if not isinstance(sec, dict):
-        raise ConfigError(f"section [{name}] must be a mapping")
-    unknown = set(sec) - allowed
-    if unknown:
+# Value readers for _SCHEMA: each returns its value as the key's type or
+# raises ValueError or TypeError.
+def _real(value) -> float:
+    x = float(value)
+    if not np.isfinite(x):
+        raise ValueError(f"{x} is not a finite number")
+    return x
+
+
+def _integer(value) -> int:
+    n = int(value)
+    if isinstance(value, float) and n != value:
+        raise ValueError(f"{value!r} is not a whole number")
+    return n
+
+
+def _count(value) -> int:
+    n = _integer(value)
+    if n < 1:
+        raise ValueError(f"must be at least 1, got {n}")
+    return n
+
+
+def _flag(value) -> bool:
+    if value not in (True, False):
+        raise ValueError(f"expected true or false, got {value!r}")
+    return bool(value)
+
+
+_reals = partial(np.asarray, dtype=float)
+_DENSITY_KEYS = {"kind": str, "amplitude": _real, "center": _real, "width": _real,
+                 "masses": _reals}
+
+#: Every config section, its keys, and what each value is read as. Omitted
+#: [solver] and [pde] keys take the jko.JkoOptions and pde.PdeConfig defaults.
+_SCHEMA = {
+    "experiment": {"kind": str, "seed": _integer, "out": str},
+    "grid": {"a": _real, "b": _real, "n_cells": _integer},
+    "exponent": {"kind": str, "value": _real, "p0": _real, "p1": _real,
+                 "values": _reals},
+    "energy": {"kind": str, "m": _real},
+    "initial": _DENSITY_KEYS,
+    "target": _DENSITY_KEYS,
+    "flow": {"h": _real, "t_end": _real},
+    "solver": {"backend": str, "eps": _real, "smoothing": _real,
+               "max_iters": _integer, "tol": _real, "exact_coupling": _flag},
+    "pde": {"t_end": _real, "cfl": _real, "delta_reg": _real, "stride": _integer,
+            "fixed_dt": _real},
+    "compare": {"threshold": _real, "stride": _count},
+    "norms": {"samples": _count},
+    "finsler": {"n_steps": _count},
+}
+
+
+@contextmanager
+def _invalid(what: str):
+    """Re-raise a bad value met in the block as ConfigValidationError."""
+    try:
+        yield
+    except (ValueError, TypeError, OverflowError) as exc:
+        raise ConfigValidationError(f"invalid {what}: {exc}") from exc
+
+
+def _read_sections(raw: dict) -> dict[str, dict]:
+    """Check every section against _SCHEMA and read its non-null values."""
+    stray = set(raw) - set(_SCHEMA)
+    if stray:
         raise ConfigValidationError(
-            f"unknown keys in [{name}]: {sorted(unknown)} (allowed: {sorted(allowed)})"
-        )
-    return sec
+            f"unknown top-level sections: {sorted(map(str, stray))}")
+    if raw.get("experiment") is None:
+        raise ConfigValidationError("missing required section [experiment]")
+    sections = {}
+    for name, keys in _SCHEMA.items():
+        sec = {} if raw.get(name) is None else raw[name]
+        if not isinstance(sec, dict):
+            raise ConfigError(f"section [{name}] must be a mapping")
+        unknown = set(sec) - set(keys)
+        if unknown:
+            raise ConfigValidationError(
+                f"unknown keys in [{name}]: {sorted(map(str, unknown))} "
+                f"(allowed: {sorted(keys)})"
+            )
+        sections[name] = {}
+        for key, value in sec.items():
+            if value is not None:
+                with _invalid(f"[{name}] {key}"):
+                    sections[name][key] = keys[key](value)
+    return sections
 
 
 def _density_from_spec(spec: dict, g: Grid, where: str) -> DensityField:
     kind = spec.get("kind", "uniform")
-    try:
+    if kind == "explicit" and "masses" not in spec:
+        raise ConfigValidationError(f"[{where}] kind=explicit needs masses")
+    with _invalid(f"[{where}] density"):
         if kind == "uniform":
             return DensityField.uniform(g)
         if kind == "cosine":
-            return DensityField.cosine_bump(g, float(spec.get("amplitude", 0.5)))
+            return DensityField.cosine_bump(g, spec.get("amplitude", 0.5))
         if kind == "gaussian":
-            return DensityField.gaussian(
-                g, float(spec.get("center", 0.5 * (g.a + g.b))),
-                float(spec.get("width", 0.1 * g.length)),
-            )
+            return DensityField.gaussian(g, spec.get("center", 0.5 * (g.a + g.b)),
+                                         spec.get("width", 0.1 * g.length))
         if kind == "explicit":
-            masses = spec.get("masses")
-            if masses is None:
-                raise ConfigValidationError(f"[{where}] kind=explicit needs masses")
-            m = np.asarray(masses, dtype=float)
+            m = g.check_cell_field(spec["masses"], f"[{where}] masses")
             return DensityField(m / m.sum())
-    except (ValueError, TypeError) as exc:
-        raise ConfigValidationError(f"invalid [{where}] density: {exc}") from exc
     raise ConfigValidationError(
         f"unknown density kind {kind!r} in [{where}] "
         "(expected uniform | cosine | gaussian | explicit)"
@@ -119,46 +186,33 @@ def _density_from_spec(spec: dict, g: Grid, where: str) -> DensityField:
 
 def _exponent_from_spec(spec: dict, g: Grid) -> ExponentField:
     kind = spec.get("kind", "constant")
+    if kind == "piecewise" and "values" not in spec:
+        raise ConfigValidationError("[exponent] kind=piecewise needs values")
     try:
         if kind == "constant":
-            return ExponentField.constant(float(spec.get("value", 2.0)), g.n_cells)
+            return ExponentField.constant(spec.get("value", 2.0), g.n_cells)
         if kind == "affine":
-            return ExponentField.affine(
-                float(spec.get("p0", 2.0)), float(spec.get("p1", 0.0)), g
-            )
+            return ExponentField.affine(spec.get("p0", 2.0), spec.get("p1", 0.0), g)
         if kind == "piecewise":
-            values = spec.get("values")
-            if values is None:
-                raise ConfigValidationError("[exponent] kind=piecewise needs values")
-            return ExponentField(np.asarray(values, dtype=float))
+            return ExponentField(g.check_cell_field(spec["values"], "[exponent] values"))
     except ExponentRangeError as exc:
         raise ConfigValidationError(
             f"exponent violates assumption A1 (1 < p(x) < inf required): {exc}"
         ) from exc
-    except (ValueError, TypeError) as exc:
+    except ValueError as exc:
         raise ConfigValidationError(f"invalid [exponent] section: {exc}") from exc
     raise ConfigValidationError(
         f"unknown exponent kind {kind!r} (expected constant | affine | piecewise)"
     )
 
 
-def _energy_from_spec(spec: dict) -> EnergyModel:
-    kind = spec.get("kind", "entropy")
-    try:
-        if kind == "power":
-            return builtin_energy("power", m=float(spec.get("m", 2.0)))
-        return builtin_energy(kind)
-    except (ValueError, TypeError) as exc:
-        raise ConfigValidationError(f"invalid [energy] section: {exc}") from exc
-
-
 def load_config(path: str | Path, seed_override: int | None = None,
                 out_override: str | None = None) -> ExperimentConfig:
     """Read, parse, and semantically validate a config file.
 
-    Parse-level problems raise ConfigError; everything semantic raises
-    ConfigValidationError. The sha256 of the raw file bytes rides along for
-    output provenance.
+    Parse-level problems raise ConfigError; everything semantic, malformed
+    values included, raises ConfigValidationError naming the section. The
+    sha256 of the raw file bytes rides along for output provenance.
     """
     path = Path(path)
     try:
@@ -172,107 +226,51 @@ def load_config(path: str | Path, seed_override: int | None = None,
         raise ConfigError(f"config {path} is not valid YAML: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError(f"config {path} must be a YAML mapping at top level")
-    known_sections = {"experiment", "grid", "exponent", "energy", "initial",
-                      "target", "flow", "solver", "pde", "compare", "norms",
-                      "finsler"}
-    stray = set(raw) - known_sections
-    if stray:
-        raise ConfigValidationError(f"unknown top-level sections: {sorted(stray)}")
+    sec = _read_sections(raw)
 
-    exp = _section(raw, "experiment", {"kind", "seed", "out"}, required=True)
+    exp = sec["experiment"]
     kind = exp.get("kind")
-    if kind not in EXPERIMENT_KINDS:
+    if kind not in _DISPATCH:
         raise ConfigValidationError(
-            f"experiment kind must be one of {EXPERIMENT_KINDS}, got {kind!r}"
+            f"experiment kind must be one of {tuple(_DISPATCH)}, got {kind!r}"
         )
-    seed = seed_override if seed_override is not None else exp.get("seed")
-    if seed is not None:
-        seed = int(seed)
+    seed = exp.get("seed") if seed_override is None else int(seed_override)
     if kind in RANDOMIZED_KINDS and seed is None:
         raise ConfigValidationError(
             f"experiment kind {kind!r} is randomized and needs a seed"
         )
     out_dir = Path(out_override if out_override is not None else exp.get("out", "results"))
 
-    gsec = _section(raw, "grid", {"a", "b", "n_cells"})
-    try:
-        g = make_grid(
-            float(gsec.get("a", 0.0)), float(gsec.get("b", 1.0)),
-            int(gsec.get("n_cells", 64)),
-        )
-    except (ValueError, TypeError) as exc:
-        raise ConfigValidationError(f"invalid [grid] section: {exc}") from exc
-
-    p = _exponent_from_spec(
-        _section(raw, "exponent", {"kind", "value", "p0", "p1", "values"}), g
-    )
-    energy = _energy_from_spec(_section(raw, "energy", {"kind", "m"}))
-    rho0 = _density_from_spec(
-        _section(raw, "initial", {"kind", "amplitude", "center", "width", "masses"}),
-        g, "initial",
-    )
-    tsec = _section(raw, "target", {"kind", "amplitude", "center", "width", "masses"})
-    rho1 = _density_from_spec(tsec, g, "target") if tsec else None
+    gsec = sec["grid"]
+    with _invalid("[grid] section"):
+        g = make_grid(gsec.get("a", 0.0), gsec.get("b", 1.0), gsec.get("n_cells", 64))
+    p = _exponent_from_spec(sec["exponent"], g)
+    esec = sec["energy"]
+    with _invalid("[energy] section"):
+        energy = builtin_energy(esec.get("kind", "entropy"), m=esec.get("m", 2.0))
+    rho0 = _density_from_spec(sec["initial"], g, "initial")
+    rho1 = _density_from_spec(sec["target"], g, "target") if sec["target"] else None
     if kind in ("transport", "finsler") and rho1 is None:
         raise ConfigValidationError(f"experiment kind {kind!r} needs a [target] section")
 
-    fsec = _section(raw, "flow", {"h", "t_end"})
-    h = float(fsec.get("h", 1e-3))
-    t_end = float(fsec.get("t_end", 0.0))
+    h = sec["flow"].get("h", 1e-3)
+    t_end = sec["flow"].get("t_end", 0.0)
     if h <= 0.0:
         raise ConfigValidationError(f"[flow] h must be positive, got {h}")
     if t_end < 0.0:
         raise ConfigValidationError(f"[flow] t_end must be nonnegative, got {t_end}")
-
-    ssec = _section(raw, "solver", {"backend", "eps", "smoothing", "max_iters",
-                                    "tol", "exact_coupling"})
-    try:
-        smoothing = ssec.get("smoothing")
-        jopts = jko.JkoOptions(
-            backend=str(ssec.get("backend", "mirror")),
-            eps=float(ssec.get("eps", 0.5)),
-            smoothing=None if smoothing is None else float(smoothing),
-            max_iters=int(ssec.get("max_iters", 20_000)),
-            tol=float(ssec.get("tol", 1e-9)),
-            exact_coupling=bool(ssec.get("exact_coupling", True)),
-        )
-    except (ValueError, TypeError, VarwassError) as exc:
-        raise ConfigValidationError(f"invalid [solver] section: {exc}") from exc
-
-    psec = _section(raw, "pde", {"cfl", "delta_reg", "stride", "t_end", "fixed_dt"})
-    try:
-        pde_cfg = pde.PdeConfig(
-            t_end=float(psec.get("t_end", t_end)),
-            cfl=float(psec.get("cfl", 0.5)),
-            delta_reg=float(psec.get("delta_reg", pde.DELTA_REG)),
-            stride=int(psec.get("stride", 1)),
-            fixed_dt=(float(psec["fixed_dt"]) if psec.get("fixed_dt") is not None else None),
-        )
-    except (ValueError, TypeError) as exc:
-        raise ConfigValidationError(f"invalid [pde] section: {exc}") from exc
-
-    csec = _section(raw, "compare", {"threshold", "stride"})
-    threshold = csec.get("threshold")
-    threshold = float(threshold) if threshold is not None else None
-    compare_stride = int(csec.get("stride", 1))
-    if compare_stride < 1:
-        raise ConfigValidationError("[compare] stride must be at least 1")
-
-    nsec = _section(raw, "norms", {"samples"})
-    samples = int(nsec.get("samples", 100))
-    if samples < 1:
-        raise ConfigValidationError("[norms] samples must be at least 1")
-
-    fisec = _section(raw, "finsler", {"n_steps"})
-    finsler_steps = int(fisec.get("n_steps", 8))
-    if finsler_steps < 1:
-        raise ConfigValidationError("[finsler] n_steps must be at least 1")
+    with _invalid("[solver] section"):
+        jopts = jko.JkoOptions(**sec["solver"])
+    with _invalid("[pde] section"):
+        pde_cfg = pde.PdeConfig(**{"t_end": t_end, **sec["pde"]})
 
     return ExperimentConfig(
         kind=kind, seed=seed, out_dir=out_dir, grid=g, p=p, energy=energy,
         rho0=rho0, rho1=rho1, h=h, t_end=t_end, jko_opts=jopts, pde_cfg=pde_cfg,
-        compare_threshold=threshold, compare_stride=compare_stride,
-        norm_samples=samples, finsler_steps=finsler_steps, sha256=sha,
+        compare_threshold=sec["compare"].get("threshold"),
+        compare_stride=sec["compare"].get("stride", 1),
+        norm_samples=sec["norms"].get("samples", 100),
+        finsler_steps=sec["finsler"].get("n_steps", 8), sha256=sha,
     )
 
 
@@ -388,16 +386,10 @@ def _pde_states_at(cfg: ExperimentConfig, times: np.ndarray) -> list[DensityFiel
     g, e = cfg.grid, cfg.energy
     q = conjugate(cfg.p)
     states = [cfg.rho0]
-    current = cfg.rho0
     for k in range(1, len(times)):
-        seg = float(times[k] - times[k - 1])
-        seg_cfg = pde.PdeConfig(
-            t_end=seg, cfl=cfg.pde_cfg.cfl, delta_reg=cfg.pde_cfg.delta_reg,
-            stride=1_000_000_000, fixed_dt=cfg.pde_cfg.fixed_dt,
-        )
-        piece = pde.solve(current, e, q, seg_cfg, g)
-        current = piece.final
-        states.append(current)
+        seg = replace(cfg.pde_cfg, t_end=float(times[k] - times[k - 1]),
+                      stride=1_000_000_000)
+        states.append(pde.solve(states[-1], e, q, seg, g).final)
     return states
 
 
@@ -473,11 +465,8 @@ def _run_oracle(cfg: ExperimentConfig, quiet: bool) -> int:
                      abs(exact.value - brute_val)))
     elif cfg.kind == "jko":
         opts_a = cfg.jko_opts
-        opts_b = jko.JkoOptions(
-            backend="projected" if opts_a.backend != "projected" else "mirror",
-            eps=opts_a.eps, max_iters=opts_a.max_iters, tol=opts_a.tol,
-            exact_coupling=opts_a.exact_coupling,
-        )
+        other = "projected" if opts_a.backend != "projected" else "mirror"
+        opts_b = replace(opts_a, backend=other)
         step_a = jko.jko_step(cfg.rho0, cfg.energy, cfg.p, cfg.h, g, opts_a)
         step_b = jko.jko_step(cfg.rho0, cfg.energy, cfg.p, cfg.h, g, opts_b)
         val_a = step_a.energy_after + step_a.transport_cost
@@ -494,7 +483,7 @@ def _run_oracle(cfg: ExperimentConfig, quiet: bool) -> int:
         # chain rule: d/dt E = <G'(rho), rhs> should equal minus the
         # dissipation integral, up to the face/cell averaging error
         slope = float(np.sum(cfg.energy.deriv(cfg.rho0.density(g)) * rate) * g.dx)
-        s_cell = neighbor_mean(gradient(cfg.energy.deriv(cfg.rho0.density(g)), g))
+        s_cell = jko._cell_slope(cfg.rho0, cfg.energy, g)
         rate_int = float(np.sum(
             np.abs(s_cell) ** q.values * cfg.rho0.density(g)) * g.dx)
         rows.append(("energy_slope_vs_dissipation", slope, -rate_int,
@@ -550,26 +539,20 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         cfg = load_config(args.config, seed_override=args.seed, out_override=args.out)
-    except ConfigValidationError as exc:
-        print(f"validation error: {exc}", file=sys.stderr)
-        return 3
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-
-    if args.command == "validate":
-        if not args.quiet:
-            print(f"ok: {args.config} ({cfg.kind}, grid n={cfg.grid.n_cells})")
-        return 0
-
-    try:
+        if args.command == "validate":
+            if not args.quiet:
+                print(f"ok: {args.config} ({cfg.kind}, grid n={cfg.grid.n_cells})")
+            return 0
         if args.command == "oracle":
             return _run_oracle(cfg, args.quiet)
         return _DISPATCH[cfg.kind](cfg, args.quiet)
     except ConfigValidationError as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return 3
-    except (NumericalBlowupError, VarwassError) as exc:
+    except ConfigError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return 2
+    except VarwassError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 4
 

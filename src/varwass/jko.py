@@ -579,6 +579,11 @@ def run_flow(rho0: DensityField, e: EnergyModel, p: ExponentField, h: float,
     return Trajectory(times=times, states=states, steps=steps)
 
 
+def _cell_slope(rho: DensityField, e: EnergyModel, g: Grid) -> np.ndarray:
+    """Face slopes of G'(rho), zero on the walls, averaged onto the cells."""
+    return neighbor_mean(gradient(e.deriv(rho.density(g)), g))
+
+
 def _predicted_displacement(rho_next: DensityField, e: EnergyModel,
                             p: ExponentField, h: float, g: Grid) -> np.ndarray:
     """Cell-averaged displacement -h |grad G'(rho)|^(q-2) grad G'(rho).
@@ -587,7 +592,7 @@ def _predicted_displacement(rho_next: DensityField, e: EnergyModel,
     the direction the optimality condition of the step problem moves mass.
     q is the pointwise conjugate of p.
     """
-    s_cell = neighbor_mean(gradient(e.deriv(rho_next.density(g)), g))
+    s_cell = _cell_slope(rho_next, e, g)
     q = conjugate(p).values
     mag = np.abs(s_cell)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -623,7 +628,7 @@ def el_residual(step: JkoStepResult, e: EnergyModel, p: ExponentField, h: float,
 def dissipation_rate(rho: DensityField, e: EnergyModel, p: ExponentField,
                      g: Grid) -> float:
     """Integral of |grad G'(rho)|^q(x) / p(x) * rho, the step dissipation bound."""
-    s_cell = neighbor_mean(gradient(e.deriv(rho.density(g)), g))
+    s_cell = _cell_slope(rho, e, g)
     q = conjugate(p).values
     rate = np.abs(s_cell) ** q / p.values * rho.density(g)
     return float(rate.sum() * g.dx)

@@ -35,6 +35,16 @@ BLOWUP_DENSITY = 1e6
 
 @dataclass(frozen=True)
 class PdeConfig:
+    """Run settings of the reference solver.
+
+    t_end is the time to march to. cfl scales the stable step
+    dx^2 / max diffusivity and must lie in (0, 1]; delta_reg regularizes the
+    gradient magnitude in the flux. Every stride-th Euler step is recorded,
+    and the last one always is. fixed_dt, when set, replaces the adaptive
+    step and must respect the stability bound. More than max_steps Euler
+    steps raise NumericalBlowupError.
+    """
+
     t_end: float
     cfl: float = 0.5
     delta_reg: float = DELTA_REG

@@ -2,15 +2,19 @@
 determinism, and the validation surface."""
 
 import hashlib
+import re
 import shutil
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
 
-from varwass import cli
+from varwass import cli, jko, pde
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def write_config(tmp_path, name="cfg.yaml", **overrides):
@@ -263,6 +267,103 @@ def test_bad_solver_section_rejected(tmp_path):
     assert cli.main(["validate", str(path), "--quiet"]) == 3
     path2 = write_config(tmp_path, name="two.yaml", solver={"smoothing": -1.0})
     assert cli.main(["validate", str(path2), "--quiet"]) == 3
+
+
+@pytest.mark.parametrize("section, key, value", [
+    ("experiment", "seed", "abc"),
+    ("flow", "h", "abc"),
+    ("flow", "t_end", [1.0]),
+    ("compare", "stride", "x"),
+    ("compare", "threshold", "x"),
+    ("norms", "samples", [1]),
+    ("finsler", "n_steps", "x"),
+    ("finsler", "n_steps", 2.5),
+    ("grid", "n_cells", float("inf")),
+    ("flow", "h", float("nan")),
+    ("flow", "t_end", float("inf")),
+    ("solver", "exact_coupling", "false"),
+])
+def test_malformed_value_exits_3_naming_the_section(tmp_path, capsys, section,
+                                                    key, value):
+    base = {"experiment": {"kind": "norms", "seed": 1, "out": str(tmp_path / "out")},
+            "flow": {"h": 1e-3, "t_end": 0.0}}
+    base.setdefault(section, {})[key] = value
+    path = write_config(tmp_path, **base)
+    for command in ("validate", "run"):
+        assert cli.main([command, str(path), "--quiet"]) == 3
+        assert f"[{section}]" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("section, spec", [
+    ("initial", {"kind": "explicit", "masses": [1.0, 2.0, 3.0]}),
+    ("target", {"kind": "explicit", "masses": [1.0] * 17}),
+    ("exponent", {"kind": "piecewise", "values": [2.0, 2.5]}),
+])
+def test_per_cell_list_of_the_wrong_length_rejected(tmp_path, capsys, section, spec):
+    path = write_config(tmp_path, **{section: spec})
+    assert cli.main(["validate", str(path), "--quiet"]) == 3
+    assert f"[{section}]" in capsys.readouterr().err
+
+
+def test_omitted_solver_and_pde_keys_take_the_dataclass_defaults(tmp_path):
+    cfg = cli.load_config(write_config(tmp_path, flow={"t_end": 0.25}))
+    assert cfg.jko_opts == jko.JkoOptions()
+    assert cfg.pde_cfg == pde.PdeConfig(t_end=0.25)
+    assert cfg.h == 1e-3
+
+
+def _readme_cli_section():
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    return text[text.index("## CLI"):text.index("## Library example")]
+
+
+def test_readme_compare_config_is_the_benchmark_config(tmp_path):
+    block = re.search(r"```yaml\n(.*?)```", _readme_cli_section(), re.S).group(1)
+    assert block.encode() == (ROOT / "perfbench" / "compare_readme.yaml").read_bytes()
+    path = tmp_path / "compare.yaml"
+    path.write_text(block, encoding="ascii")
+    assert cli.main(["validate", str(path), "--quiet"]) == 0
+
+
+#: One value for every key of every section the README documents.
+EVERY_KEY = {
+    "experiment": {"kind": "norms", "seed": 3, "out": "results"},
+    "grid": {"a": 0.0, "b": 2.0, "n_cells": 4},
+    "exponent": {"kind": "piecewise", "value": 2.0, "p0": 2.0, "p1": 1.0,
+                 "values": [2.0, 2.5, 3.0, 3.5]},
+    "energy": {"kind": "power", "m": 3.0},
+    "initial": {"kind": "explicit", "amplitude": 0.2, "center": 0.5,
+                "width": 0.3, "masses": [1, 2, 3, 4]},
+    "target": {"kind": "gaussian", "amplitude": 0.2, "center": 1.5,
+               "width": 0.3, "masses": [4, 3, 2, 1]},
+    "flow": {"h": 1e-2, "t_end": 0.05},
+    "solver": {"backend": "entropic", "eps": 0.3, "smoothing": 0.1,
+               "max_iters": 500, "tol": 1e-8, "exact_coupling": False},
+    "pde": {"t_end": 0.01, "cfl": 0.25, "delta_reg": 1e-6, "stride": 5,
+            "fixed_dt": 1e-6},
+    "compare": {"threshold": 0.1, "stride": 2},
+    "norms": {"samples": 7},
+    "finsler": {"n_steps": 3},
+}
+
+
+def test_every_documented_key_validates(tmp_path):
+    documented = {}
+    for line in _readme_cli_section().splitlines():
+        row = re.fullmatch(r"\| `(\w+)` \| (.*) \|", line)
+        if row:
+            documented[row.group(1)] = set(re.findall(r"`(\w+)`", row.group(2)))
+    expected = {name: set(keys) for name, keys in EVERY_KEY.items()}
+    assert documented == expected
+    assert {name: set(keys) for name, keys in cli._SCHEMA.items()} == expected
+    path = write_config(tmp_path, **EVERY_KEY)
+    assert cli.main(["validate", str(path), "--quiet"]) == 0
+    cfg = cli.load_config(path)
+    assert cfg.jko_opts == jko.JkoOptions("entropic", 0.3, 0.1, 500, 1e-8, False)
+    assert cfg.pde_cfg == pde.PdeConfig(0.01, 0.25, 1e-6, 5, 1e-6)
+    assert (cfg.compare_threshold, cfg.compare_stride) == (0.1, 2)
+    assert (cfg.norm_samples, cfg.finsler_steps, cfg.seed) == (7, 3, 3)
 
 
 # ------------------------------------------------------------- entry point
