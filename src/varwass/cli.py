@@ -177,6 +177,8 @@ def _density_from_spec(spec: dict, g: Grid, where: str) -> DensityField:
                                          spec.get("width", 0.1 * g.length))
         if kind == "explicit":
             m = g.check_cell_field(spec["masses"], f"[{where}] masses")
+            if not m.sum() > 0.0:
+                raise ValueError(f"masses must sum to a positive total, got {m.sum()}")
             return DensityField(m / m.sum())
     raise ConfigValidationError(
         f"unknown density kind {kind!r} in [{where}] "
@@ -330,9 +332,9 @@ def _run_transport(cfg: ExperimentConfig, quiet: bool) -> int:
     return 0
 
 
-def _trajectory_rows(cfg: ExperimentConfig, traj: jko.Trajectory):
-    """Shared row assembly for the jko experiment CSV."""
+def _run_jko(cfg: ExperimentConfig, quiet: bool) -> int:
     g, e = cfg.grid, cfg.energy
+    traj = jko.run_flow(cfg.rho0, e, cfg.p, cfg.h, cfg.t_end, g, cfg.jko_opts)
     slacks = jko.dissipation_check(traj, e, cfg.p, cfg.h, g).per_step_slack
     rows = [(0, 0.0, total_energy(traj.states[0], e, g), 0.0,
              float(traj.states[0].density(g).max()), 0.0, 0.0, 0.0, 0, True)]
@@ -342,13 +344,6 @@ def _trajectory_rows(cfg: ExperimentConfig, traj: jko.Trajectory):
             float(step.rho_next.density(g).max()), step.mass_error,
             step.el_residual, slacks[k - 1], step.iterations, step.converged,
         ))
-    return rows
-
-
-def _run_jko(cfg: ExperimentConfig, quiet: bool) -> int:
-    traj = jko.run_flow(cfg.rho0, cfg.energy, cfg.p, cfg.h, cfg.t_end, cfg.grid,
-                        cfg.jko_opts)
-    rows = _trajectory_rows(cfg, traj)
     _write_csv(cfg, "jko.csv",
                ["step", "time", "energy", "transport_cost", "max_density",
                 "mass_error", "el_residual", "dissipation_slack", "iterations",
@@ -358,23 +353,13 @@ def _run_jko(cfg: ExperimentConfig, quiet: bool) -> int:
 
 def _run_pde(cfg: ExperimentConfig, quiet: bool) -> int:
     g, e = cfg.grid, cfg.energy
-    q = conjugate(cfg.p)
-    traj = pde.solve(cfg.rho0, e, q, cfg.pde_cfg, g)
-    energies = pde.energy_series(traj, e, g)
-    rows = []
+    traj = pde.solve(cfg.rho0, e, conjugate(cfg.p), cfg.pde_cfg, g)
+    report = jko.dissipation_check(traj, e, cfg.p, np.diff(traj.times), g)
+    slacks = np.concatenate(([0.0], report.per_step_slack))
     total0 = traj.states[0].total_mass
-    for k in range(len(traj)):
-        if k == 0:
-            slack = 0.0
-        else:
-            dt = float(traj.times[k] - traj.times[k - 1])
-            slack = (energies[k - 1] - energies[k]) - dt * jko.dissipation_rate(
-                traj.states[k], e, cfg.p, g)
-        rows.append((
-            k, float(traj.times[k]), energies[k],
-            float(traj.states[k].density(g).max()),
-            abs(traj.states[k].total_mass - total0), slack,
-        ))
+    rows = [(k, float(traj.times[k]), report.energies[k],
+             float(s.density(g).max()), abs(s.total_mass - total0), slacks[k])
+            for k, s in enumerate(traj.states)]
     _write_csv(cfg, "pde.csv",
                ["step", "time", "energy", "max_density", "mass_error",
                 "dissipation_slack"], rows, quiet)

@@ -10,6 +10,10 @@ Consequences implemented here: the norm is exactly positively homogeneous
 and subadditive (the flux map nu -> rho*v is linear), the gradient of the
 internal energy is the negated spatial operator of the reference equation,
 and lengths of discrete curves bound the transport distance from above.
+
+A curve's K segments are measured at once: quotients, momenta, velocities
+and norms are (K, n) stacks, and the norms take one call of the shared root
+finder. A single tangent vector or segment is the one-row case.
 """
 
 from __future__ import annotations
@@ -21,9 +25,9 @@ import numpy as np
 from . import pde
 from .energy import EnergyModel
 from .errors import NonzeroMeanError, VanishingDensityError
-from .grid import Grid, integrate, neighbor_mean
+from .grid import Grid, neighbor_mean
 from .jko import Trajectory
-from .varexp import DensityField, ExponentField, luxemburg_norm
+from .varexp import DensityField, ExponentField, _norm_rows, luxemburg_norm
 
 #: Tolerance on the integral of a tangent vector.
 MEAN_TOL = 1e-12
@@ -72,15 +76,29 @@ class VelocityField:
         object.__setattr__(self, "v_face", v)
 
 
-def _check_zero_mean(nu: TangentVector, g: Grid) -> np.ndarray:
-    values = g.check_cell_field(nu.values, "tangent values")
-    total = integrate(values, g)
-    scale = max(1.0, float(np.abs(values).sum() * g.dx))
-    if abs(total) > MEAN_TOL * scale:
+def _velocities(mass: np.ndarray, nu: np.ndarray, mean_scale, g: Grid) -> np.ndarray:
+    """Minimal face velocities (K, n + 1) of K rows of cell masses and tangents.
+
+    Row k of nu must integrate to 0 within MEAN_TOL * mean_scale[k] and push
+    no flux through a face whose averaged density is at most DENSITY_FLOOR.
+    """
+    total = nu.sum(axis=1) * g.dx
+    off = np.abs(total) > MEAN_TOL * mean_scale
+    if off.any():
         raise NonzeroMeanError(
-            f"tangent vector integrates to {total!r}, not 0"
+            f"tangent vector integrates to {float(total[off][0])!r}, not 0"
         )
-    return values
+    interior_flux = -np.cumsum(nu[:, :-1], axis=1) * g.dx
+    interior_rho = neighbor_mean(mass / g.dx)
+    dead = interior_rho <= DENSITY_FLOOR
+    flux_scale = np.maximum(1.0, np.abs(interior_flux).max(axis=1, initial=0.0))
+    if np.any(dead & (np.abs(interior_flux) > 1e-13 * flux_scale[:, None])):
+        raise VanishingDensityError(
+            "tangent vector pushes flux through a face with vanishing density"
+        )
+    v = np.zeros((nu.shape[0], g.n_cells + 1))
+    v[:, 1:-1] = np.where(dead, 0.0, interior_flux / np.where(dead, 1.0, interior_rho))
+    return v
 
 
 def min_norm_velocity(rho: DensityField, nu: TangentVector, g: Grid) -> VelocityField:
@@ -90,21 +108,13 @@ def min_norm_velocity(rho: DensityField, nu: TangentVector, g: Grid) -> Velocity
     (rho v)[i+1/2] = -sum_{j<=i} nu[j] dx; dividing by the face-averaged
     density yields v. Since the constraint set is this single point, it
     minimizes every velocity norm at once. Faces where the density vanishes
-    must carry zero flux, otherwise no admissible velocity exists.
+    must carry zero flux, otherwise no admissible velocity exists. nu must
+    integrate to 0 within MEAN_TOL * max(1, sum |nu| dx).
     """
-    values = _check_zero_mean(nu, g)
-    interior_flux = -np.cumsum(values[:-1]) * g.dx
-    interior_rho = neighbor_mean(rho.density(g))
-    v = np.zeros(g.n_cells + 1)
-    dead = interior_rho <= DENSITY_FLOOR
-    flux_scale = max(1.0, float(np.abs(interior_flux).max(initial=0.0)))
-    if np.any(dead & (np.abs(interior_flux) > 1e-13 * flux_scale)):
-        raise VanishingDensityError(
-            "tangent vector pushes flux through a face with vanishing density"
-        )
-    live = ~dead
-    v[1:-1][live] = interior_flux[live] / interior_rho[live]
-    return VelocityField(v)
+    values = g.check_cell_field(nu.values, "tangent values")
+    mass = g.check_cell_field(rho.mass, "mass")
+    scale = max(1.0, float(np.abs(values).sum() * g.dx))
+    return VelocityField(_velocities(mass[None, :], values[None, :], scale, g)[0])
 
 
 def tangent_norm(rho: DensityField, nu: TangentVector, p: ExponentField,
@@ -128,23 +138,39 @@ def finsler_gradient(rho: DensityField, e: EnergyModel, q: ExponentField,
     return TangentVector(-pde.rhs(rho, e, q, g))
 
 
+def _speeds(states: list, times: np.ndarray, p: ExponentField, g: Grid) -> np.ndarray:
+    """Speeds F(rho^k, (rho^{k+1} - rho^k) / dt_k) of consecutive states, stacked.
+
+    A quotient integrates to the mass difference of its states over dt, and
+    DensityField lets masses differ by MASS_TOL, so its zero-mean check is
+    relative to (m_k + m_{k+1}) / dt, which also bounds sum |nu| dx.
+    """
+    mass = np.stack([g.check_cell_field(s.mass, "mass") for s in states])
+    exponent = g.check_cell_field(p.values, "exponent field")
+    dt = np.diff(times)
+    if not np.all(dt > 0.0):
+        raise ValueError(f"dt must be positive, got {dt[~(dt > 0.0)][0]}")
+    density = mass / g.dx
+    nu = (density[1:] - density[:-1]) / dt[:, None]
+    if not np.isfinite(nu).all():
+        raise ValueError("tangent values must be finite")
+    total = mass.sum(axis=1)
+    scale = np.maximum(1.0, (total[:-1] + total[1:]) / dt)
+    v = _velocities(mass[:-1], nu, scale, g)
+    return _norm_rows(neighbor_mean(v), mass[:-1], exponent)
+
+
 def metric_derivative(traj: Trajectory, p: ExponentField, g: Grid, k: int) -> float:
     """Discrete speed F(rho^k, (rho^{k+1} - rho^k) / dt) at sample k."""
     if not 0 <= k < len(traj) - 1:
         raise IndexError(
             f"sample index {k} out of range for a trajectory of {len(traj)} states"
         )
-    dt = float(traj.times[k + 1] - traj.times[k])
-    nu = TangentVector.from_states(traj.states[k], traj.states[k + 1], dt, g)
-    return tangent_norm(traj.states[k], nu, p, g)
+    return float(_speeds(traj.states[k:k + 2], traj.times[k:k + 2], p, g)[0])
 
 
 def curve_length(traj: Trajectory, p: ExponentField, g: Grid) -> float:
     """Sum of speed * dt along a discrete trajectory (>= 2 states)."""
     if len(traj) < 2:
         raise ValueError("curve length needs at least 2 states")
-    total = 0.0
-    for k in range(len(traj) - 1):
-        dt = float(traj.times[k + 1] - traj.times[k])
-        total += metric_derivative(traj, p, g, k) * dt
-    return total
+    return float(_speeds(traj.states, traj.times, p, g) @ np.diff(traj.times))

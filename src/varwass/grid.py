@@ -101,12 +101,13 @@ def gradient(u: np.ndarray, g: Grid) -> np.ndarray:
 
 
 def neighbor_mean(u: np.ndarray) -> np.ndarray:
-    """Means of adjacent entries, 0.5 * (u[:-1] + u[1:]).
+    """Means of adjacent entries along the last axis, 0.5 * (u[:-1] + u[1:]).
 
     Takes a face field to cell values, or a cell field to the interior
-    faces. No shape check: it runs inside the explicit time loop.
+    faces; a stack of fields, one per row, row by row. No shape check: it
+    runs inside the explicit time loop.
     """
-    return 0.5 * (u[:-1] + u[1:])
+    return 0.5 * (u[..., :-1] + u[..., 1:])
 
 
 def divergence(f: np.ndarray, g: Grid) -> np.ndarray:

@@ -25,10 +25,11 @@ so the energy can never increase across a step.
 
 The entropic backend's column equation is the proximal map of the energy
 (Peyre, SIAM J. Imaging Sci. 2015). It is solved by safeguarded Newton steps
-in the shared root finder _bisect, which closes each bracket to the adjacent
-doubles that plain halving would reach. The cost, the per-row temperatures
-and the reflected kernel depend only on the grid, p, h, eps and smoothing,
-so _step_plan builds them once and a flow reuses them for every step.
+in the shared root finder _kernels.bisect, which closes each bracket to the
+adjacent doubles that plain halving would reach. The cost, the per-row
+temperatures and the reflected kernel depend only on the grid, p, h, eps and
+smoothing, so _step_plan builds them once and a flow reuses them for every
+step.
 """
 
 from __future__ import annotations
@@ -39,8 +40,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import transport
+from ._kernels import bisect, logsumexp
 from .energy import RHO_FLOOR, EnergyModel, total_energy
-from .errors import NonpositiveParameterError, NumericalBlowupError
+from .errors import NonpositiveParameterError, NumericalBlowupError, SizeMismatchError
 from .grid import Grid, gradient, neighbor_mean
 from .varexp import DensityField, ExponentField, conjugate
 
@@ -76,16 +78,23 @@ class JkoOptions:
             raise ValueError(
                 f"backend must be one of {VALID_BACKENDS}, got {self.backend!r}"
             )
-        if self.eps <= 0.0:
-            raise NonpositiveParameterError(f"eps must be positive, got {self.eps}")
-        if self.smoothing is not None and self.smoothing <= 0.0:
+        if not _positive(self.eps):
             raise NonpositiveParameterError(
-                f"smoothing length must be positive, got {self.smoothing}"
+                f"eps must be positive and finite, got {self.eps}")
+        if self.smoothing is not None and not _positive(self.smoothing):
+            raise NonpositiveParameterError(
+                f"smoothing length must be positive and finite, got {self.smoothing}"
             )
-        if self.max_iters < 1:
+        if not self.max_iters >= 1:
             raise ValueError("max_iters must be at least 1")
-        if self.tol <= 0.0:
-            raise NonpositiveParameterError(f"tol must be positive, got {self.tol}")
+        if not _positive(self.tol):
+            raise NonpositiveParameterError(
+                f"tol must be positive and finite, got {self.tol}")
+
+
+def _positive(x: float) -> bool:
+    """x is a finite number above 0 (NaN is not)."""
+    return math.isfinite(x) and x > 0.0
 
 
 @dataclass(frozen=True)
@@ -221,72 +230,13 @@ def _projected_update(gam, grad, eta, mu):
     return out
 
 
-def _bisect(f, lo, hi, step, halvings, with_slope=False):
-    """Brackets (lo, hi) of the root of each entry of an increasing vectorized f.
-
-    Each bracket is first widened by step, up to 200 times per side, until
-    f(lo) <= 0 <= f(hi); then it is refined at most halvings times. The cap
-    is generous (120 halvings push a bracket of width 2 far below double
-    precision), so the loop stops early once every bracket has shrunk to
-    adjacent doubles: from then on mid rounds to lo or hi, further halvings
-    leave the midpoint 0.5 * (lo + hi) unchanged, and it is bit-identical
-    to the one all halvings would give. A root at exactly 0 never gets
-    there within the cap, because doubles are dense near 0.
-
-    With with_slope set, f returns the pair (f(x), f'(x)) and the trial
-    points are safeguarded Newton steps, started at the midpoint of the
-    grown bracket; each evaluation moves the bracket end on its side of the
-    root to the trial point. A Newton point is pushed one ulp further, so
-    that once it has converged the next trial lands across the root and
-    closes the bracket to adjacent doubles: the same pair, and so the same
-    midpoint, that plain halving finds wherever f is monotone in floating
-    point. The midpoint replaces a Newton point that is not strictly inside
-    the bracket (a point on an end was evaluated already), or whose step is
-    more than half the step before last, as in Numerical Recipes' rtsafe:
-    far out on a convex branch Newton crawls by a fixed amount per step.
-    The stop rule and the cap are those of plain halving. Without a slope
-    the loop is the same with a NaN slope: every Newton point is rejected
-    and each trial is the bracket midpoint, which is plain halving.
-    """
-    if with_slope:
-        pair, value = f, (lambda x: f(x)[0])
-    else:
-        pair, value = (lambda x: (f(x), np.nan)), f
-    for _ in range(200):
-        bad = value(lo) > 0.0
-        if not np.any(bad):
-            break
-        lo = np.where(bad, lo - step, lo)
-    for _ in range(200):
-        bad = value(hi) < 0.0
-        if not np.any(bad):
-            break
-        hi = np.where(bad, hi + step, hi)
-    x = 0.5 * (lo + hi)
-    last = before = hi - lo
-    for _ in range(halvings):
-        mid = 0.5 * (lo + hi)
-        if np.all((mid == lo) | (mid == hi)):
-            break
-        fx, slope = pair(x)
-        up = fx >= 0.0
-        hi = np.where(up, x, hi)
-        lo = np.where(up, lo, x)
-        newton = fx / slope
-        trial = np.nextafter(x - newton, np.where(up, -np.inf, np.inf))
-        ok = (lo < trial) & (trial < hi) & (2.0 * np.abs(newton) <= before)
-        before, last = last, np.where(ok, np.abs(newton), 0.5 * (hi - lo))
-        x = np.where(ok, trial, 0.5 * (lo + hi))
-    return lo, hi
-
-
 def _solve_column_scalar(log_target: np.ndarray, e: EnergyModel, dx: float,
                          eps: float, start: np.ndarray | None = None) -> np.ndarray:
     """Solve sigma + G'(exp(sigma)/dx)/eps = log_target per column, in sigma = log s.
 
     The left side is strictly increasing in sigma (G is convex), with slope
     1 + G''(t) t / eps at t = exp(sigma)/dx, so the safeguarded Newton steps
-    of _bisect converge unconditionally. For the entropy G'' t = 1 and the
+    of bisect converge unconditionally. For the entropy G'' t = 1 and the
     equation is linear away from the RHO_FLOOR clamp: one step lands. The
     bracket starts at start +- 1, by default log_target +- 1; the dual
     ascent passes the previous iteration's roots, which saves the bracket
@@ -299,7 +249,7 @@ def _solve_column_scalar(log_target: np.ndarray, e: EnergyModel, dx: float,
                 1.0 + _clamped_curvature(e, t) / eps)
 
     start = log_target if start is None else start
-    lo, hi = _bisect(f, start - 1.0, start + 1.0, 1.0, 120, with_slope=True)
+    lo, hi = bisect(f, start - 1.0, start + 1.0, 1.0, 120, with_slope=True)
     return 0.5 * (lo + hi)
 
 
@@ -316,7 +266,7 @@ def _solve_columns_mixed(W: np.ndarray, eps_vec: np.ndarray, e: EnergyModel,
     temperatures. The left-minus-right function is strictly increasing in
     sigma_j, with slope 1 + (sum_i w_ij / eps_i) G''(t_j) t_j, where w is
     the column softmax of W_ij - G'(t_j)/eps_i. One n-by-n pass gives the
-    value and, from the same exponentials, that slope, so _bisect takes
+    value and, from the same exponentials, that slope, so bisect takes
     safeguarded Newton steps over all columns at once. The bracket starts
     at start +- 1, by default at the column log-sum-exp of W.
     """
@@ -324,12 +274,12 @@ def _solve_columns_mixed(W: np.ndarray, eps_vec: np.ndarray, e: EnergyModel,
 
     def f(sig):
         t = np.exp(sig) / dx
-        lse, w = transport._logsumexp(W - e.deriv(t)[None, :] / eps_vec[:, None],
+        lse, w = logsumexp(W - e.deriv(t)[None, :] / eps_vec[:, None],
                                       axis=0, weights=True)
         return sig - lse, 1.0 + (inv_eps @ w) * _clamped_curvature(e, t)
 
-    start = transport._logsumexp(W.T, axis=1) if start is None else start
-    lo, hi = _bisect(f, start - 1.0, start + 1.0, 1.0, 80, with_slope=True)
+    start = logsumexp(W.T, axis=1) if start is None else start
+    lo, hi = bisect(f, start - 1.0, start + 1.0, 1.0, 80, with_slope=True)
     return 0.5 * (lo + hi)
 
 
@@ -368,7 +318,7 @@ def _entropic_temperatures(opts: JkoOptions, p: ExponentField, h: float,
     # Continuum width sqrt(target) is the right scale; bracket around it in
     # log eps and return the geometric midpoint of the final eps bracket.
     guess = np.log(opts.smoothing ** pv[:, 0] / (pv[:, 0] * h ** (pv[:, 0] - 1.0)))
-    lo, hi = _bisect(excess, guess, guess, math.log(4.0), 100)
+    lo, hi = bisect(excess, guess, guess, math.log(4.0), 100)
     return np.sqrt(np.exp(lo) * np.exp(hi))
 
 
@@ -464,12 +414,12 @@ def _entropic_backend(log_ref, mu, e, dx, opts, eps_vec):
     converged = False
     it = 0
     for it in range(1, opts.max_iters + 1):
-        u = eps_vec * (log_mu - transport._logsumexp(neg_c - phi[None, :] / epsr, axis=1))
+        u = eps_vec * (log_mu - logsumexp(neg_c - phi[None, :] / epsr, axis=1))
         u = np.where(np.isfinite(log_mu), u, -np.inf)
         with np.errstate(invalid="ignore"):
             w_log = u[:, None] / epsr + neg_c
         if uniform:
-            log_col = transport._logsumexp(w_log.T, axis=1)
+            log_col = logsumexp(w_log.T, axis=1)
             sigma = _solve_column_scalar(log_col, e, dx, eps0, sigma)
         else:
             sigma = _solve_columns_mixed(w_log, eps_vec, e, dx, sigma)
@@ -495,8 +445,9 @@ def jko_step(rho_prev: DensityField, e: EnergyModel, p: ExponentField, h: float,
     the exact plan between the old and new masses when opts.exact_coupling
     is set (the default), otherwise the solver iterate itself.
     """
-    if h <= 0.0:
-        raise NonpositiveParameterError(f"step size h must be positive, got {h}")
+    if not _positive(h):
+        raise NonpositiveParameterError(
+            f"step size h must be positive and finite, got {h}")
     opts = opts or JkoOptions()
     mu = g.check_cell_field(rho_prev.mass, "previous mass")
     cost, eps_vec, log_ref = _step_plan(g, p, h, opts)
@@ -557,10 +508,11 @@ def run_flow(rho0: DensityField, e: EnergyModel, p: ExponentField, h: float,
     its own exception, with "step k: " prepended to the message when the
     first argument is a string; type, attributes and traceback are kept.
     """
-    if t_end < 0.0:
-        raise ValueError(f"t_end must be nonnegative, got {t_end}")
-    if h <= 0.0:
-        raise NonpositiveParameterError(f"step size h must be positive, got {h}")
+    if not (math.isfinite(t_end) and t_end >= 0.0):
+        raise ValueError(f"t_end must be nonnegative and finite, got {t_end}")
+    if not _positive(h):
+        raise NonpositiveParameterError(
+            f"step size h must be positive and finite, got {h}")
     n_steps = max(0, math.ceil(t_end / h - 1e-9))
     states = [rho0]
     steps = []
@@ -638,37 +590,40 @@ def dissipation_rate(rho: DensityField, e: EnergyModel, p: ExponentField,
 class DissipationReport:
     """Per-step and cumulative slack of the energy-dissipation inequality.
 
-    per_step_slack[k] = (E(rho^k) - E(rho^{k+1})) - h * dissipation_rate(rho^{k+1});
+    per_step_slack[k] = (E(rho^k) - E(rho^{k+1})) - dt_k * dissipation_rate(rho^{k+1});
     cumulative_slack compares the total dissipation against the energy
     headroom E(rho_0) - |domain| G(M / |domain|). Nonnegative slacks (up to
-    tolerance) are what the scheme promises.
+    tolerance) are what the scheme promises. energies[k] = E(rho^k).
     """
 
     per_step_slack: np.ndarray
     worst_step_slack: float
     cumulative_slack: float
     total_dissipation: float
+    energies: np.ndarray
 
 
 def dissipation_check(traj: Trajectory, e: EnergyModel, p: ExponentField,
-                      h: float, g: Grid) -> DissipationReport:
+                      h, g: Grid) -> DissipationReport:
+    """Dissipation slacks along traj; h is one step or an array of len(traj) - 1."""
     if len(traj) == 0:
         raise ValueError("trajectory is empty")
-    energies = [total_energy(s, e, g) for s in traj.states]
-    slacks = []
-    total_rate = 0.0
-    for k in range(1, len(traj)):
-        rate = dissipation_rate(traj.states[k], e, p, g)
-        total_rate += h * rate
-        slacks.append((energies[k - 1] - energies[k]) - h * rate)
-    slacks = np.asarray(slacks) if slacks else np.zeros(0)
+    dt = np.asarray(h, dtype=float)
+    if dt.ndim and dt.shape != (len(traj) - 1,):
+        raise SizeMismatchError(
+            f"need one step per interval ({len(traj) - 1}), got shape {dt.shape}"
+        )
+    energies = np.array([total_energy(s, e, g) for s in traj.states])
+    rates = np.array([dissipation_rate(s, e, p, g) for s in traj.states[1:]])
+    dissipated = dt * rates
+    slacks = (energies[:-1] - energies[1:]) - dissipated
     mass = traj.states[0].total_mass
     floor = g.length * float(e.value(np.asarray(mass / g.length)))
-    cumulative = (energies[0] - floor) - total_rate
-    worst = float(slacks.min()) if slacks.size else 0.0
+    total_rate = float(np.sum(dissipated))
     return DissipationReport(
         per_step_slack=slacks,
-        worst_step_slack=worst,
-        cumulative_slack=float(cumulative),
-        total_dissipation=float(total_rate),
+        worst_step_slack=float(slacks.min()) if slacks.size else 0.0,
+        cumulative_slack=float((energies[0] - floor) - total_rate),
+        total_dissipation=total_rate,
+        energies=energies,
     )

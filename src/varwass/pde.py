@@ -53,16 +53,20 @@ class PdeConfig:
     max_steps: int = 5_000_000
 
     def __post_init__(self):
-        if self.t_end < 0.0:
-            raise ValueError(f"t_end must be nonnegative, got {self.t_end}")
+        if not (math.isfinite(self.t_end) and self.t_end >= 0.0):
+            raise ValueError(f"t_end must be nonnegative and finite, got {self.t_end}")
         if not 0.0 < self.cfl <= 1.0:
             raise ValueError(f"cfl must lie in (0, 1], got {self.cfl}")
-        if self.delta_reg < 0.0:
-            raise ValueError(f"delta_reg must be nonnegative, got {self.delta_reg}")
-        if self.stride < 1:
+        if not (math.isfinite(self.delta_reg) and self.delta_reg >= 0.0):
+            raise ValueError(
+                f"delta_reg must be nonnegative and finite, got {self.delta_reg}")
+        if not self.stride >= 1:
             raise ValueError(f"stride must be at least 1, got {self.stride}")
-        if self.fixed_dt is not None and self.fixed_dt <= 0.0:
-            raise ValueError(f"fixed_dt must be positive, got {self.fixed_dt}")
+        if self.fixed_dt is not None and not (math.isfinite(self.fixed_dt)
+                                              and self.fixed_dt > 0.0):
+            raise ValueError(f"fixed_dt must be positive and finite, got {self.fixed_dt}")
+        if not self.max_steps >= 1:
+            raise ValueError(f"max_steps must be at least 1, got {self.max_steps}")
 
 
 def rhs(rho: DensityField, e: EnergyModel, q: ExponentField, g: Grid,
@@ -74,10 +78,7 @@ def rhs(rho: DensityField, e: EnergyModel, q: ExponentField, g: Grid,
     result integrates to exactly zero.
     """
     rv = rho.density(g)
-    if q.values.shape != (g.n_cells,):
-        raise SizeMismatchError(
-            f"exponent field must have shape ({g.n_cells},), got {q.values.shape}"
-        )
+    g.check_cell_field(q.values, "exponent field")
     gp = e.deriv(rv)
     s = (gp[1:] - gp[:-1]) / g.dx
     flux = np.zeros(g.n_cells + 1)

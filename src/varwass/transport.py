@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._kernels import logsumexp
 from .errors import (
     MarginalMismatchError,
     NonpositiveParameterError,
@@ -99,10 +100,7 @@ def build_cost(g: Grid, p: ExponentField, h: float) -> CostMatrix:
     """
     if h <= 0.0:
         raise NonpositiveParameterError(f"time scale h must be positive, got {h}")
-    if p.values.shape != (g.n_cells,):
-        raise SizeMismatchError(
-            f"exponent field must have shape ({g.n_cells},), got {p.values.shape}"
-        )
+    g.check_cell_field(p.values, "exponent field")
     x = g.centers
     pi = p.values[:, None]
     dist = np.abs(x[:, None] - x[None, :])
@@ -328,23 +326,6 @@ class EntropicResult:
     marginal_violation: float
 
 
-def _logsumexp(a: np.ndarray, axis: int, weights: bool = False):
-    """log(sum(exp(a))) along axis, shifted by the maximum; all -inf slices give -inf.
-
-    With weights set, also returns the softmax exp(a - logsumexp) along
-    axis, taken from the same exponentials.
-    """
-    mx = np.max(a, axis=axis, keepdims=True)
-    mx_safe = np.where(np.isfinite(mx), mx, 0.0)
-    z = np.exp(a - mx_safe)
-    total = np.sum(z, axis=axis)
-    with np.errstate(divide="ignore"):
-        lse = np.log(total) + np.squeeze(mx_safe, axis=axis)
-    if not weights:
-        return lse
-    return lse, z / np.expand_dims(total, axis)
-
-
 def solve_entropic(cost: CostMatrix, mu: np.ndarray, nu: np.ndarray, eps: float,
                    max_iters: int = 100_000, tol: float = 1e-10) -> EntropicResult:
     """Entropically regularized plan by log-domain alternating scaling.
@@ -367,9 +348,9 @@ def solve_entropic(cost: CostMatrix, mu: np.ndarray, nu: np.ndarray, eps: float,
     it = 0
     for it in range(1, max_iters + 1):
         with np.errstate(invalid="ignore"):
-            f = eps * (log_mu - _logsumexp((gp[None, :] - C) / eps, axis=1))
+            f = eps * (log_mu - logsumexp((gp[None, :] - C) / eps, axis=1))
             f = np.where(np.isfinite(log_mu), f, -np.inf)
-            gp = eps * (log_nu - _logsumexp((f[:, None] - C) / eps, axis=0))
+            gp = eps * (log_nu - logsumexp((f[:, None] - C) / eps, axis=0))
             gp = np.where(np.isfinite(log_nu), gp, -np.inf)
         with np.errstate(invalid="ignore"):
             gamma = np.exp((f[:, None] + gp[None, :] - C) / eps)

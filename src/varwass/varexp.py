@@ -7,7 +7,8 @@ through the modular
 
 and the Luxemburg norm is the unique lam > 0 at which the modular equals 1
 (0 for u vanishing on the support of rho). With constant p this reduces to
-the usual weighted p-norm.
+the usual weighted p-norm. _norm_rows solves for a stack of norms in log lam
+with one call of the shared root finder.
 """
 
 from __future__ import annotations
@@ -16,14 +17,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ExponentRangeError, NonpositiveParameterError, SizeMismatchError
+from ._kernels import bisect, logsumexp
+from .errors import ExponentRangeError, NonpositiveParameterError
 from .grid import Grid
 
 #: Below this, a density value counts as zero support for norm purposes.
 SUPPORT_FLOOR = 0.0
-
-#: Relative tolerance of the Luxemburg bisection.
-NORM_RTOL = 1e-12
 
 #: Probability masses may deviate from 1 by at most this much.
 MASS_TOL = 1e-12
@@ -151,11 +150,10 @@ class DensityField:
 
 def _check_shapes(u: np.ndarray, rho: DensityField, p: ExponentField, g: Grid):
     u = g.check_cell_field(u, "u")
+    if not np.isfinite(u).all():
+        raise ValueError("u must be finite")
     g.check_cell_field(rho.mass, "density mass")
-    if p.values.shape != (g.n_cells,):
-        raise SizeMismatchError(
-            f"exponent field must have shape ({g.n_cells},), got {p.values.shape}"
-        )
+    g.check_cell_field(p.values, "exponent field")
     return u
 
 
@@ -174,45 +172,42 @@ def modular(u: np.ndarray, rho: DensityField, p: ExponentField, lam: float, g: G
 def luxemburg_norm(u: np.ndarray, rho: DensityField, p: ExponentField, g: Grid) -> float:
     """Luxemburg norm of u in the rho-weighted variable-exponent space.
 
-    Returns the unique lam with modular(u, rho, p, lam) == 1, located by
-    bracketing and bisection to relative tolerance 1e-12, or 0.0 when u
+    Returns the unique lam with modular(u, rho, p, lam) == 1, or 0.0 when u
     vanishes on the support of rho. Cells with zero mass never contribute,
-    whatever u does there.
+    whatever u does there. This is the one-row case of _norm_rows.
     """
     u = _check_shapes(u, rho, p, g)
-    support = rho.mass > SUPPORT_FLOOR
-    if not np.any(support & (u != 0.0)):
-        return 0.0
+    return float(_norm_rows(u[None, :], rho.mass[None, :], p.values)[0])
 
-    au = np.abs(u[support])
-    pw = p.values[support]
-    w = rho.mass[support]
 
-    def mod(lam: float) -> float:
-        return float(np.sum((au / lam) ** pw * w))
+def _norm_rows(u: np.ndarray, mass: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """Luxemburg norms of the K rows of u (K, n), row k weighted by mass[k].
 
-    # At lam0 = max|u| on the support every ratio is <= 1, so mod(lam0) <= 1:
-    # lam0 is an upper bracket (possibly exactly the root).
-    hi = float(au.max())
-    mhi = mod(hi)
-    if mhi == 1.0:
-        return hi
-    if mhi > 1.0:  # total mass < 1 cannot happen for probabilities, but stay safe
-        lo = hi
-        while mod(hi) > 1.0:
-            hi *= 2.0
-    else:
-        lo = hi
-        while mod(lo) < 1.0:
-            lo *= 0.5
-            if lo < 1e-300:
-                # only reachable for pathological weights; treat as zero norm
-                return 0.0
-    # Invariant: mod(lo) >= 1 >= mod(hi), the modular is strictly decreasing.
-    while hi - lo > NORM_RTOL * hi:
-        mid = 0.5 * (lo + hi)
-        if mod(mid) >= 1.0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    In x = log lam, f(x) = -log modular(e^x) increases with slope the
+    modular-weighted mean of p, so one Newton-mode finder call solves every
+    row. With A = max |u| on the support, attained in cell k, the modular
+    is at most the total mass at lam = A, and cell k's term alone is 1 at
+    lam = A * mass[k]^(1/p[k]): that brackets the root, and the finder widens
+    it should a mass above 1 or rounding put the root outside. Rows that
+    vanish on the support get 0 and no solve.
+    """
+    au = np.where(mass > SUPPORT_FLOOR, np.abs(u), 0.0)
+    top = au.max(axis=1)
+    live = top > 0.0
+    norms = np.zeros(u.shape[0])
+    if not live.any():
+        return norms
+    au, w, top = au[live], mass[live], top[live]
+    k = au.argmax(axis=1)
+    with np.errstate(divide="ignore"):
+        base = p * np.log(au) + np.log(w)  # log of each modular term at lam = 1
+
+    def f(x):
+        lse, share = logsumexp(base - p * x[:, None], axis=1, weights=True)
+        return -lse, share @ p
+
+    hi = np.log(top)
+    lo = hi + np.log(w[np.arange(k.size), k]) / p[k]
+    lo, hi = bisect(f, lo, hi, 1.0, 120, with_slope=True)
+    norms[live] = np.exp(0.5 * (lo + hi))
+    return norms

@@ -13,6 +13,10 @@ import pytest
 import yaml
 
 from varwass import cli, jko, pde
+from varwass.energy import builtin_energy
+from varwass.errors import ConfigValidationError, NonpositiveParameterError
+from varwass.grid import make_grid
+from varwass.varexp import DensityField, ExponentField
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -293,6 +297,34 @@ def test_malformed_value_exits_3_naming_the_section(tmp_path, capsys, section,
         assert cli.main([command, str(path), "--quiet"]) == 3
         assert f"[{section}]" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+_G8 = make_grid(0.0, 1.0, 8)
+_STEP_ARGS = (DensityField.uniform(_G8), builtin_energy("entropy"),
+              ExponentField.constant(2.0, 8))
+_NAN, _INF = float("nan"), float("inf")
+_BAD_INPUTS = {
+    "jko_eps_nan": (lambda tmp: jko.JkoOptions(eps=_NAN), NonpositiveParameterError),
+    "jko_tol_nan": (lambda tmp: jko.JkoOptions(tol=_NAN), NonpositiveParameterError),
+    "jko_smoothing_nan": (lambda tmp: jko.JkoOptions(smoothing=_NAN),
+                          NonpositiveParameterError),
+    "pde_t_end_nan": (lambda tmp: pde.PdeConfig(t_end=_NAN), ValueError),
+    "pde_t_end_inf": (lambda tmp: pde.PdeConfig(t_end=_INF), ValueError),
+    "run_flow_t_end_inf": (lambda tmp: jko.run_flow(*_STEP_ARGS, 1e-3, _INF, _G8),
+                           ValueError),
+    "jko_step_h_nan": (lambda tmp: jko.jko_step(*_STEP_ARGS, _NAN, _G8),
+                       NonpositiveParameterError),
+    "explicit_zero_masses": (lambda tmp: cli.load_config(write_config(
+        tmp, initial={"kind": "explicit", "masses": [0.0] * 16})), ConfigValidationError),
+}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("name", sorted(_BAD_INPUTS))
+def test_non_finite_or_massless_input_is_a_typed_error_without_warnings(tmp_path, name):
+    call, error = _BAD_INPUTS[name]
+    with pytest.raises(error):
+        call(tmp_path)
 
 
 @pytest.mark.parametrize("section, spec", [

@@ -4,7 +4,7 @@ gradient, and discrete curve lengths against the transport distance."""
 import numpy as np
 import pytest
 
-from varwass import finsler, pde, transport
+from varwass import finsler, pde, transport, varexp
 from varwass.energy import builtin_energy, total_energy
 from varwass.errors import NonzeroMeanError, VanishingDensityError
 from varwass.grid import integrate, make_grid
@@ -241,3 +241,62 @@ def test_variable_exponent_length_dominates_half_the_frozen_distance():
     length = finsler.curve_length(displacement_path(r0, r1, 20, g), p, g)
     w_low = transport.wasserstein_1d(float(p.p_minus), r0, r1, g)
     assert length >= 0.5 * w_low
+
+
+def _pde_path(stride):
+    g = make_grid(0.0, 1.0, 32)
+    p = ExponentField.affine(2.0, 1.0, g)
+    traj = pde.solve(DensityField.cosine_bump(g, amplitude=0.5), ENTROPY,
+                     p.conjugate(), pde.PdeConfig(t_end=0.01, stride=stride), g)
+    return traj, p, g
+
+
+def _interpolation_path():
+    g = make_grid(0.0, 1.0, 64)
+    r0 = DensityField.cosine_bump(g, amplitude=0.4)
+    r1 = DensityField.gaussian(g, 0.65, 0.18)
+    return displacement_path(r0, r1, 32, g), ExponentField.affine(2.0, 1.0, g), g
+
+
+@pytest.mark.parametrize("path", ["interpolation", "pde_stride_1"])
+def test_curve_length_is_one_finder_call_summing_segment_speeds(monkeypatch, path):
+    traj, p, g = _interpolation_path() if path == "interpolation" else _pde_path(1)
+    calls = []
+    real = varexp.bisect
+
+    def counted(*args, **kwargs):
+        calls.append(args[1].size)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(varexp, "bisect", counted)
+    length = finsler.curve_length(traj, p, g)
+    assert calls == [len(traj) - 1]
+    by_segment = sum(finsler.metric_derivative(traj, p, g, k)
+                     * float(traj.times[k + 1] - traj.times[k])
+                     for k in range(len(traj) - 1))
+    assert length == pytest.approx(by_segment, rel=1e-12)
+
+
+def test_pde_curve_length_agrees_across_strides():
+    # consecutive recorded states differ in mass by rounding, which over a
+    # step of dt ~ 1e-4 gives a difference quotient a mean far above
+    # MEAN_TOL; the quotient's check is relative to the masses over dt
+    lengths = []
+    for stride in (1, 10, 100):
+        traj, p, g = _pde_path(stride)
+        lengths.append(finsler.curve_length(traj, p, g))
+    lower = 0.5 * transport.wasserstein_1d(p.p_minus, traj.states[0], traj.final, g)
+    assert len(traj) == 2
+    assert min(lengths) > lower
+    assert max(lengths) <= 1.01 * min(lengths)
+
+
+def test_quotient_of_unequal_masses_still_needs_zero_mean():
+    # the quotient's tolerance follows its masses: two states whose masses
+    # differ by far more than MASS_TOL are not a curve of densities
+    g = make_grid(0.0, 1.0, 8)
+    rho = DensityField.cosine_bump(g, amplitude=0.3)
+    heavier = DensityField.from_masses(1.001 * rho.mass, require_unit_mass=False)
+    traj = Trajectory(times=np.array([0.0, 1e-3]), states=[rho, heavier])
+    with pytest.raises(NonzeroMeanError):
+        finsler.curve_length(traj, ExponentField.constant(2.0, 8), g)

@@ -8,8 +8,10 @@ import numpy as np
 import pytest
 
 from varwass import jko, pde
+from varwass._kernels import bisect
 from varwass.energy import builtin_energy, total_energy
-from varwass.errors import NonpositiveParameterError, NumericalBlowupError
+from varwass.errors import (NonpositiveParameterError, NumericalBlowupError,
+                             SizeMismatchError)
 from varwass.grid import integrate, make_grid
 from varwass.varexp import DensityField, ExponentField
 
@@ -216,7 +218,7 @@ def test_bisection_is_bit_identical_to_fixed_count_halving(with_zero):
         return f
 
     start = np.full(roots.size, 1.5)
-    lo, hi = jko._bisect(counted("shared"), start - 1.0, start + 1.0, 1.0, 120)
+    lo, hi = bisect(counted("shared"), start - 1.0, start + 1.0, 1.0, 120)
     want = _fixed_count_halving(counted("reference"), start - 1.0, start + 1.0, 1.0, 120)
     np.testing.assert_array_equal(0.5 * (lo + hi), want)
     np.testing.assert_allclose(want, roots, rtol=1e-15, atol=1e-30)
@@ -238,34 +240,53 @@ ENERGIES = {"entropy": ENTROPY, "quadratic": QUADRATIC,
             "power1.5": builtin_energy("power", m=1.5),
             "power3": builtin_energy("power", m=3.0)}
 
+# Increasing functions that are exactly 0 over a run of doubles around the
+# root, with the bracket each starts from: each one-ulp Newton push lands on
+# another zero.
+FLAT = {"absorbed_by_one": (lambda x: (x + 1.0) - 1.0, -1.0, 1.0),
+        "absorbed_by_1e8": (lambda x: (x - 3.0 + 1e8) - 1e8, 2.0, 4.5)}
 
-@pytest.mark.parametrize("name", sorted(ENERGIES))
+# exp(sigma)/dx <= RHO_FLOOR below sigma = -31.1: the first three roots sit in
+# the clamp, where the slope drops to 1; the bracket midpoint -25 is far from
+# all of them. The near-unit roots, within 0.05 of sigma = 0, are columns
+# holding almost all the mass, where the column function is flat in floating
+# point around its root.
+COLUMN_ROOTS = {name: [-45.0, -36.0, -31.5, -20.0, -3.0, 0.7, 4.2] for name in ENERGIES}
+COLUMN_ROOTS["near_unit_column"] = np.linspace(-0.05, 0.05, 20)
+
+
+@pytest.mark.parametrize("name", sorted(ENERGIES) + ["near_unit_column"] + sorted(FLAT))
 def test_newton_mode_agrees_with_bisection(name):
-    # exp(sigma)/dx <= RHO_FLOOR below sigma = -31.1: the first three roots
-    # sit in the clamp, where the slope drops to 1; the bracket midpoint
-    # -25 is far from all of them
-    e = ENERGIES[name]
-    roots = np.array([-45.0, -36.0, -31.5, -20.0, -3.0, 0.7, 4.2])
-    pair = _column(e, np.zeros(roots.size))
-    target = pair(roots)[0]
+    if name in FLAT:
+        f, lo, hi = FLAT[name]
+        pair, roots = (lambda x: (f(x), np.ones_like(x))), None
+        lo, hi = np.array([lo]), np.array([hi])
+    else:
+        roots = np.asarray(COLUMN_ROOTS[name])
+        e = ENERGIES.get(name, ENTROPY)
+        pair = _column(e, _column(e, np.zeros(roots.size))(roots)[0])
+        lo, hi = np.full(roots.size, -60.0), np.full(roots.size, 10.0)
     evaluations = {"slope": 0, "plain": 0}
 
     def counted(key):
         def f(x):
             evaluations[key] += 1
-            value, slope = _column(e, target)(x)
+            value, slope = pair(x)
             return (value, slope) if key == "slope" else value
         return f
 
-    lo, hi = np.full(roots.size, -60.0), np.full(roots.size, 10.0)
-    newton = 0.5 * np.add(*jko._bisect(counted("slope"), lo, hi, 1.0, 120, with_slope=True))
-    plain = 0.5 * np.add(*jko._bisect(counted("plain"), lo, hi, 1.0, 120))
+    newton = 0.5 * np.add(*bisect(counted("slope"), lo, hi, 1.0, 120, with_slope=True))
+    plain = 0.5 * np.add(*bisect(counted("plain"), lo, hi, 1.0, 120))
     ulp = np.spacing(np.maximum(1.0, np.abs(plain)))
     assert np.all(np.abs(newton - plain) <= 4.0 * ulp)
-    np.testing.assert_allclose(plain, roots, rtol=1e-13)
-    if name == "entropy":
-        assert evaluations["slope"] <= 8
-    assert evaluations["slope"] < evaluations["plain"]
+    if name == "near_unit_column":
+        # near 0 the error is absolute: a few ulps of the right side, about 7
+        np.testing.assert_allclose(plain, roots, rtol=0.0, atol=4e-15)
+    if name in ENERGIES:
+        np.testing.assert_allclose(plain, roots, rtol=1e-13)
+        if name == "entropy":
+            assert evaluations["slope"] <= 8
+        assert evaluations["slope"] < evaluations["plain"]
 
 
 # ---------------------------------------------------------------- step plan
@@ -434,6 +455,33 @@ def test_dissipation_slack_shrinks_with_h():
         assert report.worst_step_slack >= -1e-6
         worsts.append(float(np.max(np.abs(report.per_step_slack))))
     assert worsts[1] <= 0.75 * worsts[0]
+
+
+def test_dissipation_check_takes_one_dt_per_step():
+    # a reference-PDE trajectory has uneven steps; each slack uses its own
+    # dt, exactly as a loop over the steps would, and a scalar h is the same
+    # as an array of it
+    g = make_grid(0.0, 1.0, 16)
+    p = affine_p(g)
+    traj = pde.solve(DensityField.cosine_bump(g, amplitude=0.5), ENTROPY,
+                     p.conjugate(), pde.PdeConfig(t_end=0.02, stride=3), g)
+    dt = np.diff(traj.times)
+    assert dt.min() < dt.max()
+    report = jko.dissipation_check(traj, ENTROPY, p, dt, g)
+    energies = [total_energy(s, ENTROPY, g) for s in traj.states]
+    by_loop = [(energies[k - 1] - energies[k])
+               - float(traj.times[k] - traj.times[k - 1])
+               * jko.dissipation_rate(traj.states[k], ENTROPY, p, g)
+               for k in range(1, len(traj))]
+    assert report.per_step_slack.tolist() == by_loop
+    assert report.energies.tolist() == energies
+    h = float(dt[0])
+    same = jko.dissipation_check(traj, ENTROPY, p, np.full(dt.size, h), g)
+    scalar = jko.dissipation_check(traj, ENTROPY, p, h, g)
+    assert np.array_equal(same.per_step_slack, scalar.per_step_slack)
+    assert same.cumulative_slack == scalar.cumulative_slack
+    with pytest.raises(SizeMismatchError):
+        jko.dissipation_check(traj, ENTROPY, p, dt[1:], g)
 
 
 def test_dissipation_rate_positive_off_uniform():

@@ -215,6 +215,15 @@ class TestLuxemburgNorm:
         u[0] = 1e-3
         assert luxemburg_norm(u, rho, p, g) > 0.0
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_function(self, bad):
+        # a NaN would otherwise drop out of the support maximum and read as 0
+        g = make_grid(0.0, 1.0, 4)
+        rho = DensityField.uniform(g)
+        p = ExponentField.constant(2.0, 4)
+        with pytest.raises(ValueError):
+            luxemburg_norm(np.array([1.0, bad, 0.5, 0.0]), rho, p, g)
+
     def test_embedding_between_pointwise_ordered_exponents(self):
         g = make_grid(0.0, 1.0, 10)
         rng = np.random.default_rng(37)
@@ -241,6 +250,33 @@ class TestLuxemburgNorm:
             const = 1.0 / p.p_minus + 1.0 / q.p_minus
             bound = const * luxemburg_norm(u, rho, p, g) * luxemburg_norm(v, rho, q, g)
             assert pairing <= bound + 1e-10
+
+    @pytest.mark.parametrize("n", [5, 16, 64])
+    def test_norm_at_and_near_one(self, n):
+        # at u = 1 and unit mass the log modular is exactly 0 over a run of
+        # doubles around log lam = 0; the root must still be found
+        g = make_grid(0.0, 1.0, n)
+        p = ExponentField(np.linspace(1.3, 3.5, n))
+        for rho in (DensityField.uniform(g), DensityField.cosine_bump(g, 0.4)):
+            assert abs(luxemburg_norm(np.ones(n), rho, p, g) - 1.0) <= 1e-15
+            for c in (1.0 - 1e-4, 1.0 + 1e-4):
+                got = luxemburg_norm(np.full(n, c), rho, p, g)
+                assert abs(got - c) <= 1e-15 * c
+
+    def test_matches_scalar_oracle_to_rounding_on_rough_samples(self):
+        # vacuum cells, exponents from near 1 to 8 and magnitudes over twelve
+        # decades; the oracle bisects 200 times
+        g = make_grid(0.0, 1.0, 12)
+        rng = np.random.default_rng(47)
+        for _ in range(60):
+            m = rng.random(12) ** 3
+            m[rng.random(12) < 0.25] = 0.0
+            m[0] += 1e-3
+            rho = DensityField.from_masses(m / m.sum())
+            p = ExponentField(rng.uniform(1.02, 8.0, 12))
+            u = rng.standard_normal(12) * 10.0 ** rng.uniform(-6.0, 6.0)
+            want = norm_by_scalar_rootfind(u, rho, p, g)
+            assert luxemburg_norm(u, rho, p, g) == pytest.approx(want, rel=1e-13)
 
     def test_constant_exponent_consistency(self):
         g = make_grid(0.0, 1.0, 9)
