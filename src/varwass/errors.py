@@ -15,7 +15,7 @@ class InvalidDomainError(VarwassError, ValueError):
 
 
 class SizeMismatchError(VarwassError, ValueError):
-    """An array has the wrong length for the grid it is used with."""
+    """An array or a sequence has the wrong length for the grid or call it meets."""
 
 
 class BoundaryFluxError(VarwassError, ValueError):
@@ -28,6 +28,11 @@ class ExponentRangeError(VarwassError, ValueError):
 
 class NonpositiveParameterError(VarwassError, ValueError):
     """A strictly positive scalar parameter (lambda, h, eps, ...) is <= 0."""
+
+
+class InvalidParameterError(VarwassError, ValueError):
+    """A parameter lies outside its allowed set or range: an unknown backend,
+    a count below its minimum, a negative or non-finite horizon."""
 
 
 class MarginalMismatchError(VarwassError, ValueError):

@@ -18,7 +18,7 @@ finder. A single tangent vector or segment is the one-row case.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -38,9 +38,16 @@ DENSITY_FLOOR = 1e-13
 
 @dataclass(frozen=True)
 class TangentVector:
-    """Zero-mean rate of change of a density, as cell values."""
+    """Zero-mean rate of change of a density, as cell values.
+
+    The zero-mean check of min_norm_velocity is relative to
+    max(1, sum |nu| dx); a quotient from from_states carries instead the
+    scale that curve speeds use (_quotient_scale).
+    """
 
     values: np.ndarray
+    _mean_scale: float | None = field(default=None, init=False, repr=False,
+                                      compare=False)
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=float)
@@ -56,7 +63,20 @@ class TangentVector:
         """Difference quotient (after - before) / dt as cell density rates."""
         if dt <= 0.0:
             raise ValueError(f"dt must be positive, got {dt}")
-        return cls((after.density(g) - before.density(g)) / dt)
+        nu = cls((after.density(g) - before.density(g)) / dt)
+        object.__setattr__(nu, "_mean_scale", float(
+            _quotient_scale(before.total_mass, after.total_mass, dt)))
+        return nu
+
+
+def _quotient_scale(mass_before, mass_after, dt):
+    """Zero-mean scale of the quotient of two states: max(1, (m_0 + m_1) / dt).
+
+    A quotient integrates to the mass difference of its states over dt, and
+    DensityField lets masses differ by MASS_TOL, so its zero-mean check is
+    relative to the masses over dt, which also bound sum |nu| dx.
+    """
+    return np.maximum(1.0, (mass_before + mass_after) / dt)
 
 
 @dataclass(frozen=True)
@@ -109,11 +129,14 @@ def min_norm_velocity(rho: DensityField, nu: TangentVector, g: Grid) -> Velocity
     density yields v. Since the constraint set is this single point, it
     minimizes every velocity norm at once. Faces where the density vanishes
     must carry zero flux, otherwise no admissible velocity exists. nu must
-    integrate to 0 within MEAN_TOL * max(1, sum |nu| dx).
+    integrate to 0 within MEAN_TOL * max(1, sum |nu| dx), or within
+    MEAN_TOL * _quotient_scale for a quotient built by from_states.
     """
     values = g.check_cell_field(nu.values, "tangent values")
     mass = g.check_cell_field(rho.mass, "mass")
-    scale = max(1.0, float(np.abs(values).sum() * g.dx))
+    scale = nu._mean_scale
+    if scale is None:
+        scale = max(1.0, float(np.abs(values).sum() * g.dx))
     return VelocityField(_velocities(mass[None, :], values[None, :], scale, g)[0])
 
 
@@ -141,9 +164,7 @@ def finsler_gradient(rho: DensityField, e: EnergyModel, q: ExponentField,
 def _speeds(states: list, times: np.ndarray, p: ExponentField, g: Grid) -> np.ndarray:
     """Speeds F(rho^k, (rho^{k+1} - rho^k) / dt_k) of consecutive states, stacked.
 
-    A quotient integrates to the mass difference of its states over dt, and
-    DensityField lets masses differ by MASS_TOL, so its zero-mean check is
-    relative to (m_k + m_{k+1}) / dt, which also bounds sum |nu| dx.
+    Each quotient's zero-mean check is relative to _quotient_scale.
     """
     mass = np.stack([g.check_cell_field(s.mass, "mass") for s in states])
     exponent = g.check_cell_field(p.values, "exponent field")
@@ -155,8 +176,7 @@ def _speeds(states: list, times: np.ndarray, p: ExponentField, g: Grid) -> np.nd
     if not np.isfinite(nu).all():
         raise ValueError("tangent values must be finite")
     total = mass.sum(axis=1)
-    scale = np.maximum(1.0, (total[:-1] + total[1:]) / dt)
-    v = _velocities(mass[:-1], nu, scale, g)
+    v = _velocities(mass[:-1], nu, _quotient_scale(total[:-1], total[1:], dt), g)
     return _norm_rows(neighbor_mean(v), mass[:-1], exponent)
 
 

@@ -24,12 +24,14 @@ comparison: if the diagonal plan beats the iterate, the diagonal is returned,
 so the energy can never increase across a step.
 
 The entropic backend's column equation is the proximal map of the energy
-(Peyre, SIAM J. Imaging Sci. 2015). It is solved by safeguarded Newton steps
-in the shared root finder _kernels.bisect, which closes each bracket to the
-adjacent doubles that plain halving would reach. The cost, the per-row
-temperatures and the reflected kernel depend only on the grid, p, h, eps and
-smoothing, so _step_plan builds them once and a flow reuses them for every
-step.
+(Peyre, SIAM J. Imaging Sci. 2015). With uniform temperatures and the
+builtin entropy it has a closed form, which the energy model carries as
+log_prox. Every other energy, and every solve with per-row temperatures,
+takes safeguarded Newton steps in the shared root finder _kernels.bisect,
+which closes each bracket to the adjacent doubles that plain halving would
+reach. The cost, the per-row temperatures and the reflected kernel depend
+only on the grid, p, h, eps and smoothing, so _step_plan builds them once
+and a flow reuses them for every step.
 """
 
 from __future__ import annotations
@@ -42,7 +44,8 @@ import numpy as np
 from . import transport
 from ._kernels import bisect, logsumexp
 from .energy import RHO_FLOOR, EnergyModel, total_energy
-from .errors import NonpositiveParameterError, NumericalBlowupError, SizeMismatchError
+from .errors import (InvalidParameterError, NonpositiveParameterError,
+                     NumericalBlowupError, SizeMismatchError)
 from .grid import Grid, gradient, neighbor_mean
 from .varexp import DensityField, ExponentField, conjugate
 
@@ -75,7 +78,7 @@ class JkoOptions:
 
     def __post_init__(self):
         if self.backend not in VALID_BACKENDS:
-            raise ValueError(
+            raise InvalidParameterError(
                 f"backend must be one of {VALID_BACKENDS}, got {self.backend!r}"
             )
         if not _positive(self.eps):
@@ -86,7 +89,7 @@ class JkoOptions:
                 f"smoothing length must be positive and finite, got {self.smoothing}"
             )
         if not self.max_iters >= 1:
-            raise ValueError("max_iters must be at least 1")
+            raise InvalidParameterError("max_iters must be at least 1")
         if not _positive(self.tol):
             raise NonpositiveParameterError(
                 f"tol must be positive and finite, got {self.tol}")
@@ -127,7 +130,7 @@ class Trajectory:
     def __post_init__(self):
         t = np.asarray(self.times, dtype=float)
         if t.ndim != 1 or t.size != len(self.states):
-            raise ValueError(
+            raise SizeMismatchError(
                 f"times (len {t.size}) and states (len {len(self.states)}) disagree"
             )
         object.__setattr__(self, "times", t)
@@ -234,14 +237,18 @@ def _solve_column_scalar(log_target: np.ndarray, e: EnergyModel, dx: float,
                          eps: float, start: np.ndarray | None = None) -> np.ndarray:
     """Solve sigma + G'(exp(sigma)/dx)/eps = log_target per column, in sigma = log s.
 
-    The left side is strictly increasing in sigma (G is convex), with slope
+    An energy whose closed-form root is known (e.log_prox, for the
+    builtin entropy, where the equation is linear in sigma on each side of
+    the RHO_FLOOR clamp) returns it directly. For every other energy the
+    left side is strictly increasing in sigma (G is convex), with slope
     1 + G''(t) t / eps at t = exp(sigma)/dx, so the safeguarded Newton steps
-    of bisect converge unconditionally. For the entropy G'' t = 1 and the
-    equation is linear away from the RHO_FLOOR clamp: one step lands. The
-    bracket starts at start +- 1, by default log_target +- 1; the dual
-    ascent passes the previous iteration's roots, which saves the bracket
-    growth when the default start is far from the root.
+    of bisect converge unconditionally. The bracket starts at start +- 1,
+    by default log_target +- 1; the dual ascent passes the previous
+    iteration's roots, which saves the bracket growth when the default
+    start is far from the root.
     """
+    if e.log_prox is not None:
+        return e.log_prox(log_target, dx, eps)
 
     def f(sig):
         t = np.exp(sig) / dx
@@ -392,8 +399,9 @@ def _entropic_backend(log_ref, mu, e, dx, opts, eps_vec):
     The primal iterate gamma_ij = exp(u_i / eps_i + log_ref_ij - G'(s_j/dx)
     / eps_i) has exact row marginals after each row update, log_ref being
     the wall-reflected reference from _log_reference. Uniform temperatures
-    take a cheaper separable path for the column equation. Each column
-    solve starts from the previous iteration's roots. The start does not
+    take a cheaper separable path for the column equation, closed form when
+    the energy provides it. Each Newton column solve starts from the
+    previous iteration's roots. The start does not
     change the answer wherever the column function is monotone in floating
     point: the finder closes on the same adjacent doubles from any bracket
     that holds the root. Zero total mass has only the zero plan, returned
@@ -509,7 +517,7 @@ def run_flow(rho0: DensityField, e: EnergyModel, p: ExponentField, h: float,
     first argument is a string; type, attributes and traceback are kept.
     """
     if not (math.isfinite(t_end) and t_end >= 0.0):
-        raise ValueError(f"t_end must be nonnegative and finite, got {t_end}")
+        raise InvalidParameterError(f"t_end must be nonnegative and finite, got {t_end}")
     if not _positive(h):
         raise NonpositiveParameterError(
             f"step size h must be positive and finite, got {h}")
@@ -607,7 +615,7 @@ def dissipation_check(traj: Trajectory, e: EnergyModel, p: ExponentField,
                       h, g: Grid) -> DissipationReport:
     """Dissipation slacks along traj; h is one step or an array of len(traj) - 1."""
     if len(traj) == 0:
-        raise ValueError("trajectory is empty")
+        raise SizeMismatchError("trajectory is empty")
     dt = np.asarray(h, dtype=float)
     if dt.ndim and dt.shape != (len(traj) - 1,):
         raise SizeMismatchError(

@@ -291,6 +291,27 @@ def test_pde_curve_length_agrees_across_strides():
     assert max(lengths) <= 1.01 * min(lengths)
 
 
+def test_tangent_norm_of_a_quotient_matches_the_metric_derivative():
+    # the quotient built by from_states carries the mass-relative zero-mean
+    # scale that curve speeds use; a plain tangent vector with the same
+    # values keeps the strict MEAN_TOL check
+    traj, p, g = _pde_path(1)
+    strict_rejects = 0
+    for k in range(len(traj) - 1):
+        dt = float(traj.times[k + 1] - traj.times[k])
+        nu = finsler.TangentVector.from_states(traj.states[k], traj.states[k + 1], dt, g)
+        norm = finsler.tangent_norm(traj.states[k], nu, p, g)
+        assert norm == pytest.approx(finsler.metric_derivative(traj, p, g, k), rel=1e-12)
+        try:
+            finsler.tangent_norm(traj.states[k], finsler.TangentVector(nu.values), p, g)
+        except NonzeroMeanError:
+            strict_rejects += 1
+    assert strict_rejects > 0
+    # the quotient's scale is not a constructor argument
+    with pytest.raises(TypeError):
+        finsler.TangentVector(nu.values, float("nan"))
+
+
 def test_quotient_of_unequal_masses_still_needs_zero_mean():
     # the quotient's tolerance follows its masses: two states whose masses
     # differ by far more than MASS_TOL are not a curve of densities
@@ -298,5 +319,9 @@ def test_quotient_of_unequal_masses_still_needs_zero_mean():
     rho = DensityField.cosine_bump(g, amplitude=0.3)
     heavier = DensityField.from_masses(1.001 * rho.mass, require_unit_mass=False)
     traj = Trajectory(times=np.array([0.0, 1e-3]), states=[rho, heavier])
+    p = ExponentField.constant(2.0, 8)
     with pytest.raises(NonzeroMeanError):
-        finsler.curve_length(traj, ExponentField.constant(2.0, 8), g)
+        finsler.curve_length(traj, p, g)
+    nu = finsler.TangentVector.from_states(rho, heavier, 1e-3, g)
+    with pytest.raises(NonzeroMeanError):
+        finsler.tangent_norm(rho, nu, p, g)

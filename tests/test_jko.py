@@ -1,6 +1,8 @@
 """Minimizing-movement stepper: stationarity, comparisons against the
 explicit solver, optimality diagnostics, and bookkeeping invariants."""
 
+import dataclasses
+import math
 import warnings
 from types import SimpleNamespace
 
@@ -9,9 +11,9 @@ import pytest
 
 from varwass import jko, pde
 from varwass._kernels import bisect
-from varwass.energy import builtin_energy, total_energy
-from varwass.errors import (NonpositiveParameterError, NumericalBlowupError,
-                             SizeMismatchError)
+from varwass.energy import RHO_FLOOR, builtin_energy, total_energy
+from varwass.errors import (InvalidParameterError, NonpositiveParameterError,
+                             NumericalBlowupError, SizeMismatchError, VarwassError)
 from varwass.grid import integrate, make_grid
 from varwass.varexp import DensityField, ExponentField
 
@@ -289,6 +291,64 @@ def test_newton_mode_agrees_with_bisection(name):
         assert evaluations["slope"] < evaluations["plain"]
 
 
+def test_entropy_column_root_in_closed_form_agrees_with_newton():
+    # three roots in the RHO_FLOOR clamp, and one at the clamp point itself,
+    # where the free and the clamped branch meet
+    dx, eps = 1.0 / 32.0, 0.5
+    roots = np.append(COLUMN_ROOTS["entropy"], math.log(RHO_FLOOR * dx))
+    target = _column(ENTROPY, np.zeros(roots.size), dx, eps)(roots)[0]
+    lo, hi = np.full(roots.size, -60.0), np.full(roots.size, 10.0)
+    newton = 0.5 * np.add(*bisect(_column(ENTROPY, target, dx, eps), lo, hi, 1.0, 120,
+                                  with_slope=True))
+    closed = jko._solve_column_scalar(target, ENTROPY, dx, eps)
+    ulp = np.spacing(np.maximum(1.0, np.abs(newton)))
+    assert np.all(np.abs(closed - newton) <= 4.0 * ulp)
+
+
+def test_column_solve_follows_the_derivative_not_the_name():
+    # a quadratic model that calls itself "entropy" has no closed form: it must
+    # take the Newton path and land on the quadratic roots
+    impostor = dataclasses.replace(QUADRATIC, name="entropy")
+    assert impostor.log_prox is None
+    dx, eps = 1.0 / 32.0, 0.5
+    roots = np.asarray(COLUMN_ROOTS["quadratic"])
+    target = _column(QUADRATIC, np.zeros(roots.size), dx, eps)(roots)[0]
+    start = np.full(roots.size, -25.0)
+    got = jko._solve_column_scalar(target, impostor, dx, eps, start)
+    np.testing.assert_array_equal(
+        got, jko._solve_column_scalar(target, QUADRATIC, dx, eps, start))
+    np.testing.assert_allclose(got, roots, rtol=1e-13)
+
+
+def test_entropy_closed_form_flow_matches_the_newton_flow(monkeypatch):
+    # the README compare flow (n=64, p=2, smoothing dx/2, h=2e-4), 15 steps;
+    # with the closed form the finder runs only for the temperatures
+    monkeypatch.setattr(jko, "_PLANS", {})
+    calls = []
+    real = jko.bisect
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(jko, "bisect", counted)
+    g = make_grid(0.0, 1.0, 64)
+    h = 2e-4
+    p = ExponentField.constant(2.0, g.n_cells)
+    rho0 = DensityField.cosine_bump(g, amplitude=0.5)
+    opts = jko.JkoOptions(backend="entropic", smoothing=0.5 * g.dx, exact_coupling=False)
+    closed = jko.run_flow(rho0, ENTROPY, p, h, 15 * h, g, opts)
+    assert len(calls) == 1
+    # the same G' behind another callable drops the closed form
+    newton_entropy = dataclasses.replace(ENTROPY, deriv=lambda t: ENTROPY.deriv(t))
+    assert newton_entropy.log_prox is None
+    newton = jko.run_flow(rho0, newton_entropy, p, h, 15 * h, g, opts)
+    assert len(calls) > 1
+    assert [s.iterations for s in closed.steps] == [s.iterations for s in newton.steps]
+    assert all(s.converged for s in closed.steps)
+    np.testing.assert_allclose(closed.final.mass, newton.final.mass, rtol=0.0, atol=1e-12)
+
+
 # ---------------------------------------------------------------- step plan
 
 def test_step_plan_is_reused_and_read_only(monkeypatch):
@@ -553,6 +613,22 @@ def test_options_validation():
         jko.JkoOptions(max_iters=0)
     with pytest.raises(NonpositiveParameterError):
         jko.JkoOptions(tol=0.0)
+
+
+@pytest.mark.parametrize("call,error", [
+    (lambda g: jko.JkoOptions(backend="simplex"), InvalidParameterError),
+    (lambda g: jko.JkoOptions(max_iters=0), InvalidParameterError),
+    (lambda g: jko.Trajectory(times=np.zeros(2), states=[uniform(g)]), SizeMismatchError),
+    (lambda g: jko.run_flow(uniform(g), ENTROPY, affine_p(g), 1e-2, math.inf, g),
+     InvalidParameterError),
+    (lambda g: jko.dissipation_check(jko.Trajectory(times=np.zeros(0), states=[]),
+                                     ENTROPY, affine_p(g), 1e-2, g), SizeMismatchError),
+], ids=["backend", "max_iters", "trajectory_length", "t_end", "empty_trajectory"])
+def test_bad_arguments_raise_typed_value_errors(call, error):
+    with pytest.raises(error) as info:
+        call(make_grid(0.0, 1.0, 8))
+    assert isinstance(info.value, VarwassError)
+    assert isinstance(info.value, ValueError)
 
 
 def test_too_wide_smoothing_is_rejected():
