@@ -29,9 +29,17 @@ builtin entropy it has a closed form, which the energy model carries as
 log_prox. Every other energy, and every solve with per-row temperatures,
 takes safeguarded Newton steps in the shared root finder _kernels.bisect,
 which closes each bracket to the adjacent doubles that plain halving would
-reach. The cost, the per-row temperatures and the reflected kernel depend
-only on the grid, p, h, eps and smoothing, so _step_plan builds them once
-and a flow reuses them for every step.
+reach. The cost, the per-row temperatures, the reflected log kernel and the
+kernel itself depend only on the grid, p, h, eps and smoothing, so
+_step_plan builds them once and a flow reuses them for every step.
+
+With one temperature for every row, the row and column log-sums of the
+dual ascent are products of that kernel with a vector, shifted by the
+vector's maximum (the scaling form of stabilized Sinkhorn, Schmitzer, SIAM
+J. Sci. Comput. 2019), instead of two n-by-n log-sum-exps. A product is
+used only when each of its sums is at least e^-600; the terms it loses to
+underflow are below about e^-708, so its relative error is at most
+n e^-108. Otherwise that half-iteration takes the log-sum-exp.
 """
 
 from __future__ import annotations
@@ -358,17 +366,24 @@ def _log_reference(g: Grid, p: ExponentField, h: float,
 _PLANS: dict = {}
 _PLAN_SLOTS = 4
 
+#: Smallest kernel-product sum the uniform dual ascent accepts; see
+#: _entropic_backend.
+_SUM_FLOOR = math.exp(-600.0)
+
 
 def _step_plan(g: Grid, p: ExponentField, h: float, opts: JkoOptions):
-    """(cost, eps_vec, log_ref) of a step: what stays fixed through a flow.
+    """(cost, eps_vec, log_ref, kernel) of a step: what stays fixed through a flow.
 
-    The cost depends only on the grid, p and h; the entropic temperatures
-    and the reflected kernel also on eps and smoothing (for the other
-    backends eps_vec and log_ref are None). A plan is kept under the content
-    of those inputs, not their identity, so an in-place edit of p.values
-    gets a fresh plan. The _PLAN_SLOTS most recently used plans are kept,
-    enough for callers that alternate backends or step sizes on one grid.
-    The arrays are shared by every step that uses the plan, so they are
+    The cost depends only on the grid, p and h; the entropic temperatures,
+    the reflected log kernel and the kernel exp(log_ref) itself also on eps
+    and smoothing (for the other backends the last three are None). The
+    uniform-temperature dual ascent multiplies by the kernel; its entries
+    below about e^-708 underflow, which the e^-600 sum floor of that
+    product keeps at rounding level. A plan is kept under the content of
+    those inputs, not their identity, so an in-place edit of p.values gets
+    a fresh plan. The _PLAN_SLOTS most recently used plans are kept, enough
+    for callers that alternate backends or step sizes on one grid. The
+    arrays are shared by every step that uses the plan, so they are
     read-only.
     """
     entropic = opts.backend == "entropic"
@@ -377,35 +392,63 @@ def _step_plan(g: Grid, p: ExponentField, h: float, opts: JkoOptions):
     plan = _PLANS.pop(key, None)
     if plan is None:
         cost = transport.build_cost(g, p, h)
-        eps_vec = log_ref = None
+        eps_vec = log_ref = kernel = None
         if entropic:
             eps_vec = _entropic_temperatures(opts, p, h, g.n_cells, g.dx)
             log_ref = _log_reference(g, p, h, eps_vec)
-        for arr in (cost.values, eps_vec, log_ref):
+            kernel = np.exp(log_ref)
+        for arr in (cost.values, eps_vec, log_ref, kernel):
             if arr is not None:
                 arr.setflags(write=False)
-        plan = (cost, eps_vec, log_ref)
+        plan = (cost, eps_vec, log_ref, kernel)
     _PLANS[key] = plan
     while len(_PLANS) > _PLAN_SLOTS:
         del _PLANS[next(iter(_PLANS))]
     return plan
 
 
-def _entropic_backend(log_ref, mu, e, dx, opts, eps_vec):
+def _log_kernel_product(kernel: np.ndarray, x: np.ndarray) -> np.ndarray | None:
+    """log(kernel @ exp(x)), shifted by the largest finite x; None on underflow.
+
+    Entries of x at -inf contribute exactly 0. None, which sends the caller
+    to the log-sum-exp, means that some sum is not finite or is below
+    _SUM_FLOOR, where the terms lost to underflow could show.
+    """
+    shift = x.max(where=np.isfinite(x), initial=-np.inf)
+    sums = kernel @ np.exp(x - shift)
+    if not (sums.min() >= _SUM_FLOOR and sums.max() < math.inf):
+        return None
+    return np.log(sums) + shift
+
+
+def _entropic_backend(log_ref, kernel, mu, e, dx, opts, eps_vec):
     """Dual block ascent for the KL-smoothed joint program.
 
     Maximizes the regularized dual by alternating the closed-form row
     potential update with a per-column scalar equation for the new masses.
     The primal iterate gamma_ij = exp(u_i / eps_i + log_ref_ij - G'(s_j/dx)
     / eps_i) has exact row marginals after each row update, log_ref being
-    the wall-reflected reference from _log_reference. Uniform temperatures
-    take a cheaper separable path for the column equation, closed form when
-    the energy provides it. Each Newton column solve starts from the
-    previous iteration's roots. The start does not
-    change the answer wherever the column function is monotone in floating
-    point: the finder closes on the same adjacent doubles from any bracket
-    that holds the root. Zero total mass has only the zero plan, returned
-    without entering the dual loop, whose potentials are all -inf there.
+    the wall-reflected reference from _log_reference.
+
+    With one temperature eps for every row the Gibbs tilt is rank one, so
+    both half-iterations are products of the fixed kernel exp(log_ref)
+    with a vector: the row log-sums are log(K @ exp(-phi/eps)) and the
+    column ones log(K.T @ exp(u/eps)), the scaling form of stabilized
+    Sinkhorn (Schmitzer, SIAM J. Sci. Comput. 2019). A half-iteration
+    whose product has a sum below e^-600, the underflow guard of
+    _log_kernel_product, takes the n-by-n log-sum-exp instead; above it,
+    the terms lost to underflow move a log by at most n e^-108 relative.
+    The column equation is then separable, closed form when the energy
+    provides it. Per-row temperatures make exp(log_ref_ij - phi_j/eps_i) a
+    full-rank tilt, so they stay in the log domain, with the mixed column
+    solve.
+
+    Each Newton column solve starts from the previous iteration's roots.
+    The start does not change the answer wherever the column function is
+    monotone in floating point: the finder closes on the same adjacent
+    doubles from any bracket that holds the root. Zero total mass has only
+    the zero plan, returned without entering the dual loop, whose
+    potentials are all -inf there.
     """
     n = mu.size
     if mu.sum() == 0.0:
@@ -422,19 +465,26 @@ def _entropic_backend(log_ref, mu, e, dx, opts, eps_vec):
     converged = False
     it = 0
     for it in range(1, opts.max_iters + 1):
-        u = eps_vec * (log_mu - logsumexp(neg_c - phi[None, :] / epsr, axis=1))
+        lse = _log_kernel_product(kernel, -phi / eps0) if uniform else None
+        if lse is None:
+            lse = logsumexp(neg_c - phi[None, :] / epsr, axis=1)
+        u = eps_vec * (log_mu - lse)
         u = np.where(np.isfinite(log_mu), u, -np.inf)
-        with np.errstate(invalid="ignore"):
-            w_log = u[:, None] / epsr + neg_c
         if uniform:
-            log_col = logsumexp(w_log.T, axis=1)
+            log_col = _log_kernel_product(kernel.T, u / eps0)
+            if log_col is None:
+                with np.errstate(invalid="ignore"):
+                    w_log = u[:, None] / epsr + neg_c
+                log_col = logsumexp(w_log.T, axis=1)
             sigma = _solve_column_scalar(log_col, e, dx, eps0, sigma)
         else:
+            with np.errstate(invalid="ignore"):
+                w_log = u[:, None] / epsr + neg_c
             sigma = _solve_columns_mixed(w_log, eps_vec, e, dx, sigma)
         phi_new = e.deriv(np.exp(sigma) / dx)
-        delta = float(np.max(np.abs(phi_new - phi)))
+        delta = float(np.abs(phi_new - phi).max())
         phi = phi_new
-        if delta <= 1e-12 * (1.0 + float(np.max(np.abs(phi)))):
+        if delta <= 1e-12 * (1.0 + float(np.abs(phi).max())):
             converged = True
             break
     with np.errstate(invalid="ignore"):
@@ -458,12 +508,13 @@ def jko_step(rho_prev: DensityField, e: EnergyModel, p: ExponentField, h: float,
             f"step size h must be positive and finite, got {h}")
     opts = opts or JkoOptions()
     mu = g.check_cell_field(rho_prev.mass, "previous mass")
-    cost, eps_vec, log_ref = _step_plan(g, p, h, opts)
+    cost, eps_vec, log_ref, kernel = _step_plan(g, p, h, opts)
     C = cost.values
     dx = g.dx
 
     if opts.backend == "entropic":
-        gam, iters, converged = _entropic_backend(log_ref, mu, e, dx, opts, eps_vec)
+        gam, iters, converged = _entropic_backend(log_ref, kernel, mu, e, dx,
+                                                  opts, eps_vec)
     else:
         update = _mirror_update if opts.backend == "mirror" else _projected_update
         gam, iters, converged = _armijo_descent(C, mu, e, dx, opts, update)

@@ -21,7 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .energy import EnergyModel, total_energy
-from .errors import NumericalBlowupError, SizeMismatchError
+from .errors import (InvalidParameterError, NonpositiveParameterError,
+                     NumericalBlowupError, SizeMismatchError)
 from .grid import Grid, divergence, neighbor_mean
 from .jko import Trajectory
 from .varexp import DensityField, ExponentField
@@ -54,19 +55,22 @@ class PdeConfig:
 
     def __post_init__(self):
         if not (math.isfinite(self.t_end) and self.t_end >= 0.0):
-            raise ValueError(f"t_end must be nonnegative and finite, got {self.t_end}")
+            raise InvalidParameterError(
+                f"t_end must be nonnegative and finite, got {self.t_end}")
         if not 0.0 < self.cfl <= 1.0:
-            raise ValueError(f"cfl must lie in (0, 1], got {self.cfl}")
+            raise InvalidParameterError(f"cfl must lie in (0, 1], got {self.cfl}")
         if not (math.isfinite(self.delta_reg) and self.delta_reg >= 0.0):
-            raise ValueError(
+            raise InvalidParameterError(
                 f"delta_reg must be nonnegative and finite, got {self.delta_reg}")
         if not self.stride >= 1:
-            raise ValueError(f"stride must be at least 1, got {self.stride}")
+            raise InvalidParameterError(f"stride must be at least 1, got {self.stride}")
         if self.fixed_dt is not None and not (math.isfinite(self.fixed_dt)
                                               and self.fixed_dt > 0.0):
-            raise ValueError(f"fixed_dt must be positive and finite, got {self.fixed_dt}")
+            raise NonpositiveParameterError(
+                f"fixed_dt must be positive and finite, got {self.fixed_dt}")
         if not self.max_steps >= 1:
-            raise ValueError(f"max_steps must be at least 1, got {self.max_steps}")
+            raise InvalidParameterError(
+                f"max_steps must be at least 1, got {self.max_steps}")
 
 
 def rhs(rho: DensityField, e: EnergyModel, q: ExponentField, g: Grid,
@@ -190,7 +194,7 @@ def comparison_check(traj1: Trajectory, traj2: Trajectory, g: Grid) -> Compariso
             f"trajectories have {len(traj1)} and {len(traj2)} samples"
         )
     if np.max(np.abs(traj1.times - traj2.times)) > 1e-12 * max(1.0, traj1.times[-1]):
-        raise ValueError("trajectories are sampled at different times")
+        raise InvalidParameterError("trajectories are sampled at different times")
     pos = np.empty(len(traj1))
     for k in range(len(traj1)):
         diff = traj1.states[k].density(g) - traj2.states[k].density(g)

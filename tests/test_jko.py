@@ -2,6 +2,7 @@
 explicit solver, optimality diagnostics, and bookkeeping invariants."""
 
 import dataclasses
+import functools
 import math
 import warnings
 from types import SimpleNamespace
@@ -10,7 +11,7 @@ import numpy as np
 import pytest
 
 from varwass import jko, pde
-from varwass._kernels import bisect
+from varwass._kernels import bisect, logsumexp
 from varwass.energy import RHO_FLOOR, builtin_energy, total_energy
 from varwass.errors import (InvalidParameterError, NonpositiveParameterError,
                              NumericalBlowupError, SizeMismatchError, VarwassError)
@@ -320,9 +321,19 @@ def test_column_solve_follows_the_derivative_not_the_name():
     np.testing.assert_allclose(got, roots, rtol=1e-13)
 
 
+def _readme_flow(steps, e=ENTROPY):
+    """The README compare flow: n=64, p=2, entropy, smoothing dx/2, h=2e-4."""
+    g = make_grid(0.0, 1.0, 64)
+    h = 2e-4
+    p = ExponentField.constant(2.0, g.n_cells)
+    rho0 = DensityField.cosine_bump(g, amplitude=0.5)
+    opts = jko.JkoOptions(backend="entropic", smoothing=0.5 * g.dx, exact_coupling=False)
+    return jko.run_flow(rho0, e, p, h, steps * h, g, opts)
+
+
 def test_entropy_closed_form_flow_matches_the_newton_flow(monkeypatch):
-    # the README compare flow (n=64, p=2, smoothing dx/2, h=2e-4), 15 steps;
-    # with the closed form the finder runs only for the temperatures
+    # the README compare flow, 15 steps; with the closed form the finder runs
+    # only for the temperatures
     monkeypatch.setattr(jko, "_PLANS", {})
     calls = []
     real = jko.bisect
@@ -332,17 +343,12 @@ def test_entropy_closed_form_flow_matches_the_newton_flow(monkeypatch):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(jko, "bisect", counted)
-    g = make_grid(0.0, 1.0, 64)
-    h = 2e-4
-    p = ExponentField.constant(2.0, g.n_cells)
-    rho0 = DensityField.cosine_bump(g, amplitude=0.5)
-    opts = jko.JkoOptions(backend="entropic", smoothing=0.5 * g.dx, exact_coupling=False)
-    closed = jko.run_flow(rho0, ENTROPY, p, h, 15 * h, g, opts)
+    closed = _readme_flow(15)
     assert len(calls) == 1
     # the same G' behind another callable drops the closed form
     newton_entropy = dataclasses.replace(ENTROPY, deriv=lambda t: ENTROPY.deriv(t))
     assert newton_entropy.log_prox is None
-    newton = jko.run_flow(rho0, newton_entropy, p, h, 15 * h, g, opts)
+    newton = _readme_flow(15, newton_entropy)
     assert len(calls) > 1
     assert [s.iterations for s in closed.steps] == [s.iterations for s in newton.steps]
     assert all(s.converged for s in closed.steps)
@@ -363,7 +369,8 @@ def test_step_plan_is_reused_and_read_only(monkeypatch):
     assert jko._step_plan(g, p, 1e-3, opts) is plan
     assert np.array_equal(first.rho_next.mass, second.rho_next.mass)
     assert first.iterations == second.iterations
-    for arr in (plan[0].values, plan[1], plan[2]):
+    np.testing.assert_array_equal(plan[3], np.exp(plan[2]))
+    for arr in (plan[0].values, plan[1], plan[2], plan[3]):
         assert not arr.flags.writeable
         with pytest.raises(ValueError):
             arr[0] = 0.0
@@ -421,11 +428,8 @@ SWEEP_ITERATIONS = {
 }
 
 
-@pytest.mark.parametrize("name,exponent,smoothing", sorted(
-    SWEEP_ITERATIONS, key=lambda k: (k[0], k[1], k[2] is not None)))
-def test_entropic_sweep_keeps_iterations_and_invariants(name, exponent, smoothing):
-    # n=32 with 10 vacuum cells (about 30%), eps=0.2; the uniform-temperature
-    # cases run the scalar column solve, the smoothed ramp ones the mixed one
+def _vacuum_flow(name, exponent, smoothing, eps=0.2, steps=5):
+    """n=32 with 10 vacuum cells (about 30%), h=1e-3: the sweep's flow."""
     g = make_grid(0.0, 1.0, 32)
     h = 1e-3
     rng = np.random.default_rng(2024)
@@ -434,15 +438,127 @@ def test_entropic_sweep_keeps_iterations_and_invariants(name, exponent, smoothin
     rho0 = DensityField.from_masses(v / v.sum())
     p = (ExponentField.constant(2.0, g.n_cells) if exponent == "constant"
          else ExponentField.affine(1.5, 3.0, g))
-    opts = jko.JkoOptions(backend="entropic", eps=0.2, smoothing=smoothing,
+    opts = jko.JkoOptions(backend="entropic", eps=eps, smoothing=smoothing,
                           exact_coupling=False)
-    traj = jko.run_flow(rho0, ENERGIES[name], p, h, 5 * h, g, opts)
+    return jko.run_flow(rho0, ENERGIES[name], p, h, steps * h, g, opts)
+
+
+#: The sweep's flows, computed once and shared with the parity test below.
+_sweep_flow = functools.lru_cache(maxsize=None)(_vacuum_flow)
+
+
+@pytest.mark.parametrize("name,exponent,smoothing", sorted(
+    SWEEP_ITERATIONS, key=lambda k: (k[0], k[1], k[2] is not None)))
+def test_entropic_sweep_keeps_iterations_and_invariants(name, exponent, smoothing):
+    # eps=0.2; the uniform-temperature cases run the scalar column solve, the
+    # smoothed ramp ones the mixed one
+    traj = _sweep_flow(name, exponent, smoothing)
     assert all(step.converged for step in traj.steps)
     assert sum(step.iterations for step in traj.steps) == SWEEP_ITERATIONS[
         (name, exponent, smoothing)]
     for state in traj.states:
         assert abs(state.total_mass - 1.0) <= 1e-12
         assert state.mass.min() >= 0.0
+
+
+# ------------------------------------------- kernel products vs log domain
+
+def _log_domain_backend(log_ref, kernel, mu, e, dx, opts, eps_vec):
+    """The uniform-temperature dual ascent before the kernel products: two
+    n-by-n log-sum-exps per iteration. The oracle of the product path."""
+    eps = float(eps_vec[0])
+    assert np.all(eps_vec == eps)
+    n = mu.size
+    if mu.sum() == 0.0:
+        return np.zeros((n, n)), 0, True
+    with np.errstate(divide="ignore"):
+        log_mu = np.log(mu)
+    phi = e.deriv(mu / dx)
+    u = np.zeros(n)
+    sigma = None
+    converged = False
+    it = 0
+    for it in range(1, opts.max_iters + 1):
+        u = eps * (log_mu - logsumexp(log_ref - phi[None, :] / eps, axis=1))
+        u = np.where(np.isfinite(log_mu), u, -np.inf)
+        with np.errstate(invalid="ignore"):
+            w_log = u[:, None] / eps + log_ref
+        log_col = logsumexp(w_log.T, axis=1)
+        sigma = jko._solve_column_scalar(log_col, e, dx, eps, sigma)
+        phi_new = e.deriv(np.exp(sigma) / dx)
+        delta = float(np.max(np.abs(phi_new - phi)))
+        phi = phi_new
+        if delta <= 1e-12 * (1.0 + float(np.max(np.abs(phi)))):
+            converged = True
+            break
+    with np.errstate(invalid="ignore"):
+        gam = np.exp(u[:, None] / eps + log_ref - phi[None, :] / eps)
+    return jko._rescale_rows(np.nan_to_num(gam, nan=0.0), mu), it, converged
+
+
+def _assert_matches_log_domain(fast, monkeypatch, run):
+    """run() again on the log-domain loop: equal per-step iteration counts,
+    every state's masses within 1e-12."""
+    monkeypatch.setattr(jko, "_entropic_backend", _log_domain_backend)
+    slow = run()
+    assert [s.iterations for s in fast.steps] == [s.iterations for s in slow.steps]
+    assert [s.converged for s in fast.steps] == [s.converged for s in slow.steps]
+    for a, b in zip(fast.states, slow.states, strict=True):
+        np.testing.assert_allclose(a.mass, b.mass, rtol=0.0, atol=1e-12)
+
+
+def _count_log_sum_exps(monkeypatch):
+    calls = []
+    real = jko.logsumexp
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(jko, "logsumexp", counted)
+    return calls
+
+
+def test_readme_flow_runs_on_kernel_products_only(monkeypatch):
+    # one temperature for every row and no sum near underflow: not a single
+    # n-by-n log-sum-exp in the dual loops
+    calls = _count_log_sum_exps(monkeypatch)
+    fast = _readme_flow(15)
+    assert not calls
+    assert all(s.converged for s in fast.steps)
+    _assert_matches_log_domain(fast, monkeypatch, lambda: _readme_flow(15))
+
+
+def test_readme_flow_is_bit_identical_across_runs():
+    first, second = _readme_flow(100), _readme_flow(100)
+    assert sum(s.iterations for s in first.steps) == 6678
+    for a, b in zip(first.states, second.states, strict=True):
+        np.testing.assert_array_equal(a.mass, b.mass)
+
+
+@pytest.mark.parametrize("name,exponent,smoothing", sorted(
+    (k for k in SWEEP_ITERATIONS if k[1] == "constant" or k[2] is None),
+    key=lambda k: (k[0], k[1], k[2] is not None)))
+def test_sweep_kernel_products_match_the_log_domain_loop(monkeypatch, name, exponent,
+                                                        smoothing):
+    # the sweep's uniform-temperature cases: no smoothing, or smoothing with
+    # constant p, where every row gets the same temperature
+    fast = _sweep_flow(name, exponent, smoothing)
+    _assert_matches_log_domain(fast, monkeypatch,
+                               lambda: _vacuum_flow(name, exponent, smoothing))
+
+
+@pytest.mark.parametrize("eps,steps", [(0.02, 5), (0.005, 2)])
+def test_underflow_guard_falls_back_to_the_log_domain(monkeypatch, eps, steps):
+    # vacuum columns start at G'(RHO_FLOOR), so -phi/eps spreads far past the
+    # guard's e^-600; at eps=0.005 every half-iteration takes the log-sum-exp
+    calls = _count_log_sum_exps(monkeypatch)
+    fast = _vacuum_flow("entropy", "constant", None, eps=eps, steps=steps)
+    if eps == 0.005:
+        assert calls
+    _assert_matches_log_domain(
+        fast, monkeypatch,
+        lambda: _vacuum_flow("entropy", "constant", None, eps=eps, steps=steps))
 
 
 @pytest.mark.parametrize("smoothing", [None, 0.05])

@@ -8,7 +8,9 @@ import pytest
 
 from varwass import pde
 from varwass.energy import builtin_energy, total_energy
-from varwass.errors import NumericalBlowupError, SizeMismatchError
+from varwass.errors import (InvalidParameterError, NonpositiveParameterError,
+                             NumericalBlowupError, SizeMismatchError, VarwassError)
+from varwass.jko import Trajectory
 from varwass.grid import integrate, make_grid
 from varwass.varexp import DensityField, ExponentField
 
@@ -242,6 +244,29 @@ def test_config_validation():
         pde.PdeConfig(t_end=1.0, fixed_dt=0.0)
     with pytest.raises(ValueError):
         pde.PdeConfig(t_end=1.0, delta_reg=-1e-9)
+
+
+@pytest.mark.parametrize("kwargs,error", [
+    ({"t_end": -1.0}, InvalidParameterError),
+    ({"t_end": 1.0, "cfl": 1.5}, InvalidParameterError),
+    ({"t_end": 1.0, "delta_reg": float("nan")}, InvalidParameterError),
+    ({"t_end": 1.0, "stride": 0}, InvalidParameterError),
+    ({"t_end": 1.0, "fixed_dt": 0.0}, NonpositiveParameterError),
+    ({"t_end": 1.0, "max_steps": 0}, InvalidParameterError),
+])
+def test_config_errors_are_typed(kwargs, error):
+    with pytest.raises(error) as info:
+        pde.PdeConfig(**kwargs)
+    assert isinstance(info.value, VarwassError)
+
+
+def test_comparison_time_mismatch_is_typed():
+    g = make_grid(0.0, 1.0, 8)
+    states = [uniform(g)] * 2
+    with pytest.raises(InvalidParameterError) as info:
+        pde.comparison_check(Trajectory([0.0, 1.0], states),
+                             Trajectory([0.0, 2.0], states), g)
+    assert isinstance(info.value, VarwassError)
 
 
 def test_stride_thins_the_record():
