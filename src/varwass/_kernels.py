@@ -36,7 +36,9 @@ def bisect(f, lo, hi, step, halvings, with_slope=False):
     so after two zeros in a row the push is twice the last one, and at
     least one ulp of the bracket width, which crosses the run in a few
     steps even among the dense doubles near 0. The stop rule and the cap
-    are those of plain halving. Without a slope the loop is the same with a
+    are those of plain halving. A Newton step that is not finite (an
+    infinite value or slope, a zero slope) is rejected silently, and the
+    trial is the midpoint. Without a slope the loop is the same with a
     NaN slope: every Newton point and push is rejected and each trial is
     the bracket midpoint, which is plain halving.
     """
@@ -65,7 +67,8 @@ def bisect(f, lo, hi, step, halvings, with_slope=False):
         up = fx >= 0.0
         hi = np.where(up, x, hi)
         lo = np.where(up, lo, x)
-        newton = fx / slope
+        with np.errstate(divide="ignore", invalid="ignore"):
+            newton = fx / slope
         trial = np.nextafter(x - newton, np.where(up, -np.inf, np.inf))
         zero, was_zero = fx == 0.0, zero
         again = zero & was_zero

@@ -40,6 +40,17 @@ J. Sci. Comput. 2019), instead of two n-by-n log-sum-exps. A product is
 used only when each of its sums is at least e^-600; the terms it loses to
 underflow are below about e^-708, so its relative error is at most
 n e^-108. Otherwise that half-iteration takes the log-sum-exp.
+
+Each dual iteration is one application of a fixed-point map phi -> T(phi)
+on the column potential, with or without the kernel products. The loop
+does not iterate T plainly; it takes Anderson (type-II) steps, which
+extrapolate from the last five differences of T and of the residual
+T(phi) - phi (Walker & Ni, SIAM J. Numer. Anal. 2011). A residual that
+grows tenfold clears that history, and an extrapolation that is not
+finite gives way to the plain step. The loop stops on the plain residual,
+max |T(phi) - phi| <= 3e-14 (1 + max |T(phi)|), and returns the plain
+iterate T(phi). On the README compare flow this takes 800 dual iterations
+where the plain loop took 6678.
 """
 
 from __future__ import annotations
@@ -253,7 +264,9 @@ def _solve_column_scalar(log_target: np.ndarray, e: EnergyModel, dx: float,
     of bisect converge unconditionally. The bracket starts at start +- 1,
     by default log_target +- 1; the dual ascent passes the previous
     iteration's roots, which saves the bracket growth when the default
-    start is far from the root.
+    start is far from the root. Far above the root exp(sigma)/dx or G'
+    overflows silently; the value is then +inf, read as above the root, and
+    the finder halves where the Newton step is not finite.
     """
     if e.log_prox is not None:
         return e.log_prox(log_target, dx, eps)
@@ -264,7 +277,8 @@ def _solve_column_scalar(log_target: np.ndarray, e: EnergyModel, dx: float,
                 1.0 + _clamped_curvature(e, t) / eps)
 
     start = log_target if start is None else start
-    lo, hi = bisect(f, start - 1.0, start + 1.0, 1.0, 120, with_slope=True)
+    with np.errstate(over="ignore", invalid="ignore"):
+        lo, hi = bisect(f, start - 1.0, start + 1.0, 1.0, 120, with_slope=True)
     return 0.5 * (lo + hi)
 
 
@@ -421,6 +435,83 @@ def _log_kernel_product(kernel: np.ndarray, x: np.ndarray) -> np.ndarray | None:
     return np.log(sums) + shift
 
 
+#: Anderson mixing of the dual fixed point; see _AndersonMixer. The number
+#: of differences kept, the residual growth that clears them, and the share
+#: of a difference that must lie outside the span of the newer ones.
+_MIX_DEPTH = 5
+_MIX_RESTART = 10.0
+_MIX_KEEP = 1e-6
+
+#: The dual ascent stops once max |T(phi) - phi| <= _DUAL_RTOL (1 + max |T(phi)|).
+_DUAL_RTOL = 3e-14
+
+
+class _AndersonMixer:
+    """Type-II Anderson mixing of a fixed-point iteration x -> T(x) in R^n.
+
+    Walker & Ni, SIAM J. Numer. Anal. 2011. Each call takes T(x) and the
+    residual f = T(x) - x and returns the next x, T(x) - dG^T gamma: the
+    rows of dF and dG are the differences of the last _MIX_DEPTH + 1
+    residuals and T values, newest first, and gamma minimizes
+    |f - dF^T gamma|. The least squares is Gram-Schmidt in matrix form: a
+    Cholesky factorization, in plain Python, of the at most 5-by-5 Gram
+    matrix of dF. Its pivots are the squared parts of each difference
+    outside the span of the newer ones; a difference with less than
+    _MIX_KEEP of its norm there is dropped with every older one. A residual
+    that is not finite or grows by more than _MIX_RESTART clears the
+    history, and the plain step T(x) is taken then and whenever the
+    extrapolation is not finite.
+    """
+
+    def __init__(self, n: int):
+        self.diffs = np.zeros((_MIX_DEPTH, 2, n))  # [k] = (dF row k, dG row k)
+        self.depth = 0
+        self.prev = None
+
+    def __call__(self, gx, f, size):
+        """The next iterate from gx = T(x), f = T(x) - x and size = max |f|."""
+        prev, self.prev = self.prev, (gx, f, size)
+        if prev is None or not size <= _MIX_RESTART * prev[2]:
+            self.depth = 0
+            return gx
+        diffs = self.diffs
+        diffs[1:] = diffs[:-1]
+        k = min(self.depth + 1, _MIX_DEPTH)
+        with np.errstate(over="ignore", invalid="ignore"):
+            np.subtract(f, prev[1], out=diffs[0, 0])
+            np.subtract(gx, prev[0], out=diffs[0, 1])
+            low = []
+            for row in (diffs[:k, 0] @ diffs[:k, 0].T).tolist():
+                j = len(low)
+                pivot = row[j]
+                for v in _forward(row, low)[:j]:
+                    pivot -= v * v
+                if not pivot > _MIX_KEEP**2 * row[j]:
+                    break
+                row[j] = math.sqrt(pivot)
+                low.append(row)
+            k = self.depth = len(low)
+            if k == 0:
+                return gx
+            gamma = _forward((diffs[:k, 0] @ f).tolist(), low)
+            for j in reversed(range(k)):
+                for i in range(j + 1, k):
+                    gamma[j] -= low[i][j] * gamma[i]
+                gamma[j] /= low[j][j]
+            x = gx - np.dot(gamma, diffs[:k, 1])
+        return x if np.isfinite(x).all() else gx
+
+
+def _forward(row: list, low: list) -> list:
+    """Solve L y = row[:len(low)] in place, the rows of lower triangular L being low."""
+    for i, above in enumerate(low):
+        v = row[i]
+        for t in range(i):
+            v -= row[t] * above[t]
+        row[i] = v / above[i]
+    return row
+
+
 def _entropic_backend(log_ref, kernel, mu, e, dx, opts, eps_vec):
     """Dual block ascent for the KL-smoothed joint program.
 
@@ -443,6 +534,20 @@ def _entropic_backend(log_ref, kernel, mu, e, dx, opts, eps_vec):
     full-rank tilt, so they stay in the log domain, with the mixed column
     solve.
 
+    One iteration maps the column potential phi to T(phi), G' at the new
+    column masses. The next phi is not T(phi) but the _AndersonMixer step
+    from it: an extrapolation over the last _MIX_DEPTH differences of T
+    and of the residual T(phi) - phi, the plain T(phi) after a restart
+    (a residual that is not finite or grew more than _MIX_RESTART-fold)
+    or when the extrapolation is not finite. Any finite phi is a valid
+    input of T. The stop test is on the plain residual, max |T(phi) - phi|
+    <= _DUAL_RTOL (1 + max |T(phi)|), and the plan is built from the plain
+    iterate T(phi), with the row potential of the phi it came from, and
+    rescaled to the exact row masses. The relative stop is 3e-14 rather
+    than the 1e-12 of the plain loop: it puts the test suite's sweep,
+    vacuum and README flows within 2.3e-13 of the same flows converged to
+    1e-15, where 1e-13 left the eps=0.005 vacuum flow 1.3e-12 off.
+
     Each Newton column solve starts from the previous iteration's roots.
     The start does not change the answer wherever the column function is
     monotone in floating point: the finder closes on the same adjacent
@@ -462,6 +567,8 @@ def _entropic_backend(log_ref, kernel, mu, e, dx, opts, eps_vec):
     neg_c = log_ref
     u = np.zeros(n)
     sigma = None
+    mix = _AndersonMixer(n)
+    plain = phi
     converged = False
     it = 0
     for it in range(1, opts.max_iters + 1):
@@ -481,14 +588,15 @@ def _entropic_backend(log_ref, kernel, mu, e, dx, opts, eps_vec):
             with np.errstate(invalid="ignore"):
                 w_log = u[:, None] / epsr + neg_c
             sigma = _solve_columns_mixed(w_log, eps_vec, e, dx, sigma)
-        phi_new = e.deriv(np.exp(sigma) / dx)
-        delta = float(np.abs(phi_new - phi).max())
-        phi = phi_new
-        if delta <= 1e-12 * (1.0 + float(np.abs(phi).max())):
+        plain = e.deriv(np.exp(sigma) / dx)
+        res = plain - phi
+        delta = float(np.abs(res).max())
+        if delta <= _DUAL_RTOL * (1.0 + float(np.abs(plain).max())):
             converged = True
             break
+        phi = mix(plain, res, delta)
     with np.errstate(invalid="ignore"):
-        gam = np.exp(u[:, None] / epsr + neg_c - phi[None, :] / epsr)
+        gam = np.exp(u[:, None] / epsr + neg_c - plain[None, :] / epsr)
     gam = np.nan_to_num(gam, nan=0.0)
     gam = _rescale_rows(gam, mu)
     return gam, it, converged

@@ -74,16 +74,17 @@ class PdeConfig:
 
 
 def rhs(rho: DensityField, e: EnergyModel, q: ExponentField, g: Grid,
-        delta_reg: float = DELTA_REG) -> np.ndarray:
+        delta_reg: float = DELTA_REG, *, deriv: np.ndarray | None = None) -> np.ndarray:
     """Spatial operator div(rho |grad G'(rho)|^(q-2) grad G'(rho)) on cells.
 
     q must be the conjugate of the transport exponent p. Face values of rho
     and q are arithmetic means; boundary fluxes vanish identically, so the
-    result integrates to exactly zero.
+    result integrates to exactly zero. deriv, when given, is G'(rho) on the
+    cells as the caller already computed it, e.deriv(rho.density(g)).
     """
     rv = rho.density(g)
     g.check_cell_field(q.values, "exponent field")
-    gp = e.deriv(rv)
+    gp = e.deriv(rv) if deriv is None else deriv
     s = (gp[1:] - gp[:-1]) / g.dx
     flux = np.zeros(g.n_cells + 1)
     flux[1:-1] = (neighbor_mean(rv) * (s * s + delta_reg * delta_reg)
@@ -106,8 +107,9 @@ def solve(rho0: DensityField, e: EnergyModel, q: ExponentField, cfg: PdeConfig,
 
     Whatever stays fixed through the solve is computed once before the
     loop: (q-2)/2, delta^2, cfl * dx^2, the stop time and the zero-ended
-    face buffer of the slope. Each Euler step then calls the module's rhs
-    exactly once, so len(traj) - 1 steps at stride 1 mean as many rhs calls.
+    face buffer of the slope. Each Euler step evaluates G'(rho) once, for
+    its dt, and hands it to the module's rhs, which it calls exactly once,
+    so len(traj) - 1 steps at stride 1 mean as many rhs calls.
     """
     m = g.check_cell_field(rho0.mass, "initial mass").copy()
     total0 = m.sum()
@@ -144,7 +146,8 @@ def solve(rho0: DensityField, e: EnergyModel, q: ExponentField, cfg: PdeConfig,
         dt = min(dt, t_final - t)
         if not math.isfinite(dt) or dt <= 0.0:
             break
-        rate = rhs(DensityField(m, require_unit_mass=False), e, q, g, cfg.delta_reg)
+        rate = rhs(DensityField(m, require_unit_mass=False), e, q, g, cfg.delta_reg,
+                   deriv=gp)
         m = m + dt * rate * dx
         t += dt
         step += 1

@@ -448,3 +448,23 @@ def test_solve_calls_rhs_once_per_step(t_end, monkeypatch):
     traj = pde.solve(DensityField.cosine_bump(g, amplitude=0.5), ENTROPY, q,
                      pde.PdeConfig(t_end=t_end), g)
     assert calls["n"] == len(traj) - 1
+
+
+def test_solve_evaluates_the_energy_slope_once_per_step(monkeypatch):
+    # the dt estimate and rhs share one G'(rho) per Euler step, and rhs
+    # given it returns the bits it computes on its own
+    g = make_grid(0.0, 1.0, 24)
+    q = ExponentField.affine(2.0, 1.0, g).conjugate()
+    rho0 = DensityField.cosine_bump(g, amplitude=0.5)
+    evaluations = []
+
+    def counted(t):
+        evaluations.append(1)
+        return ENTROPY.deriv(t)
+
+    calls = _counting_rhs(monkeypatch)
+    traj = pde.solve(rho0, replace(ENTROPY, deriv=counted), q,
+                     pde.PdeConfig(t_end=1e-3), g)
+    assert len(evaluations) == calls["n"] == len(traj) - 1
+    given = pde.rhs(rho0, ENTROPY, q, g, deriv=ENTROPY.deriv(rho0.density(g)))
+    np.testing.assert_array_equal(given, pde.rhs(rho0, ENTROPY, q, g))
