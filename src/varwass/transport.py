@@ -4,11 +4,12 @@ The cost of sending unit mass from center x_i to center x_j on a time scale
 h is |x_i - x_j|^p(x_i) / (h^(p(x_i)-1) p(x_i)): the exponent is read at the
 source point, so the matrix is asymmetric whenever p varies.
 
-Three solvers live here: an exact dense revised simplex (the workhorse for
-small n, with Bland-rule fallback against cycling), a log-domain entropic
-scaling loop, and the closed-form quantile evaluation of the constant-exponent
-1-D Wasserstein distance. A brute-force vertex enumeration is included as an
-independent reference for tiny instances.
+Three solvers live here: an exact transportation simplex that keeps its
+basis as a spanning tree on the row and column nodes (the workhorse for n up
+to a few hundred, with Bland-rule fallback against cycling), a log-domain
+entropic scaling loop, and the closed-form quantile evaluation of the
+constant-exponent 1-D Wasserstein distance. A brute-force vertex enumeration
+is included as an independent reference for tiny instances.
 """
 
 from __future__ import annotations
@@ -29,6 +30,9 @@ from .varexp import ExponentField, DensityField
 
 #: Marginals of a coupling may deviate from their targets by at most this much.
 MARGINAL_TOL = 1e-9
+
+#: Largest number of cells per marginal that solve_exact accepts.
+EXACT_MAX_N = 256
 
 
 @dataclass(frozen=True)
@@ -179,33 +183,126 @@ def _equality_rhs(mu: np.ndarray, nu: np.ndarray):
     return nu_eff, np.concatenate([mu, nu_eff[:-1]])
 
 
+class _BasisTree:
+    """Spanning-tree basis of the n-by-n transport simplex.
+
+    Node i < n is row i and node n + j is column j; the tree hangs from
+    column n - 1, whose potential is pinned at 0. Every other node w keeps
+    its parent, the basic variable k = i*n + j of the arc to it, and its
+    depth; pot[w] is u_i or v_j, set from u_i + v_j = C_ij on each arc to
+    the root.
+    """
+
+    def __init__(self, c_flat: list, n: int, arcs):
+        self.c = c_flat
+        self.root = root = 2 * n - 1
+        near = [[] for _ in range(2 * n)]
+        for k in arcs:
+            i, j = divmod(k, n)
+            near[i].append((n + j, k))
+            near[n + j].append((i, k))
+        self.parent = [root] * (2 * n)
+        self.arc = [-1] * (2 * n)
+        self.depth = [0] * (2 * n)
+        self.pot = [0.0] * (2 * n)
+        self.children = [[] for _ in range(2 * n)]
+        order = [root]
+        for w in order:
+            for x, k in near[w]:
+                if x != root and self.arc[x] < 0:
+                    self.parent[x], self.arc[x] = w, k
+                    self.children[w].append(x)
+                    order.append(x)
+        for w in self.children[root]:
+            self._refresh(w)
+
+    def _refresh(self, top: int):
+        """Recompute depth and potential on the subtree of top from its parent."""
+        parent, arc, depth, pot, c = self.parent, self.arc, self.depth, self.pot, self.c
+        stack = [top]
+        while stack:
+            w = stack.pop()
+            up = parent[w]
+            depth[w] = depth[up] + 1
+            pot[w] = c[arc[w]] - pot[up]
+            stack.extend(self.children[w])
+
+    def cycle(self, a: int, b: int):
+        """Nodes whose parent arcs close the cycle of arc (a, b), walked up from each end.
+
+        The first arc from either end and every second one after it lose
+        flow when flow enters on (a, b).
+        """
+        parent, depth = self.parent, self.depth
+        from_a, from_b = [], []
+        while depth[a] > depth[b]:
+            from_a.append(a)
+            a = parent[a]
+        while depth[b] > depth[a]:
+            from_b.append(b)
+            b = parent[b]
+        while a != b:
+            from_a.append(a)
+            from_b.append(b)
+            a, b = parent[a], parent[b]
+        return from_a, from_b
+
+    def exchange(self, k: int, inner: int, outer: int, cut: int):
+        """Drop the arc from cut to its parent and hang cut's subtree from k.
+
+        inner is the end of arc k inside that subtree and outer the other
+        end; the path from inner up to cut turns over, and the subtree's
+        depths and potentials are recomputed.
+        """
+        parent, arc, children = self.parent, self.arc, self.children
+        w, up, up_arc = inner, outer, k
+        while True:
+            old_up, old_arc = parent[w], arc[w]
+            children[old_up].remove(w)
+            parent[w], arc[w] = up, up_arc
+            children[up].append(w)
+            if w == cut:
+                break
+            w, up, up_arc = old_up, w, old_arc
+        self._refresh(inner)
+
+    def peel(self, supply: list) -> dict:
+        """Flow on every tree arc that meets the node supplies, leaves first."""
+        rest = list(supply)
+        flow = {}
+        for w in sorted(range(self.root), key=self.depth.__getitem__, reverse=True):
+            flow[self.arc[w]] = rest[w]
+            rest[self.parent[w]] -= rest[w]
+        return flow
+
+
 def solve_exact(cost: CostMatrix, mu: np.ndarray, nu: np.ndarray,
                 max_pivots: int = 50_000) -> ExactResult:
-    """Exact transport plan by a dense revised simplex.
+    """Exact transport plan by the transportation simplex on a spanning tree.
 
     Starts from the northwest-corner staircase, prices with Dantzig's rule
     (deterministic smallest-index tie break) and switches permanently to
     Bland's rule once degenerate pivots pile up, which rules out cycling.
-    Returns the optimal plan, its cost, and the dual potentials (u, v) with
-    v[n-1] = 0; complementary slackness against those potentials certifies
-    optimality.
+    The basis is a spanning tree on the row and column nodes: a pivot walks
+    the entering arc's cycle up the tree and recomputes the potentials of
+    the subtree it moves, so no linear system is solved. Returns the
+    optimal plan, its cost, and the dual potentials (u, v) with v[n-1] = 0;
+    complementary slackness against those potentials certifies optimality.
 
-    Intended for n <= 64; raises for mismatched marginals.
+    Limited to n <= EXACT_MAX_N; raises for mismatched marginals.
     """
     mu, nu = _check_marginals(cost, mu, nu)
     n = cost.n
-    if n > 64:
-        raise SizeMismatchError(f"exact solver is limited to n <= 64, got {n}")
+    if n > EXACT_MAX_N:
+        raise SizeMismatchError(
+            f"exact solver is limited to n <= {EXACT_MAX_N}, got {n}")
     C = cost.values
-    nu_eff, b_vec = _equality_rhs(mu, nu)
-    basis, alloc = _northwest_corner(mu, nu_eff)
-    basis = list(basis)
-    B = np.column_stack([_constraint_column(k, n) for k in basis])
-    x_b = np.array([alloc[k] for k in basis])
+    nu_eff, _ = _equality_rhs(mu, nu)
+    basis, flow = _northwest_corner(mu, nu_eff)
+    tree = _BasisTree(C.ravel().tolist(), n, basis)
+    arc = tree.arc
 
-    c_flat = C.ravel()
     tol_opt = 1e-10 * (1.0 + np.abs(C).max())
-    tol_piv = 1e-12
     bland = False
     degenerate_run = 0
     pivots = 0
@@ -213,12 +310,9 @@ def solve_exact(cost: CostMatrix, mu: np.ndarray, nu: np.ndarray,
     in_basis[basis] = True
 
     while True:
-        c_b = c_flat[basis]
-        y = np.linalg.solve(B.T, c_b)
-        u = y[:n]
-        v = np.concatenate([y[n:], [0.0]])
-        reduced = C - u[:, None] - v[None, :]
-        red_flat = reduced.ravel().copy()
+        u = np.array(tree.pot[:n])
+        v = np.array(tree.pot[n:])
+        red_flat = (C - u[:, None] - v[None, :]).ravel()
         red_flat[in_basis] = 0.0
         if bland:
             negs = np.nonzero(red_flat < -tol_opt)[0]
@@ -233,24 +327,27 @@ def solve_exact(cost: CostMatrix, mu: np.ndarray, nu: np.ndarray,
             raise NumericalBlowupError(
                 f"simplex did not terminate within {max_pivots} pivots"
             )
-        a_col = _constraint_column(enter, n)
-        d = np.linalg.solve(B, a_col)
-        positive = d > tol_piv
-        if not np.any(positive):
-            raise NumericalBlowupError("transport polytope direction unbounded")
-        ratios = np.where(positive, x_b / np.where(positive, d, 1.0), np.inf)
-        theta = ratios.min()
-        # Bland-style leaving choice: among the minimizing slots take the one
-        # holding the smallest variable index.
-        tie = np.nonzero(ratios <= theta + 1e-13 * (1.0 + theta))[0]
-        leave_slot = int(min(tie, key=lambda s: basis[s]))
-        x_b = x_b - theta * d
-        x_b[leave_slot] = theta
-        x_b = np.maximum(x_b, 0.0)
-        in_basis[basis[leave_slot]] = False
+        i, j = divmod(enter, n)
+        from_row, from_col = tree.cycle(i, n + j)
+        losing = from_row[::2] + from_col[::2]
+        theta = min(flow[arc[w]] for w in losing)
+        # Bland-style leaving choice: among the minimizing arcs take the
+        # smallest variable index.
+        tie = theta + 1e-13 * (1.0 + theta)
+        cut = min((w for w in losing if flow[arc[w]] <= tie), key=arc.__getitem__)
+        for w in losing:
+            flow[arc[w]] = max(flow[arc[w]] - theta, 0.0)
+        for w in from_row[1::2] + from_col[1::2]:
+            flow[arc[w]] += theta
+        leave = arc[cut]
+        del flow[leave]
+        flow[enter] = theta
+        in_basis[leave] = False
         in_basis[enter] = True
-        basis[leave_slot] = enter
-        B[:, leave_slot] = a_col
+        if cut in from_row:
+            tree.exchange(enter, i, n + j, cut)
+        else:
+            tree.exchange(enter, n + j, i, cut)
         pivots += 1
         if theta <= 1e-13:
             degenerate_run += 1
@@ -259,16 +356,15 @@ def solve_exact(cost: CostMatrix, mu: np.ndarray, nu: np.ndarray,
         else:
             degenerate_run = 0
 
-    # One clean re-solve removes drift accumulated by the updates.
-    x_b = np.linalg.solve(B, b_vec)
-    if x_b.min() < -1e-8:
-        raise NumericalBlowupError(
-            f"simplex basis lost feasibility (min {x_b.min():.2e})"
-        )
-    x_b = np.maximum(x_b, 0.0)
+    # One clean pass from the leaves removes drift accumulated by the updates.
+    flow = tree.peel(mu.tolist() + nu_eff.tolist())
     gamma = np.zeros(n * n)
-    gamma[basis] = x_b
-    gamma = gamma.reshape(n, n)
+    gamma[list(flow)] = list(flow.values())
+    if gamma.min() < -1e-8:
+        raise NumericalBlowupError(
+            f"simplex basis lost feasibility (min {gamma.min():.2e})"
+        )
+    gamma = np.maximum(gamma, 0.0).reshape(n, n)
     value = float((C * gamma).sum())
     coupling = Coupling(gamma, mu, nu_eff)
     return ExactResult(coupling, value, u, v, pivots)

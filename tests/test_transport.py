@@ -167,10 +167,10 @@ class TestSolveExact:
             solve_exact(cost, np.full(4, 0.25), np.full(4, 0.30))
 
     def test_size_cap(self):
-        g = make_grid(0.0, 1.0, 80)
-        cost = build_cost(g, ExponentField.constant(2.0, 80), 1.0)
+        g = make_grid(0.0, 1.0, 257)
+        cost = build_cost(g, ExponentField.constant(2.0, 257), 1.0)
         with pytest.raises(SizeMismatchError):
-            solve_exact(cost, np.full(80, 1.0 / 80), np.full(80, 1.0 / 80))
+            solve_exact(cost, np.full(257, 1.0 / 257), np.full(257, 1.0 / 257))
 
     def test_deterministic(self):
         g = make_grid(0.0, 1.0, 8)
