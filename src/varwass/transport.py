@@ -302,7 +302,14 @@ def solve_exact(cost: CostMatrix, mu: np.ndarray, nu: np.ndarray,
     tree = _BasisTree(C.ravel().tolist(), n, basis)
     arc = tree.arc
 
-    tol_opt = 1e-10 * (1.0 + np.abs(C).max())
+    # An arc improves when its reduced cost C_ij - u_i - v_j is below -1e-10
+    # times 1 + |C_ij| + |u_i| + |v_j|, the magnitudes it is computed from.
+    # A tolerance set by the largest cost (about 5e6 for far arcs at small h)
+    # would stop while near arcs still improve.
+    scale = 1.0 + np.abs(C)
+    scale_flat = scale.ravel()
+    red = np.empty_like(C)
+    red_flat = red.ravel()
     bland = False
     degenerate_run = 0
     pivots = 0
@@ -312,17 +319,22 @@ def solve_exact(cost: CostMatrix, mu: np.ndarray, nu: np.ndarray,
     while True:
         u = np.array(tree.pot[:n])
         v = np.array(tree.pot[n:])
-        red_flat = (C - u[:, None] - v[None, :]).ravel()
-        red_flat[in_basis] = 0.0
-        if bland:
-            negs = np.nonzero(red_flat < -tol_opt)[0]
+        np.subtract(C, u[:, None], out=red)
+        red -= v[None, :]
+        # Dantzig's arc is the most negative reduced cost overall whenever
+        # that one improves, so the full tolerance test runs only under
+        # Bland's rule and on the final pricing.
+        enter = int(np.argmin(red_flat))
+        i, j = divmod(enter, n)
+        if (bland or in_basis[enter] or not red_flat[enter] < -1e-10 * (
+                scale_flat[enter] + abs(u[i]) + abs(v[j]))):
+            tol = 1e-10 * (scale + np.abs(u)[:, None] + np.abs(v)[None, :])
+            improving = (red < -tol).ravel()
+            improving[in_basis] = False
+            negs = np.flatnonzero(improving)
             if negs.size == 0:
                 break
-            enter = int(negs[0])
-        else:
-            enter = int(np.argmin(red_flat))
-            if red_flat[enter] >= -tol_opt:
-                break
+            enter = int(negs[0] if bland else negs[np.argmin(red_flat[negs])])
         if pivots >= max_pivots:
             raise NumericalBlowupError(
                 f"simplex did not terminate within {max_pivots} pivots"
