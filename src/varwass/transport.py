@@ -385,9 +385,12 @@ def solve_exact(cost: CostMatrix, mu: np.ndarray, nu: np.ndarray,
 def solve_brute_force(cost: CostMatrix, mu: np.ndarray, nu: np.ndarray):
     """Minimize over every vertex of the transport polytope (n <= 4).
 
-    Enumerates all candidate bases (supports of size 2n-1), solves each
-    square system, and keeps the best feasible basic solution. Exponential in
-    n; used as the independent optimality reference for the simplex.
+    Enumerates all candidate bases (supports of size 2n-1) and solves their
+    square systems in one stacked call. The constraint matrix is totally
+    unimodular, so every support's determinant is 0 or +-1 and the
+    supports with |det| > 0.5 are exactly the bases. Keeps the best
+    feasible basic solution, the lowest-index support on ties. Exponential
+    in n; used as the independent optimality reference for the simplex.
     """
     from itertools import combinations
 
@@ -397,32 +400,20 @@ def solve_brute_force(cost: CostMatrix, mu: np.ndarray, nu: np.ndarray):
         raise SizeMismatchError(f"brute force is limited to n <= 4, got {n}")
     nu_eff, b_vec = _equality_rhs(mu, nu)
     cols = np.column_stack([_constraint_column(k, n) for k in range(n * n)])
-    c_flat = cost.values.ravel()
-    best_val = np.inf
-    best_x = None
-    m_rows = 2 * n - 1
-    for support in combinations(range(n * n), m_rows):
-        A = cols[:, support]
-        try:
-            x = np.linalg.solve(A, b_vec)
-        except np.linalg.LinAlgError:
-            continue
-        if not np.all(np.isfinite(x)):
-            continue
-        if np.abs(A @ x - b_vec).max() > 1e-9:
-            continue
-        if x.min() < -1e-10:
-            continue
-        val = float(c_flat[list(support)] @ x)
-        if val < best_val - 1e-15:
-            best_val = val
-            best_x = (support, np.maximum(x, 0.0))
-    if best_x is None:
+    supports = np.array(list(combinations(range(n * n), 2 * n - 1)))
+    A = np.moveaxis(cols[:, supports], 1, 0)
+    bases = np.abs(np.linalg.det(A)) > 0.5
+    supports, A = supports[bases], A[bases]
+    x = np.linalg.solve(A, np.broadcast_to(b_vec, (len(A), len(b_vec)))[..., None])[..., 0]
+    residual = np.abs(np.einsum("sij,sj->si", A, x) - b_vec).max(axis=1)
+    feasible = np.isfinite(x).all(axis=1) & (residual <= 1e-9) & (x.min(axis=1) >= -1e-10)
+    if not feasible.any():
         raise NumericalBlowupError("vertex enumeration found no feasible basis")
+    values = np.where(feasible, np.einsum("si,si->s", cost.values.ravel()[supports], x), np.inf)
+    best = int(np.argmin(values))
     gamma = np.zeros(n * n)
-    support, x = best_x
-    gamma[list(support)] = x
-    return gamma.reshape(n, n), best_val
+    gamma[supports[best]] = np.maximum(x[best], 0.0)
+    return gamma.reshape(n, n), float(values[best])
 
 
 @dataclass(frozen=True)
