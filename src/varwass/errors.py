@@ -39,6 +39,10 @@ class MarginalMismatchError(VarwassError, ValueError):
     """Transport marginals disagree in total mass or length."""
 
 
+class NegativeCouplingError(VarwassError, ValueError):
+    """A transport plan has an entry below -MARGINAL_TOL."""
+
+
 class NonzeroMeanError(VarwassError, ValueError):
     """A tangent vector does not integrate to zero."""
 

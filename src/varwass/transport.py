@@ -20,7 +20,9 @@ import numpy as np
 
 from ._kernels import logsumexp
 from .errors import (
+    InvalidParameterError,
     MarginalMismatchError,
+    NegativeCouplingError,
     NonpositiveParameterError,
     NumericalBlowupError,
     SizeMismatchError,
@@ -83,7 +85,8 @@ class Coupling:
         object.__setattr__(self, "col_marginal", nu)
         if self.check:
             if gam.min() < -MARGINAL_TOL:
-                raise ValueError(f"coupling has negative entries, min {gam.min()}")
+                raise NegativeCouplingError(
+                    f"coupling has negative entries, min {gam.min()}")
             row_err = np.abs(gam.sum(axis=1) - mu).max()
             col_err = np.abs(gam.sum(axis=0) - nu).max()
             if row_err > MARGINAL_TOL or col_err > MARGINAL_TOL:
@@ -513,7 +516,8 @@ def displacement_interpolant(mu: DensityField, nu: DensityField, t: float,
     of smearing.
     """
     if not 0.0 <= t <= 1.0:
-        raise ValueError(f"interpolation parameter must lie in [0, 1], got {t}")
+        raise InvalidParameterError(
+            f"interpolation parameter must lie in [0, 1], got {t}")
     a = g.check_cell_field(mu.mass, "mu mass")
     b = g.check_cell_field(nu.mass, "nu mass")
     seg, i, j = _quantile_segments(a, b)

@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 from varwass.errors import (
+    InvalidParameterError,
     MarginalMismatchError,
+    NegativeCouplingError,
     NonpositiveParameterError,
     SizeMismatchError,
 )
@@ -109,6 +111,12 @@ class TestCoupling:
         gam = np.array([[0.6, -0.1], [0.0, 0.5]])
         with pytest.raises(ValueError):
             Coupling(gam, np.array([0.5, 0.5]), np.array([0.6, 0.4]))
+
+    def test_negative_entries_raise_a_typed_value_error(self):
+        gam = np.array([[0.6, -0.1], [0.0, 0.5]])
+        with pytest.raises(NegativeCouplingError) as info:
+            Coupling(gam, np.array([0.5, 0.5]), np.array([0.6, 0.4]))
+        assert isinstance(info.value, ValueError)
 
     def test_marginal_error_reports_worst_gap(self):
         gam = np.array([[0.5, 0.0], [0.0, 0.5]])
@@ -348,6 +356,14 @@ class TestDisplacementInterpolant:
         mid = displacement_interpolant(mu, nu, 0.5, g)
         assert mid.total_mass == pytest.approx(1.0, abs=1e-12)
         assert np.all(mid.mass >= 0.0)
+
+    def test_time_outside_unit_interval_raises_a_typed_value_error(self):
+        g = make_grid(0.0, 1.0, 8)
+        mu = DensityField.uniform(g)
+        for t in (-0.1, 1.5, float("nan")):
+            with pytest.raises(InvalidParameterError) as info:
+                displacement_interpolant(mu, mu, t, g)
+            assert isinstance(info.value, ValueError)
 
     def test_rejects_time_outside_unit_interval(self):
         g = make_grid(0.0, 1.0, 8)
