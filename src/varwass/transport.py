@@ -145,8 +145,8 @@ class ExactResult:
 def _northwest_corner(mu: np.ndarray, nu: np.ndarray):
     """Initial basic feasible staircase with exactly 2n-1 cells."""
     n = len(mu)
-    a = mu.copy()
-    b = nu.copy()
+    a = mu.tolist()
+    b = nu.tolist()
     alloc = {}
     basis = []
     i = j = 0
