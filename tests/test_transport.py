@@ -8,6 +8,7 @@ from varwass.errors import (
     NonpositiveParameterError,
     SizeMismatchError,
 )
+from varwass import transport
 from varwass.grid import make_grid
 from varwass.transport import (
     CostMatrix,
@@ -190,6 +191,83 @@ class TestSolveExact:
         b = solve_exact(cost, mu, nu)
         np.testing.assert_array_equal(a.coupling.gamma, b.coupling.gamma)
         assert a.value == b.value
+
+
+def _dense_simplex(C, mu, nu):
+    """The revised simplex that the tree basis replaced, as the reference.
+
+    Two dense solves on the (2n-1)-square basis matrix per pivot, with the
+    entering rule (per-arc tolerance, Dantzig then Bland) and the leaving
+    rule of solve_exact. Returns the plan and the pivot count.
+    """
+    n = len(mu)
+    nu_eff, b_vec = transport._equality_rhs(mu, nu)
+    basis, alloc = transport._northwest_corner(mu, nu_eff)
+    B = np.column_stack([transport._constraint_column(k, n) for k in basis])
+    x_b = np.array([alloc[k] for k in basis])
+    in_basis = np.zeros(n * n, dtype=bool)
+    in_basis[basis] = True
+    bland, degenerate_run, pivots = False, 0, 0
+    while True:
+        y = np.linalg.solve(B.T, C.ravel()[basis])
+        u, v = y[:n], np.append(y[n:], 0.0)
+        reduced = C - u[:, None] - v[None, :]
+        tol = 1e-10 * (1.0 + np.abs(C) + np.abs(u)[:, None] + np.abs(v)[None, :])
+        improving = (reduced < -tol).ravel()
+        improving[in_basis] = False
+        negs = np.flatnonzero(improving)
+        if negs.size == 0:
+            break
+        enter = int(negs[0] if bland else negs[np.argmin(reduced.ravel()[negs])])
+        col = transport._constraint_column(enter, n)
+        d = np.linalg.solve(B, col)
+        positive = d > 1e-12
+        ratios = np.where(positive, x_b / np.where(positive, d, 1.0), np.inf)
+        theta = ratios.min()
+        tie = np.flatnonzero(ratios <= theta + 1e-13 * (1.0 + theta))
+        leave = int(min(tie, key=lambda slot: basis[slot]))
+        x_b = x_b - theta * d
+        x_b[leave] = theta
+        x_b = np.maximum(x_b, 0.0)
+        in_basis[basis[leave]] = False
+        in_basis[enter] = True
+        basis[leave] = enter
+        B[:, leave] = col
+        pivots += 1
+        degenerate_run = degenerate_run + 1 if theta <= 1e-13 else 0
+        bland = bland or degenerate_run > 25
+    gamma = np.zeros(n * n)
+    gamma[basis] = np.linalg.solve(B, b_vec)
+    return gamma.reshape(n, n), pivots
+
+
+def _tree_and_dense_instances():
+    """Variable-p costs at small and large h, some marginals with vacuum
+    cells; then assignment problems (random costs, equal uniform
+    marginals), whose degenerate pivots reach Bland's rule."""
+    rng = np.random.default_rng(113)
+    for k in range(12):
+        n = (8, 16, 32)[k % 3]
+        p = ExponentField(rng.uniform(1.2, 3.5, n))
+        cost = build_cost(make_grid(0.0, 1.0, n), p, (1e-3, 1e-2, 0.3)[k % 4 % 3])
+        mu = rng.dirichlet(np.full(n, 2.0))
+        nu = rng.dirichlet(np.full(n, 2.0))
+        if k % 4 == 1:
+            mu[rng.choice(n, n // 3 + 1, replace=False)] = 0.0
+            nu[rng.choice(n, n // 3 + 1, replace=False)] = 0.0
+        yield cost, mu / mu.sum(), nu / nu.sum()
+    for _ in range(4):
+        cost = CostMatrix(rng.random((32, 32)), 1.0, ExponentField.constant(2.0, 32))
+        yield cost, np.full(32, 1.0 / 32), np.full(32, 1.0 / 32)
+
+
+class TestTreeBasisAgainstDenseSimplex:
+    def test_same_pivots_and_plans(self):
+        for cost, mu, nu in _tree_and_dense_instances():
+            res = solve_exact(cost, mu, nu)
+            gamma, pivots = _dense_simplex(cost.values, mu, nu)
+            assert res.pivots == pivots
+            np.testing.assert_allclose(res.coupling.gamma, gamma, rtol=0.0, atol=1e-12)
 
 
 def _highs_value(C, mu, nu):
