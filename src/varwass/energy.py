@@ -13,6 +13,7 @@ from typing import Callable
 
 import numpy as np
 
+from .errors import InvalidParameterError
 from .grid import Grid, integrate
 from .varexp import DensityField
 
@@ -87,7 +88,8 @@ def builtin_energy(kind: str, m: float | None = None) -> EnergyModel:
     kind="entropy"    G(t) = t log t  (G(0) = 0)
     kind="power"      G(t) = t^m/(m-1), requires m > 1
 
-    Unknown kinds raise ValueError.
+    Unknown kinds, and a power energy without a finite m > 1, raise
+    InvalidParameterError.
     """
     if kind == "quadratic":
         return EnergyModel(
@@ -114,8 +116,9 @@ def builtin_energy(kind: str, m: float | None = None) -> EnergyModel:
             legendre_deriv=lambda s: np.exp(np.asarray(s, dtype=float) - 1.0),
         )
     if kind == "power":
-        if m is None or m <= 1.0:
-            raise ValueError(f"power energy needs an exponent m > 1, got {m}")
+        if m is None or not (math.isfinite(m) and m > 1.0):
+            raise InvalidParameterError(
+                f"power energy needs a finite exponent m > 1, got {m}")
         m = float(m)
         # G'(t) = m t^(m-1)/(m-1); inverting gives (G*)'(s) = ((m-1)s/m)^(1/(m-1))
         # and G*(s) = ((m-1)s/m)^(m/(m-1)) on s >= 0.
@@ -129,7 +132,7 @@ def builtin_energy(kind: str, m: float | None = None) -> EnergyModel:
             legendre_deriv=lambda s: ((m - 1.0) * np.maximum(np.asarray(s, dtype=float), 0.0) / m)
             ** (1.0 / (m - 1.0)),
         )
-    raise ValueError(f"unknown energy kind {kind!r}")
+    raise InvalidParameterError(f"unknown energy kind {kind!r}")
 
 
 def total_energy(rho: DensityField, e: EnergyModel, g: Grid) -> float:

@@ -19,9 +19,10 @@ whose column sums define the new density. Three backends are available:
                flow would freeze. The price is a diffusive bias of order eps.
 
 The mirror and projected backends run the same Armijo descent driver and
-differ only in the candidate update it is given. Both finish with a stay-put
-comparison: if the diagonal plan beats the iterate, the diagonal is returned,
-so the energy can never increase across a step.
+differ only in the trial map that the loop gets from them once per iteration.
+Both finish with a stay-put comparison: if the diagonal plan beats the
+iterate, the diagonal is returned, so the energy can never increase across
+a step.
 
 The entropic backend's column equation is the proximal map of the energy
 (Peyre, SIAM J. Imaging Sci. 2015). With uniform temperatures and the
@@ -162,50 +163,56 @@ class Trajectory:
         return self.states[-1]
 
 
-def _objective(gam: np.ndarray, C: np.ndarray, e: EnergyModel, dx: float) -> float:
-    col = gam.sum(axis=0)
-    return float((C * gam).sum() + dx * e.value(col / dx).sum())
-
-
-def _objective_gradient(gam: np.ndarray, C: np.ndarray, e: EnergyModel,
-                        dx: float) -> np.ndarray:
-    col = gam.sum(axis=0)
-    return C + e.deriv(col / dx)[None, :]
-
-
 def _uniform_rows(mu: np.ndarray) -> np.ndarray:
     n = mu.size
     return np.outer(mu, np.full(n, 1.0 / n))
 
 
+def _row_scale(rs: np.ndarray, mu: np.ndarray) -> np.ndarray:
+    """Factors that take row sums rs to the row masses mu, 0 on empty rows."""
+    return np.divide(mu, rs, out=np.zeros_like(rs), where=rs > 0.0)
+
+
 def _rescale_rows(gam: np.ndarray, mu: np.ndarray) -> np.ndarray:
-    rs = gam.sum(axis=1)
-    scale = np.where(rs > 0.0, mu / np.where(rs > 0.0, rs, 1.0), 0.0)
-    return gam * scale[:, None]
+    return gam * _row_scale(gam.sum(axis=1), mu)[:, None]
 
 
-def _armijo_descent(C, mu, e, dx, opts, update):
-    """Armijo-checked descent from the uniform-row start.
+def _armijo_descent(C, mu, e, dx, opts, direction):
+    """Armijo-checked descent on <C, gam> + dx sum_j G(col_j / dx) from the
+    uniform-row start.
 
-    update(gam, grad, eta, mu) proposes the next plan for step size eta; a
+    direction(gam, grad, mu) runs once per iteration and returns
+    trial(eta) -> (candidate plan, its column sums) for step size eta. A
     candidate is accepted once it gains at least 1e-4 of its linearized
-    decrease, otherwise eta is halved. The run counts as converged when no
-    step size down to 1e-16 is accepted, or after three consecutive steps
-    whose drop is below opts.tol relative to the objective.
+    decrease <gam - cand, grad>, otherwise eta is halved. The run counts as
+    converged when no step size down to 1e-16 is accepted, or after three
+    consecutive steps whose drop is below opts.tol relative to the
+    objective.
+
+    The accepted plan's column sums give the next gradient C + G'(col / dx)
+    without another pass over the plan, and with its cost <C, gam> they
+    give <gam, grad> = <C, gam> + col . G'. So each trial costs one n-by-n
+    dot product beyond the candidate itself. Returns the plan, its
+    objective, the iteration count and the converged flag.
     """
     gam = _uniform_rows(mu)
-    f_cur = _objective(gam, C, e, dx)
+    col = gam.sum(axis=0)
+    cost = float(np.vdot(C, gam))
+    f_cur = cost + float(dx * e.value(col / dx).sum())
     eta = 1.0 / (1.0 + np.abs(C).max())
     quiet = 0
     converged = False
     it = 0
     for it in range(1, opts.max_iters + 1):
-        grad = _objective_gradient(gam, C, e, dx)
+        slope = e.deriv(col / dx)
+        lin_cur = cost + float(col @ slope)
+        trial = direction(gam, C + slope[None, :], mu)
         accepted = False
         while eta >= 1e-16:
-            cand = update(gam, grad, eta, mu)
-            f_cand = _objective(cand, C, e, dx)
-            lin_gain = float(((gam - cand) * grad).sum())
+            cand, cand_col = trial(eta)
+            cand_cost = float(np.vdot(C, cand))
+            f_cand = cand_cost + float(dx * e.value(cand_col / dx).sum())
+            lin_gain = lin_cur - (cand_cost + float(cand_col @ slope))
             if f_cand <= f_cur - 1e-4 * max(lin_gain, 0.0) + 1e-15 * (1.0 + abs(f_cur)):
                 accepted = True
                 break
@@ -214,7 +221,7 @@ def _armijo_descent(C, mu, e, dx, opts, update):
             converged = True
             break
         drop = f_cur - f_cand
-        gam, f_cur = cand, f_cand
+        gam, col, cost, f_cur = cand, cand_col, cand_cost, f_cand
         eta = min(eta * 1.3, 1e6)
         if drop <= opts.tol * max(1.0, abs(f_cur)):
             quiet += 1
@@ -223,33 +230,58 @@ def _armijo_descent(C, mu, e, dx, opts, update):
                 break
         else:
             quiet = 0
-    return gam, it, converged
+    return gam, f_cur, it, converged
 
 
-def _mirror_update(gam, grad, eta, mu):
-    """Multiplicative (entropic mirror) step on each row."""
+def _mirror_direction(gam, grad, mu):
+    """Multiplicative (entropic mirror) steps on each row.
+
+    z, the gradient shifted to a zero minimum in each row, is built once;
+    a trial is gam * exp(-eta z) rescaled to the row masses, built in one
+    array, with its row and column sums taken as products with a ones
+    vector.
+    """
     z = grad - grad.min(axis=1, keepdims=True)
-    return _rescale_rows(gam * np.exp(-eta * z), mu)
+    ones = np.ones(z.shape[1])
+
+    def trial(eta):
+        cand = np.multiply(z, -eta)
+        np.exp(cand, out=cand)
+        cand *= gam
+        cand *= _row_scale(cand @ ones, mu)[:, None]
+        return cand, ones @ cand
+
+    return trial
 
 
-def _projected_update(gam, grad, eta, mu):
-    """Gradient step, then Euclidean projection of each row onto the scaled
-    simplex of mass mu[i]."""
-    y = gam - eta * grad
-    n = y.shape[1]
-    out = np.zeros_like(y)
+def _projected_direction(gam, grad, mu):
+    """Gradient steps, each followed by the Euclidean projection of each row
+    onto the scaled simplex of mass mu[i].
+
+    The column sums are out.sum(axis=0), not a product with a ones vector.
+    They set the next gradient, and the projection's support follows its
+    last bits: with the product, some of the reference tests' iteration
+    counts change.
+    """
+    n = gam.shape[1]
     pos = mu > 0.0
-    if np.any(pos):
-        yp = y[pos]
-        mp = mu[pos]
-        u = np.sort(yp, axis=1)[:, ::-1]
-        css = np.cumsum(u, axis=1) - mp[:, None]
-        k = np.arange(1, n + 1)
-        cond = u - css / k > 0.0
-        rho_idx = np.count_nonzero(cond, axis=1)
-        tau = css[np.arange(len(mp)), rho_idx - 1] / rho_idx
-        out[pos] = np.maximum(yp - tau[:, None], 0.0)
-    return out
+    mp = mu[pos]
+    rows = np.arange(mp.size)
+    k = np.arange(1, n + 1)
+
+    def trial(eta):
+        y = gam - eta * grad
+        out = np.zeros_like(y)
+        if mp.size:
+            yp = y[pos]
+            u = np.sort(yp, axis=1)[:, ::-1]
+            css = np.cumsum(u, axis=1) - mp[:, None]
+            rho_idx = np.count_nonzero(u - css / k > 0.0, axis=1)
+            tau = css[rows, rho_idx - 1] / rho_idx
+            out[pos] = np.maximum(yp - tau[:, None], 0.0)
+        return out, out.sum(axis=0)
+
+    return trial
 
 
 def _solve_column_scalar(log_target: np.ndarray, e: EnergyModel, dx: float,
@@ -624,12 +656,13 @@ def jko_step(rho_prev: DensityField, e: EnergyModel, p: ExponentField, h: float,
         gam, iters, converged = _entropic_backend(log_ref, kernel, mu, e, dx,
                                                   opts, eps_vec)
     else:
-        update = _mirror_update if opts.backend == "mirror" else _projected_update
-        gam, iters, converged = _armijo_descent(C, mu, e, dx, opts, update)
+        direction = (_mirror_direction if opts.backend == "mirror"
+                     else _projected_direction)
+        gam, f_iter, iters, converged = _armijo_descent(C, mu, e, dx, opts,
+                                                        direction)
         # Stay-put comparison: the diagonal plan costs nothing and keeps the
         # old energy, so accepting the better of the two makes the step
         # objective, and with it the energy, provably nonincreasing.
-        f_iter = _objective(gam, C, e, dx)
         f_stay = float(dx * e.value(mu / dx).sum())
         if f_stay < f_iter:
             gam = np.diag(mu)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from varwass.energy import builtin_energy, total_energy
+from varwass.errors import InvalidParameterError, VarwassError
 from varwass.grid import make_grid
 from varwass.varexp import DensityField
 
@@ -93,6 +94,16 @@ def test_power_requires_m_above_one():
 def test_unknown_kind_rejected():
     with pytest.raises(ValueError):
         builtin_energy("cubic")
+
+
+@pytest.mark.parametrize("kind,m", [("cubic", None), ("power", None), ("power", 1.0),
+                                    ("power", 0.5), ("power", float("nan")),
+                                    ("power", float("inf"))])
+def test_bad_energy_arguments_raise_typed_errors(kind, m):
+    with pytest.raises(InvalidParameterError) as info:
+        builtin_energy(kind, m=m)
+    assert isinstance(info.value, VarwassError)
+    assert isinstance(info.value, ValueError)
 
 
 def test_positive_slope_predicate():

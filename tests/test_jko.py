@@ -10,7 +10,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from varwass import jko, pde
+from varwass import jko, pde, transport
 from varwass._kernels import bisect, logsumexp
 from varwass.energy import RHO_FLOOR, builtin_energy, total_energy
 from varwass.errors import (InvalidParameterError, NonpositiveParameterError,
@@ -771,6 +771,158 @@ def test_quadratic_energy_also_descends():
                         affine_p(g), h, 20 * h, g, blur_opts(h))
     energies = [total_energy(s, QUADRATIC, g) for s in traj.states]
     assert np.all(np.diff(energies) <= 1e-12)
+
+
+# --------------------------------------------- descent loop vs its reference
+
+def _reference_objective(gam, C, e, dx):
+    col = gam.sum(axis=0)
+    return float((C * gam).sum() + dx * e.value(col / dx).sum())
+
+
+def _reference_objective_gradient(gam, C, e, dx):
+    col = gam.sum(axis=0)
+    return C + e.deriv(col / dx)[None, :]
+
+
+def _reference_armijo_descent(C, mu, e, dx, opts, update):
+    """The descent loop before it cached the column sums, the cost and the
+    linear gain: the oracle of jko._armijo_descent. update(gam, grad, eta,
+    mu) proposes the next plan for step size eta."""
+    gam = jko._uniform_rows(mu)
+    f_cur = _reference_objective(gam, C, e, dx)
+    eta = 1.0 / (1.0 + np.abs(C).max())
+    quiet = 0
+    converged = False
+    it = 0
+    for it in range(1, opts.max_iters + 1):
+        grad = _reference_objective_gradient(gam, C, e, dx)
+        accepted = False
+        while eta >= 1e-16:
+            cand = update(gam, grad, eta, mu)
+            f_cand = _reference_objective(cand, C, e, dx)
+            lin_gain = float(((gam - cand) * grad).sum())
+            if f_cand <= f_cur - 1e-4 * max(lin_gain, 0.0) + 1e-15 * (1.0 + abs(f_cur)):
+                accepted = True
+                break
+            eta *= 0.5
+        if not accepted:
+            converged = True
+            break
+        drop = f_cur - f_cand
+        gam, f_cur = cand, f_cand
+        eta = min(eta * 1.3, 1e6)
+        if drop <= opts.tol * max(1.0, abs(f_cur)):
+            quiet += 1
+            if quiet >= 3:
+                converged = True
+                break
+        else:
+            quiet = 0
+    return gam, it, converged
+
+
+def _reference_rescale_rows(gam, mu):
+    rs = gam.sum(axis=1)
+    scale = np.where(rs > 0.0, mu / np.where(rs > 0.0, rs, 1.0), 0.0)
+    return gam * scale[:, None]
+
+
+def _reference_mirror_update(gam, grad, eta, mu):
+    z = grad - grad.min(axis=1, keepdims=True)
+    return _reference_rescale_rows(gam * np.exp(-eta * z), mu)
+
+
+def _reference_projected_update(gam, grad, eta, mu):
+    y = gam - eta * grad
+    n = y.shape[1]
+    out = np.zeros_like(y)
+    pos = mu > 0.0
+    if np.any(pos):
+        yp = y[pos]
+        mp = mu[pos]
+        u = np.sort(yp, axis=1)[:, ::-1]
+        css = np.cumsum(u, axis=1) - mp[:, None]
+        k = np.arange(1, n + 1)
+        cond = u - css / k > 0.0
+        rho_idx = np.count_nonzero(cond, axis=1)
+        tau = css[np.arange(len(mp)), rho_idx - 1] / rho_idx
+        out[pos] = np.maximum(yp - tau[:, None], 0.0)
+    return out
+
+
+_DIRECTIONS = {"mirror": (jko._mirror_direction, _reference_mirror_update),
+               "projected": (jko._projected_direction, _reference_projected_update)}
+
+
+def _assert_descent_matches_reference(backend, g, p, h, e, mu, tol=1e-9):
+    """Same iterations and converged flag as the reference loop, column
+    masses within 1e-12, and the returned objective that of the plan."""
+    C = transport.build_cost(g, p, h).values
+    opts = jko.JkoOptions(backend=backend, tol=tol)
+    direction, update = _DIRECTIONS[backend]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        gam, f, it, converged = jko._armijo_descent(C, mu, e, g.dx, opts, direction)
+    ref, ref_it, ref_converged = _reference_armijo_descent(C, mu, e, g.dx, opts, update)
+    assert (it, converged) == (ref_it, ref_converged)
+    np.testing.assert_allclose(gam.sum(axis=0), ref.sum(axis=0), rtol=0.0, atol=1e-12)
+    assert f == pytest.approx(_reference_objective(gam, C, e, g.dx), rel=1e-13, abs=1e-15)
+
+
+def _rough_masses(g, seed):
+    """Squared uniform draws with three vacuum cells, normalised."""
+    rng = np.random.default_rng(seed)
+    v = rng.random(g.n_cells) ** 2
+    v[rng.choice(g.n_cells, size=3, replace=False)] = 0.0
+    return v / v.sum()
+
+
+@pytest.mark.parametrize("backend", ["mirror", "projected"])
+@pytest.mark.parametrize("index", range(4))
+def test_descent_matches_the_reference_on_exact_steps_instances(backend, index):
+    # the benchmark's exact_steps instances: n=64, p=2+x, entropy, h=1e-2
+    g = make_grid(0.0, 1.0, 64)
+    v = 0.1 + 0.9 * np.random.default_rng([1, 0, index]).random(g.n_cells)
+    _assert_descent_matches_reference(backend, g, affine_p(g), 1e-2, ENTROPY,
+                                      v / v.sum())
+
+
+@pytest.mark.parametrize("backend", ["mirror", "projected"])
+@pytest.mark.parametrize("p0", [1.05, 6.0])
+@pytest.mark.parametrize("h", [1e-3, 1e-2, 5e-2])
+@pytest.mark.parametrize("name", sorted(ENERGIES))
+def test_descent_matches_the_reference_on_rough_data(backend, p0, h, name):
+    g = make_grid(0.0, 1.0, 16)
+    seed = 700 + 10 * sorted(ENERGIES).index(name) + [1e-3, 1e-2, 5e-2].index(h)
+    _assert_descent_matches_reference(backend, g, affine_p(g, p0), h, ENERGIES[name],
+                                      _rough_masses(g, seed))
+
+
+@pytest.mark.parametrize("name,seed", [("power3", 721), ("power3", 809),
+                                       ("quadratic", 806), ("quadratic", 807)])
+def test_descent_matches_the_reference_at_the_rounding_floor(name, seed):
+    # with tol=1e-12 the last drops are rounding noise, and the 1e-15 slack
+    # of the Armijo test decides whether they are accepted
+    g = make_grid(0.0, 1.0, 16)
+    _assert_descent_matches_reference("mirror", g, affine_p(g, 6.0), 1e-2, ENERGIES[name],
+                                      _rough_masses(g, seed), tol=1e-12)
+
+
+def test_default_step_evaluates_the_energy_slope_once_per_iteration():
+    # one G' per descent iteration, the accepted plan's column sums reused,
+    # and one in the EL residual
+    g = make_grid(0.0, 1.0, 16)
+    evaluations = []
+
+    def counted(t):
+        evaluations.append(1)
+        return ENTROPY.deriv(t)
+
+    step = jko.jko_step(DensityField.cosine_bump(g, amplitude=0.5),
+                        dataclasses.replace(ENTROPY, deriv=counted), affine_p(g), 1e-2, g)
+    assert step.iterations > 1
+    assert len(evaluations) == step.iterations + 1
 
 
 # ------------------------------------------------------------------ options
