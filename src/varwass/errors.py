@@ -35,6 +35,11 @@ class InvalidParameterError(VarwassError, ValueError):
     a count below its minimum, a negative or non-finite horizon."""
 
 
+class InvalidDensityError(VarwassError, ValueError):
+    """Cell masses or a cell field have bad content: empty or not 1-D,
+    non-finite, negative, no positive total, or off unit mass."""
+
+
 class MarginalMismatchError(VarwassError, ValueError):
     """Transport marginals disagree in total mass or length."""
 

@@ -7,9 +7,12 @@ exponents below 2 stay finite at critical points.
 
 Deliberately plain: explicit Euler with a diffusive stability bound on dt.
 This module is the slow, transparent reference the step scheme is checked
-against, not a production integrator. ``solve`` computes what stays fixed
-through a solve once, before its loop, and calls ``rhs`` exactly once per
-Euler step, looked up as a module attribute each time, so a wrapper
+against, not a production integrator. ``solve`` builds what stays fixed
+through a solve once, before its loop: the face exponent (q_f - 2)/2,
+delta^2, one DensityField around the loop's own masses, and the buffers
+that each Euler step writes in place. It hands ``rhs`` the step's face
+inputs through the private ``_faces`` keyword and calls it exactly once
+per Euler step, looked up as a module attribute each time, so a wrapper
 installed on ``pde.rhs`` sees every step.
 """
 
@@ -23,7 +26,7 @@ import numpy as np
 from .energy import EnergyModel, total_energy
 from .errors import (InvalidParameterError, NonpositiveParameterError,
                      NumericalBlowupError, SizeMismatchError)
-from .grid import Grid, divergence, neighbor_mean
+from .grid import Grid, neighbor_mean
 from .jko import Trajectory
 from .varexp import DensityField, ExponentField
 
@@ -73,23 +76,78 @@ class PdeConfig:
                 f"max_steps must be at least 1, got {self.max_steps}")
 
 
+class _Faces:
+    """The face inputs of rhs for one exponent field, and its out buffers.
+
+    half_q = (q_f - 2)/2 on the interior faces and reg2 = delta^2 are fixed
+    through a solve. rv is the cell density array that rate() reads; before
+    each rate(), the caller writes the density into it and loads the face
+    slope of G'(rho). The boundary faces of slope and of the flux stay
+    zero. rate() returns its own buffer, which the next call overwrites.
+    """
+
+    __slots__ = ("dx", "half_q", "reg2", "slope", "rho_f", "out", "_views")
+
+    def __init__(self, q_values: np.ndarray, delta_reg: float, dx: float,
+                 rv: np.ndarray):
+        n = q_values.size
+        self.dx = dx
+        self.half_q = (neighbor_mean(q_values) - 2.0) / 2.0
+        self.reg2 = delta_reg * delta_reg
+        self.slope = np.zeros(n + 1)
+        self.rho_f = np.empty(n - 1)
+        self.out = np.empty(n)
+        flux = np.zeros(n + 1)
+        # the slices rate() works on, taken once: a view costs as much as
+        # a small ufunc call
+        self._views = (self.slope[1:-1], flux[1:-1], rv[:-1], rv[1:],
+                       flux[1:], flux[:-1])
+
+    def load_slope(self, gp: np.ndarray) -> None:
+        """slope[1:-1] = (gp[1:] - gp[:-1]) / dx, in place."""
+        s = self._views[0]
+        np.subtract(gp[1:], gp[:-1], out=s)
+        s /= self.dx
+
+    def rate(self) -> np.ndarray:
+        """divergence(flux), flux = rho_f (s^2 + reg2)^half_q s on the
+        interior faces: the operations, in the order, of the plain formula."""
+        s, f, rv_left, rv_right, f_right, f_left = self._views
+        rho_f, out = self.rho_f, self.out
+        np.multiply(s, s, out=f)
+        f += self.reg2
+        np.power(f, self.half_q, out=f)
+        np.add(rv_left, rv_right, out=rho_f)
+        rho_f *= 0.5
+        f *= rho_f
+        f *= s
+        np.subtract(f_right, f_left, out=out)
+        out /= self.dx
+        return out
+
+
 def rhs(rho: DensityField, e: EnergyModel, q: ExponentField, g: Grid,
-        delta_reg: float = DELTA_REG, *, deriv: np.ndarray | None = None) -> np.ndarray:
+        delta_reg: float = DELTA_REG, *, deriv: np.ndarray | None = None,
+        _faces: _Faces | None = None) -> np.ndarray:
     """Spatial operator div(rho |grad G'(rho)|^(q-2) grad G'(rho)) on cells.
 
     q must be the conjugate of the transport exponent p. Face values of rho
     and q are arithmetic means; boundary fluxes vanish identically, so the
     result integrates to exactly zero. deriv, when given, is G'(rho) on the
     cells as the caller already computed it, e.deriv(rho.density(g)).
+
+    _faces is solve's private path: face inputs it has already loaded for
+    rho (density, slope, face exponent, delta^2), which this call uses in
+    place of rho, q, deriv and delta_reg. The result then lives in a
+    buffer that solve's next step overwrites. Either path returns the same
+    bits.
     """
-    rv = rho.density(g)
-    g.check_cell_field(q.values, "exponent field")
-    gp = e.deriv(rv) if deriv is None else deriv
-    s = (gp[1:] - gp[:-1]) / g.dx
-    flux = np.zeros(g.n_cells + 1)
-    flux[1:-1] = (neighbor_mean(rv) * (s * s + delta_reg * delta_reg)
-                  ** ((neighbor_mean(q.values) - 2.0) / 2.0) * s)
-    return divergence(flux, g)
+    if _faces is None:
+        rv = rho.density(g)
+        _faces = _Faces(g.check_cell_field(q.values, "exponent field"), delta_reg,
+                        g.dx, rv)
+        _faces.load_slope(e.deriv(rv) if deriv is None else deriv)
+    return _faces.rate()
 
 
 def solve(rho0: DensityField, e: EnergyModel, q: ExponentField, cfg: PdeConfig,
@@ -105,15 +163,22 @@ def solve(rho0: DensityField, e: EnergyModel, q: ExponentField, cfg: PdeConfig,
     drift is observable through the returned times and the per-step mass
     balance, which telescopes exactly.
 
-    Whatever stays fixed through the solve is computed once before the
-    loop: (q-2)/2, delta^2, cfl * dx^2, the stop time and the zero-ended
-    face buffer of the slope. Each Euler step evaluates G'(rho) once, for
-    its dt, and hands it to the module's rhs, which it calls exactly once,
-    so len(traj) - 1 steps at stride 1 mean as many rhs calls.
+    Built once per solve, before the loop: (q-2)/2 on cells and on faces,
+    delta^2, cfl * dx^2, the stop time, one DensityField around the loop's
+    masses m (validated once; the guards keep m finite and nonnegative
+    after every step), and the buffers for rho = m/dx, the face slope, its
+    cell mean, the diffusivity, the flux, the rate and the increment. Each
+    Euler step divides m by dx once, evaluates G'(rho) once, for its dt
+    and its flux, calls the module's rhs exactly once with the loaded face
+    inputs, and updates m in place, so len(traj) - 1 steps at stride 1
+    mean as many rhs calls. Every recorded state is a fresh array, and
+    rho0.mass is never written.
     """
     m = g.check_cell_field(rho0.mass, "initial mass").copy()
+    q_values = g.check_cell_field(q.values, "exponent field")
     total0 = m.sum()
     unit = rho0.require_unit_mass
+    rho = DensityField(m, require_unit_mass=False)
     times = [0.0]
     states = [rho0]
     t = 0.0
@@ -123,16 +188,26 @@ def solve(rho0: DensityField, e: EnergyModel, q: ExponentField, cfg: PdeConfig,
     dt_floor = 1e-30
     dx = g.dx
     dt_scale = cfg.cfl * dx**2
-    half_q = (q.values - 2.0) / 2.0
-    reg2 = cfg.delta_reg * cfg.delta_reg
-    slope = np.zeros(g.n_cells + 1)
+    half_q = (q_values - 2.0) / 2.0
+    rv = np.empty_like(m)
+    faces = _Faces(q_values, cfg.delta_reg, dx, rv)
+    reg2, slope_left, slope_right = faces.reg2, faces.slope[:-1], faces.slope[1:]
+    s_cell = np.empty_like(m)
+    diffusivity = np.empty_like(m)
+    inc = np.empty_like(m)
 
     while t < t_stop:
-        rv = m / dx
+        np.divide(m, dx, out=rv)
         gp = e.deriv(rv)
-        slope[1:-1] = (gp[1:] - gp[:-1]) / dx
-        s_cell = 0.5 * (slope[:-1] + slope[1:])
-        d_max = float((rv * (s_cell * s_cell + reg2) ** half_q * e.second(rv)).max())
+        faces.load_slope(gp)
+        np.add(slope_left, slope_right, out=s_cell)
+        s_cell *= 0.5
+        np.multiply(s_cell, s_cell, out=diffusivity)
+        diffusivity += reg2
+        np.power(diffusivity, half_q, out=diffusivity)
+        diffusivity *= rv
+        diffusivity *= e.second(rv)
+        d_max = float(np.maximum.reduce(diffusivity))
         dt_stable = dt_scale / max(d_max, dt_floor) if d_max > 0.0 else np.inf
         if cfg.fixed_dt is not None:
             if cfg.fixed_dt > dt_stable * (1.0 + 1e-9):
@@ -146,26 +221,32 @@ def solve(rho0: DensityField, e: EnergyModel, q: ExponentField, cfg: PdeConfig,
         dt = min(dt, t_final - t)
         if not math.isfinite(dt) or dt <= 0.0:
             break
-        rate = rhs(DensityField(m, require_unit_mass=False), e, q, g, cfg.delta_reg,
-                   deriv=gp)
-        m = m + dt * rate * dx
+        rate = rhs(rho, e, q, g, cfg.delta_reg, _faces=faces)
+        # the bits of m + dt * rate * dx: (dt * rate) * dx, then the sum
+        np.multiply(rate, dt, out=inc)
+        inc *= dx
+        m += inc
         t += dt
         step += 1
         if step > cfg.max_steps:
             raise NumericalBlowupError(
                 f"step budget {cfg.max_steps} exhausted at t={t:.6g}"
             )
-        # m.max() / dx has the bits of (m / dx).max(): division is monotone
-        if not np.isfinite(m).all() or m.max() / dx > BLOWUP_DENSITY:
+        # a NaN reaches lo, -inf lo and +inf hi; hi / dx has the bits of
+        # (m / dx).max() because division is monotone
+        hi = np.maximum.reduce(m)
+        lo = np.minimum.reduce(m)
+        if not (math.isfinite(lo) and hi / dx <= BLOWUP_DENSITY):
             raise NumericalBlowupError(
                 f"density blew up at t={t:.6g} (max {np.nanmax(m) / dx:.3e})"
             )
-        if m.min() < -1e-12:
+        if lo < -1e-12:
             raise NumericalBlowupError(
-                f"density went negative at t={t:.6g} (min {m.min():.3e}); "
+                f"density went negative at t={t:.6g} (min {lo:.3e}); "
                 "the explicit step lost monotonicity"
             )
-        m = np.maximum(m, 0.0)
+        # unconditional, so -0.0 entries become +0.0 as well
+        np.maximum(m, 0.0, out=m)
         if step % cfg.stride == 0 or t >= t_stop:
             rec = m * (total0 / m.sum())
             times.append(t)

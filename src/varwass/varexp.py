@@ -13,12 +13,14 @@ with one call of the shared root finder.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from ._kernels import bisect, logsumexp
-from .errors import ExponentRangeError, NonpositiveParameterError
+from .errors import (ExponentRangeError, InvalidDensityError,
+                     InvalidParameterError, NonpositiveParameterError)
 from .grid import Grid
 
 #: Below this, a density value counts as zero support for norm purposes.
@@ -93,14 +95,22 @@ class DensityField:
     def __post_init__(self):
         m = np.asarray(self.mass, dtype=float)
         if m.ndim != 1 or m.size == 0:
-            raise ValueError("mass must be a nonempty 1-D array")
-        if not np.isfinite(m).all():
-            raise ValueError("mass must be finite")
-        if (m < 0.0).any():
-            raise ValueError(f"mass must be nonnegative, got min {m.min()}")
-        if self.require_unit_mass and abs(m.sum() - 1.0) > MASS_TOL:
-            raise ValueError(
-                f"masses must sum to 1 within {MASS_TOL}, got {m.sum()!r}"
+            raise InvalidDensityError("mass must be a nonempty 1-D array")
+        # two reductions; min and max never warn, and the sum, taken only
+        # under the unit-mass check as before, never meets -inf
+        lo = np.minimum.reduce(m)  # shows a NaN or -inf entry
+        if not math.isfinite(lo):
+            raise InvalidDensityError("mass must be finite")
+        # a +inf entry makes top infinite; so does a sum that overflows on
+        # finite entries, which only the full pass tells apart
+        top = m.sum() if self.require_unit_mass else np.maximum.reduce(m)
+        if not math.isfinite(top) and not np.isfinite(m).all():
+            raise InvalidDensityError("mass must be finite")
+        if lo < 0.0:
+            raise InvalidDensityError(f"mass must be nonnegative, got min {lo}")
+        if self.require_unit_mass and abs(top - 1.0) > MASS_TOL:
+            raise InvalidDensityError(
+                f"masses must sum to 1 within {MASS_TOL}, got {top!r}"
             )
         object.__setattr__(self, "mass", m)
 
@@ -122,10 +132,10 @@ class DensityField:
         """Normalize nonnegative cell values into a probability density."""
         v = g.check_cell_field(np.asarray(values, dtype=float), "density values")
         if np.any(v < 0.0):
-            raise ValueError("density values must be nonnegative")
+            raise InvalidDensityError("density values must be nonnegative")
         total = v.sum() * g.dx
         if total <= 0.0:
-            raise ValueError("density values must carry positive total mass")
+            raise InvalidDensityError("density values must carry positive total mass")
         return cls(v * g.dx / total)
 
     @classmethod
@@ -136,14 +146,14 @@ class DensityField:
     def cosine_bump(cls, g: Grid, amplitude: float = 0.5) -> "DensityField":
         """Normalized 1 + amplitude*cos(pi*(x-a)/(b-a)); needs |amplitude| < 1."""
         if abs(amplitude) >= 1.0:
-            raise ValueError("cosine bump amplitude must lie in (-1, 1)")
+            raise InvalidParameterError("cosine bump amplitude must lie in (-1, 1)")
         xi = (g.centers - g.a) / g.length
         return cls.from_cell_values(1.0 + amplitude * np.cos(np.pi * xi), g)
 
     @classmethod
     def gaussian(cls, g: Grid, center: float, width: float) -> "DensityField":
         if width <= 0.0:
-            raise ValueError("gaussian width must be positive")
+            raise InvalidParameterError("gaussian width must be positive")
         v = np.exp(-0.5 * ((g.centers - center) / width) ** 2)
         return cls.from_cell_values(v, g)
 
@@ -151,7 +161,7 @@ class DensityField:
 def _check_shapes(u: np.ndarray, rho: DensityField, p: ExponentField, g: Grid):
     u = g.check_cell_field(u, "u")
     if not np.isfinite(u).all():
-        raise ValueError("u must be finite")
+        raise InvalidDensityError("u must be finite")
     g.check_cell_field(rho.mass, "density mass")
     g.check_cell_field(p.values, "exponent field")
     return u

@@ -393,6 +393,122 @@ def test_solve_is_bit_identical_to_reference_loop(name, exponent, stride, fixed)
         np.testing.assert_array_equal(state.mass, want)
 
 
+def test_solve_is_bit_identical_to_reference_loop_at_n64():
+    # the README example's size: n = 64, p = 2 + x and the entropy, 1812
+    # Euler steps to t = 0.02, each one compared at stride 1
+    g = make_grid(0.0, 1.0, 64)
+    q = ExponentField.affine(2.0, 1.0, g).conjugate()
+    rho0 = DensityField.cosine_bump(g, amplitude=0.5)
+    cfg = pde.PdeConfig(t_end=0.02)
+    steps = {"n": 0}
+    want_times, want_masses = _reference_solve(rho0, ENTROPY, q, cfg, g, steps)
+    traj = pde.solve(rho0, ENTROPY, q, cfg, g)
+    assert len(traj) - 1 == steps["n"] > 1000
+    np.testing.assert_array_equal(traj.times, want_times)
+    for state, want in zip(traj.states, want_masses, strict=True):
+        np.testing.assert_array_equal(state.mass, want)
+
+
+def _recording_rhs(monkeypatch, check=None):
+    """Wrap pde.rhs; keep a copy of each call's masses and rate."""
+    seen = []
+    original = pde.rhs
+
+    def recording(rho, *args, **kwargs):
+        rate = original(rho, *args, **kwargs)
+        if check is not None:
+            check(original, rho, args, kwargs, rate)
+        seen.append((rho.mass.copy(), rate.copy()))
+        return rate
+
+    monkeypatch.setattr(pde, "rhs", recording)
+    return seen
+
+
+@pytest.mark.parametrize("delta_reg", [pde.DELTA_REG, 1e-3])
+@pytest.mark.parametrize("name", sorted(REFERENCE_ENERGIES))
+def test_rhs_on_the_loop_face_inputs_matches_a_plain_call(name, delta_reg, monkeypatch):
+    # solve hands rhs its face inputs privately; on the same state a plain
+    # call, which builds them itself, returns the same bits
+    g = make_grid(0.0, 1.0, 32)
+    e = REFERENCE_ENERGIES[name]
+    q = ExponentField.affine(1.5, 1.5, g).conjugate()
+
+    def check(original, rho, args, kwargs, rate):
+        assert set(kwargs) == {"_faces"}
+        np.testing.assert_array_equal(rate, original(rho, *args))
+        np.testing.assert_array_equal(rate, _reference_rhs(rho, *args))
+
+    seen = _recording_rhs(monkeypatch, check)
+    traj = pde.solve(DensityField.cosine_bump(g, amplitude=0.5), e, q,
+                     pde.PdeConfig(t_end=2e-3, delta_reg=delta_reg), g)
+    assert len(seen) == len(traj) - 1 > 3
+
+
+@pytest.mark.parametrize("stride", [1, 7])
+def test_solve_writes_neither_rho0_nor_a_shared_state(stride):
+    # the loop updates its masses in place; rho0 and every recorded state
+    # must stay arrays of their own
+    g = make_grid(0.0, 1.0, 24)
+    q = ExponentField.affine(2.0, 1.0, g).conjugate()
+    rho0 = DensityField.cosine_bump(g, amplitude=0.5)
+    before = rho0.mass.copy()
+    traj = pde.solve(rho0, ENTROPY, q, pde.PdeConfig(t_end=0.02, stride=stride), g)
+    np.testing.assert_array_equal(rho0.mass, before)
+    masses = [s.mass for s in traj.states]
+    assert len(masses) > 3
+    for i, a in enumerate(masses):
+        for b in masses[i + 1:]:
+            assert not np.shares_memory(a, b)
+
+
+def _vacuum_spikes(seed):
+    """Four isolated spikes between vacuum cells under the porous-medium
+    energy with q = 2 and a fixed dt at the stability bound (cfl = 1): in
+    exact arithmetic the tallest spike empties in one step, so rounding
+    leaves its cell a hair above or below zero."""
+    rng = np.random.default_rng(seed)
+    g = make_grid(0.0, 1.0, 24)
+    vals = np.zeros(24)
+    spikes = rng.choice(np.arange(1, 23, 2), size=4, replace=False)
+    vals[spikes] = rng.uniform(0.5, 1.0, 4)
+    rho0 = DensityField.from_cell_values(vals, g)
+    dt = g.dx**2 / float(rho0.density(g).max())
+    cfg = pde.PdeConfig(t_end=20 * dt, cfl=1.0, fixed_dt=dt)
+    return rho0, builtin_energy("quadratic"), ExponentField.constant(2.0, 24), cfg, g
+
+
+@pytest.mark.parametrize("seed", [5, 7])
+def test_clamp_fires_on_a_vacuum_start(seed, monkeypatch):
+    # seeds 0-4 of this generator round the emptied cell to +0.0 or above;
+    # 5 and 7 are the first two that round it below zero
+    rho0, e, q, cfg, g = _vacuum_spikes(seed)
+    seen = _recording_rhs(monkeypatch)
+    traj = pde.solve(rho0, e, q, cfg, g)
+    # the fixed dt rebuilds each step's masses before the guards; every
+    # step but the last takes the whole fixed dt
+    unclamped = [m + cfg.fixed_dt * rate * g.dx for m, rate in seen[:-1]]
+    assert any(((u < 0.0) & (u >= -1e-12)).any() for u in unclamped)
+    for u, (m_next, _) in zip(unclamped, seen[1:]):
+        np.testing.assert_array_equal(m_next, np.maximum(u, 0.0))
+        assert not np.signbit(m_next).any()
+    want_times, want_masses = _reference_solve(rho0, e, q, cfg, g, {"n": 0})
+    np.testing.assert_array_equal(traj.times, want_times)
+    for state, want in zip(traj.states, want_masses, strict=True):
+        np.testing.assert_array_equal(state.mass, want)
+
+
+def test_clamp_turns_negative_zero_masses_positive():
+    # -0.0 is a valid mass; the clamp runs on every step, not only when a
+    # mass went below zero, so no recorded state keeps a -0.0
+    rho0, e, q, cfg, g = _vacuum_spikes(0)
+    signed = DensityField(np.where(rho0.mass > 0.0, rho0.mass, -0.0))
+    assert np.signbit(signed.mass).any()
+    traj = pde.solve(signed, e, q, cfg, g)
+    for state in traj.states[1:]:
+        assert not np.signbit(state.mass).any()
+
+
 def _understated_curvature(level):
     """Quadratic energy whose G'' reads a tenth of the truth, so the
     stability estimate lets dt run ten times too large; cosine data at the

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
-from varwass.errors import ExponentRangeError, NonpositiveParameterError
+from varwass.errors import (ExponentRangeError, InvalidDensityError,
+                            InvalidParameterError, NonpositiveParameterError,
+                            VarwassError)
 from varwass.grid import make_grid
 from varwass.varexp import (
     DensityField,
@@ -107,6 +109,86 @@ class TestDensityField:
         g = make_grid(0.0, 1.0, 2)
         rho = DensityField.from_masses(np.array([0.25, 0.75]))
         np.testing.assert_allclose(rho.density(g), [0.5, 1.5])
+
+    # the validation takes the minimum and then the sum (or, without the
+    # unit-mass check, the maximum); these pin that it rejects what the full
+    # isfinite / any-negative passes rejected, with the same messages
+
+    @pytest.mark.parametrize("entries,unit", [
+        ([0.5, np.nan, 0.5], True),
+        ([0.5, np.nan, 0.5], False),
+        ([0.5, np.inf, 0.5], True),
+        ([0.5, np.inf, 0.5], False),
+        ([0.5, -np.inf, 0.5], True),
+        ([0.5, -np.inf, 0.5], False),
+        ([np.inf, 0.5, -np.inf], True),   # the sum of these would be NaN
+        ([np.inf, 0.5, -np.inf], False),
+        ([np.nan, -1.0, 2.0], True),      # finiteness is checked before sign
+    ])
+    def test_rejects_non_finite_mass(self, entries, unit):
+        with pytest.raises(InvalidDensityError) as info:
+            DensityField(np.array(entries), require_unit_mass=unit)
+        assert str(info.value) == "mass must be finite"
+
+    def test_finite_mass_whose_sum_overflows(self):
+        # finite entries pass the finiteness check even though their sum is
+        # inf; without the unit-mass check no sum is taken at all
+        rho = DensityField(np.array([1e308, 1e308]), require_unit_mass=False)
+        assert rho.mass.tolist() == [1e308, 1e308]
+        # the unit-mass sum overflows, as it always has, and reads inf
+        with np.errstate(over="ignore"):
+            with pytest.raises(InvalidDensityError) as info:
+                DensityField(np.array([1e308, 1e308]))
+        assert str(info.value) == (
+            "masses must sum to 1 within 1e-12, got np.float64(inf)")
+
+    def test_accepts_negative_zero_mass(self):
+        rho = DensityField(np.array([-0.0, 0.25, 0.75, -0.0]))
+        assert rho.total_mass == 1.0
+        DensityField(np.array([-0.0, 1.0]), require_unit_mass=False)
+
+    @pytest.mark.parametrize("entries,unit,message", [
+        ([], True, "mass must be a nonempty 1-D array"),
+        ([[0.5, 0.5]], True, "mass must be a nonempty 1-D array"),
+        ([0.5, 0.6, -0.1], True, "mass must be nonnegative, got min -0.1"),
+        ([0.5, 0.6, -0.1], False, "mass must be nonnegative, got min -0.1"),
+        ([0.5, 0.6], True, "masses must sum to 1 within 1e-12, got np.float64(1.1)"),
+    ])
+    def test_messages(self, entries, unit, message):
+        with pytest.raises(InvalidDensityError) as info:
+            DensityField(np.array(entries), require_unit_mass=unit)
+        assert str(info.value) == message
+
+
+def _bad_varexp_calls():
+    g = make_grid(0.0, 1.0, 4)
+    rho, p = DensityField.uniform(g), ExponentField.constant(2.0, 4)
+    return {
+        "empty mass": (lambda: DensityField(np.array([])), InvalidDensityError),
+        "non-finite mass": (lambda: DensityField(np.array([np.nan, 1.0])),
+                            InvalidDensityError),
+        "negative mass": (lambda: DensityField(np.array([1.5, -0.5])),
+                          InvalidDensityError),
+        "non-unit mass": (lambda: DensityField(np.array([0.5, 0.6])),
+                          InvalidDensityError),
+        "negative values": (lambda: DensityField.from_cell_values(
+            np.array([1.0, -1.0, 1.0, 1.0]), g), InvalidDensityError),
+        "zero values": (lambda: DensityField.from_cell_values(np.zeros(4), g),
+                        InvalidDensityError),
+        "amplitude": (lambda: DensityField.cosine_bump(g, 1.0), InvalidParameterError),
+        "width": (lambda: DensityField.gaussian(g, 0.5, 0.0), InvalidParameterError),
+        "non-finite u": (lambda: modular(np.array([1.0, np.nan, 0.0, 0.0]), rho, p,
+                                         1.0, g), InvalidDensityError),
+    }
+
+
+@pytest.mark.parametrize("case", sorted(_bad_varexp_calls()))
+def test_varexp_errors_are_typed(case):
+    call, error = _bad_varexp_calls()[case]
+    with pytest.raises(error) as info:
+        call()
+    assert isinstance(info.value, VarwassError)
+    assert isinstance(info.value, ValueError)
 
 
 class TestModular:
