@@ -19,7 +19,7 @@ class SizeMismatchError(VarwassError, ValueError):
 
 
 class BoundaryFluxError(VarwassError, ValueError):
-    """A face flux carries a nonzero value on a boundary face."""
+    """A face flux or velocity carries a nonzero value on a boundary face."""
 
 
 class ExponentRangeError(VarwassError, ValueError):

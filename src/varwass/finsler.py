@@ -24,7 +24,8 @@ import numpy as np
 
 from . import pde
 from .energy import EnergyModel
-from .errors import NonzeroMeanError, VanishingDensityError
+from .errors import (BoundaryFluxError, InvalidDensityError, NonpositiveParameterError,
+                     NonzeroMeanError, SizeMismatchError, VanishingDensityError)
 from .grid import Grid, neighbor_mean
 from .jko import Trajectory
 from .varexp import DensityField, ExponentField, _norm_rows, luxemburg_norm
@@ -52,9 +53,9 @@ class TangentVector:
     def __post_init__(self):
         v = np.asarray(self.values, dtype=float)
         if v.ndim != 1 or v.size == 0:
-            raise ValueError("tangent values must be a nonempty 1-D array")
+            raise InvalidDensityError("tangent values must be a nonempty 1-D array")
         if not np.all(np.isfinite(v)):
-            raise ValueError("tangent values must be finite")
+            raise InvalidDensityError("tangent values must be finite")
         object.__setattr__(self, "values", v)
 
     @classmethod
@@ -62,7 +63,7 @@ class TangentVector:
                     g: Grid) -> "TangentVector":
         """Difference quotient (after - before) / dt as cell density rates."""
         if dt <= 0.0:
-            raise ValueError(f"dt must be positive, got {dt}")
+            raise NonpositiveParameterError(f"dt must be positive, got {dt}")
         nu = cls((after.density(g) - before.density(g)) / dt)
         object.__setattr__(nu, "_mean_scale", float(
             _quotient_scale(before.total_mass, after.total_mass, dt)))
@@ -88,9 +89,10 @@ class VelocityField:
     def __post_init__(self):
         v = np.asarray(self.v_face, dtype=float)
         if v.ndim != 1 or v.size < 3:
-            raise ValueError("face velocities must be a 1-D array of length >= 3")
+            raise SizeMismatchError(
+                "face velocities must be a 1-D array of length >= 3")
         if v[0] != 0.0 or v[-1] != 0.0:
-            raise ValueError(
+            raise BoundaryFluxError(
                 f"boundary velocities must vanish, got {v[0]} and {v[-1]}"
             )
         object.__setattr__(self, "v_face", v)
@@ -170,11 +172,12 @@ def _speeds(states: list, times: np.ndarray, p: ExponentField, g: Grid) -> np.nd
     exponent = g.check_cell_field(p.values, "exponent field")
     dt = np.diff(times)
     if not np.all(dt > 0.0):
-        raise ValueError(f"dt must be positive, got {dt[~(dt > 0.0)][0]}")
+        raise NonpositiveParameterError(
+            f"dt must be positive, got {dt[~(dt > 0.0)][0]}")
     density = mass / g.dx
     nu = (density[1:] - density[:-1]) / dt[:, None]
     if not np.isfinite(nu).all():
-        raise ValueError("tangent values must be finite")
+        raise InvalidDensityError("tangent values must be finite")
     total = mass.sum(axis=1)
     v = _velocities(mass[:-1], nu, _quotient_scale(total[:-1], total[1:], dt), g)
     return _norm_rows(neighbor_mean(v), mass[:-1], exponent)
@@ -192,5 +195,5 @@ def metric_derivative(traj: Trajectory, p: ExponentField, g: Grid, k: int) -> fl
 def curve_length(traj: Trajectory, p: ExponentField, g: Grid) -> float:
     """Sum of speed * dt along a discrete trajectory (>= 2 states)."""
     if len(traj) < 2:
-        raise ValueError("curve length needs at least 2 states")
+        raise SizeMismatchError("curve length needs at least 2 states")
     return float(_speeds(traj.states, traj.times, p, g) @ np.diff(traj.times))

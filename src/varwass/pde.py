@@ -8,12 +8,16 @@ exponents below 2 stay finite at critical points.
 Deliberately plain: explicit Euler with a diffusive stability bound on dt.
 This module is the slow, transparent reference the step scheme is checked
 against, not a production integrator. ``solve`` builds what stays fixed
-through a solve once, before its loop: the face exponent (q_f - 2)/2,
-delta^2, one DensityField around the loop's own masses, and the buffers
-that each Euler step writes in place. It hands ``rhs`` the step's face
+through a solve once, before its loop: the stacked exponent, delta^2, one
+DensityField around the loop's own masses, and the buffers that each Euler
+step writes in place. One zero-padded buffer holds the face slopes of
+G'(rho) and their cell means, and one square, add and power over it serve
+both the flux and the dt estimate. ``solve`` hands ``rhs`` the step's face
 inputs through the private ``_faces`` keyword and calls it exactly once
 per Euler step, looked up as a module attribute each time, so a wrapper
-installed on ``pde.rhs`` sees every step.
+installed on ``pde.rhs`` sees every step. Recorded states are copied into
+preallocated blocks of rows, rescaled and checked a block at a time when
+the loop ends.
 """
 
 from __future__ import annotations
@@ -77,51 +81,68 @@ class PdeConfig:
 
 
 class _Faces:
-    """The face inputs of rhs for one exponent field, and its out buffers.
+    """The face inputs of rhs for one exponent field, and its buffers.
 
-    half_q = (q_f - 2)/2 on the interior faces and reg2 = delta^2 are fixed
-    through a solve. rv is the cell density array that rate() reads; before
-    each rate(), the caller writes the density into it and loads the face
-    slope of G'(rho). The boundary faces of slope and of the flux stay
-    zero. rate() returns its own buffer, which the next call overwrites.
+    One zero-padded buffer stacks the face slopes of G'(rho) and their cell
+    means, [0 | interior face slopes (n-1) | 0 | cell means (n)], so that
+    one square, one add of delta^2 and one power by the stacked exponent
+    [(q_f-2)/2 | 0 | (q-2)/2] serve both the flux and solve's dt estimate,
+    which reads the cell half (cell_mag). The exponent, delta^2 and the
+    buffers are fixed through a solve. Without dt_estimate the cell half
+    of the exponent is 0, so a plain rhs call powers no cell mean and
+    cannot warn on one. The caller writes the density into rv, then
+    load()s G'(rho); rate() reads the face half and returns its own
+    buffer, which the next call overwrites.
     """
 
-    __slots__ = ("dx", "half_q", "reg2", "slope", "rho_f", "out", "_views")
+    __slots__ = ("dx", "reg2", "half_q", "stack", "mag", "cell_mag", "rho_f", "out",
+                 "_load_views", "_rate_views")
 
     def __init__(self, q_values: np.ndarray, delta_reg: float, dx: float,
-                 rv: np.ndarray):
+                 rv: np.ndarray, dt_estimate: bool = False):
         n = q_values.size
         self.dx = dx
-        self.half_q = (neighbor_mean(q_values) - 2.0) / 2.0
         self.reg2 = delta_reg * delta_reg
-        self.slope = np.zeros(n + 1)
+        self.half_q = np.zeros(2 * n + 1)
+        self.half_q[1:n] = (neighbor_mean(q_values) - 2.0) / 2.0
+        if dt_estimate:
+            self.half_q[n + 1:] = (q_values - 2.0) / 2.0
+        self.stack = np.zeros(2 * n + 1)
+        self.mag = np.empty(2 * n + 1)
+        self.cell_mag = self.mag[n + 1:]
         self.rho_f = np.empty(n - 1)
         self.out = np.empty(n)
-        flux = np.zeros(n + 1)
-        # the slices rate() works on, taken once: a view costs as much as
-        # a small ufunc call
-        self._views = (self.slope[1:-1], flux[1:-1], rv[:-1], rv[1:],
-                       flux[1:], flux[:-1])
+        stack, mag = self.stack, self.mag
+        # the slices load() and rate() work on, taken once: a view costs as
+        # much as a small ufunc call
+        self._load_views = (stack[1:n], stack[:n], stack[1:n + 1], stack[n + 1:])
+        self._rate_views = (rv[:-1], rv[1:], mag[1:n], mag[:n + 1], stack[:n + 1],
+                            mag[1:n + 1], mag[:n])
 
-    def load_slope(self, gp: np.ndarray) -> None:
-        """slope[1:-1] = (gp[1:] - gp[:-1]) / dx, in place."""
-        s = self._views[0]
+    def load(self, gp: np.ndarray) -> None:
+        """Fill the stack from gp = G'(rho) and power it, in place."""
+        s, s_left, s_right, s_cell = self._load_views
         np.subtract(gp[1:], gp[:-1], out=s)
         s /= self.dx
+        np.add(s_left, s_right, out=s_cell)
+        s_cell *= 0.5
+        mag = self.mag
+        np.multiply(self.stack, self.stack, out=mag)
+        mag += self.reg2
+        np.power(mag, self.half_q, out=mag)
 
     def rate(self) -> np.ndarray:
         """divergence(flux), flux = rho_f (s^2 + reg2)^half_q s on the
-        interior faces: the operations, in the order, of the plain formula."""
-        s, f, rv_left, rv_right, f_right, f_left = self._views
+        interior faces: the operations, in the order, of the plain formula.
+        The boundary faces power to 1 and take slope 0, so their flux is 0."""
+        (rv_left, rv_right, mag_inner, flux, slope, flux_right,
+         flux_left) = self._rate_views
         rho_f, out = self.rho_f, self.out
-        np.multiply(s, s, out=f)
-        f += self.reg2
-        np.power(f, self.half_q, out=f)
         np.add(rv_left, rv_right, out=rho_f)
         rho_f *= 0.5
-        f *= rho_f
-        f *= s
-        np.subtract(f_right, f_left, out=out)
+        mag_inner *= rho_f
+        flux *= slope
+        np.subtract(flux_right, flux_left, out=out)
         out /= self.dx
         return out
 
@@ -146,7 +167,7 @@ def rhs(rho: DensityField, e: EnergyModel, q: ExponentField, g: Grid,
         rv = rho.density(g)
         _faces = _Faces(g.check_cell_field(q.values, "exponent field"), delta_reg,
                         g.dx, rv)
-        _faces.load_slope(e.deriv(rv) if deriv is None else deriv)
+        _faces.load(e.deriv(rv) if deriv is None else deriv)
     return _faces.rate()
 
 
@@ -163,16 +184,25 @@ def solve(rho0: DensityField, e: EnergyModel, q: ExponentField, cfg: PdeConfig,
     drift is observable through the returned times and the per-step mass
     balance, which telescopes exactly.
 
-    Built once per solve, before the loop: (q-2)/2 on cells and on faces,
-    delta^2, cfl * dx^2, the stop time, one DensityField around the loop's
+    Built once per solve, before the loop: the stacked exponent
+    [(q_f-2)/2 | 0 | (q-2)/2] and the buffers of _Faces, delta^2,
+    cfl * dx^2, the stop time, and one DensityField around the loop's
     masses m (validated once; the guards keep m finite and nonnegative
-    after every step), and the buffers for rho = m/dx, the face slope, its
-    cell mean, the diffusivity, the flux, the rate and the increment. Each
-    Euler step divides m by dx once, evaluates G'(rho) once, for its dt
-    and its flux, calls the module's rhs exactly once with the loaded face
-    inputs, and updates m in place, so len(traj) - 1 steps at stride 1
-    mean as many rhs calls. Every recorded state is a fresh array, and
-    rho0.mass is never written.
+    after every step). Each Euler step divides m by dx once, evaluates
+    G'(rho) once, loads the face slopes and their cell means into one
+    stacked buffer and powers it in three calls; the dt estimate reads the
+    cell half, and the module's rhs, called exactly once per step with the
+    loaded face inputs, reads the face half. m is updated in place, so
+    len(traj) - 1 steps at stride 1 mean as many rhs calls.
+
+    A recorded step copies m into the next row of a block; blocks start at
+    16 rows and double up to 1024, and none is ever copied. When the loop
+    ends, each block is rescaled in place by total0 / its row sums (the
+    bits of m * (total0 / m.sum())), checked in one pass with the check of
+    DensityField, and the states are views of its rows. So a bad state
+    raises, as DensityField would, once the loop has ended. The final state
+    owns its masses, so traj.final keeps no block alive, and rho0.mass is
+    never written.
     """
     m = g.check_cell_field(rho0.mass, "initial mass").copy()
     q_values = g.check_cell_field(q.values, "exponent field")
@@ -181,6 +211,9 @@ def solve(rho0: DensityField, e: EnergyModel, q: ExponentField, cfg: PdeConfig,
     rho = DensityField(m, require_unit_mass=False)
     times = [0.0]
     states = [rho0]
+    blocks = []
+    block = np.empty((16, m.size))
+    filled = 0
     t = 0.0
     step = 0
     t_final = cfg.t_end
@@ -188,23 +221,14 @@ def solve(rho0: DensityField, e: EnergyModel, q: ExponentField, cfg: PdeConfig,
     dt_floor = 1e-30
     dx = g.dx
     dt_scale = cfg.cfl * dx**2
-    half_q = (q_values - 2.0) / 2.0
     rv = np.empty_like(m)
-    faces = _Faces(q_values, cfg.delta_reg, dx, rv)
-    reg2, slope_left, slope_right = faces.reg2, faces.slope[:-1], faces.slope[1:]
-    s_cell = np.empty_like(m)
-    diffusivity = np.empty_like(m)
+    faces = _Faces(q_values, cfg.delta_reg, dx, rv, dt_estimate=True)
+    diffusivity = faces.cell_mag
     inc = np.empty_like(m)
 
     while t < t_stop:
         np.divide(m, dx, out=rv)
-        gp = e.deriv(rv)
-        faces.load_slope(gp)
-        np.add(slope_left, slope_right, out=s_cell)
-        s_cell *= 0.5
-        np.multiply(s_cell, s_cell, out=diffusivity)
-        diffusivity += reg2
-        np.power(diffusivity, half_q, out=diffusivity)
+        faces.load(e.deriv(rv))
         diffusivity *= rv
         diffusivity *= e.second(rv)
         d_max = float(np.maximum.reduce(diffusivity))
@@ -245,13 +269,26 @@ def solve(rho0: DensityField, e: EnergyModel, q: ExponentField, cfg: PdeConfig,
                 f"density went negative at t={t:.6g} (min {lo:.3e}); "
                 "the explicit step lost monotonicity"
             )
-        # unconditional, so -0.0 entries become +0.0 as well
-        np.maximum(m, 0.0, out=m)
+        # also at lo == 0, so -0.0 entries become +0.0 as well; with lo > 0
+        # it would leave every bit as it is
+        if not lo > 0.0:
+            np.maximum(m, 0.0, out=m)
         if step % cfg.stride == 0 or t >= t_stop:
-            rec = m * (total0 / m.sum())
+            if filled == len(block):
+                blocks.append(block)
+                block = np.empty((min(2 * filled, 1024), m.size))
+                filled = 0
+            block[filled] = m
+            filled += 1
             times.append(t)
-            states.append(DensityField(rec, require_unit_mass=unit))
 
+    blocks.append(block[:filled])
+    for rows in blocks:
+        # rows.sum(axis=1) has the bits of each row's own sum
+        rows *= (total0 / rows.sum(axis=1))[:, None]
+        states += DensityField._rows(rows, unit)
+    if len(states) > 1:
+        states[-1] = DensityField(states[-1].mass.copy(), require_unit_mass=unit)
     return Trajectory(times=np.asarray(times), states=states, steps=None)
 
 

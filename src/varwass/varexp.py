@@ -79,6 +79,40 @@ def conjugate(p: ExponentField) -> ExponentField:
     return ExponentField(p.values / (p.values - 1.0))
 
 
+def _check_masses(m: np.ndarray, require_unit_mass: bool) -> None:
+    """Raise InvalidDensityError unless each row of m (along its last axis)
+    holds finite, nonnegative masses, summing to 1 within MASS_TOL when
+    require_unit_mass is set. A stack of rows raises what its first bad
+    row would raise alone.
+
+    Two reductions per row; min and max never warn, and the sum is taken
+    only under the unit-mass check, with overflow and inf - inf silenced
+    because the checks below read them.
+    """
+    lo = np.minimum.reduce(m, axis=-1)  # shows a NaN or -inf entry
+    with np.errstate(over="ignore", invalid="ignore"):
+        top = (np.add.reduce(m, axis=-1) if require_unit_mass
+               else np.maximum.reduce(m, axis=-1))
+    # a NaN lo fails lo >= 0; a +inf entry, or a sum that overflows on
+    # finite entries, makes top infinite
+    bad = ~(lo >= 0.0) | ~np.isfinite(top)
+    if require_unit_mass:
+        bad |= abs(top - 1.0) > MASS_TOL
+    if not bad.any():
+        return
+    if m.ndim > 1:
+        k = int(np.argmax(bad))
+        m, lo, top = m[k], lo[k], top[k]
+    if not math.isfinite(lo):
+        raise InvalidDensityError("mass must be finite")
+    # only the full pass tells an overflowing sum from an infinite entry
+    if not math.isfinite(top) and not np.isfinite(m).all():
+        raise InvalidDensityError("mass must be finite")
+    if lo < 0.0:
+        raise InvalidDensityError(f"mass must be nonnegative, got min {lo}")
+    raise InvalidDensityError(f"masses must sum to 1 within {MASS_TOL}, got {top!r}")
+
+
 @dataclass(frozen=True)
 class DensityField:
     """Nonnegative cell masses, by default a probability vector.
@@ -96,23 +130,25 @@ class DensityField:
         m = np.asarray(self.mass, dtype=float)
         if m.ndim != 1 or m.size == 0:
             raise InvalidDensityError("mass must be a nonempty 1-D array")
-        # two reductions; min and max never warn, and the sum, taken only
-        # under the unit-mass check as before, never meets -inf
-        lo = np.minimum.reduce(m)  # shows a NaN or -inf entry
-        if not math.isfinite(lo):
-            raise InvalidDensityError("mass must be finite")
-        # a +inf entry makes top infinite; so does a sum that overflows on
-        # finite entries, which only the full pass tells apart
-        top = m.sum() if self.require_unit_mass else np.maximum.reduce(m)
-        if not math.isfinite(top) and not np.isfinite(m).all():
-            raise InvalidDensityError("mass must be finite")
-        if lo < 0.0:
-            raise InvalidDensityError(f"mass must be nonnegative, got min {lo}")
-        if self.require_unit_mass and abs(top - 1.0) > MASS_TOL:
-            raise InvalidDensityError(
-                f"masses must sum to 1 within {MASS_TOL}, got {top!r}"
-            )
+        _check_masses(m, self.require_unit_mass)
         object.__setattr__(self, "mass", m)
+
+    @classmethod
+    def _rows(cls, block: np.ndarray, require_unit_mass: bool) -> list:
+        """States over the rows of a (k, n) block, checked in one pass.
+
+        The block gets the check of a single state, over its last axis, and
+        a bad row raises what DensityField(row) would. Each state's mass is
+        a view of its row, so the block stays alive while any state does.
+        """
+        _check_masses(block, require_unit_mass)
+        states = []
+        for row in block:
+            s = cls.__new__(cls)
+            object.__setattr__(s, "mass", row)
+            object.__setattr__(s, "require_unit_mass", require_unit_mass)
+            states.append(s)
+        return states
 
     @property
     def total_mass(self) -> float:
@@ -145,15 +181,17 @@ class DensityField:
     @classmethod
     def cosine_bump(cls, g: Grid, amplitude: float = 0.5) -> "DensityField":
         """Normalized 1 + amplitude*cos(pi*(x-a)/(b-a)); needs |amplitude| < 1."""
-        if abs(amplitude) >= 1.0:
+        if not abs(amplitude) < 1.0:  # NaN fails this too
             raise InvalidParameterError("cosine bump amplitude must lie in (-1, 1)")
         xi = (g.centers - g.a) / g.length
         return cls.from_cell_values(1.0 + amplitude * np.cos(np.pi * xi), g)
 
     @classmethod
     def gaussian(cls, g: Grid, center: float, width: float) -> "DensityField":
-        if width <= 0.0:
-            raise InvalidParameterError("gaussian width must be positive")
+        if not (math.isfinite(width) and width > 0.0):
+            raise InvalidParameterError("gaussian width must be positive and finite")
+        if not math.isfinite(center):
+            raise InvalidParameterError("gaussian center must be finite")
         v = np.exp(-0.5 * ((g.centers - center) / width) ** 2)
         return cls.from_cell_values(v, g)
 

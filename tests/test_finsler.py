@@ -6,7 +6,7 @@ import pytest
 
 from varwass import finsler, pde, transport, varexp
 from varwass.energy import builtin_energy, total_energy
-from varwass.errors import NonzeroMeanError, VanishingDensityError
+from varwass.errors import NonzeroMeanError, VanishingDensityError, VarwassError
 from varwass.grid import integrate, make_grid
 from varwass.jko import Trajectory
 from varwass.varexp import DensityField, ExponentField
@@ -82,6 +82,42 @@ def test_tangent_vector_validation():
         finsler.TangentVector.from_states(r, r, 0.0, g)
     with pytest.raises(ValueError):
         finsler.VelocityField(np.array([1.0, 0.0, 0.0]))
+
+
+def _bad_finsler_calls():
+    g = make_grid(0.0, 1.0, 4)
+    r = DensityField.from_cell_values(np.ones(4), g)
+    p = ExponentField.constant(2.0, 4)
+
+    def curve(times):
+        return finsler.curve_length(Trajectory(times=np.array(times), states=[r, r]), p, g)
+
+    def overflowing_quotient():
+        # a subnormal dt makes the difference quotient overflow to inf
+        s = DensityField.from_cell_values(np.array([2.0, 1.0, 1.0, 1.0]), g)
+        with np.errstate(over="ignore"):
+            finsler.curve_length(Trajectory(times=np.array([0.0, 5e-324]),
+                                            states=[r, s]), p, g)
+
+    return {
+        "empty tangent": lambda: finsler.TangentVector(np.array([])),
+        "non-finite tangent": lambda: finsler.TangentVector(np.array([1.0, np.nan])),
+        "quotient dt": lambda: finsler.TangentVector.from_states(r, r, 0.0, g),
+        "short velocity": lambda: finsler.VelocityField(np.array([0.0, 0.0])),
+        "boundary velocity": lambda: finsler.VelocityField(np.array([1.0, 0.0, 0.0])),
+        "curve dt": lambda: curve([0.0, 0.0]),
+        "non-finite quotient": overflowing_quotient,
+        "one state": lambda: finsler.curve_length(
+            Trajectory(times=np.array([0.0]), states=[r]), p, g),
+    }
+
+
+@pytest.mark.parametrize("case", sorted(_bad_finsler_calls()))
+def test_finsler_errors_are_typed(case):
+    # typed, and still ValueError for callers that catch the builtin
+    with pytest.raises(VarwassError) as info:
+        _bad_finsler_calls()[case]()
+    assert isinstance(info.value, ValueError)
 
 
 # -------------------------------------------------------------- tangent norm

@@ -8,8 +8,9 @@ import pytest
 
 from varwass import pde
 from varwass.energy import builtin_energy, total_energy
-from varwass.errors import (InvalidParameterError, NonpositiveParameterError,
-                             NumericalBlowupError, SizeMismatchError, VarwassError)
+from varwass.errors import (InvalidDensityError, InvalidParameterError,
+                             NonpositiveParameterError, NumericalBlowupError,
+                             SizeMismatchError, VarwassError)
 from varwass.jko import Trajectory
 from varwass.grid import integrate, make_grid
 from varwass.varexp import DensityField, ExponentField
@@ -407,6 +408,92 @@ def test_solve_is_bit_identical_to_reference_loop_at_n64():
     np.testing.assert_array_equal(traj.times, want_times)
     for state, want in zip(traj.states, want_masses, strict=True):
         np.testing.assert_array_equal(state.mass, want)
+
+
+def _assert_matches_reference(rho0, e, q, cfg, g):
+    steps = {"n": 0}
+    want_times, want_masses = _reference_solve(rho0, e, q, cfg, g, steps)
+    traj = pde.solve(rho0, e, q, cfg, g)
+    assert len(traj) - 1 == steps["n"]
+    np.testing.assert_array_equal(traj.times, want_times)
+    for state, want in zip(traj.states, want_masses, strict=True):
+        np.testing.assert_array_equal(state.mass, want)
+        assert state.require_unit_mass == rho0.require_unit_mass
+    return traj
+
+
+# recorded states fill blocks of 16, 32, ..., 1024 rows and then 1024 each:
+# 2032 records fill the first seven, so more than 2047 states reach past the
+# first 1024-row block into the next
+
+def test_block_record_is_bit_identical_across_block_boundaries():
+    g = make_grid(0.0, 1.0, 24)
+    q = ExponentField.affine(2.0, 1.0, g).conjugate()
+    rho0 = DensityField.cosine_bump(g, amplitude=0.5)
+    traj = _assert_matches_reference(rho0, ENTROPY, q, pde.PdeConfig(t_end=0.2), g)
+    assert len(traj) > 3000
+
+
+def test_block_record_is_bit_identical_at_n129_without_unit_mass():
+    g = make_grid(0.0, 1.0, 129)
+    q = ExponentField.affine(2.0, 1.0, g).conjugate()
+    rho0 = smooth_pair(g, 0)[1]
+    assert not rho0.require_unit_mass and abs(rho0.total_mass - 1.0) > 0.1
+    traj = _assert_matches_reference(rho0, ENTROPY, q, pde.PdeConfig(t_end=5e-3), g)
+    assert len(traj) > 2047
+
+
+@pytest.mark.parametrize("stride", [1, 7, 1_000_000_000])
+def test_final_state_owns_its_masses(stride):
+    # traj.final is what a caller that keeps only the end state holds on
+    # to, so it must keep no block of recorded rows alive
+    g = make_grid(0.0, 1.0, 24)
+    q = ExponentField.affine(2.0, 1.0, g).conjugate()
+    traj = pde.solve(DensityField.cosine_bump(g, amplitude=0.5), ENTROPY, q,
+                     pde.PdeConfig(t_end=0.02, stride=stride), g)
+    assert len(traj) > 1
+    assert traj.final.mass.flags.owndata
+    assert all(not s.mass.flags.owndata for s in traj.states[1:-1])
+
+
+BAD_ROWS = {
+    "nan": [0.25, np.nan, 0.25, 0.5],
+    "inf": [0.25, np.inf, 0.25, 0.5],
+    "negative": [0.75, -0.25, 0.25, 0.25],
+    "off unit mass": [0.25, 0.25, 0.25, 0.5],
+    "overflowing sum": [1e308, 1e308, 0.0, 0.0],
+}
+
+
+@pytest.mark.parametrize("unit", [True, False])
+@pytest.mark.parametrize("k", [0, 2, 4])
+@pytest.mark.parametrize("case", sorted(BAD_ROWS))
+def test_a_bad_row_in_a_block_raises_what_a_density_field_would(case, k, unit):
+    block = np.full((5, 4), 0.25)
+    block[k] = BAD_ROWS[case]
+    if not unit and case in ("off unit mass", "overflowing sum"):
+        assert len(DensityField._rows(block, unit)) == 5
+        return
+    with pytest.raises(InvalidDensityError) as want:
+        DensityField(block[k].copy(), require_unit_mass=unit)
+    with pytest.raises(InvalidDensityError) as got:
+        DensityField._rows(block, unit)
+    assert str(got.value) == str(want.value)
+
+
+def test_a_block_reports_its_first_bad_row():
+    # the first bad row decides the message, whichever check fails later
+    block = np.full((6, 4), 0.25)
+    block[2] = BAD_ROWS["negative"]
+    block[4] = BAD_ROWS["nan"]
+    with pytest.raises(InvalidDensityError, match="nonnegative, got min -0.25"):
+        DensityField._rows(block, True)
+    block[1] = BAD_ROWS["off unit mass"]
+    with pytest.raises(InvalidDensityError, match="sum to 1"):
+        DensityField._rows(block, True)
+    states = DensityField._rows(block[[0, 3, 5]], True)
+    assert [s.mass.tolist() for s in states] == [[0.25] * 4] * 3
+    assert all(s.require_unit_mass for s in states)
 
 
 def _recording_rhs(monkeypatch, check=None):

@@ -142,6 +142,33 @@ class TestDensityField:
         assert str(info.value) == (
             "masses must sum to 1 within 1e-12, got np.float64(inf)")
 
+    def test_overflowing_unit_mass_sum_raises_the_typed_error_without_a_warning(self):
+        # tier-1 turns warnings into errors: the overflow of the sum must not
+        # surface as numpy's RuntimeWarning ahead of the typed error
+        with pytest.raises(InvalidDensityError) as info:
+            DensityField(np.array([1e308, 1e308]))
+        assert str(info.value) == (
+            "masses must sum to 1 within 1e-12, got np.float64(inf)")
+
+    @pytest.mark.parametrize("amplitude", [np.nan, 1.0, -1.0, np.inf])
+    def test_cosine_bump_rejects_a_bad_amplitude_by_name(self, amplitude):
+        g = make_grid(0.0, 1.0, 8)
+        with pytest.raises(InvalidParameterError, match="amplitude"):
+            DensityField.cosine_bump(g, amplitude)
+
+    @pytest.mark.parametrize("center,width,name", [
+        (0.5, np.nan, "width"),
+        (0.5, np.inf, "width"),
+        (0.5, 0.0, "width"),
+        (np.nan, 0.1, "center"),
+        (np.inf, 0.1, "center"),
+        (-np.inf, 0.1, "center"),
+    ])
+    def test_gaussian_rejects_bad_parameters_by_name(self, center, width, name):
+        g = make_grid(0.0, 1.0, 8)
+        with pytest.raises(InvalidParameterError, match=name):
+            DensityField.gaussian(g, center, width)
+
     def test_accepts_negative_zero_mass(self):
         rho = DensityField(np.array([-0.0, 0.25, 0.75, -0.0]))
         assert rho.total_mass == 1.0
