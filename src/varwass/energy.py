@@ -53,11 +53,6 @@ class EnergyModel:
         """
         return _entropy_log_prox if self.deriv is _entropy_deriv else None
 
-    def positive_slope_on(self, m2: float, samples: int = 2049) -> bool:
-        """Sampled check of inf G' > 0 on [0, m2] (queried, never enforced)."""
-        t = np.linspace(0.0, float(m2), samples)
-        return bool(np.min(self.deriv(t)) > 0.0)
-
 
 def _clamp(t):
     return np.maximum(np.asarray(t, dtype=float), RHO_FLOOR)

@@ -148,26 +148,23 @@ class _Faces:
 
 
 def rhs(rho: DensityField, e: EnergyModel, q: ExponentField, g: Grid,
-        delta_reg: float = DELTA_REG, *, deriv: np.ndarray | None = None,
-        _faces: _Faces | None = None) -> np.ndarray:
+        delta_reg: float = DELTA_REG, *, _faces: _Faces | None = None) -> np.ndarray:
     """Spatial operator div(rho |grad G'(rho)|^(q-2) grad G'(rho)) on cells.
 
     q must be the conjugate of the transport exponent p. Face values of rho
     and q are arithmetic means; boundary fluxes vanish identically, so the
-    result integrates to exactly zero. deriv, when given, is G'(rho) on the
-    cells as the caller already computed it, e.deriv(rho.density(g)).
+    result integrates to exactly zero.
 
     _faces is solve's private path: face inputs it has already loaded for
     rho (density, slope, face exponent, delta^2), which this call uses in
-    place of rho, q, deriv and delta_reg. The result then lives in a
-    buffer that solve's next step overwrites. Either path returns the same
-    bits.
+    place of rho, q and delta_reg. The result then lives in a buffer that
+    solve's next step overwrites. Either path returns the same bits.
     """
     if _faces is None:
         rv = rho.density(g)
         _faces = _Faces(g.check_cell_field(q.values, "exponent field"), delta_reg,
                         g.dx, rv)
-        _faces.load(e.deriv(rv) if deriv is None else deriv)
+        _faces.load(e.deriv(rv))
     return _faces.rate()
 
 

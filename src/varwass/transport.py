@@ -14,6 +14,7 @@ is included as an independent reference for tiny instances.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -432,34 +433,48 @@ def solve_entropic(cost: CostMatrix, mu: np.ndarray, nu: np.ndarray, eps: float,
                    max_iters: int = 100_000, tol: float = 1e-10) -> EntropicResult:
     """Entropically regularized plan by log-domain alternating scaling.
 
-    Stops when the L1 violation of the unconstrained marginal drops below
-    tol. The reported value is <c, gamma> without the entropy term. On
-    nonconvergence the best iterate is returned with converged=False instead
-    of raising.
+    The loop runs on the marginals' support, the rows with mu > 0 and the
+    columns with nu > 0 (masses a and b, cost C there); the plan is zero
+    elsewhere. Each iteration makes two passes,
+    f = eps (log a - lse_row((g - C)/eps)) and
+    g = eps (log b - lse_col((f - C)/eps)), then reads its stop from the
+    next iteration's row log-sums: the plan exp((f + g - C)/eps) has row
+    sums exp(f/eps + lse_row((g - C)/eps)). It stops once their L1 distance
+    to a is below tol, and builds the plan once, after the loop. On the
+    support every potential is finite, and after a column update each plan
+    entry is at most its column mass, so no guard against empty cells or
+    overflow is needed. An empty support (zero total mass) gives the zero
+    plan, 1 iteration and violation sum(mu) without entering the loop.
+
+    The reported value is <c, gamma> without the entropy term. On
+    nonconvergence the last iterate is returned with converged=False instead
+    of raising. eps and tol must be positive and finite, max_iters at least 1.
     """
-    if eps <= 0.0:
-        raise NonpositiveParameterError(f"eps must be positive, got {eps}")
+    if not (math.isfinite(eps) and eps > 0.0):
+        raise NonpositiveParameterError(f"eps must be positive and finite, got {eps}")
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise NonpositiveParameterError(f"tol must be positive and finite, got {tol}")
+    if not max_iters >= 1:
+        raise InvalidParameterError(f"max_iters must be at least 1, got {max_iters}")
     mu, nu = _check_marginals(cost, mu, nu)
     C = cost.values
-    with np.errstate(divide="ignore"):
-        log_mu = np.log(mu)
-        log_nu = np.log(nu)
-    f = np.where(np.isfinite(log_mu), 0.0, -np.inf)
-    gp = np.where(np.isfinite(log_nu), 0.0, -np.inf)
-    violation = np.inf
-    it = 0
-    for it in range(1, max_iters + 1):
-        with np.errstate(invalid="ignore"):
-            f = eps * (log_mu - logsumexp((gp[None, :] - C) / eps, axis=1))
-            f = np.where(np.isfinite(log_mu), f, -np.inf)
-            gp = eps * (log_nu - logsumexp((f[:, None] - C) / eps, axis=0))
-            gp = np.where(np.isfinite(log_nu), gp, -np.inf)
-        with np.errstate(invalid="ignore"):
-            gamma = np.exp((f[:, None] + gp[None, :] - C) / eps)
-        gamma = np.nan_to_num(gamma, nan=0.0, posinf=0.0)
-        violation = float(np.abs(gamma.sum(axis=1) - mu).sum())
-        if violation < tol:
-            break
+    gamma = np.zeros_like(C)
+    rows, cols = np.flatnonzero(mu > 0.0), np.flatnonzero(nu > 0.0)
+    it, violation = 1, float(mu.sum())
+    if rows.size and cols.size:
+        support = np.ix_(rows, cols)
+        Cs, a = C[support], mu[rows]
+        log_a, log_b = np.log(a), np.log(nu[cols])
+        g = np.zeros(cols.size)
+        lse = logsumexp((g[None, :] - Cs) / eps, axis=1)
+        for it in range(1, max_iters + 1):
+            f = eps * (log_a - lse)
+            g = eps * (log_b - logsumexp((f[:, None] - Cs) / eps, axis=0))
+            lse = logsumexp((g[None, :] - Cs) / eps, axis=1)
+            violation = float(np.abs(np.exp(f / eps + lse) - a).sum())
+            if violation < tol:
+                break
+        gamma[support] = np.exp((f[:, None] + g[None, :] - Cs) / eps)
     converged = violation < tol
     value = float((C * gamma).sum())
     coupling = Coupling(gamma, mu, nu, check=converged and violation <= MARGINAL_TOL)

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 import yaml
 
-from varwass import cli, jko, pde
+from varwass import cli, jko, pde, transport
 from varwass.energy import builtin_energy
 from varwass.errors import ConfigValidationError, NonpositiveParameterError
 from varwass.grid import make_grid
@@ -134,6 +134,8 @@ def test_transport_experiment_reports_solvers(tmp_path):
     solvers = [r[0] for r in rows]
     assert solvers == ["exact", "entropic", "quantile_wasserstein"]
     assert abs(float(rows[0][2])) <= 1e-12
+    assert rows[1][4] == "1"
+    assert float(rows[1][2]) < 1e-10
 
 
 def test_norms_experiment_properties_hold(tmp_path):
@@ -167,6 +169,37 @@ def test_finsler_experiment_two_levels(tmp_path):
     assert all(float(r[4]) >= 0.0 for r in rows)
 
 
+def test_jko_experiment_writes_a_row_per_step(tmp_path):
+    path = write_config(tmp_path, flow={"h": 1e-3, "t_end": 3e-3})
+    assert cli.main(["run", str(path), "--quiet"]) == 0
+    _, _, rows = read_csv(tmp_path / "out" / "jko.csv")
+    assert [r[0] for r in rows] == ["0", "1", "2", "3"]
+    assert [float(r[1]) for r in rows] == pytest.approx([0.0, 1e-3, 2e-3, 3e-3])
+    energies = [float(r[2]) for r in rows]
+    assert np.all(np.diff(energies) <= 1e-12)
+    assert all(r[-1] == "1" and int(r[-2]) >= 1 for r in rows[1:])
+
+
+def test_finsler_at_constant_exponent_bounds_by_the_quantile_distance(tmp_path):
+    path = write_config(
+        tmp_path,
+        experiment={"kind": "finsler", "out": str(tmp_path / "out")},
+        grid={"a": 0.0, "b": 1.0, "n_cells": 32},
+        target={"kind": "gaussian", "center": 0.65, "width": 0.18},
+        finsler={"n_steps": 4},
+    )
+    assert cli.main(["run", str(path), "--quiet"]) == 0
+    _, header, rows = read_csv(tmp_path / "out" / "finsler.csv")
+    assert header[3] == "wasserstein_quantile"
+    g = make_grid(0.0, 1.0, 32)
+    want = transport.wasserstein_1d(2.0, DensityField.cosine_bump(g, 0.5),
+                                    DensityField.gaussian(g, 0.65, 0.18), g)
+    assert [float(r[3]) for r in rows] == [want, want]
+    # the polygon lengths on the grid sit within 1% of the distance, on
+    # either side of it: gap is -1.3e-3 and -1.8e-3 here
+    assert all(abs(float(r[4])) <= 0.01 * want for r in rows)
+
+
 def test_oracle_transport_vertex_check(tmp_path):
     path = write_config(
         tmp_path,
@@ -189,6 +222,60 @@ def test_oracle_transport_needs_small_grid(tmp_path):
         target={"kind": "gaussian", "center": 0.7, "width": 0.2},
     )
     assert cli.main(["oracle", str(path), "--quiet"]) == 3
+
+
+def test_oracle_jko_compares_two_backends(tmp_path):
+    # at h=0.1 both backends move the n=8 bump (by 0.165 in L1); at
+    # h <= 1e-2 both keep it in place
+    path = write_config(tmp_path, grid={"a": 0.0, "b": 1.0, "n_cells": 8},
+                        flow={"h": 0.1, "t_end": 0.0})
+    assert cli.main(["oracle", str(path), "--quiet"]) == 0
+    _, header, rows = read_csv(tmp_path / "out" / "oracle.csv")
+    assert header == ["check", "value", "reference", "abs_diff"]
+    assert [r[0] for r in rows] == ["step_objective_mirror_vs_projected",
+                                    "step_state_l1"]
+    assert float(rows[0][3]) <= 1e-6 * abs(float(rows[0][2]))
+    assert float(rows[1][1]) <= 1e-3
+
+
+def test_oracle_pde_checks_mass_and_chain_rule(tmp_path):
+    path = write_config(
+        tmp_path,
+        experiment={"kind": "pde", "out": str(tmp_path / "out")},
+        grid={"a": 0.0, "b": 1.0, "n_cells": 32},
+    )
+    assert cli.main(["oracle", str(path), "--quiet"]) == 0
+    _, _, rows = read_csv(tmp_path / "out" / "oracle.csv")
+    assert [r[0] for r in rows] == ["rhs_total_mass_rate",
+                                    "energy_slope_vs_dissipation"]
+    assert float(rows[0][3]) <= 1e-12
+    slope, dissipation = float(rows[1][1]), float(rows[1][2])
+    assert slope < 0.0 and dissipation < 0.0
+    assert float(rows[1][3]) <= 0.05 * abs(dissipation)
+
+
+def test_oracle_norms_match_a_modular_scan(tmp_path):
+    path = write_config(
+        tmp_path,
+        experiment={"kind": "norms", "seed": 3, "out": str(tmp_path / "out")},
+        norms={"samples": 3},
+    )
+    assert cli.main(["oracle", str(path), "--quiet"]) == 0
+    _, _, rows = read_csv(tmp_path / "out" / "oracle.csv")
+    assert [r[0] for r in rows] == ["norm_scan_0", "norm_scan_1", "norm_scan_2"]
+    # the scan's grid spaces lambda by a factor 256^(1/2000) ~ 1.0028
+    assert all(float(r[3]) <= 3e-3 * float(r[1]) for r in rows)
+
+
+def test_numerical_failure_exits_4(tmp_path, capsys):
+    # a fixed dt far above the stability bound raises NumericalBlowupError
+    path = write_config(
+        tmp_path,
+        experiment={"kind": "pde", "out": str(tmp_path / "out")},
+        pde={"t_end": 1e-2, "fixed_dt": 1e-2},
+    )
+    assert cli.main(["run", str(path), "--quiet"]) == 4
+    assert capsys.readouterr().err.startswith("numerical failure: ")
 
 
 # ------------------------------------------------------------- determinism

@@ -106,13 +106,6 @@ def test_bad_energy_arguments_raise_typed_errors(kind, m):
     assert isinstance(info.value, ValueError)
 
 
-def test_positive_slope_predicate():
-    # Quadratic has G'(0) = 0, so the infimum over [0, m2] is never positive.
-    assert not builtin_energy("quadratic").positive_slope_on(1.0)
-    # Entropy's G' = log t + 1 is negative near zero.
-    assert not builtin_energy("entropy").positive_slope_on(3.0)
-
-
 def test_total_energy_uniform():
     g = make_grid(0.0, 1.0, 16)
     rho = DensityField.uniform(g)

@@ -9,6 +9,7 @@ from varwass.errors import (
     SizeMismatchError,
 )
 from varwass import transport
+from varwass._kernels import logsumexp
 from varwass.grid import make_grid
 from varwass.transport import (
     CostMatrix,
@@ -375,6 +376,101 @@ class TestSolveEntropic:
         cost = build_cost(g, ExponentField.constant(2.0, 2), 1.0)
         with pytest.raises(NonpositiveParameterError):
             solve_entropic(cost, np.array([0.5, 0.5]), np.array([0.5, 0.5]), 0.0)
+
+    @pytest.mark.parametrize("eps", [float("nan"), float("inf")])
+    def test_rejects_non_finite_eps(self, eps):
+        g = make_grid(0.0, 1.0, 2)
+        cost = build_cost(g, ExponentField.constant(2.0, 2), 1.0)
+        with pytest.raises(NonpositiveParameterError):
+            solve_entropic(cost, np.array([0.5, 0.5]), np.array([0.5, 0.5]), eps)
+
+    @pytest.mark.parametrize("max_iters", [0, -3])
+    def test_rejects_fewer_than_one_iteration(self, max_iters):
+        g = make_grid(0.0, 1.0, 2)
+        cost = build_cost(g, ExponentField.constant(2.0, 2), 1.0)
+        with pytest.raises(InvalidParameterError):
+            solve_entropic(cost, np.array([0.5, 0.5]), np.array([0.5, 0.5]), 0.1,
+                           max_iters=max_iters)
+
+    @pytest.mark.parametrize("tol", [float("nan"), 0.0, -1e-10, float("inf")])
+    def test_rejects_a_tolerance_that_cannot_stop(self, tol):
+        g = make_grid(0.0, 1.0, 2)
+        cost = build_cost(g, ExponentField.constant(2.0, 2), 1.0)
+        with pytest.raises(NonpositiveParameterError):
+            solve_entropic(cost, np.array([0.5, 0.5]), np.array([0.5, 0.5]), 0.1,
+                           tol=tol)
+
+
+def _masked_sinkhorn(C, mu, nu, eps, max_iters=100_000, tol=1e-10):
+    """The entropic loop before it moved onto the marginals' support, as the
+    reference: two n-by-n log-sum-exps over the whole grid per iteration,
+    -inf potentials on empty cells, and the whole plan rebuilt each
+    iteration to read the row violation. Returns (plan, value, iterations,
+    converged, violation)."""
+    with np.errstate(divide="ignore"):
+        log_mu = np.log(mu)
+        log_nu = np.log(nu)
+    f = np.where(np.isfinite(log_mu), 0.0, -np.inf)
+    gp = np.where(np.isfinite(log_nu), 0.0, -np.inf)
+    violation = np.inf
+    it = 0
+    for it in range(1, max_iters + 1):
+        with np.errstate(invalid="ignore"):
+            f = eps * (log_mu - logsumexp((gp[None, :] - C) / eps, axis=1))
+            f = np.where(np.isfinite(log_mu), f, -np.inf)
+            gp = eps * (log_nu - logsumexp((f[:, None] - C) / eps, axis=0))
+            gp = np.where(np.isfinite(log_nu), gp, -np.inf)
+        with np.errstate(invalid="ignore"):
+            gamma = np.exp((f[:, None] + gp[None, :] - C) / eps)
+        gamma = np.nan_to_num(gamma, nan=0.0, posinf=0.0)
+        violation = float(np.abs(gamma.sum(axis=1) - mu).sum())
+        if violation < tol:
+            break
+    return gamma, float((C * gamma).sum()), it, violation < tol, violation
+
+
+def _entropic_instances(vacuum):
+    """Seeded variable-p costs at two time scales and two temperatures
+    (fractions of the median off-diagonal cost); marginals from vacuum_pair
+    (empty rows and columns) or with full support."""
+    rng = np.random.default_rng(131)
+    for n in (8, 16, 24):
+        g = make_grid(0.0, 1.0, n)
+        mu, nu = vacuum_pair(n) if vacuum else (random_masses(rng, n),
+                                                random_masses(rng, n))
+        for h in (0.3, 1.0):
+            cost = build_cost(g, ExponentField(rng.uniform(1.3, 3.0, n)), h)
+            off = np.median(cost.values[~np.eye(n, dtype=bool)])
+            for scale in (1e-1, 3e-2):
+                yield cost, mu, nu, scale * float(off)
+
+
+class TestSolveEntropicAgainstMaskedLoop:
+    @pytest.mark.parametrize("vacuum", [True, False], ids=["vacuum", "full"])
+    def test_same_counts_and_plans(self, vacuum):
+        for cost, mu, nu, eps in _entropic_instances(vacuum):
+            res = solve_entropic(cost, mu, nu, eps)
+            gamma, value, its, converged, _ = _masked_sinkhorn(cost.values, mu, nu, eps)
+            assert res.converged and converged
+            assert abs(res.iterations - its) <= 2
+            np.testing.assert_allclose(res.coupling.gamma, gamma, rtol=0.0, atol=1e-12)
+            assert np.all(res.coupling.gamma[mu == 0.0, :] == 0.0)
+            assert np.all(res.coupling.gamma[:, nu == 0.0] == 0.0)
+            if not vacuum and res.iterations == its:
+                np.testing.assert_array_equal(res.coupling.gamma, gamma)
+                assert res.value == value
+
+    def test_zero_mass_returns_the_zero_plan(self):
+        g = make_grid(0.0, 1.0, 6)
+        cost = build_cost(g, ExponentField.affine(2.0, 1.0, g), 0.5)
+        zero = np.zeros(6)
+        res = solve_entropic(cost, zero, zero, 1e-2)
+        gamma, value, its, converged, violation = _masked_sinkhorn(
+            cost.values, zero, zero, 1e-2)
+        np.testing.assert_array_equal(res.coupling.gamma, gamma)
+        assert (res.value, res.iterations, res.converged, res.marginal_violation) == (
+            value, its, converged, violation) == (0.0, 1, True, 0.0)
+        assert res.coupling.check
 
 
 class TestWasserstein1d:
