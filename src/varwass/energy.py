@@ -97,10 +97,9 @@ def builtin_energy(kind: str, m: float | None = None) -> EnergyModel:
         )
     if kind == "entropy":
         def value(t):
+            # log(1) = 0 makes G(0) = 0 without a second where; NaN stays NaN
             t = np.asarray(t, dtype=float)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                out = np.where(t > 0.0, t * np.log(np.where(t > 0.0, t, 1.0)), 0.0)
-            return out
+            return t * np.log(np.where(t > 0.0, t, 1.0))
 
         return EnergyModel(
             name="entropy",

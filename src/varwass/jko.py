@@ -8,7 +8,8 @@ One step solves the joint convex program
 whose column sums define the new density. Three backends are available:
 
 ``mirror``     multiplicative (entropic mirror) updates on the rows, the
-               default; deterministic from a uniform-row start.
+               default; deterministic from a uniform-row start. Its trials
+               run on the plan entries that have not underflowed to 0.0.
 ``projected``  projected gradient with exact per-row simplex projection, a
                slower independent check of the same program.
 ``entropic``   adds an eps * KL(gamma | uniform-row) smoothing and solves the
@@ -19,10 +20,12 @@ whose column sums define the new density. Three backends are available:
                flow would freeze. The price is a diffusive bias of order eps.
 
 The mirror and projected backends run the same Armijo descent driver and
-differ only in the trial map that the loop gets from them once per iteration.
-Both finish with a stay-put comparison: if the diagonal plan beats the
-iterate, the diagonal is returned, so the energy can never increase across
-a step.
+differ only in the trial map that the loop gets from them once per
+iteration. A trial returns the candidate plan, in the backend's own form,
+with its column sums and cost, which is all the driver reads of it; the
+backend hands back the dense plan at the end. Both finish with a
+stay-put comparison: if the diagonal plan beats the iterate, the diagonal
+is returned, so the energy can never increase across a step.
 
 The entropic backend's column equation is the proximal map of the energy
 (Peyre, SIAM J. Imaging Sci. 2015). With uniform temperatures and the
@@ -168,37 +171,38 @@ def _uniform_rows(mu: np.ndarray) -> np.ndarray:
     return np.outer(mu, np.full(n, 1.0 / n))
 
 
-def _row_scale(rs: np.ndarray, mu: np.ndarray) -> np.ndarray:
-    """Factors that take row sums rs to the row masses mu, 0 on empty rows."""
-    return np.divide(mu, rs, out=np.zeros_like(rs), where=rs > 0.0)
-
-
 def _rescale_rows(gam: np.ndarray, mu: np.ndarray) -> np.ndarray:
-    return gam * _row_scale(gam.sum(axis=1), mu)[:, None]
+    """gam with its rows scaled to the masses mu, empty rows left at 0."""
+    rs = gam.sum(axis=1)
+    return gam * np.divide(mu, rs, out=np.zeros_like(rs), where=rs > 0.0)[:, None]
 
 
 def _armijo_descent(C, mu, e, dx, opts, direction):
     """Armijo-checked descent on <C, gam> + dx sum_j G(col_j / dx) from the
     uniform-row start.
 
-    direction(gam, grad, mu) runs once per iteration and returns
-    trial(eta) -> (candidate plan, its column sums) for step size eta. A
-    candidate is accepted once it gains at least 1e-4 of its linearized
-    decrease <gam - cand, grad>, otherwise eta is halved. The run counts as
-    converged when no step size down to 1e-16 is accepted, or after three
-    consecutive steps whose drop is below opts.tol relative to the
-    objective.
+    direction(C, gam, mu) takes the start and returns (plan, trials,
+    dense): the start in the direction's own form, trials(plan, slope),
+    run once per iteration with the slope G'(col / dx) of the current plan,
+    and dense(plan), the n-by-n array of a plan. trials returns trial(eta)
+    -> (candidate plan, its column sums, its cost <C, cand>) for step size
+    eta. A candidate is accepted once it gains at least 1e-4 of its
+    linearized decrease <gam - cand, grad>, otherwise eta is halved. The
+    run counts as converged when no step size down to 1e-16 is accepted,
+    or after three consecutive steps whose drop is below opts.tol relative
+    to the objective.
 
     The accepted plan's column sums give the next gradient C + G'(col / dx)
-    without another pass over the plan, and with its cost <C, gam> they
-    give <gam, grad> = <C, gam> + col . G'. So each trial costs one n-by-n
-    dot product beyond the candidate itself. Returns the plan, its
-    objective, the iteration count and the converged flag.
+    without another pass over the plan, and with its cost they give
+    <gam, grad> = <C, gam> + col . G'. So a trial's work is the candidate,
+    its column sums and its cost. Returns the dense plan, its objective, the
+    iteration count and the converged flag.
     """
     gam = _uniform_rows(mu)
     col = gam.sum(axis=0)
     cost = float(np.vdot(C, gam))
     f_cur = cost + float(dx * e.value(col / dx).sum())
+    plan, trials, dense = direction(C, gam, mu)
     eta = 1.0 / (1.0 + np.abs(C).max())
     quiet = 0
     converged = False
@@ -206,11 +210,10 @@ def _armijo_descent(C, mu, e, dx, opts, direction):
     for it in range(1, opts.max_iters + 1):
         slope = e.deriv(col / dx)
         lin_cur = cost + float(col @ slope)
-        trial = direction(gam, C + slope[None, :], mu)
+        trial = trials(plan, slope)
         accepted = False
         while eta >= 1e-16:
-            cand, cand_col = trial(eta)
-            cand_cost = float(np.vdot(C, cand))
+            cand, cand_col, cand_cost = trial(eta)
             f_cand = cand_cost + float(dx * e.value(cand_col / dx).sum())
             lin_gain = lin_cur - (cand_cost + float(cand_col @ slope))
             if f_cand <= f_cur - 1e-4 * max(lin_gain, 0.0) + 1e-15 * (1.0 + abs(f_cur)):
@@ -221,7 +224,7 @@ def _armijo_descent(C, mu, e, dx, opts, direction):
             converged = True
             break
         drop = f_cur - f_cand
-        gam, col, cost, f_cur = cand, cand_col, cand_cost, f_cand
+        plan, col, cost, f_cur = cand, cand_col, cand_cost, f_cand
         eta = min(eta * 1.3, 1e6)
         if drop <= opts.tol * max(1.0, abs(f_cur)):
             quiet += 1
@@ -230,33 +233,76 @@ def _armijo_descent(C, mu, e, dx, opts, direction):
                 break
         else:
             quiet = 0
-    return gam, f_cur, it, converged
+    return dense(plan), f_cur, it, converged
 
 
-def _mirror_direction(gam, grad, mu):
-    """Multiplicative (entropic mirror) steps on each row.
+def _mirror_direction(C, gam, mu):
+    """Multiplicative (entropic mirror) steps on each row, on the plan's
+    live support.
 
-    z, the gradient shifted to a zero minimum in each row, is built once;
-    a trial is gam * exp(-eta z) rescaled to the row masses, built in one
-    array, with its row and column sums taken as products with a ones
-    vector.
+    A trial is gam * exp(-eta z) rescaled to the row masses, z >= 0 being
+    the gradient shifted to a zero minimum in each row. An entry that
+    reaches 0.0 stays 0.0 for the rest of the step, so a plan is kept as
+    its live entries: the nonzero ones, row-major, with their flat indices,
+    columns, costs and row segments. Row sums are segment sums, column sums
+    a weighted count over the columns (in row order, as gam.sum(axis=0)
+    adds them), and the cost a dot with the live costs.
+
+    z is built once per iteration and shifted by the minimum over each
+    row's live entries, the dead ones reading +inf. Where a row's minimizer
+    is live this is the full-row z bit for bit; elsewhere the two differ by
+    a row constant that the rescale cancels. Either way each row keeps a
+    factor of exactly 1, so its sum is positive and a positive row cannot
+    underflow to empty. Dead entries are dropped once more than 1/8 of the
+    kept ones are dead, and dense scatters a plan into an n-by-n array.
     """
-    z = grad - grad.min(axis=1, keepdims=True)
-    ones = np.ones(z.shape[1])
+    shape = gam.shape
+    C = C.ravel()
 
-    def trial(eta):
-        cand = np.multiply(z, -eta)
-        np.exp(cand, out=cand)
-        cand *= gam
-        cand *= _row_scale(cand @ ones, mu)[:, None]
-        return cand, ones @ cand
+    def live(idx, vals):
+        rows = idx // shape[1]
+        first = np.ones(idx.size, dtype=bool)
+        first[1:] = rows[1:] != rows[:-1]
+        starts = np.flatnonzero(first)
+        return vals, (idx, idx % shape[1], C[idx], starts, np.cumsum(first) - 1,
+                      mu[rows[starts]])
 
-    return trial
+    def trials(plan, slope):
+        vals, sup = plan
+        dead = vals.size - np.count_nonzero(vals)
+        if 8 * dead > vals.size:
+            keep = np.flatnonzero(vals)
+            vals, sup = live(sup[0][keep], vals[keep])
+            dead = 0
+        _, cols, c, starts, seg, mu_seg = sup
+        z = c + slope[cols]
+        if dead:
+            z[vals == 0.0] = np.inf
+        z -= np.minimum.reduceat(z, starts)[seg]
+
+        def trial(eta):
+            w = np.multiply(z, -eta)
+            np.exp(w, out=w)
+            w *= vals
+            w *= (mu_seg / np.add.reduceat(w, starts))[seg]
+            col = np.bincount(cols, weights=w, minlength=shape[1])
+            return (w, sup), col, float(c @ w)
+
+        return trial
+
+    def dense(plan):
+        vals, sup = plan
+        out = np.zeros(shape)
+        np.put(out, sup[0], vals)
+        return out
+
+    idx = np.flatnonzero(gam)
+    return live(idx, gam.ravel()[idx]), trials, dense
 
 
-def _projected_direction(gam, grad, mu):
+def _projected_direction(C, gam, mu):
     """Gradient steps, each followed by the Euclidean projection of each row
-    onto the scaled simplex of mass mu[i].
+    onto the scaled simplex of mass mu[i], on the dense plan.
 
     The column sums are out.sum(axis=0), not a product with a ones vector.
     They set the next gradient, and the projection's support follows its
@@ -269,19 +315,24 @@ def _projected_direction(gam, grad, mu):
     rows = np.arange(mp.size)
     k = np.arange(1, n + 1)
 
-    def trial(eta):
-        y = gam - eta * grad
-        out = np.zeros_like(y)
-        if mp.size:
-            yp = y[pos]
-            u = np.sort(yp, axis=1)[:, ::-1]
-            css = np.cumsum(u, axis=1) - mp[:, None]
-            rho_idx = np.count_nonzero(u - css / k > 0.0, axis=1)
-            tau = css[rows, rho_idx - 1] / rho_idx
-            out[pos] = np.maximum(yp - tau[:, None], 0.0)
-        return out, out.sum(axis=0)
+    def trials(gam, slope):
+        grad = C + slope[None, :]
 
-    return trial
+        def trial(eta):
+            y = gam - eta * grad
+            out = np.zeros_like(y)
+            if mp.size:
+                yp = y[pos]
+                u = np.sort(yp, axis=1)[:, ::-1]
+                css = np.cumsum(u, axis=1) - mp[:, None]
+                rho_idx = np.count_nonzero(u - css / k > 0.0, axis=1)
+                tau = css[rows, rho_idx - 1] / rho_idx
+                out[pos] = np.maximum(yp - tau[:, None], 0.0)
+            return out, out.sum(axis=0), float(np.vdot(C, out))
+
+        return trial
+
+    return gam, trials, lambda gam: gam
 
 
 def _solve_column_scalar(log_target: np.ndarray, e: EnergyModel, dx: float,

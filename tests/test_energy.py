@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -132,3 +134,33 @@ def test_jensen_lower_bound():
             w = rng.random(20) + 1e-4
             rho = DensityField.from_masses(w / w.sum())
             assert total_energy(rho, e, g) >= floor - 1e-12
+
+
+def _entropy_value_with_guards(t):
+    # the expression builtin_energy("entropy").value replaced
+    t = np.asarray(t, dtype=float)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(t > 0.0, t * np.log(np.where(t > 0.0, t, 1.0)), 0.0)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_entropy_value_matches_the_guarded_expression_bit_for_bit(seed):
+    rng = np.random.default_rng(900 + seed)
+    t = np.concatenate([rng.random(200) * 10.0 ** rng.integers(-12, 4, 200),
+                        np.zeros(8),
+                        np.array([5e-324, 1e-310, 2.2e-308, 1e200]),
+                        rng.random(8) * 1e-315])
+    rng.shuffle(t)
+    value = builtin_energy("entropy").value
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = value(t)
+    assert got.tobytes() == _entropy_value_with_guards(t).tobytes()
+
+
+def test_entropy_value_at_zero_and_nan():
+    value = builtin_energy("entropy").value
+    assert value(0.0) == 0.0
+    assert np.isnan(value(np.nan))
+    out = value(np.array([0.5, np.nan, 0.0]))
+    assert np.isnan(out[1]) and not np.isnan(out[[0, 2]]).any()

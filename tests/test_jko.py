@@ -857,7 +857,8 @@ _DIRECTIONS = {"mirror": (jko._mirror_direction, _reference_mirror_update),
 
 def _assert_descent_matches_reference(backend, g, p, h, e, mu, tol=1e-9):
     """Same iterations and converged flag as the reference loop, column
-    masses within 1e-12, and the returned objective that of the plan."""
+    masses within 1e-12, the returned objective that of the plan, and for
+    mirror the row masses to rounding."""
     C = transport.build_cost(g, p, h).values
     opts = jko.JkoOptions(backend=backend, tol=tol)
     direction, update = _DIRECTIONS[backend]
@@ -868,6 +869,13 @@ def _assert_descent_matches_reference(backend, g, p, h, e, mu, tol=1e-9):
     assert (it, converged) == (ref_it, ref_converged)
     np.testing.assert_allclose(gam.sum(axis=0), ref.sum(axis=0), rtol=0.0, atol=1e-12)
     assert f == pytest.approx(_reference_objective(gam, C, e, g.dx), rel=1e-13, abs=1e-15)
+    if backend == "mirror":
+        # rescaled on its live entries, each positive row keeps its mass
+        # mu_i within 4 ulps (at most 2 measured over every case here), and
+        # no positive row ends up empty
+        rows, pos = gam.sum(axis=1), mu > 0.0
+        assert np.all(rows[pos] > 0.0) and np.all(rows[~pos] == 0.0)
+        assert np.all(np.abs(rows[pos] - mu[pos]) <= 4 * np.spacing(mu[pos]))
 
 
 def _rough_masses(g, seed):
@@ -878,14 +886,20 @@ def _rough_masses(g, seed):
     return v / v.sum()
 
 
-@pytest.mark.parametrize("backend", ["mirror", "projected"])
-@pytest.mark.parametrize("index", range(4))
-def test_descent_matches_the_reference_on_exact_steps_instances(backend, index):
-    # the benchmark's exact_steps instances: n=64, p=2+x, entropy, h=1e-2
+def _exact_steps_instance(index):
+    """The benchmark's exact_steps instance: n=64, p=2+x, entropy, h=1e-2,
+    masses of the seed-1 block."""
     g = make_grid(0.0, 1.0, 64)
     v = 0.1 + 0.9 * np.random.default_rng([1, 0, index]).random(g.n_cells)
-    _assert_descent_matches_reference(backend, g, affine_p(g), 1e-2, ENTROPY,
-                                      v / v.sum())
+    return g, affine_p(g), v / v.sum()
+
+
+@pytest.mark.parametrize("index,backend", [(i, "mirror") for i in range(16)]
+                         + [(i, "projected") for i in range(4)])
+def test_descent_matches_the_reference_on_exact_steps_instances(backend, index):
+    # mirror over the whole seed-1 block of the benchmark
+    g, p, mu = _exact_steps_instance(index)
+    _assert_descent_matches_reference(backend, g, p, 1e-2, ENTROPY, mu)
 
 
 @pytest.mark.parametrize("backend", ["mirror", "projected"])
@@ -907,6 +921,32 @@ def test_descent_matches_the_reference_at_the_rounding_floor(name, seed):
     g = make_grid(0.0, 1.0, 16)
     _assert_descent_matches_reference("mirror", g, affine_p(g, 6.0), 1e-2, ENERGIES[name],
                                       _rough_masses(g, seed), tol=1e-12)
+
+
+class _CountingNumpy:
+    """numpy, with the size of every exp argument recorded."""
+
+    def __init__(self):
+        self.exp_sizes = []
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def exp(self, x, *args, **kwargs):
+        self.exp_sizes.append(np.size(x))
+        return np.exp(x, *args, **kwargs)
+
+
+def test_mirror_trials_run_on_the_live_support(monkeypatch):
+    # every exp of the descent is a trial's; the last one must touch the
+    # plan's live entries, not all n^2 (about 600 of 4096 here)
+    g, p, mu = _exact_steps_instance(0)
+    counting = _CountingNumpy()
+    monkeypatch.setattr(jko, "np", counting)
+    C = transport.build_cost(g, p, 1e-2).values
+    jko._armijo_descent(C, mu, ENTROPY, g.dx, jko.JkoOptions(), jko._mirror_direction)
+    assert counting.exp_sizes[0] == g.n_cells**2
+    assert counting.exp_sizes[-1] <= g.n_cells**2 // 4
 
 
 def test_default_step_evaluates_the_energy_slope_once_per_iteration():
