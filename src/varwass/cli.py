@@ -33,7 +33,8 @@ import yaml
 
 from . import __version__, finsler, jko, pde, transport
 from .energy import EnergyModel, builtin_energy, total_energy
-from .errors import ConfigError, ConfigValidationError, ExponentRangeError, VarwassError
+from .errors import (ConfigError, ConfigValidationError, ExponentRangeError, VarwassError,
+                     check_count, check_nonnegative, check_positive)
 from .grid import Grid, make_grid
 from .varexp import DensityField, ExponentField, conjugate, luxemburg_norm, modular
 
@@ -91,8 +92,7 @@ def _integer(value) -> int:
 
 def _count(value) -> int:
     n = _integer(value)
-    if n < 1:
-        raise ValueError(f"must be at least 1, got {n}")
+    check_count(n, "value")
     return n
 
 
@@ -257,10 +257,8 @@ def load_config(path: str | Path, seed_override: int | None = None,
 
     h = sec["flow"].get("h", 1e-3)
     t_end = sec["flow"].get("t_end", 0.0)
-    if h <= 0.0:
-        raise ConfigValidationError(f"[flow] h must be positive, got {h}")
-    if t_end < 0.0:
-        raise ConfigValidationError(f"[flow] t_end must be nonnegative, got {t_end}")
+    check_positive(h, "[flow] h", ConfigValidationError)
+    check_nonnegative(t_end, "[flow] t_end", ConfigValidationError)
     with _invalid("[solver] section"):
         jopts = jko.JkoOptions(**sec["solver"])
     with _invalid("[pde] section"):

@@ -110,7 +110,7 @@ def builtin_energy(kind: str, m: float | None = None) -> EnergyModel:
             legendre_deriv=lambda s: np.exp(np.asarray(s, dtype=float) - 1.0),
         )
     if kind == "power":
-        if m is None or not (math.isfinite(m) and m > 1.0):
+        if m is None or not 1.0 < m < math.inf:
             raise InvalidParameterError(
                 f"power energy needs a finite exponent m > 1, got {m}")
         m = float(m)

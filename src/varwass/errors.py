@@ -1,9 +1,13 @@
-"""Error types raised across the package.
+"""Error types raised across the package, and the checks of scalar inputs.
 
 Everything derives from VarwassError so callers can catch broadly; the
 numeric-input errors also derive from ValueError because that is what a
 plain-numpy caller would expect from bad arguments.
+
+Each scalar rule has one check here, a chained comparison that NaN fails.
 """
+
+import math
 
 
 class VarwassError(Exception):
@@ -27,7 +31,7 @@ class ExponentRangeError(VarwassError, ValueError):
 
 
 class NonpositiveParameterError(VarwassError, ValueError):
-    """A strictly positive scalar parameter (lambda, h, eps, ...) is <= 0."""
+    """A positive scalar parameter (lambda, h, eps, ...) is <= 0, inf or NaN."""
 
 
 class InvalidParameterError(VarwassError, ValueError):
@@ -56,6 +60,10 @@ class VanishingDensityError(VarwassError, ValueError):
     """Flux must cross a face where the density vanishes."""
 
 
+class SampleIndexError(VarwassError, IndexError):
+    """A sample index lies outside the trajectory it indexes."""
+
+
 class NumericalBlowupError(VarwassError, RuntimeError):
     """A time integration produced NaN or left the trusted range."""
 
@@ -66,3 +74,26 @@ class ConfigError(VarwassError, ValueError):
 
 class ConfigValidationError(VarwassError, ValueError):
     """Experiment configuration parsed but violates a constraint (exit 3)."""
+
+
+def check_positive(x, name: str, error: type = NonpositiveParameterError) -> None:
+    """Raise error unless x is finite and > 0; an array, entry by entry."""
+    try:
+        if 0.0 < x < math.inf:
+            return
+    except ValueError:  # an array of other than one entry
+        if ((0.0 < x) & (x < math.inf)).all():
+            return
+    raise error(f"{name} must be positive and finite, got {x}")
+
+
+def check_nonnegative(x, name: str, error: type = InvalidParameterError) -> None:
+    """Raise error unless x is finite and >= 0."""
+    if not 0.0 <= x < math.inf:
+        raise error(f"{name} must be nonnegative and finite, got {x}")
+
+
+def check_count(n, name: str, error: type = InvalidParameterError) -> None:
+    """Raise error unless n is at least 1 and finite."""
+    if not 1 <= n < math.inf:
+        raise error(f"{name} must be at least 1, got {n}")

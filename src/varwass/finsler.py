@@ -18,14 +18,15 @@ finder. A single tangent vector or segment is the one-row case.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import pde
 from .energy import EnergyModel
-from .errors import (BoundaryFluxError, InvalidDensityError, NonpositiveParameterError,
-                     NonzeroMeanError, SizeMismatchError, VanishingDensityError)
+from .errors import (BoundaryFluxError, InvalidDensityError, NonzeroMeanError,
+                     SampleIndexError, SizeMismatchError, VanishingDensityError,
+                     check_positive)
 from .grid import Grid, neighbor_mean
 from .jko import Trajectory
 from .varexp import DensityField, ExponentField, _norm_rows, luxemburg_norm
@@ -42,13 +43,11 @@ class TangentVector:
     """Zero-mean rate of change of a density, as cell values.
 
     The zero-mean check of min_norm_velocity is relative to
-    max(1, sum |nu| dx); a quotient from from_states carries instead the
-    scale that curve speeds use (_quotient_scale).
+    max(1, sum |nu| dx). metric_derivative measures the difference quotient
+    of two states, with a check that follows their masses (_speeds).
     """
 
     values: np.ndarray
-    _mean_scale: float | None = field(default=None, init=False, repr=False,
-                                      compare=False)
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=float)
@@ -57,27 +56,6 @@ class TangentVector:
         if not np.all(np.isfinite(v)):
             raise InvalidDensityError("tangent values must be finite")
         object.__setattr__(self, "values", v)
-
-    @classmethod
-    def from_states(cls, before: DensityField, after: DensityField, dt: float,
-                    g: Grid) -> "TangentVector":
-        """Difference quotient (after - before) / dt as cell density rates."""
-        if dt <= 0.0:
-            raise NonpositiveParameterError(f"dt must be positive, got {dt}")
-        nu = cls((after.density(g) - before.density(g)) / dt)
-        object.__setattr__(nu, "_mean_scale", float(
-            _quotient_scale(before.total_mass, after.total_mass, dt)))
-        return nu
-
-
-def _quotient_scale(mass_before, mass_after, dt):
-    """Zero-mean scale of the quotient of two states: max(1, (m_0 + m_1) / dt).
-
-    A quotient integrates to the mass difference of its states over dt, and
-    DensityField lets masses differ by MASS_TOL, so its zero-mean check is
-    relative to the masses over dt, which also bound sum |nu| dx.
-    """
-    return np.maximum(1.0, (mass_before + mass_after) / dt)
 
 
 @dataclass(frozen=True)
@@ -131,14 +109,11 @@ def min_norm_velocity(rho: DensityField, nu: TangentVector, g: Grid) -> Velocity
     density yields v. Since the constraint set is this single point, it
     minimizes every velocity norm at once. Faces where the density vanishes
     must carry zero flux, otherwise no admissible velocity exists. nu must
-    integrate to 0 within MEAN_TOL * max(1, sum |nu| dx), or within
-    MEAN_TOL * _quotient_scale for a quotient built by from_states.
+    integrate to 0 within MEAN_TOL * max(1, sum |nu| dx).
     """
     values = g.check_cell_field(nu.values, "tangent values")
     mass = g.check_cell_field(rho.mass, "mass")
-    scale = nu._mean_scale
-    if scale is None:
-        scale = max(1.0, float(np.abs(values).sum() * g.dx))
+    scale = max(1.0, float(np.abs(values).sum() * g.dx))
     return VelocityField(_velocities(mass[None, :], values[None, :], scale, g)[0])
 
 
@@ -166,27 +141,27 @@ def finsler_gradient(rho: DensityField, e: EnergyModel, q: ExponentField,
 def _speeds(states: list, times: np.ndarray, p: ExponentField, g: Grid) -> np.ndarray:
     """Speeds F(rho^k, (rho^{k+1} - rho^k) / dt_k) of consecutive states, stacked.
 
-    Each quotient's zero-mean check is relative to _quotient_scale.
+    A quotient integrates to the mass difference of its states over dt, and
+    DensityField lets masses differ by MASS_TOL, so its zero-mean check is
+    relative to max(1, (m_k + m_{k+1}) / dt_k), which also bounds sum |nu| dx.
     """
     mass = np.stack([g.check_cell_field(s.mass, "mass") for s in states])
     exponent = g.check_cell_field(p.values, "exponent field")
     dt = np.diff(times)
-    if not np.all(dt > 0.0):
-        raise NonpositiveParameterError(
-            f"dt must be positive, got {dt[~(dt > 0.0)][0]}")
+    check_positive(dt, "dt")
     density = mass / g.dx
     nu = (density[1:] - density[:-1]) / dt[:, None]
     if not np.isfinite(nu).all():
         raise InvalidDensityError("tangent values must be finite")
     total = mass.sum(axis=1)
-    v = _velocities(mass[:-1], nu, _quotient_scale(total[:-1], total[1:], dt), g)
+    v = _velocities(mass[:-1], nu, np.maximum(1.0, (total[:-1] + total[1:]) / dt), g)
     return _norm_rows(neighbor_mean(v), mass[:-1], exponent)
 
 
 def metric_derivative(traj: Trajectory, p: ExponentField, g: Grid, k: int) -> float:
     """Discrete speed F(rho^k, (rho^{k+1} - rho^k) / dt) at sample k."""
     if not 0 <= k < len(traj) - 1:
-        raise IndexError(
+        raise SampleIndexError(
             f"sample index {k} out of range for a trajectory of {len(traj)} states"
         )
     return float(_speeds(traj.states[k:k + 2], traj.times[k:k + 2], p, g)[0])

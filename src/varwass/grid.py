@@ -15,6 +15,7 @@ rounding because both sides telescope.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -29,9 +30,9 @@ class Grid:
     Parameters
     ----------
     a, b : float
-        Domain endpoints, a < b.
+        Domain endpoints, a < b, with a finite length b - a.
     n_cells : int
-        Number of cells, at least 2.
+        Number of cells, at least 2; a float is truncated to an int.
 
     Attributes
     ----------
@@ -48,14 +49,16 @@ class Grid:
     centers: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        if not (self.a < self.b):
+        # NaN, an infinite endpoint and a length that overflows fail it too
+        if not 0.0 < self.b - self.a < math.inf:
             raise InvalidDomainError(
-                f"domain endpoints must satisfy a < b, got a={self.a}, b={self.b}"
+                f"domain endpoints must be finite with a < b, got a={self.a}, b={self.b}"
             )
-        if self.n_cells < 2:
+        if not 2 <= self.n_cells < math.inf:
             raise InvalidDomainError(
                 f"need at least 2 cells, got n_cells={self.n_cells}"
             )
+        object.__setattr__(self, "n_cells", int(self.n_cells))
         dx = (self.b - self.a) / self.n_cells
         centers = self.a + (np.arange(self.n_cells) + 0.5) * dx
         object.__setattr__(self, "dx", dx)
@@ -84,8 +87,8 @@ class Grid:
 
 
 def make_grid(a: float, b: float, n_cells: int) -> Grid:
-    """Build a Grid; raises InvalidDomainError for a >= b or n_cells < 2."""
-    return Grid(float(a), float(b), int(n_cells))
+    """Build a Grid; raises InvalidDomainError for bad endpoints or n_cells < 2."""
+    return Grid(float(a), float(b), n_cells)
 
 
 def gradient(u: np.ndarray, g: Grid) -> np.ndarray:

@@ -67,8 +67,8 @@ import numpy as np
 from . import transport
 from ._kernels import bisect, logsumexp
 from .energy import RHO_FLOOR, EnergyModel, total_energy
-from .errors import (InvalidParameterError, NonpositiveParameterError,
-                     NumericalBlowupError, SizeMismatchError)
+from .errors import (InvalidParameterError, NumericalBlowupError, SizeMismatchError,
+                     check_count, check_nonnegative, check_positive)
 from .grid import Grid, gradient, neighbor_mean
 from .varexp import DensityField, ExponentField, conjugate
 
@@ -104,23 +104,11 @@ class JkoOptions:
             raise InvalidParameterError(
                 f"backend must be one of {VALID_BACKENDS}, got {self.backend!r}"
             )
-        if not _positive(self.eps):
-            raise NonpositiveParameterError(
-                f"eps must be positive and finite, got {self.eps}")
-        if self.smoothing is not None and not _positive(self.smoothing):
-            raise NonpositiveParameterError(
-                f"smoothing length must be positive and finite, got {self.smoothing}"
-            )
-        if not self.max_iters >= 1:
-            raise InvalidParameterError("max_iters must be at least 1")
-        if not _positive(self.tol):
-            raise NonpositiveParameterError(
-                f"tol must be positive and finite, got {self.tol}")
-
-
-def _positive(x: float) -> bool:
-    """x is a finite number above 0 (NaN is not)."""
-    return math.isfinite(x) and x > 0.0
+        check_positive(self.eps, "eps")
+        if self.smoothing is not None:
+            check_positive(self.smoothing, "smoothing length")
+        check_count(self.max_iters, "max_iters")
+        check_positive(self.tol, "tol")
 
 
 @dataclass(frozen=True)
@@ -694,14 +682,13 @@ def jko_step(rho_prev: DensityField, e: EnergyModel, p: ExponentField, h: float,
     the exact plan between the old and new masses when opts.exact_coupling
     is set (the default), otherwise the solver iterate itself.
     """
-    if not _positive(h):
-        raise NonpositiveParameterError(
-            f"step size h must be positive and finite, got {h}")
+    check_positive(h, "step size h")
     opts = opts or JkoOptions()
     mu = g.check_cell_field(rho_prev.mass, "previous mass")
     cost, eps_vec, log_ref, kernel = _step_plan(g, p, h, opts)
     C = cost.values
     dx = g.dx
+    e_before = total_energy(rho_prev, e, g)
 
     if opts.backend == "entropic":
         gam, iters, converged = _entropic_backend(log_ref, kernel, mu, e, dx,
@@ -713,9 +700,9 @@ def jko_step(rho_prev: DensityField, e: EnergyModel, p: ExponentField, h: float,
                                                         direction)
         # Stay-put comparison: the diagonal plan costs nothing and keeps the
         # old energy, so accepting the better of the two makes the step
-        # objective, and with it the energy, provably nonincreasing.
-        f_stay = float(dx * e.value(mu / dx).sum())
-        if f_stay < f_iter:
+        # objective, and with it the energy, provably nonincreasing. Its
+        # objective dx * sum G(mu / dx) has the bits of e_before.
+        if e_before < f_iter:
             gam = np.diag(mu)
 
     m_next = gam.sum(axis=0)
@@ -734,7 +721,6 @@ def jko_step(rho_prev: DensityField, e: EnergyModel, p: ExponentField, h: float,
         cost_value = float((C * gam).sum())
         is_exact = False
 
-    e_before = total_energy(rho_prev, e, g)
     e_after = total_energy(rho_next, e, g)
     residual = _residual_of(coupling, rho_next, e, p, h, g)
     return JkoStepResult(
@@ -759,11 +745,8 @@ def run_flow(rho0: DensityField, e: EnergyModel, p: ExponentField, h: float,
     its own exception, with "step k: " prepended to the message when the
     first argument is a string; type, attributes and traceback are kept.
     """
-    if not (math.isfinite(t_end) and t_end >= 0.0):
-        raise InvalidParameterError(f"t_end must be nonnegative and finite, got {t_end}")
-    if not _positive(h):
-        raise NonpositiveParameterError(
-            f"step size h must be positive and finite, got {h}")
+    check_nonnegative(t_end, "t_end")
+    check_positive(h, "step size h")
     n_steps = max(0, math.ceil(t_end / h - 1e-9))
     states = [rho0]
     steps = []
@@ -856,7 +839,7 @@ class DissipationReport:
 
 def dissipation_check(traj: Trajectory, e: EnergyModel, p: ExponentField,
                       h, g: Grid) -> DissipationReport:
-    """Dissipation slacks along traj; h is one step or an array of len(traj) - 1."""
+    """Dissipation slacks along traj; h (finite, > 0) is one step or one per interval."""
     if len(traj) == 0:
         raise SizeMismatchError("trajectory is empty")
     dt = np.asarray(h, dtype=float)
@@ -864,6 +847,7 @@ def dissipation_check(traj: Trajectory, e: EnergyModel, p: ExponentField,
         raise SizeMismatchError(
             f"need one step per interval ({len(traj) - 1}), got shape {dt.shape}"
         )
+    check_positive(dt, "h")
     energies = np.array([total_energy(s, e, g) for s in traj.states])
     rates = np.array([dissipation_rate(s, e, p, g) for s in traj.states[1:]])
     dissipated = dt * rates

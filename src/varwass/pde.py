@@ -28,8 +28,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .energy import EnergyModel, total_energy
-from .errors import (InvalidParameterError, NonpositiveParameterError,
-                     NumericalBlowupError, SizeMismatchError)
+from .errors import (InvalidParameterError, NumericalBlowupError, SizeMismatchError,
+                     check_count, check_nonnegative, check_positive)
 from .grid import Grid, neighbor_mean
 from .jko import Trajectory
 from .varexp import DensityField, ExponentField
@@ -61,23 +61,14 @@ class PdeConfig:
     max_steps: int = 5_000_000
 
     def __post_init__(self):
-        if not (math.isfinite(self.t_end) and self.t_end >= 0.0):
-            raise InvalidParameterError(
-                f"t_end must be nonnegative and finite, got {self.t_end}")
+        check_nonnegative(self.t_end, "t_end")
         if not 0.0 < self.cfl <= 1.0:
             raise InvalidParameterError(f"cfl must lie in (0, 1], got {self.cfl}")
-        if not (math.isfinite(self.delta_reg) and self.delta_reg >= 0.0):
-            raise InvalidParameterError(
-                f"delta_reg must be nonnegative and finite, got {self.delta_reg}")
-        if not self.stride >= 1:
-            raise InvalidParameterError(f"stride must be at least 1, got {self.stride}")
-        if self.fixed_dt is not None and not (math.isfinite(self.fixed_dt)
-                                              and self.fixed_dt > 0.0):
-            raise NonpositiveParameterError(
-                f"fixed_dt must be positive and finite, got {self.fixed_dt}")
-        if not self.max_steps >= 1:
-            raise InvalidParameterError(
-                f"max_steps must be at least 1, got {self.max_steps}")
+        check_nonnegative(self.delta_reg, "delta_reg")
+        check_count(self.stride, "stride")
+        if self.fixed_dt is not None:
+            check_positive(self.fixed_dt, "fixed_dt")
+        check_count(self.max_steps, "max_steps")
 
 
 class _Faces:
@@ -153,7 +144,7 @@ def rhs(rho: DensityField, e: EnergyModel, q: ExponentField, g: Grid,
 
     q must be the conjugate of the transport exponent p. Face values of rho
     and q are arithmetic means; boundary fluxes vanish identically, so the
-    result integrates to exactly zero.
+    result integrates to exactly zero. delta_reg must be finite and >= 0.
 
     _faces is solve's private path: face inputs it has already loaded for
     rho (density, slope, face exponent, delta^2), which this call uses in
@@ -161,6 +152,7 @@ def rhs(rho: DensityField, e: EnergyModel, q: ExponentField, g: Grid,
     solve's next step overwrites. Either path returns the same bits.
     """
     if _faces is None:
+        check_nonnegative(delta_reg, "delta_reg")
         rv = rho.density(g)
         _faces = _Faces(g.check_cell_field(q.values, "exponent field"), delta_reg,
                         g.dx, rv)

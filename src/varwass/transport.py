@@ -27,9 +27,11 @@ from .errors import (
     NonpositiveParameterError,
     NumericalBlowupError,
     SizeMismatchError,
+    check_count,
+    check_positive,
 )
 from .grid import Grid
-from .varexp import ExponentField, DensityField
+from .varexp import ExponentField, DensityField, _check_masses
 
 #: Marginals of a coupling may deviate from their targets by at most this much.
 MARGINAL_TOL = 1e-9
@@ -85,12 +87,13 @@ class Coupling:
         object.__setattr__(self, "row_marginal", mu)
         object.__setattr__(self, "col_marginal", nu)
         if self.check:
-            if gam.min() < -MARGINAL_TOL:
+            # written so that a NaN entry or marginal fails them
+            if not gam.min() >= -MARGINAL_TOL:
                 raise NegativeCouplingError(
-                    f"coupling has negative entries, min {gam.min()}")
+                    f"coupling has negative or NaN entries, min {gam.min()}")
             row_err = np.abs(gam.sum(axis=1) - mu).max()
             col_err = np.abs(gam.sum(axis=0) - nu).max()
-            if row_err > MARGINAL_TOL or col_err > MARGINAL_TOL:
+            if not (row_err <= MARGINAL_TOL and col_err <= MARGINAL_TOL):
                 raise MarginalMismatchError(
                     f"coupling marginals off by (rows {row_err:.2e}, cols {col_err:.2e})"
                 )
@@ -104,10 +107,9 @@ class Coupling:
 def build_cost(g: Grid, p: ExponentField, h: float) -> CostMatrix:
     """Cost matrix c[i][j] = |x_i - x_j|^p(x_i) / (h^(p(x_i)-1) p(x_i)).
 
-    The diagonal is exactly zero; h must be positive.
+    The diagonal is exactly zero; h must be positive and finite.
     """
-    if h <= 0.0:
-        raise NonpositiveParameterError(f"time scale h must be positive, got {h}")
+    check_positive(h, "time scale h")
     g.check_cell_field(p.values, "exponent field")
     x = g.centers
     pi = p.values[:, None]
@@ -125,9 +127,9 @@ def _check_marginals(cost: CostMatrix, mu: np.ndarray, nu: np.ndarray):
         raise SizeMismatchError(
             f"marginals must have shape ({n},), got {mu.shape} and {nu.shape}"
         )
-    if mu.min() < 0.0 or nu.min() < 0.0:
-        raise MarginalMismatchError("marginals must be nonnegative")
-    if abs(mu.sum() - nu.sum()) > MARGINAL_TOL:
+    _check_masses(mu, False)
+    _check_masses(nu, False)
+    if not abs(mu.sum() - nu.sum()) <= MARGINAL_TOL:
         raise MarginalMismatchError(
             f"total masses differ: {mu.sum()!r} vs {nu.sum()!r}"
         )
@@ -450,12 +452,9 @@ def solve_entropic(cost: CostMatrix, mu: np.ndarray, nu: np.ndarray, eps: float,
     nonconvergence the last iterate is returned with converged=False instead
     of raising. eps and tol must be positive and finite, max_iters at least 1.
     """
-    if not (math.isfinite(eps) and eps > 0.0):
-        raise NonpositiveParameterError(f"eps must be positive and finite, got {eps}")
-    if not (math.isfinite(tol) and tol > 0.0):
-        raise NonpositiveParameterError(f"tol must be positive and finite, got {tol}")
-    if not max_iters >= 1:
-        raise InvalidParameterError(f"max_iters must be at least 1, got {max_iters}")
+    check_positive(eps, "eps")
+    check_positive(tol, "tol")
+    check_count(max_iters, "max_iters")
     mu, nu = _check_marginals(cost, mu, nu)
     C = cost.values
     gamma = np.zeros_like(C)
@@ -506,8 +505,8 @@ def wasserstein_1d(p_const: float, mu: DensityField, nu: DensityField, g: Grid) 
     piecewise-constant quantiles, which is the exact optimal-transport value
     for the convex cost |x - y|^p in one dimension.
     """
-    if p_const < 1.0:
-        raise NonpositiveParameterError(f"exponent must be >= 1, got {p_const}")
+    if not 1.0 <= p_const < math.inf:
+        raise NonpositiveParameterError(f"exponent must be finite and >= 1, got {p_const}")
     a = g.check_cell_field(mu.mass, "mu mass")
     b = g.check_cell_field(nu.mass, "nu mass")
     ta, tb = a.sum(), b.sum()

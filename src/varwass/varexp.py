@@ -19,8 +19,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._kernels import bisect, logsumexp
-from .errors import (ExponentRangeError, InvalidDensityError,
-                     InvalidParameterError, NonpositiveParameterError)
+from .errors import (ExponentRangeError, InvalidDensityError, InvalidParameterError,
+                     check_positive)
 from .grid import Grid
 
 #: Below this, a density value counts as zero support for norm purposes.
@@ -167,8 +167,7 @@ class DensityField:
     def from_cell_values(cls, values, g: Grid) -> "DensityField":
         """Normalize nonnegative cell values into a probability density."""
         v = g.check_cell_field(np.asarray(values, dtype=float), "density values")
-        if np.any(v < 0.0):
-            raise InvalidDensityError("density values must be nonnegative")
+        _check_masses(v, False)
         total = v.sum() * g.dx
         if total <= 0.0:
             raise InvalidDensityError("density values must carry positive total mass")
@@ -188,8 +187,7 @@ class DensityField:
 
     @classmethod
     def gaussian(cls, g: Grid, center: float, width: float) -> "DensityField":
-        if not (math.isfinite(width) and width > 0.0):
-            raise InvalidParameterError("gaussian width must be positive and finite")
+        check_positive(width, "gaussian width", InvalidParameterError)
         if not math.isfinite(center):
             raise InvalidParameterError("gaussian center must be finite")
         v = np.exp(-0.5 * ((g.centers - center) / width) ** 2)
@@ -209,11 +207,10 @@ def modular(u: np.ndarray, rho: DensityField, p: ExponentField, lam: float, g: G
     """Weighted modular sum_i |u[i]/lam|^p[i] * rho[i] * dx.
 
     Since rho[i] * dx is exactly the cell mass, the quadrature never touches
-    dx explicitly. lam must be strictly positive.
+    dx explicitly. lam must be positive and finite.
     """
     u = _check_shapes(u, rho, p, g)
-    if lam <= 0.0:
-        raise NonpositiveParameterError(f"lambda must be positive, got {lam}")
+    check_positive(lam, "lambda")
     return float(np.sum(np.abs(u / lam) ** p.values * rho.mass))
 
 

@@ -494,3 +494,29 @@ def test_console_entry_point_runs(tmp_path):
     proc = subprocess.run(cmd + ["validate", str(path), "--quiet"],
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize("overrides, code", [
+    ({"compare": {"stride": 0}}, 3),
+    ({"experiment": None}, 3),
+    ({"grid": 5}, 2),
+    ({"initial": {"kind": "explicit"}}, 3),
+    ({"initial": {"kind": "blob"}}, 3),
+    ({"exponent": {"kind": "piecewise"}}, 3),
+    ({"exponent": {"kind": "ramp"}}, 3),
+    ({"flow": {"h": 0.0}}, 3),
+    ({"flow": {"h": -1e-3}}, 3),
+    ({"flow": {"h": 1e-3, "t_end": -1.0}}, 3),
+], ids=["count below one", "no experiment", "section not a mapping",
+        "explicit without masses", "unknown density kind",
+        "piecewise without values", "unknown exponent kind", "zero step",
+        "negative step", "negative horizon"])
+def test_each_config_rejection_exits_with_its_code(tmp_path, overrides, code):
+    path = write_config(tmp_path, **overrides)
+    assert cli.main(["validate", str(path), "--quiet"]) == code
+
+
+def test_config_that_is_not_a_mapping_is_a_config_error(tmp_path):
+    path = tmp_path / "list.yaml"
+    path.write_text("- 1\n- 2\n")
+    assert cli.main(["validate", str(path), "--quiet"]) == 2

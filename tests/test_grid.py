@@ -101,3 +101,9 @@ def test_summation_by_parts():
     lhs = float(np.sum(phi * divergence(f, g)) * g.dx)
     rhs = -float(np.sum(gradient(phi, g) * f) * g.dx)
     assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-12)
+
+
+def test_divergence_size_mismatch():
+    g = make_grid(0.0, 1.0, 4)
+    with pytest.raises(SizeMismatchError):
+        divergence(np.zeros(4), g)

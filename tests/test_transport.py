@@ -2,11 +2,14 @@ import numpy as np
 import pytest
 
 from varwass.errors import (
+    InvalidDensityError,
     InvalidParameterError,
     MarginalMismatchError,
     NegativeCouplingError,
     NonpositiveParameterError,
+    NumericalBlowupError,
     SizeMismatchError,
+    VarwassError,
 )
 from varwass import transport
 from varwass._kernels import logsumexp
@@ -544,3 +547,44 @@ class TestDisplacementInterpolant:
         mu = DensityField.uniform(g)
         with pytest.raises(ValueError):
             displacement_interpolant(mu, mu, 1.5, g)
+
+
+def _bad_transport_calls():
+    g = make_grid(0.0, 1.0, 4)
+    cost = build_cost(g, ExponentField.constant(2.0, 4), 1e-2)
+    uniform = np.full(4, 0.25)
+    rho = DensityField.uniform(g)
+    heavy = DensityField.from_masses(np.full(4, 0.5), require_unit_mass=False)
+    return {
+        "non-square cost": (lambda: CostMatrix(np.zeros((2, 3)), 1.0,
+                                               ExponentField.constant(2.0, 2)),
+                            SizeMismatchError),
+        "coupling shape": (lambda: Coupling(np.zeros((2, 2)), np.full(3, 1 / 3),
+                                            np.full(2, 0.5)), SizeMismatchError),
+        "marginal shape": (lambda: solve_exact(cost, np.full(3, 1 / 3), uniform),
+                           SizeMismatchError),
+        "negative marginal": (lambda: solve_exact(cost, np.array([0.75, -0.25, 0.25, 0.25]),
+                                                  uniform), InvalidDensityError),
+        "wasserstein exponent below one": (lambda: wasserstein_1d(0.5, rho, rho, g),
+                                           NonpositiveParameterError),
+        "wasserstein masses differ": (lambda: wasserstein_1d(2.0, heavy, rho, g),
+                                      MarginalMismatchError),
+    }
+
+
+@pytest.mark.parametrize("case", sorted(_bad_transport_calls()))
+def test_transport_errors_are_typed(case):
+    call, error = _bad_transport_calls()[case]
+    with pytest.raises(error) as info:
+        call()
+    assert isinstance(info.value, VarwassError)
+
+
+def test_pivot_cap_raises_when_the_simplex_needs_a_pivot():
+    g = make_grid(0.0, 1.0, 6)
+    cost = build_cost(g, ExponentField.affine(2.0, 1.0, g), 1e-2)
+    rng = np.random.default_rng(5)
+    mu, nu = random_masses(rng, 6), random_masses(rng, 6)
+    assert solve_exact(cost, mu, nu).pivots > 0
+    with pytest.raises(NumericalBlowupError):
+        solve_exact(cost, mu, nu, max_pivots=0)

@@ -397,3 +397,9 @@ class TestLuxemburgNorm:
                 want = float(np.sum(np.abs(u) ** r * rho.mass)) ** (1.0 / r)
                 got = luxemburg_norm(u, rho, p, g)
                 assert got == pytest.approx(want, rel=1e-10, abs=1e-12)
+
+
+@pytest.mark.parametrize("values", [[], [2.0, float("nan")], [2.0, float("inf")]])
+def test_exponent_field_rejects_empty_and_non_finite_values(values):
+    with pytest.raises(ExponentRangeError):
+        ExponentField(np.array(values))
