@@ -144,6 +144,8 @@ class Trajectory:
             raise SizeMismatchError(
                 f"times (len {t.size}) and states (len {len(self.states)}) disagree"
             )
+        if not self.states:
+            raise SizeMismatchError("trajectory is empty")
         object.__setattr__(self, "times", t)
 
     def __len__(self) -> int:
@@ -349,7 +351,7 @@ def _solve_column_scalar(log_target: np.ndarray, e: EnergyModel, dx: float,
 
     start = log_target if start is None else start
     with np.errstate(over="ignore", invalid="ignore"):
-        lo, hi = bisect(f, start - 1.0, start + 1.0, 1.0, 120, with_slope=True)
+        lo, hi = bisect(f, start - 1.0, start + 1.0)
     return 0.5 * (lo + hi)
 
 
@@ -379,7 +381,7 @@ def _solve_columns_mixed(W: np.ndarray, eps_vec: np.ndarray, e: EnergyModel,
         return sig - lse, 1.0 + (inv_eps @ w) * _clamped_curvature(e, t)
 
     start = logsumexp(W.T, axis=1) if start is None else start
-    lo, hi = bisect(f, start - 1.0, start + 1.0, 1.0, 80, with_slope=True)
+    lo, hi = bisect(f, start - 1.0, start + 1.0)
     return 0.5 * (lo + hi)
 
 
@@ -407,18 +409,22 @@ def _entropic_temperatures(opts: JkoOptions, p: ExponentField, h: float,
             f"kernel second moment saturates at {cap:g}"
         )
     pv = p.values[:, None]
-    # Cost of each lattice displacement, per row. eps enters only as a
-    # divisor, so the moment is increasing in eps and bisection applies.
+    # Cost of each lattice displacement, per row. eps enters only as a divisor,
+    # so the moment increases in log eps, with slope Cov_w(d2, a) / eps.
     a = np.abs(disp)[None, :] ** pv / (pv * h ** (pv - 1.0))
 
-    def excess(log_eps: np.ndarray) -> np.ndarray:
-        w = np.exp(-a / np.exp(log_eps)[:, None])
-        return (d2[None, :] * w).sum(axis=1) / w.sum(axis=1) - target
+    def excess(log_eps: np.ndarray):
+        eps = np.exp(log_eps)
+        w = np.exp(-a / eps[:, None])
+        total = w.sum(axis=1)
+        moment = (d2[None, :] * w).sum(axis=1) / total
+        return (moment - target,
+                ((d2 - moment[:, None]) * a * w).sum(axis=1) / (total * eps))
 
     # Continuum width sqrt(target) is the right scale; bracket around it in
     # log eps and return the geometric midpoint of the final eps bracket.
     guess = np.log(opts.smoothing ** pv[:, 0] / (pv[:, 0] * h ** (pv[:, 0] - 1.0)))
-    lo, hi = bisect(excess, guess, guess, math.log(4.0), 100)
+    lo, hi = bisect(excess, guess - 1.0, guess + 1.0)
     return np.sqrt(np.exp(lo) * np.exp(hi))
 
 
@@ -814,6 +820,7 @@ def el_residual(step: JkoStepResult, e: EnergyModel, p: ExponentField, h: float,
 def dissipation_rate(rho: DensityField, e: EnergyModel, p: ExponentField,
                      g: Grid) -> float:
     """Integral of |grad G'(rho)|^q(x) / p(x) * rho, the step dissipation bound."""
+    g.check_cell_field(p.values, "exponent field")
     s_cell = _cell_slope(rho, e, g)
     q = conjugate(p).values
     rate = np.abs(s_cell) ** q / p.values * rho.density(g)
@@ -840,8 +847,7 @@ class DissipationReport:
 def dissipation_check(traj: Trajectory, e: EnergyModel, p: ExponentField,
                       h, g: Grid) -> DissipationReport:
     """Dissipation slacks along traj; h (finite, > 0) is one step or one per interval."""
-    if len(traj) == 0:
-        raise SizeMismatchError("trajectory is empty")
+    g.check_cell_field(p.values, "exponent field")
     dt = np.asarray(h, dtype=float)
     if dt.ndim and dt.shape != (len(traj) - 1,):
         raise SizeMismatchError(

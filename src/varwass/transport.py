@@ -50,8 +50,8 @@ class CostMatrix:
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=float)
-        if v.ndim != 2 or v.shape[0] != v.shape[1]:
-            raise SizeMismatchError(f"cost matrix must be square, got {v.shape}")
+        if v.ndim != 2 or v.shape[0] != v.shape[1] or v.size == 0:
+            raise SizeMismatchError(f"cost matrix must be square and nonempty, got {v.shape}")
         object.__setattr__(self, "values", v)
 
     @property
@@ -78,9 +78,9 @@ class Coupling:
         gam = np.asarray(self.gamma, dtype=float)
         mu = np.asarray(self.row_marginal, dtype=float)
         nu = np.asarray(self.col_marginal, dtype=float)
-        if gam.ndim != 2 or gam.shape != (mu.size, nu.size):
+        if gam.ndim != 2 or gam.shape != (mu.size, nu.size) or gam.size == 0:
             raise SizeMismatchError(
-                f"coupling shape {gam.shape} does not match marginals "
+                f"coupling shape {gam.shape} is empty or does not match marginals "
                 f"({mu.size}, {nu.size})"
             )
         object.__setattr__(self, "gamma", gam)

@@ -81,36 +81,35 @@ def conjugate(p: ExponentField) -> ExponentField:
 
 def _check_masses(m: np.ndarray, require_unit_mass: bool) -> None:
     """Raise InvalidDensityError unless each row of m (along its last axis)
-    holds finite, nonnegative masses, summing to 1 within MASS_TOL when
-    require_unit_mass is set. A stack of rows raises what its first bad
-    row would raise alone.
+    holds finite, nonnegative masses with a finite total, summing to 1
+    within MASS_TOL when require_unit_mass is set. A stack of rows raises
+    what its first bad row would raise alone.
 
-    Two reductions per row; min and max never warn, and the sum is taken
-    only under the unit-mass check, with overflow and inf - inf silenced
-    because the checks below read them.
+    Two reductions per row; min never warns, and the sum's overflow and
+    inf - inf are silenced because the checks below read them.
     """
     lo = np.minimum.reduce(m, axis=-1)  # shows a NaN or -inf entry
     with np.errstate(over="ignore", invalid="ignore"):
-        top = (np.add.reduce(m, axis=-1) if require_unit_mass
-               else np.maximum.reduce(m, axis=-1))
+        total = np.add.reduce(m, axis=-1)
     # a NaN lo fails lo >= 0; a +inf entry, or a sum that overflows on
-    # finite entries, makes top infinite
-    bad = ~(lo >= 0.0) | ~np.isfinite(top)
+    # finite entries, makes the total infinite
+    bad = ~(lo >= 0.0) | ~np.isfinite(total)
     if require_unit_mass:
-        bad |= abs(top - 1.0) > MASS_TOL
+        bad |= abs(total - 1.0) > MASS_TOL
     if not bad.any():
         return
     if m.ndim > 1:
         k = int(np.argmax(bad))
-        m, lo, top = m[k], lo[k], top[k]
+        m, lo, total = m[k], lo[k], total[k]
     if not math.isfinite(lo):
         raise InvalidDensityError("mass must be finite")
     # only the full pass tells an overflowing sum from an infinite entry
-    if not math.isfinite(top) and not np.isfinite(m).all():
+    if not math.isfinite(total) and not np.isfinite(m).all():
         raise InvalidDensityError("mass must be finite")
     if lo < 0.0:
         raise InvalidDensityError(f"mass must be nonnegative, got min {lo}")
-    raise InvalidDensityError(f"masses must sum to 1 within {MASS_TOL}, got {top!r}")
+    rule = f"sum to 1 within {MASS_TOL}" if require_unit_mass else "have a finite total"
+    raise InvalidDensityError(f"masses must {rule}, got {total!r}")
 
 
 @dataclass(frozen=True)
@@ -229,7 +228,7 @@ def _norm_rows(u: np.ndarray, mass: np.ndarray, p: np.ndarray) -> np.ndarray:
     """Luxemburg norms of the K rows of u (K, n), row k weighted by mass[k].
 
     In x = log lam, f(x) = -log modular(e^x) increases with slope the
-    modular-weighted mean of p, so one Newton-mode finder call solves every
+    modular-weighted mean of p, so one call of the shared finder solves every
     row. With A = max |u| on the support, attained in cell k, the modular
     is at most the total mass at lam = A, and cell k's term alone is 1 at
     lam = A * mass[k]^(1/p[k]): that brackets the root, and the finder widens
@@ -253,6 +252,6 @@ def _norm_rows(u: np.ndarray, mass: np.ndarray, p: np.ndarray) -> np.ndarray:
 
     hi = np.log(top)
     lo = hi + np.log(w[np.arange(k.size), k]) / p[k]
-    lo, hi = bisect(f, lo, hi, 1.0, 120, with_slope=True)
+    lo, hi = bisect(f, lo, hi)
     norms[live] = np.exp(0.5 * (lo + hi))
     return norms

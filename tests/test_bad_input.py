@@ -2,8 +2,10 @@
 one into a typed VarwassError, never into a number or a warning.
 
 Each entry gets NaN, +inf and -inf, plus the finite values its rule
-excludes; a mass vector gets them in one seeded cell. The suite runs with
-warnings as errors, so a RuntimeWarning on the way fails the entry too.
+excludes; a mass vector gets them in one seeded cell. Finite masses whose
+total overflows, and empty or wrong-length arrays, are checked too. The
+suite runs with warnings as errors, so a RuntimeWarning on the way fails
+the entry too.
 """
 
 import math
@@ -13,7 +15,7 @@ import pytest
 
 from varwass import finsler, jko, pde, transport
 from varwass.energy import builtin_energy
-from varwass.errors import VarwassError
+from varwass.errors import InvalidDensityError, SizeMismatchError, VarwassError
 from varwass.grid import make_grid
 from varwass.jko import Trajectory
 from varwass.varexp import DensityField, ExponentField, luxemburg_norm, modular
@@ -132,3 +134,45 @@ def test_bad_scalar_or_mass_raises_a_typed_error(name):
     for x in NON_FINITE + invalid:
         with pytest.raises(VarwassError):
             call(x)
+
+
+def _pair_cost():
+    return transport.build_cost(make_grid(0.0, 1.0, 2), ExponentField.constant(2.0, 2), 1.0)
+
+
+# finite masses whose total overflows to inf
+HUGE = np.array([1e308, 1e308])
+
+
+@pytest.mark.parametrize("call", [
+    lambda: DensityField(HUGE, require_unit_mass=False),
+    lambda: transport.solve_exact(_pair_cost(), HUGE, HUGE),
+    lambda: transport.solve_entropic(_pair_cost(), HUGE, HUGE, 0.1),
+    lambda: transport.solve_brute_force(_pair_cost(), HUGE, HUGE),
+], ids=["DensityField", "solve_exact", "solve_entropic", "solve_brute_force"])
+def test_overflowing_total_mass_raises_a_typed_error(call):
+    with pytest.raises(InvalidDensityError, match="finite total"):
+        call()
+
+
+def _size_cases():
+    g = make_grid(0.0, 1.0, N)
+    e = builtin_energy("entropy")
+    rho = DensityField.uniform(g)
+    short_p = ExponentField.constant(2.0, N - 1)
+    pair = Trajectory(times=np.array([0.0, 1e-2]), states=[rho, rho])
+    return {
+        "transport.CostMatrix empty": lambda: transport.CostMatrix(
+            np.zeros((0, 0)), 1.0, ExponentField.constant(2.0, 2)),
+        "transport.Coupling empty": lambda: transport.Coupling(
+            np.zeros((0, 0)), np.zeros(0), np.zeros(0)),
+        "jko.Trajectory empty": lambda: Trajectory(times=[], states=[]),
+        "jko.dissipation_rate p": lambda: jko.dissipation_rate(rho, e, short_p, g),
+        "jko.dissipation_check p": lambda: jko.dissipation_check(pair, e, short_p, 1e-2, g),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_size_cases()))
+def test_empty_or_wrong_length_input_raises_a_size_error(name):
+    with pytest.raises(SizeMismatchError):
+        _size_cases()[name]()

@@ -3,6 +3,7 @@ explicit solver, optimality diagnostics, and bookkeeping invariants."""
 
 import dataclasses
 import functools
+import itertools
 import math
 import warnings
 from types import SimpleNamespace
@@ -210,25 +211,29 @@ def _fixed_count_halving(f, lo, hi, step, halvings):
 @pytest.mark.parametrize("with_zero", [True, False])
 def test_bisection_is_bit_identical_to_fixed_count_halving(with_zero):
     # -7.3 needs the lower end grown, 3.7 and 40/3 the upper end; a root at
-    # exactly 0 never reaches adjacent doubles, so only the cap stops it
+    # exactly 0 never reaches adjacent doubles by halving, so only the cap
+    # stops the reference there
     roots = np.array([-7.3, 0.0, 3.7, 40.0 / 3.0] if with_zero else [-7.3, 3.7, 40.0 / 3.0])
     evaluations = {"shared": 0, "reference": 0}
 
     def counted(key):
         def f(x):
             evaluations[key] += 1
-            return np.sinh(x - roots)
+            value = np.sinh(x - roots)
+            return (value, np.cosh(x - roots)) if key == "shared" else value
         return f
 
     start = np.full(roots.size, 1.5)
-    lo, hi = bisect(counted("shared"), start - 1.0, start + 1.0, 1.0, 120)
+    lo, hi = bisect(counted("shared"), start - 1.0, start + 1.0)
     want = _fixed_count_halving(counted("reference"), start - 1.0, start + 1.0, 1.0, 120)
-    np.testing.assert_array_equal(0.5 * (lo + hi), want)
+    got = 0.5 * (lo + hi)
+    nonzero = roots != 0.0
+    np.testing.assert_array_equal(got[nonzero], want[nonzero])
     np.testing.assert_allclose(want, roots, rtol=1e-15, atol=1e-30)
-    if with_zero:
-        assert evaluations["shared"] == evaluations["reference"]
-    else:
-        assert evaluations["shared"] < evaluations["reference"] - 50
+    np.testing.assert_allclose(got, roots, rtol=1e-15, atol=1e-30)
+    # Newton steps close every bracket to adjacent doubles, the one around
+    # 0 too, long before the cap
+    assert evaluations["shared"] < evaluations["reference"] - 50
 
 
 def _column(e, log_target, dx=1.0 / 32.0, eps=0.5):
@@ -278,8 +283,8 @@ def test_newton_mode_agrees_with_bisection(name):
             return (value, slope) if key == "slope" else value
         return f
 
-    newton = 0.5 * np.add(*bisect(counted("slope"), lo, hi, 1.0, 120, with_slope=True))
-    plain = 0.5 * np.add(*bisect(counted("plain"), lo, hi, 1.0, 120))
+    newton = 0.5 * np.add(*bisect(counted("slope"), lo, hi))
+    plain = _fixed_count_halving(counted("plain"), lo, hi, 1.0, 120)
     ulp = np.spacing(np.maximum(1.0, np.abs(plain)))
     assert np.all(np.abs(newton - plain) <= 4.0 * ulp)
     if name == "near_unit_column":
@@ -299,8 +304,7 @@ def test_entropy_column_root_in_closed_form_agrees_with_newton():
     roots = np.append(COLUMN_ROOTS["entropy"], math.log(RHO_FLOOR * dx))
     target = _column(ENTROPY, np.zeros(roots.size), dx, eps)(roots)[0]
     lo, hi = np.full(roots.size, -60.0), np.full(roots.size, 10.0)
-    newton = 0.5 * np.add(*bisect(_column(ENTROPY, target, dx, eps), lo, hi, 1.0, 120,
-                                  with_slope=True))
+    newton = 0.5 * np.add(*bisect(_column(ENTROPY, target, dx, eps), lo, hi))
     closed = jko._solve_column_scalar(target, ENTROPY, dx, eps)
     ulp = np.spacing(np.maximum(1.0, np.abs(newton)))
     assert np.all(np.abs(closed - newton) <= 4.0 * ulp)
@@ -410,6 +414,46 @@ def test_run_flow_builds_the_temperatures_once(monkeypatch):
                         affine_p(g), h, 5 * h, g, blur_opts(h))
     assert len(traj.steps) == 5
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("n", [16, 32, 64, 128])
+def test_temperatures_meet_their_moment_target_silently(n):
+    # rough exponents, 1.05 to 6 shuffled over the cells, and smoothing down
+    # to dx/100, where the moment's slope in log eps is so small that a
+    # Newton quotient can overflow
+    g = make_grid(0.0, 1.0, n)
+    disp = g.dx * np.arange(1 - n, n)
+    for seed, factor, h in itertools.product((0, 1, 2), (0.01, 0.1, 0.5, 1.0), (1e-3, 1e-2)):
+        p = ExponentField(np.random.default_rng(seed).permutation(np.linspace(1.05, 6.0, n)))
+        opts = jko.JkoOptions(backend="entropic", smoothing=factor * g.dx)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            eps = jko._entropic_temperatures(opts, p, h, n, g.dx)
+        pv = p.values[:, None]
+        w = np.exp(-np.abs(disp) ** pv / (pv * h ** (pv - 1.0)) / eps[:, None])
+        moment = (disp**2 * w).sum(axis=1) / w.sum(axis=1)
+        np.testing.assert_allclose(moment, opts.smoothing**2, rtol=1e-13)
+
+
+@pytest.mark.parametrize("p1,h,smoothing,most", [
+    (0.0, 2e-4, 1.0 / 128.0, 12),  # the README compare config
+    (1.0, 1e-2, math.sqrt(0.8e-2), 30),
+], ids=["readme", "affine"])
+def test_temperatures_take_few_evaluations(monkeypatch, p1, h, smoothing, most):
+    evaluations = []
+    real = jko.bisect
+
+    def counted(f, *args):
+        def f_counted(x):
+            evaluations.append(1)
+            return f(x)
+        return real(f_counted, *args)
+
+    monkeypatch.setattr(jko, "bisect", counted)
+    g = make_grid(0.0, 1.0, 64)
+    opts = jko.JkoOptions(backend="entropic", smoothing=smoothing)
+    jko._entropic_temperatures(opts, affine_p(g, 2.0, p1), h, g.n_cells, g.dx)
+    assert len(evaluations) <= most
 
 
 # ----------------------------------------------------------- invariant sweep

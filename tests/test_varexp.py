@@ -131,10 +131,11 @@ class TestDensityField:
         assert str(info.value) == "mass must be finite"
 
     def test_finite_mass_whose_sum_overflows(self):
-        # finite entries pass the finiteness check even though their sum is
-        # inf; without the unit-mass check no sum is taken at all
-        rho = DensityField(np.array([1e308, 1e308]), require_unit_mass=False)
-        assert rho.mass.tolist() == [1e308, 1e308]
+        # finite entries whose sum is inf: without the unit-mass check the
+        # total must still be finite, or every later sum of them overflows
+        with pytest.raises(InvalidDensityError) as info:
+            DensityField(np.array([1e308, 1e308]), require_unit_mass=False)
+        assert str(info.value) == "masses must have a finite total, got np.float64(inf)"
         # the unit-mass sum overflows, as it always has, and reads inf
         with np.errstate(over="ignore"):
             with pytest.raises(InvalidDensityError) as info:
