@@ -333,7 +333,7 @@ def _run_transport(cfg: ExperimentConfig, quiet: bool) -> int:
 def _run_jko(cfg: ExperimentConfig, quiet: bool) -> int:
     g, e = cfg.grid, cfg.energy
     traj = jko.run_flow(cfg.rho0, e, cfg.p, cfg.h, cfg.t_end, g, cfg.jko_opts)
-    slacks = jko.dissipation_check(traj, e, cfg.p, cfg.h, g).per_step_slack
+    slacks = jko.dissipation_check(traj, e, cfg.p, g).per_step_slack
     rows = [(0, 0.0, total_energy(traj.states[0], e, g), 0.0,
              float(traj.states[0].density(g).max()), 0.0, 0.0, 0.0, 0, True)]
     for k, step in enumerate(traj.steps, start=1):
@@ -352,7 +352,7 @@ def _run_jko(cfg: ExperimentConfig, quiet: bool) -> int:
 def _run_pde(cfg: ExperimentConfig, quiet: bool) -> int:
     g, e = cfg.grid, cfg.energy
     traj = pde.solve(cfg.rho0, e, conjugate(cfg.p), cfg.pde_cfg, g)
-    report = jko.dissipation_check(traj, e, cfg.p, np.diff(traj.times), g)
+    report = jko.dissipation_check(traj, e, cfg.p, g)
     slacks = np.concatenate(([0.0], report.per_step_slack))
     total0 = traj.states[0].total_mass
     rows = [(k, float(traj.times[k]), report.energies[k],

@@ -25,8 +25,7 @@ import numpy as np
 from . import pde
 from .energy import EnergyModel
 from .errors import (BoundaryFluxError, InvalidDensityError, NonzeroMeanError,
-                     SampleIndexError, SizeMismatchError, VanishingDensityError,
-                     check_positive)
+                     SampleIndexError, SizeMismatchError, VanishingDensityError)
 from .grid import Grid, neighbor_mean
 from .jko import Trajectory
 from .varexp import DensityField, ExponentField, _norm_rows, luxemburg_norm
@@ -148,7 +147,6 @@ def _speeds(states: list, times: np.ndarray, p: ExponentField, g: Grid) -> np.nd
     mass = np.stack([g.check_cell_field(s.mass, "mass") for s in states])
     exponent = g.check_cell_field(p.values, "exponent field")
     dt = np.diff(times)
-    check_positive(dt, "dt")
     density = mass / g.dx
     nu = (density[1:] - density[:-1]) / dt[:, None]
     if not np.isfinite(nu).all():

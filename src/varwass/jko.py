@@ -79,6 +79,9 @@ VALID_BACKENDS = ("mirror", "projected", "entropic")
 class JkoOptions:
     """Solver knobs for a single step.
 
+    max_iters caps every backend's iterations. tol is read only by the
+    Armijo stop of the mirror and projected backends; the entropic backend
+    stops on its own relative dual residual (_DUAL_RTOL) and ignores it.
     eps and smoothing only matter for the entropic backend. eps is a uniform
     temperature; smoothing, when set, is a length: the standard deviation of
     the blur each row's Gibbs kernel applies per step, measured on the
@@ -89,7 +92,7 @@ class JkoOptions:
 
     With exact_coupling=True the returned coupling is re-derived by the exact
     transport solver between the previous masses and the new ones, which is
-    what el_residual expects.
+    what the step's el_residual expects.
     """
 
     backend: str = "mirror"
@@ -129,9 +132,10 @@ class JkoStepResult:
 class Trajectory:
     """Piecewise-constant-in-time sequence of density states.
 
-    times[k] is the left endpoint of the k-th interval; states[k] the density
-    there. steps holds the per-step diagnostics when the trajectory came from
-    run_flow (None for externally assembled trajectories).
+    times[k] is the left endpoint of the k-th interval, a finite step after
+    times[k-1]; states[k] the density there. steps holds the per-step
+    diagnostics when the trajectory came from run_flow (None for externally
+    assembled trajectories).
     """
 
     times: np.ndarray
@@ -146,6 +150,7 @@ class Trajectory:
             )
         if not self.states:
             raise SizeMismatchError("trajectory is empty")
+        check_positive(np.diff(t), "trajectory time steps")
         object.__setattr__(self, "times", t)
 
     def __len__(self) -> int:
@@ -794,6 +799,10 @@ def _predicted_displacement(rho_next: DensityField, e: EnergyModel,
 
 def _residual_of(coupling: transport.Coupling, rho_next: DensityField,
                  e: EnergyModel, p: ExponentField, h: float, g: Grid) -> float:
+    """A step's el_residual: sum_i m[i] |d[i] - d_hat[i]| over source cells
+    with mass, d[i] the barycentric displacement of the coupling's row i and
+    d_hat[i] the optimality-condition prediction from the post-step density.
+    Meaningful for an exact coupling (the step's coupling_is_exact)."""
     gam = coupling.gamma
     mu = coupling.row_marginal
     x = g.centers
@@ -801,20 +810,6 @@ def _residual_of(coupling: transport.Coupling, rho_next: DensityField,
     d = np.where(mu > 0.0, moved / np.where(mu > 0.0, mu, 1.0), 0.0)
     d_hat = _predicted_displacement(rho_next, e, p, h, g)
     return float(np.sum(mu * np.abs(d - d_hat)))
-
-
-def el_residual(step: JkoStepResult, e: EnergyModel, p: ExponentField, h: float,
-                g: Grid) -> float:
-    """Mass-weighted gap between plan displacements and the predicted ones.
-
-    For each source cell with mass, d[i] is the barycentric displacement of
-    the coupling's row i and d_hat[i] the optimality-condition prediction
-    from the post-step density; the residual is sum_i m[i] |d[i] - d_hat[i]|.
-    Meaningful when the step carries an exact coupling; for approximate
-    couplings the value is still computed and the step's coupling_is_exact
-    flag tells the two apart.
-    """
-    return _residual_of(step.coupling, step.rho_next, e, p, h, g)
 
 
 def dissipation_rate(rho: DensityField, e: EnergyModel, p: ExponentField,
@@ -845,15 +840,10 @@ class DissipationReport:
 
 
 def dissipation_check(traj: Trajectory, e: EnergyModel, p: ExponentField,
-                      h, g: Grid) -> DissipationReport:
-    """Dissipation slacks along traj; h (finite, > 0) is one step or one per interval."""
+                      g: Grid) -> DissipationReport:
+    """Dissipation slacks along traj, each interval with its own time step."""
     g.check_cell_field(p.values, "exponent field")
-    dt = np.asarray(h, dtype=float)
-    if dt.ndim and dt.shape != (len(traj) - 1,):
-        raise SizeMismatchError(
-            f"need one step per interval ({len(traj) - 1}), got shape {dt.shape}"
-        )
-    check_positive(dt, "h")
+    dt = np.diff(traj.times)
     energies = np.array([total_energy(s, e, g) for s in traj.states])
     rates = np.array([dissipation_rate(s, e, p, g) for s in traj.states[1:]])
     dissipated = dt * rates

@@ -40,6 +40,9 @@ DELTA_REG = 1e-8
 #: Densities above this abort the run as a blow-up.
 BLOWUP_DENSITY = 1e6
 
+#: solve raises NumericalBlowupError rather than take more Euler steps.
+MAX_STEPS = 5_000_000
+
 
 @dataclass(frozen=True)
 class PdeConfig:
@@ -49,8 +52,7 @@ class PdeConfig:
     dx^2 / max diffusivity and must lie in (0, 1]; delta_reg regularizes the
     gradient magnitude in the flux. Every stride-th Euler step is recorded,
     and the last one always is. fixed_dt, when set, replaces the adaptive
-    step and must respect the stability bound. More than max_steps Euler
-    steps raise NumericalBlowupError.
+    step and must respect the stability bound.
     """
 
     t_end: float
@@ -58,7 +60,6 @@ class PdeConfig:
     delta_reg: float = DELTA_REG
     stride: int = 1
     fixed_dt: float | None = None
-    max_steps: int = 5_000_000
 
     def __post_init__(self):
         check_nonnegative(self.t_end, "t_end")
@@ -68,7 +69,6 @@ class PdeConfig:
         check_count(self.stride, "stride")
         if self.fixed_dt is not None:
             check_positive(self.fixed_dt, "fixed_dt")
-        check_count(self.max_steps, "max_steps")
 
 
 class _Faces:
@@ -241,9 +241,9 @@ def solve(rho0: DensityField, e: EnergyModel, q: ExponentField, cfg: PdeConfig,
         m += inc
         t += dt
         step += 1
-        if step > cfg.max_steps:
+        if step > MAX_STEPS:
             raise NumericalBlowupError(
-                f"step budget {cfg.max_steps} exhausted at t={t:.6g}"
+                f"step budget {MAX_STEPS} exhausted at t={t:.6g}"
             )
         # a NaN reaches lo, -inf lo and +inf hi; hi / dx has the bits of
         # (m / dx).max() because division is monotone

@@ -39,6 +39,9 @@ MARGINAL_TOL = 1e-9
 #: Largest number of cells per marginal that solve_exact accepts.
 EXACT_MAX_N = 256
 
+#: solve_exact raises NumericalBlowupError rather than take more pivots.
+MAX_PIVOTS = 50_000
+
 
 @dataclass(frozen=True)
 class CostMatrix:
@@ -91,17 +94,15 @@ class Coupling:
             if not gam.min() >= -MARGINAL_TOL:
                 raise NegativeCouplingError(
                     f"coupling has negative or NaN entries, min {gam.min()}")
-            row_err = np.abs(gam.sum(axis=1) - mu).max()
-            col_err = np.abs(gam.sum(axis=0) - nu).max()
-            if not (row_err <= MARGINAL_TOL and col_err <= MARGINAL_TOL):
-                raise MarginalMismatchError(
-                    f"coupling marginals off by (rows {row_err:.2e}, cols {col_err:.2e})"
-                )
+            err = self.marginal_error()
+            if not err <= MARGINAL_TOL:
+                raise MarginalMismatchError(f"coupling marginals off by {err:.2e}")
 
     def marginal_error(self) -> float:
+        """Largest gap of a row or column sum to its marginal; NaN stays NaN."""
         row_err = np.abs(self.gamma.sum(axis=1) - self.row_marginal).max()
         col_err = np.abs(self.gamma.sum(axis=0) - self.col_marginal).max()
-        return float(max(row_err, col_err))
+        return float(np.maximum(row_err, col_err))
 
 
 def build_cost(g: Grid, p: ExponentField, h: float) -> CostMatrix:
@@ -282,8 +283,7 @@ class _BasisTree:
         return flow
 
 
-def solve_exact(cost: CostMatrix, mu: np.ndarray, nu: np.ndarray,
-                max_pivots: int = 50_000) -> ExactResult:
+def solve_exact(cost: CostMatrix, mu: np.ndarray, nu: np.ndarray) -> ExactResult:
     """Exact transport plan by the transportation simplex on a spanning tree.
 
     Starts from the northwest-corner staircase, prices with Dantzig's rule
@@ -295,7 +295,7 @@ def solve_exact(cost: CostMatrix, mu: np.ndarray, nu: np.ndarray,
     optimal plan, its cost, and the dual potentials (u, v) with v[n-1] = 0;
     complementary slackness against those potentials certifies optimality.
 
-    Limited to n <= EXACT_MAX_N; raises for mismatched marginals.
+    At most EXACT_MAX_N cells and MAX_PIVOTS pivots; raises for bad marginals.
     """
     mu, nu = _check_marginals(cost, mu, nu)
     n = cost.n
@@ -341,9 +341,9 @@ def solve_exact(cost: CostMatrix, mu: np.ndarray, nu: np.ndarray,
             if negs.size == 0:
                 break
             enter = int(negs[0] if bland else negs[np.argmin(red_flat[negs])])
-        if pivots >= max_pivots:
+        if pivots >= MAX_PIVOTS:
             raise NumericalBlowupError(
-                f"simplex did not terminate within {max_pivots} pivots"
+                f"simplex did not terminate within {MAX_PIVOTS} pivots"
             )
         i, j = divmod(enter, n)
         from_row, from_col = tree.cycle(i, n + j)

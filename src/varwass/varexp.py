@@ -66,9 +66,6 @@ class ExponentField:
         """Exponent ramp p(x) = p0 + p1 * x evaluated at cell centers."""
         return cls(p0 + p1 * g.centers)
 
-    def conjugate(self) -> "ExponentField":
-        return conjugate(self)
-
 
 def conjugate(p: ExponentField) -> ExponentField:
     """Pointwise conjugate exponent q = p / (p - 1).

@@ -15,10 +15,11 @@ import pytest
 
 from varwass import finsler, jko, pde, transport
 from varwass.energy import builtin_energy
-from varwass.errors import InvalidDensityError, SizeMismatchError, VarwassError
+from varwass.errors import (InvalidDensityError, NonpositiveParameterError, SizeMismatchError,
+                            VarwassError)
 from varwass.grid import make_grid
 from varwass.jko import Trajectory
-from varwass.varexp import DensityField, ExponentField, luxemburg_norm, modular
+from varwass.varexp import DensityField, ExponentField, conjugate, luxemburg_norm, modular
 
 NON_FINITE = (math.nan, math.inf, -math.inf)
 N = 6
@@ -29,7 +30,7 @@ def _entry_points():
     rng = np.random.default_rng(20)
     g = make_grid(0.0, 1.0, N)
     p = ExponentField.affine(2.0, 1.0, g)
-    q = p.conjugate()
+    q = conjugate(p)
     e = builtin_energy("entropy")
     rho = DensityField(rng.dirichlet(np.ones(N)))
     other = DensityField(rng.dirichlet(np.ones(N)))
@@ -99,10 +100,6 @@ def _entry_points():
         "jko.jko_step h": (lambda x: jko.jko_step(rho, e, p, x, g), (0.0, -1.0)),
         "jko.run_flow h": (lambda x: jko.run_flow(rho, e, p, x, 0.1, g), (0.0, -1.0)),
         "jko.run_flow t_end": (lambda x: jko.run_flow(rho, e, p, 1e-2, x, g), (-1.0,)),
-        "jko.dissipation_check h": (lambda x: jko.dissipation_check(pair, e, p, x, g),
-                                    (0.0, -1.0)),
-        "jko.dissipation_check h per step": (
-            lambda x: jko.dissipation_check(pair, e, p, np.array([x]), g), (0.0, -1.0)),
         "pde.PdeConfig t_end": (lambda x: pde.PdeConfig(t_end=x), (-1.0,)),
         "pde.PdeConfig cfl": (lambda x: pde.PdeConfig(t_end=1.0, cfl=x), (0.0, 1.5)),
         "pde.PdeConfig delta_reg": (lambda x: pde.PdeConfig(t_end=1.0, delta_reg=x),
@@ -110,8 +107,6 @@ def _entry_points():
         "pde.PdeConfig stride": (lambda x: pde.PdeConfig(t_end=1.0, stride=x), (0, -1)),
         "pde.PdeConfig fixed_dt": (lambda x: pde.PdeConfig(t_end=1.0, fixed_dt=x),
                                    (0.0, -1.0)),
-        "pde.PdeConfig max_steps": (lambda x: pde.PdeConfig(t_end=1.0, max_steps=x),
-                                    (0, -1)),
         "pde.rhs delta_reg": (lambda x: pde.rhs(rho, e, q, g, x), (-1.0,)),
         "finsler.TangentVector": (lambda x: finsler.TangentVector(cell(np.zeros(N), x)),
                                   ()),
@@ -134,6 +129,16 @@ def test_bad_scalar_or_mass_raises_a_typed_error(name):
     for x in NON_FINITE + invalid:
         with pytest.raises(VarwassError):
             call(x)
+
+
+@pytest.mark.parametrize("times", [
+    [0.0, math.nan, 1.0], [0.0, 0.5, math.inf], [-math.inf, 0.5, 1.0],
+    [0.0, 0.5, 0.5], [0.0, 0.5, 0.25],
+], ids=["nan", "inf", "-inf", "repeated", "decreasing"])
+def test_trajectory_times_must_increase_by_finite_steps(times):
+    rho = DensityField.uniform(make_grid(0.0, 1.0, N))
+    with pytest.raises(NonpositiveParameterError):
+        Trajectory(times=np.array(times), states=[rho, rho, rho])
 
 
 def _pair_cost():
@@ -168,7 +173,7 @@ def _size_cases():
             np.zeros((0, 0)), np.zeros(0), np.zeros(0)),
         "jko.Trajectory empty": lambda: Trajectory(times=[], states=[]),
         "jko.dissipation_rate p": lambda: jko.dissipation_rate(rho, e, short_p, g),
-        "jko.dissipation_check p": lambda: jko.dissipation_check(pair, e, short_p, 1e-2, g),
+        "jko.dissipation_check p": lambda: jko.dissipation_check(pair, e, short_p, g),
     }
 
 

@@ -445,6 +445,30 @@ def test_readme_compare_config_is_the_benchmark_config(tmp_path):
     assert cli.main(["validate", str(path), "--quiet"]) == 0
 
 
+def test_readme_library_example_runs_verbatim(capsys):
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = text[text.index("## Library example"):text.index("## Bad input")]
+    blocks = re.findall(r"```python\n(.*?)```", section, re.S)
+    assert len(blocks) == 2
+    namespace = {}
+    for block in blocks:
+        exec(compile(block, "README.md", "exec"), namespace)
+    slack, dissipation = map(float, capsys.readouterr().out.split())
+    assert (slack, dissipation) == (namespace["report"].worst_step_slack,
+                                    namespace["report"].total_dissipation)
+    assert namespace["ref_report"].per_step_slack.size == len(namespace["ref"]) - 1
+
+
+#: The configs that CI runs through the console script, one file each.
+CI_CONFIGS = ("jko", "pde", "rows", "transport")
+
+
+@pytest.mark.parametrize("name", CI_CONFIGS)
+def test_ci_config_validates(name):
+    path = ROOT / "tests" / "configs" / f"{name}.yaml"
+    assert cli.main(["validate", str(path), "--quiet"]) == 0
+
+
 #: One value for every key of every section the README documents.
 EVERY_KEY = {
     "experiment": {"kind": "norms", "seed": 3, "out": "results"},

@@ -9,7 +9,7 @@ from varwass.energy import builtin_energy, total_energy
 from varwass.errors import NonzeroMeanError, VanishingDensityError, VarwassError
 from varwass.grid import integrate, make_grid
 from varwass.jko import Trajectory
-from varwass.varexp import DensityField, ExponentField
+from varwass.varexp import DensityField, ExponentField, conjugate
 
 ENTROPY = builtin_energy("entropy")
 
@@ -279,7 +279,7 @@ def _pde_path(stride):
     g = make_grid(0.0, 1.0, 32)
     p = ExponentField.affine(2.0, 1.0, g)
     traj = pde.solve(DensityField.cosine_bump(g, amplitude=0.5), ENTROPY,
-                     p.conjugate(), pde.PdeConfig(t_end=0.01, stride=stride), g)
+                     conjugate(p), pde.PdeConfig(t_end=0.01, stride=stride), g)
     return traj, p, g
 
 

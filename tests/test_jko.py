@@ -17,7 +17,7 @@ from varwass.energy import RHO_FLOOR, builtin_energy, total_energy
 from varwass.errors import (InvalidParameterError, NonpositiveParameterError,
                              NumericalBlowupError, SizeMismatchError, VarwassError)
 from varwass.grid import integrate, make_grid
-from varwass.varexp import DensityField, ExponentField
+from varwass.varexp import DensityField, ExponentField, conjugate
 
 ENTROPY = builtin_energy("entropy")
 QUADRATIC = builtin_energy("quadratic")
@@ -686,7 +686,7 @@ def test_el_residual_zero_at_uniform():
     g = make_grid(0.0, 1.0, 16)
     step = jko.jko_step(uniform(g), ENTROPY, affine_p(g), 1e-3, g,
                         jko.JkoOptions(backend="mirror"))
-    assert jko.el_residual(step, ENTROPY, affine_p(g), 1e-3, g) == 0.0
+    assert step.el_residual == 0.0
 
 
 def _one_step_residual(n, h):
@@ -694,7 +694,7 @@ def _one_step_residual(n, h):
     p = affine_p(g)
     rho0 = DensityField.cosine_bump(g, amplitude=0.5)
     step = jko.jko_step(rho0, ENTROPY, p, h, g, blur_opts(h, exact=True))
-    return jko.el_residual(step, ENTROPY, p, h, g)
+    return step.el_residual
 
 
 def test_el_residual_halves_with_h():
@@ -716,7 +716,7 @@ def test_dissipation_check_trivial_on_stationary_flow():
     p = affine_p(g)
     traj = jko.run_flow(uniform(g), ENTROPY, p, 1e-3, 5e-3, g,
                         jko.JkoOptions(backend="mirror"))
-    report = jko.dissipation_check(traj, ENTROPY, p, 1e-3, g)
+    report = jko.dissipation_check(traj, ENTROPY, p, g)
     assert np.max(np.abs(report.per_step_slack)) <= 1e-12
     assert report.total_dissipation <= 1e-12
 
@@ -728,7 +728,7 @@ def test_dissipation_slack_shrinks_with_h():
     worsts = []
     for h in (2e-3, 1e-3):
         traj = jko.run_flow(rho0, ENTROPY, p, h, 20 * h, g, blur_opts(h))
-        report = jko.dissipation_check(traj, ENTROPY, p, h, g)
+        report = jko.dissipation_check(traj, ENTROPY, p, g)
         assert report.worst_step_slack >= -1e-6
         worsts.append(float(np.max(np.abs(report.per_step_slack))))
     assert worsts[1] <= 0.75 * worsts[0]
@@ -736,15 +736,14 @@ def test_dissipation_slack_shrinks_with_h():
 
 def test_dissipation_check_takes_one_dt_per_step():
     # a reference-PDE trajectory has uneven steps; each slack uses its own
-    # dt, exactly as a loop over the steps would, and a scalar h is the same
-    # as an array of it
+    # dt, exactly as a loop over the steps would
     g = make_grid(0.0, 1.0, 16)
     p = affine_p(g)
     traj = pde.solve(DensityField.cosine_bump(g, amplitude=0.5), ENTROPY,
-                     p.conjugate(), pde.PdeConfig(t_end=0.02, stride=3), g)
+                     conjugate(p), pde.PdeConfig(t_end=0.02, stride=3), g)
     dt = np.diff(traj.times)
     assert dt.min() < dt.max()
-    report = jko.dissipation_check(traj, ENTROPY, p, dt, g)
+    report = jko.dissipation_check(traj, ENTROPY, p, g)
     energies = [total_energy(s, ENTROPY, g) for s in traj.states]
     by_loop = [(energies[k - 1] - energies[k])
                - float(traj.times[k] - traj.times[k - 1])
@@ -752,13 +751,6 @@ def test_dissipation_check_takes_one_dt_per_step():
                for k in range(1, len(traj))]
     assert report.per_step_slack.tolist() == by_loop
     assert report.energies.tolist() == energies
-    h = float(dt[0])
-    same = jko.dissipation_check(traj, ENTROPY, p, np.full(dt.size, h), g)
-    scalar = jko.dissipation_check(traj, ENTROPY, p, h, g)
-    assert np.array_equal(same.per_step_slack, scalar.per_step_slack)
-    assert same.cumulative_slack == scalar.cumulative_slack
-    with pytest.raises(SizeMismatchError):
-        jko.dissipation_check(traj, ENTROPY, p, dt[1:], g)
 
 
 def test_dissipation_rate_positive_off_uniform():
@@ -1031,7 +1023,7 @@ def test_options_validation():
     (lambda g: jko.run_flow(uniform(g), ENTROPY, affine_p(g), 1e-2, math.inf, g),
      InvalidParameterError),
     (lambda g: jko.dissipation_check(jko.Trajectory(times=np.zeros(0), states=[]),
-                                     ENTROPY, affine_p(g), 1e-2, g), SizeMismatchError),
+                                     ENTROPY, affine_p(g), g), SizeMismatchError),
 ], ids=["backend", "max_iters", "trajectory_length", "t_end", "empty_trajectory"])
 def test_bad_arguments_raise_typed_value_errors(call, error):
     with pytest.raises(error) as info:

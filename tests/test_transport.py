@@ -128,6 +128,15 @@ class TestCoupling:
         c = Coupling(gam, np.array([0.5, 0.5]), np.array([0.5, 0.5]))
         assert c.marginal_error() == pytest.approx(0.0, abs=1e-16)
 
+    @pytest.mark.parametrize("side", ["rows", "cols"])
+    def test_marginal_error_is_nan_when_a_marginal_is_nan(self, side):
+        half, nan = np.array([0.5, 0.5]), np.array([np.nan, np.nan])
+        mu, nu = (nan, half) if side == "rows" else (half, nan)
+        c = Coupling(np.eye(2) / 2, mu, nu, check=False)
+        assert np.isnan(c.marginal_error())
+        with pytest.raises(MarginalMismatchError):
+            Coupling(np.eye(2) / 2, mu, nu)
+
 
 class TestSolveExact:
     def test_identity_plan_for_equal_marginals(self):
@@ -580,11 +589,12 @@ def test_transport_errors_are_typed(case):
     assert isinstance(info.value, VarwassError)
 
 
-def test_pivot_cap_raises_when_the_simplex_needs_a_pivot():
+def test_pivot_cap_raises_when_the_simplex_needs_a_pivot(monkeypatch):
     g = make_grid(0.0, 1.0, 6)
     cost = build_cost(g, ExponentField.affine(2.0, 1.0, g), 1e-2)
     rng = np.random.default_rng(5)
     mu, nu = random_masses(rng, 6), random_masses(rng, 6)
     assert solve_exact(cost, mu, nu).pivots > 0
+    monkeypatch.setattr(transport, "MAX_PIVOTS", 0)
     with pytest.raises(NumericalBlowupError):
-        solve_exact(cost, mu, nu, max_pivots=0)
+        solve_exact(cost, mu, nu)
