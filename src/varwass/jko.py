@@ -133,9 +133,9 @@ class Trajectory:
     """Piecewise-constant-in-time sequence of density states.
 
     times[k] is the left endpoint of the k-th interval, a finite step after
-    times[k-1]; states[k] the density there. steps holds the per-step
-    diagnostics when the trajectory came from run_flow (None for externally
-    assembled trajectories).
+    times[k-1], and every time is finite; states[k] the density there.
+    steps holds the per-step diagnostics when the trajectory came from
+    run_flow (None for externally assembled trajectories).
     """
 
     times: np.ndarray
@@ -151,6 +151,9 @@ class Trajectory:
         if not self.states:
             raise SizeMismatchError("trajectory is empty")
         check_positive(np.diff(t), "trajectory time steps")
+        # finite steps from a finite start keep every time finite
+        if not abs(t[0]) < math.inf:
+            raise InvalidParameterError(f"trajectory start time must be finite, got {t[0]}")
         object.__setattr__(self, "times", t)
 
     def __len__(self) -> int:
@@ -755,21 +758,25 @@ def run_flow(rho0: DensityField, e: EnergyModel, p: ExponentField, h: float,
     t_end = 0 yields the single-state trajectory. A failing step re-raises
     its own exception, with "step k: " prepended to the message when the
     first argument is a string; type, attributes and traceback are kept.
+    jko_step is a deterministic function of its inputs, so once a step
+    returns its input masses bit for bit (the stay-put plan won), that step
+    result is reused for every remaining step instead of being solved again.
     """
     check_nonnegative(t_end, "t_end")
     check_positive(h, "step size h")
     n_steps = max(0, math.ceil(t_end / h - 1e-9))
     states = [rho0]
     steps = []
-    current = rho0
+    previous, current = None, rho0
     for k in range(1, n_steps + 1):
-        try:
-            step = jko_step(current, e, p, h, g, opts)
-        except Exception as exc:
-            if exc.args and isinstance(exc.args[0], str):
-                exc.args = (f"step {k}: {exc.args[0]}",) + exc.args[1:]
-            raise
-        current = step.rho_next
+        if previous is None or current.mass.tobytes() != previous.mass.tobytes():
+            try:
+                step = jko_step(current, e, p, h, g, opts)
+            except Exception as exc:
+                if exc.args and isinstance(exc.args[0], str):
+                    exc.args = (f"step {k}: {exc.args[0]}",) + exc.args[1:]
+                raise
+        previous, current = current, step.rho_next
         states.append(current)
         steps.append(step)
     times = h * np.arange(n_steps + 1, dtype=float)

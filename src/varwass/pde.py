@@ -5,19 +5,25 @@ with no-flux boundary. Fluxes live on faces, densities on cells, and the
 gradient magnitude is regularized by (|s|^2 + delta^2)^((q-2)/2) so that
 exponents below 2 stay finite at critical points.
 
-Deliberately plain: explicit Euler with a diffusive stability bound on dt.
-This module is the slow, transparent reference the step scheme is checked
-against, not a production integrator. ``solve`` builds what stays fixed
-through a solve once, before its loop: the stacked exponent, delta^2, one
-DensityField around the loop's own masses, and the buffers that each Euler
-step writes in place. One zero-padded buffer holds the face slopes of
-G'(rho) and their cell means, and one square, add and power over it serve
-both the flux and the dt estimate. ``solve`` hands ``rhs`` the step's face
-inputs through the private ``_faces`` keyword and calls it exactly once
-per Euler step, looked up as a module attribute each time, so a wrapper
-installed on ``pde.rhs`` sees every step. Recorded states are copied into
-preallocated blocks of rows, rescaled and checked a block at a time when
-the loop ends.
+Deliberately plain: explicit Euler, with dt at a face bound that makes
+each step a positive average of the old densities. Each face flux is
+K_f (rho_{i+1} - rho_i) / dx with
+K_f = rho_f (s_f^2 + delta^2)^((q_f-2)/2) (G'(rho_{i+1}) - G'(rho_i))
+/ (rho_{i+1} - rho_i), which is >= 0 for a convex G, so a step of
+dt <= dx^2 / max_i (K_{i-1/2} + K_{i+1/2}) keeps positivity, the maximum
+principle and a non-increasing energy (Carrillo, Chertock & Huang,
+Commun. Comput. Phys. 2015). This module is the slow, transparent
+reference the step scheme is checked against, not a production
+integrator. ``solve`` builds what stays fixed through a solve once, before
+its loop: the padded face exponent, delta^2, one DensityField around the
+loop's own masses, and the buffers that each Euler step writes in place.
+One zero-padded buffer holds the face slopes of G'(rho), and one square,
+add and power over it serve both the flux and the step bound. ``solve``
+hands ``rhs`` the step's face inputs through the private ``_faces``
+keyword and calls it exactly once per Euler step, looked up as a module
+attribute each time, so a wrapper installed on ``pde.rhs`` sees every
+step. Recorded states are copied into preallocated blocks of rows,
+rescaled and checked a block at a time when the loop ends.
 """
 
 from __future__ import annotations
@@ -48,15 +54,16 @@ MAX_STEPS = 5_000_000
 class PdeConfig:
     """Run settings of the reference solver.
 
-    t_end is the time to march to. cfl scales the stable step
-    dx^2 / max diffusivity and must lie in (0, 1]; delta_reg regularizes the
+    t_end is the time to march to. cfl is the fraction of the positivity
+    bound of the module docstring that each step takes, in (0, 1]; each
+    such step keeps a convex G's invariants. delta_reg regularizes the
     gradient magnitude in the flux. Every stride-th Euler step is recorded,
     and the last one always is. fixed_dt, when set, replaces the adaptive
-    step and must respect the stability bound.
+    step and must respect the bound at every step.
     """
 
     t_end: float
-    cfl: float = 0.5
+    cfl: float = 1.0
     delta_reg: float = DELTA_REG
     stride: int = 1
     fixed_dt: float | None = None
@@ -74,65 +81,79 @@ class PdeConfig:
 class _Faces:
     """The face inputs of rhs for one exponent field, and its buffers.
 
-    One zero-padded buffer stacks the face slopes of G'(rho) and their cell
-    means, [0 | interior face slopes (n-1) | 0 | cell means (n)], so that
-    one square, one add of delta^2 and one power by the stacked exponent
-    [(q_f-2)/2 | 0 | (q-2)/2] serve both the flux and solve's dt estimate,
-    which reads the cell half (cell_mag). The exponent, delta^2 and the
-    buffers are fixed through a solve. Without dt_estimate the cell half
-    of the exponent is 0, so a plain rhs call powers no cell mean and
-    cannot warn on one. The caller writes the density into rv, then
-    load()s G'(rho); rate() reads the face half and returns its own
-    buffer, which the next call overwrites.
+    One zero-padded buffer holds the face slopes of G'(rho),
+    [0 | interior face slopes (n-1) | 0], so that one square, one add of
+    delta^2 and one power by the padded exponent [0 | (q_f-2)/2 | 0] give
+    the face factor (s^2 + delta^2)^((q_f-2)/2), which is 1 on the walls.
+    The exponent, delta^2 and the buffers are fixed through a solve. The
+    caller writes the density into rv, then load()s G'(rho), which also
+    weights the interior factors by rho_f; bound() reads solve's step
+    bound from them, and rate() returns its own buffer, which the next
+    call overwrites.
     """
 
-    __slots__ = ("dx", "reg2", "half_q", "stack", "mag", "cell_mag", "rho_f", "out",
-                 "_load_views", "_rate_views")
+    __slots__ = ("dx", "reg2", "half_q", "stack", "mag", "dgp", "rho_f", "drho", "flat",
+                 "k", "k_sum", "out", "_load_views", "_bound_views", "_rate_views")
 
     def __init__(self, q_values: np.ndarray, delta_reg: float, dx: float,
-                 rv: np.ndarray, dt_estimate: bool = False):
+                 rv: np.ndarray):
         n = q_values.size
         self.dx = dx
         self.reg2 = delta_reg * delta_reg
-        self.half_q = np.zeros(2 * n + 1)
+        self.half_q = np.zeros(n + 1)
         self.half_q[1:n] = (neighbor_mean(q_values) - 2.0) / 2.0
-        if dt_estimate:
-            self.half_q[n + 1:] = (q_values - 2.0) / 2.0
-        self.stack = np.zeros(2 * n + 1)
-        self.mag = np.empty(2 * n + 1)
-        self.cell_mag = self.mag[n + 1:]
+        self.stack = np.zeros(n + 1)
+        self.mag = np.empty(n + 1)
+        self.dgp = np.empty(n - 1)
         self.rho_f = np.empty(n - 1)
+        self.drho = np.empty(n - 1)
+        self.flat = np.empty(n - 1, dtype=bool)
+        self.k = np.zeros(n + 1)
+        self.k_sum = np.empty(n)
         self.out = np.empty(n)
-        stack, mag = self.stack, self.mag
-        # the slices load() and rate() work on, taken once: a view costs as
-        # much as a small ufunc call
-        self._load_views = (stack[1:n], stack[:n], stack[1:n + 1], stack[n + 1:])
-        self._rate_views = (rv[:-1], rv[1:], mag[1:n], mag[:n + 1], stack[:n + 1],
-                            mag[1:n + 1], mag[:n])
+        stack, mag, k = self.stack, self.mag, self.k
+        # the slices load(), bound() and rate() work on, taken once: a view
+        # costs as much as a small ufunc call
+        self._load_views = (stack[1:n], rv[:-1], rv[1:], mag[1:n])
+        self._bound_views = (rv[:-1], rv[1:], mag[1:n], k[1:n], k[:n], k[1:])
+        self._rate_views = (mag[1:], mag[:n])
 
     def load(self, gp: np.ndarray) -> None:
-        """Fill the stack from gp = G'(rho) and power it, in place."""
-        s, s_left, s_right, s_cell = self._load_views
-        np.subtract(gp[1:], gp[:-1], out=s)
-        s /= self.dx
-        np.add(s_left, s_right, out=s_cell)
-        s_cell *= 0.5
-        mag = self.mag
+        """From gp = G'(rho) and rv, fill the slopes and the face weights
+        rho_f (s^2 + reg2)^half_q, in place."""
+        s, rv_left, rv_right, mag_inner = self._load_views
+        dgp, rho_f, mag = self.dgp, self.rho_f, self.mag
+        np.subtract(gp[1:], gp[:-1], out=dgp)
+        np.divide(dgp, self.dx, out=s)
         np.multiply(self.stack, self.stack, out=mag)
         mag += self.reg2
         np.power(mag, self.half_q, out=mag)
+        np.add(rv_left, rv_right, out=rho_f)
+        rho_f *= 0.5
+        mag_inner *= rho_f
+
+    def bound(self) -> float:
+        """max_i (K_{i-1/2} + K_{i+1/2}) for the loaded state: K_f is the
+        face weight times (G'(rho_{i+1}) - G'(rho_i)) / (rho_{i+1} - rho_i)
+        on interior faces, and 0 on the walls and where rho_{i+1} == rho_i."""
+        rv_left, rv_right, weight, k_inner, k_left, k_right = self._bound_views
+        drho, flat = self.drho, self.flat
+        np.subtract(rv_right, rv_left, out=drho)
+        # a flat face has a flat G' too, so its quotient reads 0 / 1 = 0
+        np.equal(drho, 0.0, out=flat)
+        drho += flat
+        np.multiply(weight, self.dgp, out=k_inner)
+        k_inner /= drho
+        np.add(k_left, k_right, out=self.k_sum)
+        return float(np.maximum.reduce(self.k_sum))
 
     def rate(self) -> np.ndarray:
         """divergence(flux), flux = rho_f (s^2 + reg2)^half_q s on the
         interior faces: the operations, in the order, of the plain formula.
         The boundary faces power to 1 and take slope 0, so their flux is 0."""
-        (rv_left, rv_right, mag_inner, flux, slope, flux_right,
-         flux_left) = self._rate_views
-        rho_f, out = self.rho_f, self.out
-        np.add(rv_left, rv_right, out=rho_f)
-        rho_f *= 0.5
-        mag_inner *= rho_f
-        flux *= slope
+        flux_right, flux_left = self._rate_views
+        flux, out = self.mag, self.out
+        flux *= self.stack
         np.subtract(flux_right, flux_left, out=out)
         out /= self.dx
         return out
@@ -164,25 +185,27 @@ def solve(rho0: DensityField, e: EnergyModel, q: ExponentField, cfg: PdeConfig,
           g: Grid) -> Trajectory:
     """March rho0 to cfg.t_end with explicit Euler steps.
 
-    dt is cfl * dx^2 / max diffusivity unless cfg.fixed_dt pins it (useful
-    for comparing two runs on identical time samples; a fixed dt that
-    violates the stability bound raises immediately). The diffusivity is
-    the cellwise rho (|s|^2+delta^2)^((q-2)/2) G''(rho), s being the face
-    slope of G'(rho) averaged onto cells. Recorded states are renormalized
-    to the initial total mass, hiding only rounding-level drift; the raw
-    drift is observable through the returned times and the per-step mass
-    balance, which telescopes exactly.
+    dt is cfl times the positivity bound of the module docstring, with
+    K_f = 0 on the walls and on faces where rho_{i+1} == rho_i (such a face
+    moves no mass), unless cfg.fixed_dt pins it (useful for comparing two
+    runs on identical time samples; a fixed dt above the bound raises
+    before the step it would take). When no K_f is positive, as for an
+    energy whose G' decreases, the bound allows any dt, and the density
+    guards are what catch the run.
+    Recorded states are renormalized to the initial total mass, hiding
+    only rounding-level drift; the raw drift is observable through the
+    returned times and the per-step mass balance, which telescopes exactly.
 
-    Built once per solve, before the loop: the stacked exponent
-    [(q_f-2)/2 | 0 | (q-2)/2] and the buffers of _Faces, delta^2,
-    cfl * dx^2, the stop time, and one DensityField around the loop's
-    masses m (validated once; the guards keep m finite and nonnegative
-    after every step). Each Euler step divides m by dx once, evaluates
-    G'(rho) once, loads the face slopes and their cell means into one
-    stacked buffer and powers it in three calls; the dt estimate reads the
-    cell half, and the module's rhs, called exactly once per step with the
-    loaded face inputs, reads the face half. m is updated in place, so
-    len(traj) - 1 steps at stride 1 mean as many rhs calls.
+    Built once per solve, before the loop: the padded face exponent
+    [0 | (q_f-2)/2 | 0] and the buffers of _Faces, delta^2, cfl * dx^2,
+    the stop time, and one DensityField around the loop's masses m
+    (validated once; the guards keep m finite and nonnegative after every
+    step). Each Euler step divides m by dx once, evaluates G'(rho) once,
+    loads the face slopes and face weights rho_f (s^2+delta^2)^((q_f-2)/2)
+    and reads the bound from them; the module's rhs, called exactly once
+    per step with the loaded face inputs, turns them into the flux. m is
+    updated in place, so len(traj) - 1 steps at stride 1 mean as many rhs
+    calls.
 
     A recorded step copies m into the next row of a block; blocks start at
     16 rows and double up to 1024, and none is ever copied. When the loop
@@ -211,17 +234,14 @@ def solve(rho0: DensityField, e: EnergyModel, q: ExponentField, cfg: PdeConfig,
     dx = g.dx
     dt_scale = cfg.cfl * dx**2
     rv = np.empty_like(m)
-    faces = _Faces(q_values, cfg.delta_reg, dx, rv, dt_estimate=True)
-    diffusivity = faces.cell_mag
+    faces = _Faces(q_values, cfg.delta_reg, dx, rv)
     inc = np.empty_like(m)
 
     while t < t_stop:
         np.divide(m, dx, out=rv)
         faces.load(e.deriv(rv))
-        diffusivity *= rv
-        diffusivity *= e.second(rv)
-        d_max = float(np.maximum.reduce(diffusivity))
-        dt_stable = dt_scale / max(d_max, dt_floor) if d_max > 0.0 else np.inf
+        k_max = faces.bound()
+        dt_stable = dt_scale / max(k_max, dt_floor) if k_max > 0.0 else np.inf
         if cfg.fixed_dt is not None:
             if cfg.fixed_dt > dt_stable * (1.0 + 1e-9):
                 raise NumericalBlowupError(

@@ -27,7 +27,6 @@ from .errors import (
     NonpositiveParameterError,
     NumericalBlowupError,
     SizeMismatchError,
-    check_count,
     check_positive,
 )
 from .grid import Grid
@@ -41,6 +40,12 @@ EXACT_MAX_N = 256
 
 #: solve_exact raises NumericalBlowupError rather than take more pivots.
 MAX_PIVOTS = 50_000
+
+#: solve_entropic stops once its row marginals are this close in L1 ...
+ENTROPIC_TOL = 1e-10
+
+#: ... or after this many iterations, and then reports converged=False.
+ENTROPIC_MAX_ITERS = 100_000
 
 
 @dataclass(frozen=True)
@@ -431,8 +436,8 @@ class EntropicResult:
     marginal_violation: float
 
 
-def solve_entropic(cost: CostMatrix, mu: np.ndarray, nu: np.ndarray, eps: float,
-                   max_iters: int = 100_000, tol: float = 1e-10) -> EntropicResult:
+def solve_entropic(cost: CostMatrix, mu: np.ndarray, nu: np.ndarray,
+                   eps: float) -> EntropicResult:
     """Entropically regularized plan by log-domain alternating scaling.
 
     The loop runs on the marginals' support, the rows with mu > 0 and the
@@ -442,19 +447,18 @@ def solve_entropic(cost: CostMatrix, mu: np.ndarray, nu: np.ndarray, eps: float,
     g = eps (log b - lse_col((f - C)/eps)), then reads its stop from the
     next iteration's row log-sums: the plan exp((f + g - C)/eps) has row
     sums exp(f/eps + lse_row((g - C)/eps)). It stops once their L1 distance
-    to a is below tol, and builds the plan once, after the loop. On the
-    support every potential is finite, and after a column update each plan
-    entry is at most its column mass, so no guard against empty cells or
-    overflow is needed. An empty support (zero total mass) gives the zero
-    plan, 1 iteration and violation sum(mu) without entering the loop.
+    to a is below ENTROPIC_TOL, or after ENTROPIC_MAX_ITERS iterations, and
+    builds the plan once, after the loop. On the support every potential is
+    finite, and after a column update each plan entry is at most its column
+    mass, so no guard against empty cells or overflow is needed. An empty
+    support (zero total mass) gives the zero plan, 1 iteration and
+    violation sum(mu) without entering the loop.
 
     The reported value is <c, gamma> without the entropy term. On
     nonconvergence the last iterate is returned with converged=False instead
-    of raising. eps and tol must be positive and finite, max_iters at least 1.
+    of raising. eps must be positive and finite.
     """
     check_positive(eps, "eps")
-    check_positive(tol, "tol")
-    check_count(max_iters, "max_iters")
     mu, nu = _check_marginals(cost, mu, nu)
     C = cost.values
     gamma = np.zeros_like(C)
@@ -466,15 +470,15 @@ def solve_entropic(cost: CostMatrix, mu: np.ndarray, nu: np.ndarray, eps: float,
         log_a, log_b = np.log(a), np.log(nu[cols])
         g = np.zeros(cols.size)
         lse = logsumexp((g[None, :] - Cs) / eps, axis=1)
-        for it in range(1, max_iters + 1):
+        for it in range(1, ENTROPIC_MAX_ITERS + 1):
             f = eps * (log_a - lse)
             g = eps * (log_b - logsumexp((f[:, None] - Cs) / eps, axis=0))
             lse = logsumexp((g[None, :] - Cs) / eps, axis=1)
             violation = float(np.abs(np.exp(f / eps + lse) - a).sum())
-            if violation < tol:
+            if violation < ENTROPIC_TOL:
                 break
         gamma[support] = np.exp((f[:, None] + g[None, :] - Cs) / eps)
-    converged = violation < tol
+    converged = violation < ENTROPIC_TOL
     value = float((C * gamma).sum())
     coupling = Coupling(gamma, mu, nu, check=converged and violation <= MARGINAL_TOL)
     return EntropicResult(coupling, value, it, converged, violation)

@@ -83,12 +83,6 @@ def _entry_points():
             (-0.1,)),
         "transport.solve_entropic eps": (
             lambda x: transport.solve_entropic(cost, rho.mass, other.mass, x), (0.0, -1.0)),
-        "transport.solve_entropic tol": (
-            lambda x: transport.solve_entropic(cost, rho.mass, other.mass, 0.1, tol=x),
-            (0.0, -1.0)),
-        "transport.solve_entropic max_iters": (
-            lambda x: transport.solve_entropic(cost, rho.mass, other.mass, 0.1,
-                                               max_iters=x), (0, -1)),
         "transport.wasserstein_1d p": (
             lambda x: transport.wasserstein_1d(x, rho, other, g), (0.5, 0.0, -2.0)),
         "transport.displacement_interpolant t": (
@@ -108,6 +102,7 @@ def _entry_points():
         "pde.PdeConfig fixed_dt": (lambda x: pde.PdeConfig(t_end=1.0, fixed_dt=x),
                                    (0.0, -1.0)),
         "pde.rhs delta_reg": (lambda x: pde.rhs(rho, e, q, g, x), (-1.0,)),
+        "jko.Trajectory time": (lambda x: Trajectory(times=np.array([x]), states=[rho]), ()),
         "finsler.TangentVector": (lambda x: finsler.TangentVector(cell(np.zeros(N), x)),
                                   ()),
         "finsler.metric_derivative k": (

@@ -275,8 +275,8 @@ def test_variable_exponent_length_dominates_half_the_frozen_distance():
     assert length >= 0.5 * w_low
 
 
-def _pde_path(stride):
-    g = make_grid(0.0, 1.0, 32)
+def _pde_path(stride, n=32):
+    g = make_grid(0.0, 1.0, n)
     p = ExponentField.affine(2.0, 1.0, g)
     traj = pde.solve(DensityField.cosine_bump(g, amplitude=0.5), ENTROPY,
                      conjugate(p), pde.PdeConfig(t_end=0.01, stride=stride), g)
@@ -326,8 +326,10 @@ def test_pde_curve_length_agrees_across_strides():
 def test_tangent_norm_of_a_quotient_matches_the_metric_derivative():
     # metric_derivative checks a quotient's mean against the mass-relative
     # scale that curve speeds use, so it measures every segment; a plain
-    # tangent vector with the same values keeps the strict MEAN_TOL check
-    traj, p, g = _pde_path(1)
+    # tangent vector with the same values keeps the strict MEAN_TOL check;
+    # at n = 48 the Euler steps are short enough that the mass rounding of
+    # many segments, divided by dt, fails that strict check
+    traj, p, g = _pde_path(1, n=48)
     strict_rejects = 0
     for k in range(len(traj) - 1):
         dt = float(traj.times[k + 1] - traj.times[k])

@@ -158,6 +158,30 @@ def test_run_flow_prefixes_step_index_on_failure():
         jko.run_flow(rho0, ENTROPY, affine_p(g), 1e-3, 1e-3, g, opts)
 
 
+def test_run_flow_reuses_a_step_that_returns_its_input(monkeypatch):
+    # the CI jko config: step 4 keeps the stay-put plan and returns its input
+    # masses bit for bit, so step 5 would solve the same problem again
+    g = make_grid(0.0, 1.0, 64)
+    rho0 = DensityField.cosine_bump(g, amplitude=0.4)
+    calls = []
+    real = jko.jko_step
+
+    def counted(*args):
+        calls.append(args[0])
+        return real(*args)
+
+    monkeypatch.setattr(jko, "jko_step", counted)
+    traj = jko.run_flow(rho0, ENTROPY, affine_p(g), 1e-2, 0.05, g)
+    assert len(calls) == 4 and len(traj.steps) == 5
+    assert traj.steps[4] is traj.steps[3]
+    assert traj.states[4].mass.tobytes() == traj.states[3].mass.tobytes()
+    again = real(traj.states[4], ENTROPY, affine_p(g), 1e-2, g)
+    assert again.rho_next.mass.tobytes() == traj.states[5].mass.tobytes()
+    assert dataclasses.replace(again, rho_next=None, coupling=None) == dataclasses.replace(
+        traj.steps[4], rho_next=None, coupling=None)
+    np.testing.assert_array_equal(again.coupling.gamma, traj.steps[4].coupling.gamma)
+
+
 class _CodedError(RuntimeError):
     """An exception whose constructor takes more than a message."""
 
@@ -168,15 +192,16 @@ class _CodedError(RuntimeError):
 
 def test_run_flow_reraises_the_step_exception_itself(monkeypatch):
     g = make_grid(0.0, 1.0, 8)
-    rho0 = uniform(g)
+    rho0 = DensityField.cosine_bump(g, amplitude=0.3)
     calls, raised = [], []
 
     def failing_step(rho, *args):
+        # a step that moves its masses, so run_flow calls the next one
         calls.append(rho)
         if len(calls) == 2:
             raised.append(_CodedError("solver gave up", 7))
             raise raised[0]
-        return SimpleNamespace(rho_next=rho)
+        return SimpleNamespace(rho_next=DensityField(rho.mass[::-1].copy()))
 
     monkeypatch.setattr(jko, "jko_step", failing_step)
     with pytest.raises(_CodedError) as info:

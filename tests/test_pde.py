@@ -131,8 +131,7 @@ def test_solve_conserves_mass():
 
 
 def test_energy_never_increases_across_models_and_exponents():
-    # smooth random data; cfl 0.25 leaves headroom for the cell-based
-    # stability estimate, which is optimistic when faces and cells disagree
+    # smooth random data at the default cfl, the whole step bound
     models = [builtin_energy("entropy"), builtin_energy("quadratic"),
               builtin_energy("power", 2.5), builtin_energy("power", 3.0)]
     for k, e in enumerate(models):
@@ -147,7 +146,7 @@ def test_energy_never_increases_across_models_and_exponents():
                                             require_unit_mass=False)
             q = ExponentField.constant(rng.uniform(1.5, 3.0), 24)
             traj = pde.solve(rho0, e, q,
-                             pde.PdeConfig(t_end=2e-3, stride=25, cfl=0.25), g)
+                             pde.PdeConfig(t_end=2e-3, stride=25), g)
             es = pde.energy_series(traj, e, g)
             assert np.all(np.diff(es) <= 1e-12)
 
@@ -297,7 +296,11 @@ def _reference_rhs(rho, e, q, g, delta_reg):
 
 
 def _reference_solve(rho0, e, q, cfg, g, steps):
-    """The Euler loop that recomputed every invariant at every step.
+    """The Euler loop that recomputed every invariant at every step, with
+    dt = cfl dx^2 / max_i (K_{i-1/2} + K_{i+1/2}) written out: K_f =
+    rho_f (s_f^2 + delta^2)^((q_f-2)/2) (G'(rho_{i+1}) - G'(rho_i))
+    / (rho_{i+1} - rho_i) on interior faces, 0 on the walls and on faces
+    with rho_{i+1} == rho_i.
 
     Returns the recorded times and masses; steps["n"] counts the Euler
     steps taken, also when a guard raises.
@@ -309,12 +312,17 @@ def _reference_solve(rho0, e, q, cfg, g, steps):
     t_final = cfg.t_end
     while t < t_final - 1e-15 * max(1.0, t_final):
         rv = m / g.dx
-        slope = np.zeros(g.n_cells + 1)
-        slope[1:-1] = np.diff(e.deriv(rv)) / g.dx
-        s_cell = 0.5 * (slope[:-1] + slope[1:])
-        mag = (s_cell * s_cell + cfg.delta_reg * cfg.delta_reg) ** ((q.values - 2.0) / 2.0)
-        d_max = float((rv * mag * e.second(rv)).max())
-        dt_stable = cfg.cfl * g.dx**2 / max(d_max, 1e-30) if d_max > 0.0 else np.inf
+        dgp = np.diff(e.deriv(rv))
+        s = dgp / g.dx
+        q_f = 0.5 * (q.values[:-1] + q.values[1:])
+        mag = (s * s + cfg.delta_reg * cfg.delta_reg) ** ((q_f - 2.0) / 2.0)
+        drho = np.diff(rv)
+        k = np.zeros(g.n_cells + 1)
+        k[1:-1] = np.where(drho != 0.0,
+                           0.5 * (rv[:-1] + rv[1:]) * mag * dgp
+                           / np.where(drho != 0.0, drho, 1.0), 0.0)
+        k_max = float((k[:-1] + k[1:]).max())
+        dt_stable = cfg.cfl * g.dx**2 / max(k_max, 1e-30) if k_max > 0.0 else np.inf
         if cfg.fixed_dt is not None:
             if cfg.fixed_dt > dt_stable * (1.0 + 1e-9):
                 raise NumericalBlowupError(
@@ -395,7 +403,7 @@ def test_solve_is_bit_identical_to_reference_loop(name, exponent, stride, fixed)
 
 
 def test_solve_is_bit_identical_to_reference_loop_at_n64():
-    # the README example's size: n = 64, p = 2 + x and the entropy, 1812
+    # the README example's size: n = 64, p = 2 + x and the entropy, 952
     # Euler steps to t = 0.02, each one compared at stride 1
     g = make_grid(0.0, 1.0, 64)
     q = conjugate(ExponentField.affine(2.0, 1.0, g))
@@ -404,7 +412,7 @@ def test_solve_is_bit_identical_to_reference_loop_at_n64():
     steps = {"n": 0}
     want_times, want_masses = _reference_solve(rho0, ENTROPY, q, cfg, g, steps)
     traj = pde.solve(rho0, ENTROPY, q, cfg, g)
-    assert len(traj) - 1 == steps["n"] > 1000
+    assert len(traj) - 1 == steps["n"] > 900
     np.testing.assert_array_equal(traj.times, want_times)
     for state, want in zip(traj.states, want_masses, strict=True):
         np.testing.assert_array_equal(state.mass, want)
@@ -430,7 +438,7 @@ def test_block_record_is_bit_identical_across_block_boundaries():
     g = make_grid(0.0, 1.0, 24)
     q = conjugate(ExponentField.affine(2.0, 1.0, g))
     rho0 = DensityField.cosine_bump(g, amplitude=0.5)
-    traj = _assert_matches_reference(rho0, ENTROPY, q, pde.PdeConfig(t_end=0.2), g)
+    traj = _assert_matches_reference(rho0, ENTROPY, q, pde.PdeConfig(t_end=0.25), g)
     assert len(traj) > 3000
 
 
@@ -439,7 +447,7 @@ def test_block_record_is_bit_identical_at_n129_without_unit_mass():
     q = conjugate(ExponentField.affine(2.0, 1.0, g))
     rho0 = smooth_pair(g, 0)[1]
     assert not rho0.require_unit_mass and abs(rho0.total_mass - 1.0) > 0.1
-    traj = _assert_matches_reference(rho0, ENTROPY, q, pde.PdeConfig(t_end=5e-3), g)
+    traj = _assert_matches_reference(rho0, ENTROPY, q, pde.PdeConfig(t_end=7e-3), g)
     assert len(traj) > 2047
 
 
@@ -551,9 +559,12 @@ def test_solve_writes_neither_rho0_nor_a_shared_state(stride):
 
 def _vacuum_spikes(seed):
     """Four isolated spikes between vacuum cells under the porous-medium
-    energy with q = 2 and a fixed dt at the stability bound (cfl = 1): in
-    exact arithmetic the tallest spike empties in one step, so rounding
-    leaves its cell a hair above or below zero."""
+    energy with q = 2 and a fixed dt at the step bound (cfl = 1). A spike
+    of density r has K_f = r / 2 on both faces, so K_{i-1/2} + K_{i+1/2}
+    = r, and a vacuum cell between spikes r and r' has (r + r') / 2: the
+    bound is dx^2 over the tallest density. In exact arithmetic the
+    tallest spike empties in one step, so rounding leaves its cell a hair
+    above or below zero."""
     rng = np.random.default_rng(seed)
     g = make_grid(0.0, 1.0, 24)
     vals = np.zeros(24)
@@ -570,6 +581,8 @@ def test_clamp_fires_on_a_vacuum_start(seed, monkeypatch):
     # seeds 0-4 of this generator round the emptied cell to +0.0 or above;
     # 5 and 7 are the first two that round it below zero
     rho0, e, q, cfg, g = _vacuum_spikes(seed)
+    free = pde.solve(rho0, e, q, replace(cfg, fixed_dt=None), g)
+    assert free.times[1] == pytest.approx(cfg.fixed_dt, rel=1e-15)
     seen = _recording_rhs(monkeypatch)
     traj = pde.solve(rho0, e, q, cfg, g)
     # the fixed dt rebuilds each step's masses before the guards; every
@@ -596,16 +609,17 @@ def test_clamp_turns_negative_zero_masses_positive():
         assert not np.signbit(state.mass).any()
 
 
-def _understated_curvature(level):
-    """Quadratic energy whose G'' reads a tenth of the truth, so the
-    stability estimate lets dt run ten times too large; cosine data at the
-    given density level."""
+def _anti_diffusion(level, fixed_dt):
+    """Quadratic energy with G' negated, so every K_f < 0: the step bound
+    reads no positive K_f and allows any dt, and a fixed dt lets the cosine
+    mode of the data, at the given density level, grow step by step."""
     quadratic = builtin_energy("quadratic")
-    e = replace(quadratic, second=lambda t: 0.1 * quadratic.second(t))
+    e = replace(quadratic, deriv=lambda t: -quadratic.deriv(t))
     g = make_grid(0.0, 1.0, 24)
     vals = level * (1.0 + 0.5 * np.cos(np.pi * g.centers))
     rho0 = DensityField.from_masses(vals * g.dx, require_unit_mass=False)
-    return rho0, e, ExponentField.constant(2.0, 24), pde.PdeConfig(t_end=1.0), g
+    cfg = pde.PdeConfig(t_end=1.0, fixed_dt=fixed_dt)
+    return rho0, e, ExponentField.constant(2.0, 24), cfg, g
 
 
 def _oversized_fixed_dt():
@@ -623,8 +637,8 @@ ERROR_CASES = {
     # case: (inputs, message, Euler steps taken when the guard fires); the
     # dt guard fires before a step, the density guards after it
     "fixed_dt": (_oversized_fixed_dt, "exceeds the stability bound", 1),
-    "blowup": (lambda: _understated_curvature(3e5), "blew up", 14),
-    "negative": (lambda: _understated_curvature(100.0), "went negative", 14),
+    "blowup": (lambda: _anti_diffusion(3e5, 1e-8), "blew up", 12),
+    "negative": (lambda: _anti_diffusion(100.0, 1e-5), "went negative", 25),
 }
 
 
@@ -668,3 +682,47 @@ def test_solve_evaluates_the_energy_slope_once_per_step(monkeypatch):
     traj = pde.solve(rho0, replace(ENTROPY, deriv=counted), q,
                      pde.PdeConfig(t_end=1e-3), g)
     assert len(evaluations) == calls["n"] == len(traj) - 1
+
+
+# ---------------------------------------------------------- rough-data sweep
+
+SWEEP_ENERGIES = {"entropy": ENTROPY, "quadratic": builtin_energy("quadratic"),
+                  "power3": builtin_energy("power", 3.0)}
+
+
+def _rough_case(seed):
+    """n in [16, 32] cells of uniform(0, 2) density with n // 8 of them
+    emptied, and a transport exponent p uniform in (1.02, 8) per cell; the
+    flow runs with q its conjugate, so q reaches about 50."""
+    rng = np.random.default_rng(2000 + seed)
+    n = int(rng.integers(16, 33))
+    g = make_grid(0.0, 1.0, n)
+    vals = rng.uniform(0.0, 2.0, n)
+    vals[rng.choice(n, size=n // 8, replace=False)] = 0.0
+    q = conjugate(ExponentField(rng.uniform(1.02, 8.0, n)))
+    return DensityField.from_cell_values(vals, g), q, g
+
+
+@pytest.mark.parametrize("name", sorted(SWEEP_ENERGIES))
+def test_rough_data_keeps_mass_positivity_maximum_principle_and_descent(name, monkeypatch):
+    # every run at the default cfl keeps the invariants of a positive
+    # average; a run may only stop on the step budget, and only where a
+    # face exponent q_f above 20 meets a steep slope: the explicit loop's
+    # stiffness at large q, where the bound falls below 1e-30
+    e = SWEEP_ENERGIES[name]
+    monkeypatch.setattr(pde, "MAX_STEPS", 5000)
+    for seed in range(20):
+        rho0, q, g = _rough_case(seed)
+        try:
+            traj = pde.solve(rho0, e, q, pde.PdeConfig(t_end=1e-4), g)
+        except NumericalBlowupError as exc:
+            assert "step budget" in str(exc), (seed, str(exc))
+            assert (0.5 * (q.values[:-1] + q.values[1:])).max() > 20.0, seed
+            continue
+        d0 = rho0.density(g)
+        for state in traj.states:
+            d = state.density(g)
+            assert abs(state.mass.sum() - rho0.mass.sum()) <= 1e-12, seed
+            assert d.min() >= 0.0, seed
+            assert d.max() <= d0.max() * (1.0 + 1e-12), seed
+        assert np.all(np.diff(pde.energy_series(traj, e, g)) <= 1e-12), seed
