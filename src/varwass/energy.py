@@ -30,10 +30,6 @@ class EnergyModel:
     second(t)           -- G''(t)
     legendre(s)         -- G*(s) = sup_{t>=0} (s t - G(t))
     legendre_deriv(s)   -- (G*)'(s), the inverse of G' where defined
-
-    log_prox is the closed-form root of the entropic JKO step's column
-    equation when one is known, else None (the step then solves it
-    numerically).
     """
 
     name: str
@@ -43,16 +39,6 @@ class EnergyModel:
     legendre: Callable[[np.ndarray], np.ndarray]
     legendre_deriv: Callable[[np.ndarray], np.ndarray]
 
-    @property
-    def log_prox(self) -> Callable[[np.ndarray, float, float], np.ndarray] | None:
-        """Closed-form root sigma of sigma + G'(exp(sigma)/dx)/eps = L, or None.
-
-        The equation depends on G' alone, so the closed form is tied to the
-        builtin entropy's deriv: a model with any other deriv, whatever its
-        name, gets None.
-        """
-        return _entropy_log_prox if self.deriv is _entropy_deriv else None
-
 
 def _clamp(t):
     return np.maximum(np.asarray(t, dtype=float), RHO_FLOOR)
@@ -60,20 +46,6 @@ def _clamp(t):
 
 def _entropy_deriv(t):
     return np.log(_clamp(t)) + 1.0
-
-
-def _entropy_log_prox(log_target, dx: float, eps: float) -> np.ndarray:
-    """Root sigma of sigma + G'(exp(sigma)/dx)/eps = log_target for G = t log t.
-
-    With G'(t) = log max(t, RHO_FLOOR) + 1 the left side is linear in sigma
-    on each side of the clamp point sigma = log(RHO_FLOOR dx): slope
-    1 + 1/eps above it, 1 below. It is increasing and continuous, so the
-    root is the free branch's root when that lies above the clamp point and
-    the clamped branch's root otherwise (Peyre, SIAM J. Imaging Sci. 2015).
-    """
-    free = (log_target + (math.log(dx) - 1.0) / eps) / (1.0 + 1.0 / eps)
-    clamped = log_target - (math.log(RHO_FLOOR) + 1.0) / eps
-    return np.where(free > math.log(RHO_FLOOR * dx), free, clamped)
 
 
 def builtin_energy(kind: str, m: float | None = None) -> EnergyModel:

@@ -460,7 +460,7 @@ def test_readme_library_example_runs_verbatim(capsys):
 
 
 #: The configs that CI runs through the console script, one file each.
-CI_CONFIGS = ("jko", "pde", "rows", "transport")
+CI_CONFIGS = ("jko", "pde", "rows", "rows128", "transport")
 
 
 @pytest.mark.parametrize("name", CI_CONFIGS)

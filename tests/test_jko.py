@@ -262,7 +262,8 @@ def test_bisection_is_bit_identical_to_fixed_count_halving(with_zero):
 
 
 def _column(e, log_target, dx=1.0 / 32.0, eps=0.5):
-    """The scalar column equation and its slope, as _solve_column_scalar poses it."""
+    """The scalar column equation and its slope, as _solve_column_scalar poses it:
+    sigma + G'(exp(sigma)/dx)/eps = log_target."""
     def pair(sig):
         t = np.exp(sig) / dx
         return sig + e.deriv(t) / eps - log_target, 1.0 + jko._clamped_curvature(e, t) / eps
@@ -323,46 +324,31 @@ def test_newton_mode_agrees_with_bisection(name):
 
 
 def test_entropy_column_root_in_closed_form_agrees_with_newton():
-    # three roots in the RHO_FLOOR clamp, and one at the clamp point itself,
-    # where the free and the clamped branch meet
+    # the oracle's closed form: three roots in the RHO_FLOOR clamp, and one at
+    # the clamp point itself, where the free and the clamped branch meet
     dx, eps = 1.0 / 32.0, 0.5
     roots = np.append(COLUMN_ROOTS["entropy"], math.log(RHO_FLOOR * dx))
     target = _column(ENTROPY, np.zeros(roots.size), dx, eps)(roots)[0]
     lo, hi = np.full(roots.size, -60.0), np.full(roots.size, 10.0)
     newton = 0.5 * np.add(*bisect(_column(ENTROPY, target, dx, eps), lo, hi))
-    closed = jko._solve_column_scalar(target, ENTROPY, dx, eps)
+    closed = _solve_column_scalar(target, ENTROPY, dx, eps)
     ulp = np.spacing(np.maximum(1.0, np.abs(newton)))
     assert np.all(np.abs(closed - newton) <= 4.0 * ulp)
 
 
-def test_column_solve_follows_the_derivative_not_the_name():
-    # a quadratic model that calls itself "entropy" has no closed form: it must
-    # take the Newton path and land on the quadratic roots
-    impostor = dataclasses.replace(QUADRATIC, name="entropy")
-    assert impostor.log_prox is None
-    dx, eps = 1.0 / 32.0, 0.5
-    roots = np.asarray(COLUMN_ROOTS["quadratic"])
-    target = _column(QUADRATIC, np.zeros(roots.size), dx, eps)(roots)[0]
-    start = np.full(roots.size, -25.0)
-    got = jko._solve_column_scalar(target, impostor, dx, eps, start)
-    np.testing.assert_array_equal(
-        got, jko._solve_column_scalar(target, QUADRATIC, dx, eps, start))
-    np.testing.assert_allclose(got, roots, rtol=1e-13)
-
-
-def _readme_flow(steps, e=ENTROPY):
+def _readme_flow(steps):
     """The README compare flow: n=64, p=2, entropy, smoothing dx/2, h=2e-4."""
     g = make_grid(0.0, 1.0, 64)
     h = 2e-4
     p = ExponentField.constant(2.0, g.n_cells)
     rho0 = DensityField.cosine_bump(g, amplitude=0.5)
     opts = jko.JkoOptions(backend="entropic", smoothing=0.5 * g.dx, exact_coupling=False)
-    return jko.run_flow(rho0, e, p, h, steps * h, g, opts)
+    return jko.run_flow(rho0, ENTROPY, p, h, steps * h, g, opts)
 
 
-def test_entropy_closed_form_flow_matches_the_newton_flow(monkeypatch):
-    # the README compare flow, 15 steps; with the closed form the finder runs
-    # only for the temperatures
+def test_dual_loop_never_calls_the_root_finder(monkeypatch):
+    # the README compare flow, 15 steps: the finder runs once, for the
+    # temperatures, and the Newton loop solves no column equation
     monkeypatch.setattr(jko, "_PLANS", {})
     calls = []
     real = jko.bisect
@@ -372,16 +358,9 @@ def test_entropy_closed_form_flow_matches_the_newton_flow(monkeypatch):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(jko, "bisect", counted)
-    closed = _readme_flow(15)
+    traj = _readme_flow(15)
     assert len(calls) == 1
-    # the same G' behind another callable drops the closed form
-    newton_entropy = dataclasses.replace(ENTROPY, deriv=lambda t: ENTROPY.deriv(t))
-    assert newton_entropy.log_prox is None
-    newton = _readme_flow(15, newton_entropy)
-    assert len(calls) > 1
-    assert [s.iterations for s in closed.steps] == [s.iterations for s in newton.steps]
-    assert all(s.converged for s in closed.steps)
-    np.testing.assert_allclose(closed.final.mass, newton.final.mass, rtol=0.0, atol=1e-12)
+    assert all(s.converged for s in traj.steps)
 
 
 # ---------------------------------------------------------------- step plan
@@ -403,6 +382,19 @@ def test_step_plan_is_reused_and_read_only(monkeypatch):
         assert not arr.flags.writeable
         with pytest.raises(ValueError):
             arr[0] = 0.0
+
+
+def test_step_plan_kernel_holds_zero_where_its_exponential_is_subnormal(monkeypatch):
+    # the README compare plan: a subnormal operand slows every kernel product
+    monkeypatch.setattr(jko, "_PLANS", {})
+    g = make_grid(0.0, 1.0, 64)
+    opts = jko.JkoOptions(backend="entropic", smoothing=0.5 * g.dx)
+    _, _, log_ref, kernel = jko._step_plan(g, ExponentField.constant(2.0, g.n_cells),
+                                           2e-4, opts)
+    full = np.exp(log_ref)
+    tiny = np.finfo(float).tiny
+    assert np.count_nonzero((full > 0.0) & (full < tiny))
+    np.testing.assert_array_equal(kernel, np.where(full < tiny, 0.0, full))
 
 
 def test_step_plan_follows_its_inputs(monkeypatch):
@@ -483,19 +475,19 @@ def test_temperatures_take_few_evaluations(monkeypatch, p1, h, smoothing, most):
 
 # ----------------------------------------------------------- invariant sweep
 
-# Total dual iterations of each 5-step flow: (with Anderson mixing, the
-# plain fixed-point loop). The plain counts were taken with the bisection
-# column solves that the safeguarded Newton ones replaced; they stay as the
-# ceiling that the mixed counts must not pass.
+# Total dual iterations of each 5-step flow: (Newton steps, the plain
+# fixed-point loop that the Newton loop replaced). The plain counts were
+# taken with bisection column solves; they stay as the ceiling that the
+# Newton counts must not pass.
 SWEEP_ITERATIONS = {
-    ("entropy", "constant", None): (205, 622), ("entropy", "constant", 0.03): (102, 188),
-    ("entropy", "ramp", None): (189, 546), ("entropy", "ramp", 0.03): (82, 475),
-    ("quadratic", "constant", None): (255, 824), ("quadratic", "constant", 0.03): (110, 229),
-    ("quadratic", "ramp", None): (225, 895), ("quadratic", "ramp", 0.03): (75, 610),
-    ("power1.5", "constant", None): (288, 965), ("power1.5", "constant", 0.03): (124, 266),
-    ("power1.5", "ramp", None): (254, 940), ("power1.5", "ramp", 0.03): (82, 714),
-    ("power3", "constant", None): (598, 2572), ("power3", "constant", 0.03): (199, 633),
-    ("power3", "ramp", None): (693, 5820), ("power3", "ramp", 0.03): (95, 1535),
+    ("entropy", "constant", None): (24, 622), ("entropy", "constant", 0.03): (18, 188),
+    ("entropy", "ramp", None): (26, 546), ("entropy", "ramp", 0.03): (21, 475),
+    ("quadratic", "constant", None): (26, 824), ("quadratic", "constant", 0.03): (21, 229),
+    ("quadratic", "ramp", None): (25, 895), ("quadratic", "ramp", 0.03): (20, 610),
+    ("power1.5", "constant", None): (26, 965), ("power1.5", "constant", 0.03): (21, 266),
+    ("power1.5", "ramp", None): (26, 940), ("power1.5", "ramp", 0.03): (20, 714),
+    ("power3", "constant", None): (32, 2572), ("power3", "constant", 0.03): (26, 633),
+    ("power3", "ramp", None): (32, 5820), ("power3", "ramp", 0.03): (25, 1535),
 }
 
 
@@ -521,13 +513,13 @@ _sweep_flow = functools.lru_cache(maxsize=None)(_vacuum_flow)
 @pytest.mark.parametrize("name,exponent,smoothing", sorted(
     SWEEP_ITERATIONS, key=lambda k: (k[0], k[1], k[2] is not None)))
 def test_entropic_sweep_keeps_iterations_and_invariants(name, exponent, smoothing):
-    # eps=0.2; the uniform-temperature cases run the scalar column solve, the
-    # smoothed ramp ones the mixed one
+    # eps=0.2; the uniform-temperature cases run on kernel products, the
+    # smoothed ramp ones on per-row temperatures in the log domain
     traj = _sweep_flow(name, exponent, smoothing)
     assert all(step.converged for step in traj.steps)
-    mixed, plain = SWEEP_ITERATIONS[(name, exponent, smoothing)]
-    assert sum(step.iterations for step in traj.steps) == mixed
-    assert mixed <= plain
+    newton, plain = SWEEP_ITERATIONS[(name, exponent, smoothing)]
+    assert sum(step.iterations for step in traj.steps) == newton
+    assert newton <= plain
     for state in traj.states:
         assert abs(state.total_mass - 1.0) <= 1e-12
         assert state.mass.min() >= 0.0
@@ -535,13 +527,56 @@ def test_entropic_sweep_keeps_iterations_and_invariants(name, exponent, smoothin
 
 # ------------------------------------------- kernel products vs log domain
 
+def _solve_column_scalar(log_target, e, dx, eps, start=None):
+    """Roots sigma of the column equation (_column), per column.
+
+    For the builtin entropy, G'(t) = log max(t, RHO_FLOOR) + 1, the left
+    side is linear in sigma on each side of the clamp point
+    sigma = log(RHO_FLOOR dx), with slope 1 + 1/eps above it and 1 below;
+    it is increasing and continuous, so the root is the free branch's where
+    that lies above the clamp point and the clamped branch's otherwise.
+    Every other energy takes safeguarded Newton steps in bisect, from the
+    bracket start +- 1, by default log_target +- 1; far above the root
+    exp(sigma)/dx or G' overflows to +inf, read as above the root.
+    """
+    if e is ENTROPY:
+        free = (log_target + (math.log(dx) - 1.0) / eps) / (1.0 + 1.0 / eps)
+        clamped = log_target - (math.log(RHO_FLOOR) + 1.0) / eps
+        return np.where(free > math.log(RHO_FLOOR * dx), free, clamped)
+    start = log_target if start is None else start
+    with np.errstate(over="ignore", invalid="ignore"):
+        lo, hi = bisect(_column(e, log_target, dx, eps), start - 1.0, start + 1.0)
+    return 0.5 * (lo + hi)
+
+
+def _solve_columns_mixed(W, eps_vec, e, dx, start=None):
+    """Roots sigma_j = log sum_i exp(W_ij - G'(exp(sigma_j)/dx)/eps_i), per column.
+
+    The column equation with per-row temperatures: the left-minus-right
+    side increases in sigma_j with slope 1 + (sum_i q_ij/eps_i) G''(t_j) t_j,
+    q the column softmax of its exponent. The bracket starts at start +- 1,
+    by default at the column log-sum-exp of W.
+    """
+    inv_eps = 1.0 / eps_vec
+
+    def f(sig):
+        t = np.exp(sig) / dx
+        lse, q = logsumexp(W - e.deriv(t)[None, :] / eps_vec[:, None], axis=0, weights=True)
+        return sig - lse, 1.0 + (inv_eps @ q) * jko._clamped_curvature(e, t)
+
+    start = logsumexp(W.T, axis=1) if start is None else start
+    lo, hi = bisect(f, start - 1.0, start + 1.0)
+    return 0.5 * (lo + hi)
+
+
 def _log_domain_backend(log_ref, kernel, mu, e, dx, opts, eps_vec):
-    """The dual ascent before the kernel products and the mixing: two
-    n-by-n log-sum-exps (the mixed column solve for per-row temperatures)
-    and the plain fixed-point step per iteration. The oracle of the fast
-    loop. It stops at 1e-14 relative, tighter than the fast loop, so that
-    the comparisons see the fast loop's distance to the fixed point more
-    than its own stopping error; where the plain loop contracts slowly,
+    """The dual block ascent that the Newton loop replaced, as the oracle
+    of that loop: two n-by-n log-sum-exps per iteration, the row update in
+    closed form and the column equations solved by root finding (the mixed
+    solve for per-row temperatures), and the plain fixed-point step on the
+    column potential. It stops at 1e-14 relative, so that the comparisons
+    see the Newton loop's distance to the fixed point more than the
+    oracle's own stopping error; where the plain loop contracts slowly,
     that error can still reach a few 1e-13."""
     n = mu.size
     if mu.sum() == 0.0:
@@ -561,10 +596,10 @@ def _log_domain_backend(log_ref, kernel, mu, e, dx, opts, eps_vec):
         with np.errstate(invalid="ignore"):
             w_log = u[:, None] / epsr + log_ref
         if uniform:
-            sigma = jko._solve_column_scalar(logsumexp(w_log.T, axis=1), e, dx,
-                                             float(eps_vec[0]), sigma)
+            sigma = _solve_column_scalar(logsumexp(w_log.T, axis=1), e, dx,
+                                         float(eps_vec[0]), sigma)
         else:
-            sigma = jko._solve_columns_mixed(w_log, eps_vec, e, dx, sigma)
+            sigma = _solve_columns_mixed(w_log, eps_vec, e, dx, sigma)
         phi_new = e.deriv(np.exp(sigma) / dx)
         delta = float(np.max(np.abs(phi_new - phi)))
         phi = phi_new
@@ -611,9 +646,10 @@ def test_readme_flow_runs_on_kernel_products_only(monkeypatch):
 
 def test_readme_flow_is_bit_identical_across_runs():
     first, second = _readme_flow(100), _readme_flow(100)
-    # 6678 with the plain fixed-point step; the mixing must at least halve it
+    # 6678 with the plain fixed-point step and 800 with Anderson mixing; the
+    # Newton loop must at least halve the plain count
     iterations = sum(s.iterations for s in first.steps)
-    assert iterations == 800
+    assert iterations == 200
     assert iterations <= 3339
     for a, b in zip(first.states, second.states, strict=True):
         np.testing.assert_array_equal(a.mass, b.mass)
@@ -634,7 +670,7 @@ def test_sweep_kernel_products_match_the_log_domain_loop(monkeypatch, name, expo
 @pytest.mark.parametrize("eps,steps", [(0.02, 5), (0.005, 2)])
 def test_underflow_guard_falls_back_to_the_log_domain(monkeypatch, eps, steps):
     # vacuum columns start at G'(RHO_FLOOR), so -phi/eps spreads far past the
-    # guard's e^-600; at eps=0.005 every half-iteration takes the log-sum-exp
+    # guard's e^-600; at eps=0.005 the Newton loop takes the log-sum-exps
     calls = _count_log_sum_exps(monkeypatch)
     fast = _vacuum_flow("entropy", "constant", None, eps=eps, steps=steps)
     if eps == 0.005:
@@ -673,10 +709,43 @@ def test_rough_data_matches_the_log_domain_loop(monkeypatch, name, temperatures)
                                    lambda: _rough_flow(name, temperatures, seed))
 
 
+def _benchmark_step(seed):
+    """One per-row-temperature step as the exact_steps benchmark takes it:
+    n=64, p=2+x, smoothing sqrt(0.8 h), h=1e-2, masses 0.1 + 0.9 U."""
+    g = make_grid(0.0, 1.0, 64)
+    v = 0.1 + 0.9 * np.random.default_rng(seed).random(g.n_cells)
+    return jko.run_flow(DensityField.from_masses(v / v.sum()), ENTROPY, affine_p(g),
+                        1e-2, 1e-2, g, blur_opts(1e-2))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_per_row_step_at_benchmark_size_matches_the_log_domain_loop(monkeypatch, seed):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        fast = _benchmark_step(seed)
+        assert all(s.converged for s in fast.steps)
+        _assert_matches_log_domain(fast, monkeypatch, lambda: _benchmark_step(seed))
+
+
+@pytest.mark.parametrize("n,amplitude", [(128, 0.4), (128, 0.5), (256, 0.5)])
+def test_variable_p_step_converges_at_large_n(n, amplitude):
+    # p=2+x, smoothing dx/2, h=1e-2: the block ascent overflowed here in its
+    # first iteration, and took 5-80 s once its brackets were mended
+    g = make_grid(0.0, 1.0, n)
+    opts = jko.JkoOptions(backend="entropic", smoothing=0.5 * g.dx)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        step = jko.jko_step(DensityField.cosine_bump(g, amplitude=amplitude), ENTROPY,
+                            affine_p(g), 1e-2, g, opts)
+    assert step.converged
+    assert step.mass_error <= 1e-12
+    assert step.rho_next.mass.min() >= 0.0
+
+
 def test_power_energy_at_small_eps_converges_silently():
-    # far above the column root the power G' overflows: the finder must read
-    # that as above the root and halve, without a warning, and the dual loop
-    # must still converge (it ran into the iteration cap before)
+    # far above the root the power G' overflows: a trial point there must
+    # read as no decrease and be halved, without a warning, and the dual loop
+    # must still converge (the block ascent once ran into the iteration cap)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         traj = _vacuum_flow("power3", "constant", None, eps=0.005, steps=1)
