@@ -35,17 +35,21 @@ every row both come from products of a fixed kernel with a vector (the
 scaling form of stabilized Sinkhorn, Schmitzer, SIAM J. Sci. Comput. 2019),
 and otherwise, or where such a sum would underflow, from log-sum-exps. The
 loop stops on the column-mass error of the plan it returns, not on the
-change of the potential. On the README compare flow this takes 200 Newton
-steps where the plain fixed-point loop took 6678 iterations. The cost, the
-per-row temperatures, the reflected log kernel and the kernel itself depend
-only on the grid, p, h, eps and smoothing, so _step_plan builds them once
-and a flow reuses them for every step.
+change of the potential. run_flow starts each step after the first from the
+masses extrapolated from the last two states. On the README compare flow
+this takes 101 Newton steps, one per step after the first; from the
+previous masses it took 200, and the plain fixed-point loop 6678
+iterations. The cost, the per-row temperatures, the reflected log kernel,
+the kernel itself and the conjugate exponents and displacements that the
+residual reads depend only on the grid, p, h, eps and smoothing, so
+_step_plan builds them once and a flow reuses them for every step.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -401,21 +405,35 @@ _PLAN_SLOTS = 4
 _SUM_FLOOR = math.exp(-600.0)
 
 
-def _step_plan(g: Grid, p: ExponentField, h: float, opts: JkoOptions):
-    """(cost, eps_vec, log_ref, kernel) of a step: what stays fixed through a flow.
+class _StepPlan(NamedTuple):
+    """What stays fixed through a flow; see _step_plan."""
+
+    cost: transport.CostMatrix
+    eps_vec: np.ndarray | None
+    log_ref: np.ndarray | None
+    kernel: np.ndarray | None
+    q: np.ndarray
+    disp: np.ndarray
+
+
+def _step_plan(g: Grid, p: ExponentField, h: float, opts: JkoOptions) -> _StepPlan:
+    """(cost, eps_vec, log_ref, kernel, q, disp) of a step: what stays fixed
+    through a flow.
 
     The cost depends only on the grid, p and h; the entropic temperatures,
     the reflected log kernel and the kernel exp(log_ref) itself also on eps
-    and smoothing (for the other backends the last three are None). The
-    uniform-temperature plan multiplies by the kernel. Its entries below
-    about e^-708 underflow, which the e^-600 sum floor of those products
-    keeps at rounding level; so the kernel holds 0.0 where exp(log_ref) is
-    subnormal, as a subnormal operand slows every product that touches it
-    several-fold. A plan is kept under the content of those inputs, not
-    their identity, so an in-place edit of p.values gets a fresh plan. The
-    _PLAN_SLOTS most recently used plans are kept, enough for callers that
-    alternate backends or step sizes on one grid. The arrays are shared by
-    every step that uses the plan, so they are read-only.
+    and smoothing (for the other backends the three are None). q holds the
+    values of conjugate(p) and disp the displacements x_j - x_i, both read
+    by the step's el_residual. The uniform-temperature plan multiplies by
+    the kernel. Its entries below about e^-708 underflow, which the e^-600
+    sum floor of those products keeps at rounding level; so the kernel
+    holds 0.0 where exp(log_ref) is subnormal, as a subnormal operand slows
+    every product that touches it several-fold. A plan is kept under the
+    content of those inputs, not their identity, so an in-place edit of
+    p.values gets a fresh plan. The _PLAN_SLOTS most recently used plans are
+    kept, enough for callers that alternate backends or step sizes on one
+    grid. The arrays are shared by every step that uses the plan, so they
+    are read-only.
     """
     entropic = opts.backend == "entropic"
     key = (g.a, g.b, g.n_cells, h, p.values.tobytes(),
@@ -429,10 +447,12 @@ def _step_plan(g: Grid, p: ExponentField, h: float, opts: JkoOptions):
             log_ref = _log_reference(g, p, h, eps_vec)
             kernel = np.exp(log_ref)
             kernel[kernel < np.finfo(float).tiny] = 0.0
-        for arr in (cost.values, eps_vec, log_ref, kernel):
+        x = g.centers
+        plan = _StepPlan(cost, eps_vec, log_ref, kernel, conjugate(p).values,
+                         x[None, :] - x[:, None])
+        for arr in (cost.values,) + plan[1:]:
             if arr is not None:
                 arr.setflags(write=False)
-        plan = (cost, eps_vec, log_ref, kernel)
     _PLANS[key] = plan
     while len(_PLANS) > _PLAN_SLOTS:
         del _PLANS[next(iter(_PLANS))]
@@ -492,7 +512,7 @@ def _column_picture(sigma, e, dx, log_ref, kernel, mu, log_mu, w):
     return log_col, phi, c, lambda: (P, Q), lambda: np.exp(log_plan)
 
 
-def _entropic_backend(log_ref, kernel, mu, e, dx, opts, eps_vec):
+def _entropic_backend(log_ref, kernel, mu, e, dx, opts, eps_vec, guess=None):
     """Damped Newton on the dual of the KL-smoothed joint program.
 
     The plan gamma_ij = mu_i P_ij, P the row softmax of log_ref_ij -
@@ -526,9 +546,14 @@ def _entropic_backend(log_ref, kernel, mu, e, dx, opts, eps_vec):
     floors near eps_machine mu.sum() (1 + max w |phi|) (below a fifth of
     it on 412 measured steps). Once the error is below that floor
     and a full Newton step no longer halves it, the loop stops there too;
-    either way the step counts as converged. The start is the previous
-    masses floored at the clamp point, so phi starts at G' of the previous
-    density. The returned plan is rescaled to the exact row masses. Zero
+    either way the step counts as converged.
+
+    The cold start is the previous masses floored at the clamp point, so
+    phi starts at G' of the previous density. A guess of the column masses,
+    floored the same way, is evaluated first and kept when its column-mass
+    error is at most half of max |guess - mu|, the change it predicts;
+    otherwise the loop begins from whichever of the two has the smaller
+    |R|^2. The returned plan is rescaled to the exact row masses. Zero
     total mass has only the zero plan, returned without entering the loop.
     """
     n = mu.size
@@ -553,7 +578,12 @@ def _entropic_backend(log_ref, kernel, mu, e, dx, opts, eps_vec):
 
     # A trial far from the root can overflow; it then reads as no decrease.
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        cur = evaluate(np.log(np.maximum(mu, RHO_FLOOR * dx)))
+        clamp = RHO_FLOOR * dx
+        cur = evaluate(np.log(np.maximum(mu if guess is None else guess, clamp)))
+        if guess is not None and not cur[4] <= 0.5 * float(np.abs(guess - mu).max()):
+            cold = evaluate(np.log(np.maximum(mu, clamp)))
+            if not cur[3] <= cold[3]:
+                cur = cold
         it = 0
         while not cur[4] <= tol and it < opts.max_iters:
             it += 1
@@ -583,25 +613,28 @@ def _entropic_backend(log_ref, kernel, mu, e, dx, opts, eps_vec):
 
 
 def jko_step(rho_prev: DensityField, e: EnergyModel, p: ExponentField, h: float,
-             g: Grid, opts: JkoOptions | None = None) -> JkoStepResult:
+             g: Grid, opts: JkoOptions | None = None, *,
+             _guess: np.ndarray | None = None) -> JkoStepResult:
     """One implicit step of the minimizing-movement scheme.
 
     Solves the joint program for the chosen backend, reads the new density
     off the column sums, and packages diagnostics. The reported coupling is
     the exact plan between the old and new masses when opts.exact_coupling
-    is set (the default), otherwise the solver iterate itself.
+    is set (the default), otherwise the solver iterate itself. _guess, a
+    prediction of the new masses that run_flow passes to entropic steps,
+    is where the entropic dual loop may start (see _entropic_backend).
     """
     check_positive(h, "step size h")
     opts = opts or JkoOptions()
     mu = g.check_cell_field(rho_prev.mass, "previous mass")
-    cost, eps_vec, log_ref, kernel = _step_plan(g, p, h, opts)
-    C = cost.values
+    plan = _step_plan(g, p, h, opts)
+    C = plan.cost.values
     dx = g.dx
     e_before = total_energy(rho_prev, e, g)
 
     if opts.backend == "entropic":
-        gam, iters, converged = _entropic_backend(log_ref, kernel, mu, e, dx,
-                                                  opts, eps_vec)
+        gam, iters, converged = _entropic_backend(plan.log_ref, plan.kernel, mu, e, dx,
+                                                  opts, plan.eps_vec, _guess)
     else:
         direction = (_mirror_direction if opts.backend == "mirror"
                      else _projected_direction)
@@ -621,7 +654,7 @@ def jko_step(rho_prev: DensityField, e: EnergyModel, p: ExponentField, h: float,
     rho_next = DensityField(m_next, require_unit_mass=rho_prev.require_unit_mass)
 
     if opts.exact_coupling:
-        exact = transport.solve_exact(cost, mu, m_next)
+        exact = transport.solve_exact(plan.cost, mu, m_next)
         coupling = exact.coupling
         cost_value = exact.value
         is_exact = True
@@ -631,7 +664,7 @@ def jko_step(rho_prev: DensityField, e: EnergyModel, p: ExponentField, h: float,
         is_exact = False
 
     e_after = total_energy(rho_next, e, g)
-    residual = _residual_of(coupling, rho_next, e, p, h, g)
+    residual = _residual_of(coupling, rho_next, e, plan.q, plan.disp, h, g)
     return JkoStepResult(
         rho_next=rho_next,
         coupling=coupling,
@@ -653,24 +686,39 @@ def run_flow(rho0: DensityField, e: EnergyModel, p: ExponentField, h: float,
     t_end = 0 yields the single-state trajectory. A failing step re-raises
     its own exception, with "step k: " prepended to the message when the
     first argument is a string; type, attributes and traceback are kept.
-    jko_step is a deterministic function of its inputs, so once a step
-    returns its input masses bit for bit (the stay-put plan won), that step
-    result is reused for every remaining step instead of being solved again.
+
+    Consecutive states differ by O(h), so from the second step on an
+    entropic step gets the extrapolation 2 m_k - m_{k-1} of the last two
+    masses as the guess its dual loop may start from: a step then depends
+    on the state before its input too. The other backends get no guess.
+    jko_step is a deterministic function of its inputs, so a step whose
+    masses and guess repeat bit for bit those of the step before reuses
+    that step's result instead of being solved again. On the mirror and
+    projected backends that happens once a step returns its input masses
+    (the stay-put plan won); on the entropic one once a step with the guess
+    c returns c, as the next guess 2c - c is c exactly.
     """
     check_nonnegative(t_end, "t_end")
     check_positive(h, "step size h")
     n_steps = max(0, math.ceil(t_end / h - 1e-9))
+    warm = opts is not None and opts.backend == "entropic"
     states = [rho0]
     steps = []
     previous, current = None, rho0
+    solved = None
     for k in range(1, n_steps + 1):
-        if previous is None or current.mass.tobytes() != previous.mass.tobytes():
+        guess = {}
+        if warm and previous is not None:
+            guess["_guess"] = 2.0 * current.mass - previous.mass
+        inputs = [current.mass.tobytes()] + [v.tobytes() for v in guess.values()]
+        if inputs != solved:
             try:
-                step = jko_step(current, e, p, h, g, opts)
+                step = jko_step(current, e, p, h, g, opts, **guess)
             except Exception as exc:
                 if exc.args and isinstance(exc.args[0], str):
                     exc.args = (f"step {k}: {exc.args[0]}",) + exc.args[1:]
                 raise
+            solved = inputs
         previous, current = current, step.rho_next
         states.append(current)
         steps.append(step)
@@ -684,15 +732,14 @@ def _cell_slope(rho: DensityField, e: EnergyModel, g: Grid) -> np.ndarray:
 
 
 def _predicted_displacement(rho_next: DensityField, e: EnergyModel,
-                            p: ExponentField, h: float, g: Grid) -> np.ndarray:
+                            q: np.ndarray, h: float, g: Grid) -> np.ndarray:
     """Cell-averaged displacement -h |grad G'(rho)|^(q-2) grad G'(rho).
 
     The sign makes the prediction point down the slope of G'(rho), which is
     the direction the optimality condition of the step problem moves mass.
-    q is the pointwise conjugate of p.
+    q holds the values of the pointwise conjugate of p.
     """
     s_cell = _cell_slope(rho_next, e, g)
-    q = conjugate(p).values
     mag = np.abs(s_cell)
     with np.errstate(divide="ignore", invalid="ignore"):
         d_hat = np.where(mag > 0.0, -h * mag ** (q - 2.0) * s_cell, 0.0)
@@ -700,17 +747,19 @@ def _predicted_displacement(rho_next: DensityField, e: EnergyModel,
 
 
 def _residual_of(coupling: transport.Coupling, rho_next: DensityField,
-                 e: EnergyModel, p: ExponentField, h: float, g: Grid) -> float:
+                 e: EnergyModel, q: np.ndarray, disp: np.ndarray, h: float,
+                 g: Grid) -> float:
     """A step's el_residual: sum_i m[i] |d[i] - d_hat[i]| over source cells
     with mass, d[i] the barycentric displacement of the coupling's row i and
     d_hat[i] the optimality-condition prediction from the post-step density.
-    Meaningful for an exact coupling (the step's coupling_is_exact)."""
+    q and disp are the step plan's conjugate exponents and displacements
+    x_j - x_i. Meaningful for an exact coupling (the step's
+    coupling_is_exact)."""
     gam = coupling.gamma
     mu = coupling.row_marginal
-    x = g.centers
-    moved = (gam * (x[None, :] - x[:, None])).sum(axis=1)
+    moved = (gam * disp).sum(axis=1)
     d = np.where(mu > 0.0, moved / np.where(mu > 0.0, mu, 1.0), 0.0)
-    d_hat = _predicted_displacement(rho_next, e, p, h, g)
+    d_hat = _predicted_displacement(rho_next, e, q, h, g)
     return float(np.sum(mu * np.abs(d - d_hat)))
 
 
@@ -718,9 +767,13 @@ def dissipation_rate(rho: DensityField, e: EnergyModel, p: ExponentField,
                      g: Grid) -> float:
     """Integral of |grad G'(rho)|^q(x) / p(x) * rho, the step dissipation bound."""
     g.check_cell_field(p.values, "exponent field")
-    s_cell = _cell_slope(rho, e, g)
-    q = conjugate(p).values
-    rate = np.abs(s_cell) ** q / p.values * rho.density(g)
+    return _dissipation_rate(rho, e, p.values, conjugate(p).values, g)
+
+
+def _dissipation_rate(rho: DensityField, e: EnergyModel, p: np.ndarray,
+                      q: np.ndarray, g: Grid) -> float:
+    """dissipation_rate from the values of p and of its conjugate q."""
+    rate = np.abs(_cell_slope(rho, e, g)) ** q / p * rho.density(g)
     return float(rate.sum() * g.dx)
 
 
@@ -747,7 +800,8 @@ def dissipation_check(traj: Trajectory, e: EnergyModel, p: ExponentField,
     g.check_cell_field(p.values, "exponent field")
     dt = np.diff(traj.times)
     energies = np.array([total_energy(s, e, g) for s in traj.states])
-    rates = np.array([dissipation_rate(s, e, p, g) for s in traj.states[1:]])
+    q = conjugate(p).values
+    rates = np.array([_dissipation_rate(s, e, p.values, q, g) for s in traj.states[1:]])
     dissipated = dt * rates
     slacks = (energies[:-1] - energies[1:]) - dissipated
     mass = traj.states[0].total_mass
