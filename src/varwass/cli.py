@@ -117,10 +117,8 @@ _SCHEMA = {
     "initial": _DENSITY_KEYS,
     "target": _DENSITY_KEYS,
     "flow": {"h": _real, "t_end": _real},
-    "solver": {"backend": str, "eps": _real, "smoothing": _real,
-               "max_iters": _integer, "tol": _real, "exact_coupling": _flag},
-    "pde": {"t_end": _real, "cfl": _real, "delta_reg": _real, "stride": _integer,
-            "fixed_dt": _real},
+    "solver": {"backend": str, "eps": _real, "smoothing": _real, "exact_coupling": _flag},
+    "pde": {"t_end": _real, "cfl": _real, "stride": _integer, "fixed_dt": _real},
     "compare": {"threshold": _real, "stride": _count},
     "norms": {"samples": _count},
     "finsler": {"n_steps": _count},
@@ -460,7 +458,7 @@ def _run_oracle(cfg: ExperimentConfig, quiet: bool) -> int:
         rows.append(("step_state_l1", l1, 0.0, l1))
     elif cfg.kind == "pde":
         q = conjugate(cfg.p)
-        rate = pde.rhs(cfg.rho0, cfg.energy, q, g, cfg.pde_cfg.delta_reg)
+        rate = pde.rhs(cfg.rho0, cfg.energy, q, g)
         rows.append(("rhs_total_mass_rate", float(rate.sum() * g.dx), 0.0,
                      abs(float(rate.sum() * g.dx))))
         # chain rule: d/dt E = <G'(rho), rhs> should equal minus the

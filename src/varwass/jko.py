@@ -57,21 +57,26 @@ from . import transport
 from ._kernels import bisect, logsumexp
 from .energy import RHO_FLOOR, EnergyModel, total_energy
 from .errors import (InvalidParameterError, NumericalBlowupError, SizeMismatchError,
-                     check_count, check_nonnegative, check_positive)
+                     check_nonnegative, check_positive)
 from .grid import Grid, gradient, neighbor_mean
 from .varexp import DensityField, ExponentField, conjugate
 
 VALID_BACKENDS = ("mirror", "projected", "entropic")
+
+#: Most iterations of one step, on every backend.
+MAX_ITERS = 20_000
+
+#: Relative objective drop that counts as quiet in the Armijo descent.
+DESCENT_TOL = 1e-9
 
 
 @dataclass(frozen=True)
 class JkoOptions:
     """Solver knobs for a single step.
 
-    max_iters caps every backend's iterations. tol is read only by the
-    Armijo stop of the mirror and projected backends; the entropic backend
-    stops on its own bound of the column-mass error (_MASS_RTOL) and
-    ignores it.
+    Every backend runs at most MAX_ITERS iterations; the mirror and
+    projected backends stop on DESCENT_TOL, the entropic one on its own
+    bound of the column-mass error (_MASS_RTOL), each read at call time.
     eps and smoothing only matter for the entropic backend. eps is a uniform
     temperature; smoothing, when set, is a length: the standard deviation of
     the blur each row's Gibbs kernel applies per step, measured on the
@@ -88,8 +93,6 @@ class JkoOptions:
     backend: str = "mirror"
     eps: float = 0.5
     smoothing: float | None = None
-    max_iters: int = 20_000
-    tol: float = 1e-9
     exact_coupling: bool = True
 
     def __post_init__(self):
@@ -100,8 +103,6 @@ class JkoOptions:
         check_positive(self.eps, "eps")
         if self.smoothing is not None:
             check_positive(self.smoothing, "smoothing length")
-        check_count(self.max_iters, "max_iters")
-        check_positive(self.tol, "tol")
 
 
 @dataclass(frozen=True)
@@ -165,7 +166,7 @@ def _rescale_rows(gam: np.ndarray, mu: np.ndarray) -> np.ndarray:
     return gam * np.divide(mu, rs, out=np.zeros_like(rs), where=rs > 0.0)[:, None]
 
 
-def _armijo_descent(C, mu, e, dx, opts, direction):
+def _armijo_descent(C, mu, e, dx, direction):
     """Armijo-checked descent on <C, gam> + dx sum_j G(col_j / dx) from the
     uniform-row start.
 
@@ -177,8 +178,8 @@ def _armijo_descent(C, mu, e, dx, opts, direction):
     eta. A candidate is accepted once it gains at least 1e-4 of its
     linearized decrease <gam - cand, grad>, otherwise eta is halved. The
     run counts as converged when no step size down to 1e-16 is accepted,
-    or after three consecutive steps whose drop is below opts.tol relative
-    to the objective.
+    or after three consecutive steps whose drop is below DESCENT_TOL
+    relative to the objective; it stops unconverged after MAX_ITERS.
 
     The accepted plan's column sums give the next gradient C + G'(col / dx)
     without another pass over the plan, and with its cost they give
@@ -195,7 +196,7 @@ def _armijo_descent(C, mu, e, dx, opts, direction):
     quiet = 0
     converged = False
     it = 0
-    for it in range(1, opts.max_iters + 1):
+    for it in range(1, MAX_ITERS + 1):
         slope = e.deriv(col / dx)
         lin_cur = cost + float(col @ slope)
         trial = trials(plan, slope)
@@ -214,7 +215,7 @@ def _armijo_descent(C, mu, e, dx, opts, direction):
         drop = f_cur - f_cand
         plan, col, cost, f_cur = cand, cand_col, cand_cost, f_cand
         eta = min(eta * 1.3, 1e6)
-        if drop <= opts.tol * max(1.0, abs(f_cur)):
+        if drop <= DESCENT_TOL * max(1.0, abs(f_cur)):
             quiet += 1
             if quiet >= 3:
                 converged = True
@@ -512,7 +513,7 @@ def _column_picture(sigma, e, dx, log_ref, kernel, mu, log_mu, w):
     return log_col, phi, c, lambda: (P, Q), lambda: np.exp(log_plan)
 
 
-def _entropic_backend(log_ref, kernel, mu, e, dx, opts, eps_vec, guess=None):
+def _entropic_backend(log_ref, kernel, mu, e, dx, eps_vec, guess=None):
     """Damped Newton on the dual of the KL-smoothed joint program.
 
     The plan gamma_ij = mu_i P_ij, P the row softmax of log_ref_ij -
@@ -546,7 +547,7 @@ def _entropic_backend(log_ref, kernel, mu, e, dx, opts, eps_vec, guess=None):
     floors near eps_machine mu.sum() (1 + max w |phi|) (below a fifth of
     it on 412 measured steps). Once the error is below that floor
     and a full Newton step no longer halves it, the loop stops there too;
-    either way the step counts as converged.
+    either way the step counts as converged. At most MAX_ITERS steps run.
 
     The cold start is the previous masses floored at the clamp point, so
     phi starts at G' of the previous density. A guess of the column masses,
@@ -585,7 +586,7 @@ def _entropic_backend(log_ref, kernel, mu, e, dx, opts, eps_vec, guess=None):
             if not cur[3] <= cold[3]:
                 cur = cold
         it = 0
-        while not cur[4] <= tol and it < opts.max_iters:
+        while not cur[4] <= tol and it < MAX_ITERS:
             it += 1
             sigma, (_, _, c, softmaxes, _), res, size, err, floor = cur
             P, Q = softmaxes()
@@ -634,12 +635,11 @@ def jko_step(rho_prev: DensityField, e: EnergyModel, p: ExponentField, h: float,
 
     if opts.backend == "entropic":
         gam, iters, converged = _entropic_backend(plan.log_ref, plan.kernel, mu, e, dx,
-                                                  opts, plan.eps_vec, _guess)
+                                                  plan.eps_vec, _guess)
     else:
         direction = (_mirror_direction if opts.backend == "mirror"
                      else _projected_direction)
-        gam, f_iter, iters, converged = _armijo_descent(C, mu, e, dx, opts,
-                                                        direction)
+        gam, f_iter, iters, converged = _armijo_descent(C, mu, e, dx, direction)
         # Stay-put comparison: the diagonal plan costs nothing and keeps the
         # old energy, so accepting the better of the two makes the step
         # objective, and with it the energy, provably nonincreasing. Its
@@ -655,13 +655,10 @@ def jko_step(rho_prev: DensityField, e: EnergyModel, p: ExponentField, h: float,
 
     if opts.exact_coupling:
         exact = transport.solve_exact(plan.cost, mu, m_next)
-        coupling = exact.coupling
-        cost_value = exact.value
-        is_exact = True
+        coupling, cost_value = exact.coupling, exact.value
     else:
         coupling = transport.Coupling(gam, mu, gam.sum(axis=0))
         cost_value = float((C * gam).sum())
-        is_exact = False
 
     e_after = total_energy(rho_next, e, g)
     residual = _residual_of(coupling, rho_next, e, plan.q, plan.disp, h, g)
@@ -674,7 +671,7 @@ def jko_step(rho_prev: DensityField, e: EnergyModel, p: ExponentField, h: float,
         el_residual=residual,
         iterations=iters,
         converged=converged,
-        coupling_is_exact=is_exact,
+        coupling_is_exact=opts.exact_coupling,
         mass_error=mass_error,
     )
 
@@ -683,7 +680,8 @@ def run_flow(rho0: DensityField, e: EnergyModel, p: ExponentField, h: float,
              t_end: float, g: Grid, opts: JkoOptions | None = None) -> Trajectory:
     """ceil(t_end / h) successive steps from rho0.
 
-    t_end = 0 yields the single-state trajectory. A failing step re-raises
+    t_end = 0 yields the single-state trajectory. A step count t_end / h
+    that overflows raises InvalidParameterError. A failing step re-raises
     its own exception, with "step k: " prepended to the message when the
     first argument is a string; type, attributes and traceback are kept.
 
@@ -700,7 +698,10 @@ def run_flow(rho0: DensityField, e: EnergyModel, p: ExponentField, h: float,
     """
     check_nonnegative(t_end, "t_end")
     check_positive(h, "step size h")
-    n_steps = max(0, math.ceil(t_end / h - 1e-9))
+    ratio = t_end / h
+    if ratio == math.inf:
+        raise InvalidParameterError(f"step count t_end / h = {t_end} / {h} overflows")
+    n_steps = max(0, math.ceil(ratio - 1e-9))
     warm = opts is not None and opts.backend == "entropic"
     states = [rho0]
     steps = []

@@ -2,8 +2,8 @@
 
 The equation is d(rho)/dt = div(rho |grad G'(rho)|^(q(x)-2) grad G'(rho))
 with no-flux boundary. Fluxes live on faces, densities on cells, and the
-gradient magnitude is regularized by (|s|^2 + delta^2)^((q-2)/2) so that
-exponents below 2 stay finite at critical points.
+gradient magnitude is regularized by (|s|^2 + delta^2)^((q-2)/2), with
+delta = DELTA_REG, so that exponents below 2 stay finite at critical points.
 
 Deliberately plain: explicit Euler, with dt at a face bound that makes
 each step a positive average of the old densities. Each face flux is
@@ -40,7 +40,7 @@ from .grid import Grid, neighbor_mean
 from .jko import Trajectory
 from .varexp import DensityField, ExponentField
 
-#: Default regularization of the gradient magnitude.
+#: Regularization delta of the gradient magnitude in the flux.
 DELTA_REG = 1e-8
 
 #: Densities above this abort the run as a blow-up.
@@ -56,15 +56,15 @@ class PdeConfig:
 
     t_end is the time to march to. cfl is the fraction of the positivity
     bound of the module docstring that each step takes, in (0, 1]; each
-    such step keeps a convex G's invariants. delta_reg regularizes the
-    gradient magnitude in the flux. Every stride-th Euler step is recorded,
-    and the last one always is. fixed_dt, when set, replaces the adaptive
-    step and must respect the bound at every step.
+    such step keeps a convex G's invariants. Every stride-th Euler step is
+    recorded, and the last one always is. fixed_dt, when set, replaces the
+    adaptive step and must respect the bound at every step. The flux
+    regularization DELTA_REG and the step budget MAX_STEPS are module
+    constants.
     """
 
     t_end: float
     cfl: float = 1.0
-    delta_reg: float = DELTA_REG
     stride: int = 1
     fixed_dt: float | None = None
 
@@ -72,7 +72,6 @@ class PdeConfig:
         check_nonnegative(self.t_end, "t_end")
         if not 0.0 < self.cfl <= 1.0:
             raise InvalidParameterError(f"cfl must lie in (0, 1], got {self.cfl}")
-        check_nonnegative(self.delta_reg, "delta_reg")
         check_count(self.stride, "stride")
         if self.fixed_dt is not None:
             check_positive(self.fixed_dt, "fixed_dt")
@@ -95,11 +94,10 @@ class _Faces:
     __slots__ = ("dx", "reg2", "half_q", "stack", "mag", "dgp", "rho_f", "drho", "flat",
                  "k", "k_sum", "out", "_load_views", "_bound_views", "_rate_views")
 
-    def __init__(self, q_values: np.ndarray, delta_reg: float, dx: float,
-                 rv: np.ndarray):
+    def __init__(self, q_values: np.ndarray, dx: float, rv: np.ndarray):
         n = q_values.size
         self.dx = dx
-        self.reg2 = delta_reg * delta_reg
+        self.reg2 = DELTA_REG * DELTA_REG
         self.half_q = np.zeros(n + 1)
         self.half_q[1:n] = (neighbor_mean(q_values) - 2.0) / 2.0
         self.stack = np.zeros(n + 1)
@@ -159,24 +157,23 @@ class _Faces:
         return out
 
 
-def rhs(rho: DensityField, e: EnergyModel, q: ExponentField, g: Grid,
-        delta_reg: float = DELTA_REG, *, _faces: _Faces | None = None) -> np.ndarray:
+def rhs(rho: DensityField, e: EnergyModel, q: ExponentField, g: Grid, *,
+        _faces: _Faces | None = None) -> np.ndarray:
     """Spatial operator div(rho |grad G'(rho)|^(q-2) grad G'(rho)) on cells.
 
     q must be the conjugate of the transport exponent p. Face values of rho
     and q are arithmetic means; boundary fluxes vanish identically, so the
-    result integrates to exactly zero. delta_reg must be finite and >= 0.
+    result integrates to exactly zero. The gradient magnitude is
+    regularized by DELTA_REG, read at call time.
 
     _faces is solve's private path: face inputs it has already loaded for
     rho (density, slope, face exponent, delta^2), which this call uses in
-    place of rho, q and delta_reg. The result then lives in a buffer that
+    place of rho, q and DELTA_REG. The result then lives in a buffer that
     solve's next step overwrites. Either path returns the same bits.
     """
     if _faces is None:
-        check_nonnegative(delta_reg, "delta_reg")
         rv = rho.density(g)
-        _faces = _Faces(g.check_cell_field(q.values, "exponent field"), delta_reg,
-                        g.dx, rv)
+        _faces = _Faces(g.check_cell_field(q.values, "exponent field"), g.dx, rv)
         _faces.load(e.deriv(rv))
     return _faces.rate()
 
@@ -234,7 +231,7 @@ def solve(rho0: DensityField, e: EnergyModel, q: ExponentField, cfg: PdeConfig,
     dx = g.dx
     dt_scale = cfg.cfl * dx**2
     rv = np.empty_like(m)
-    faces = _Faces(q_values, cfg.delta_reg, dx, rv)
+    faces = _Faces(q_values, dx, rv)
     inc = np.empty_like(m)
 
     while t < t_stop:
@@ -254,7 +251,7 @@ def solve(rho0: DensityField, e: EnergyModel, q: ExponentField, cfg: PdeConfig,
         dt = min(dt, t_final - t)
         if not math.isfinite(dt) or dt <= 0.0:
             break
-        rate = rhs(rho, e, q, g, cfg.delta_reg, _faces=faces)
+        rate = rhs(rho, e, q, g, _faces=faces)
         # the bits of m + dt * rate * dx: (dt * rate) * dx, then the sum
         np.multiply(rate, dt, out=inc)
         inc *= dx

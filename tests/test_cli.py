@@ -278,6 +278,15 @@ def test_numerical_failure_exits_4(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("numerical failure: ")
 
 
+def test_overflowing_step_count_exits_4_naming_it(tmp_path, capsys):
+    # t_end / h overflows to inf; the flow raises a typed error, not a traceback
+    path = write_config(tmp_path, flow={"h": 1e-320, "t_end": 0.05})
+    assert cli.main(["run", str(path), "--quiet"]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: step count t_end / h")
+    assert "Traceback" not in err
+
+
 # ------------------------------------------------------------- determinism
 
 def test_identical_config_and_seed_reproduce_bytes(tmp_path):
@@ -373,6 +382,10 @@ def test_bad_solver_section_rejected(tmp_path):
     ("flow", "h", float("nan")),
     ("flow", "t_end", float("inf")),
     ("solver", "exact_coupling", "false"),
+    # iteration caps and tolerances are module constants, not config keys
+    ("solver", "max_iters", 500),
+    ("solver", "tol", 1e-8),
+    ("pde", "delta_reg", 1e-6),
 ])
 def test_malformed_value_exits_3_naming_the_section(tmp_path, capsys, section,
                                                     key, value):
@@ -392,7 +405,6 @@ _STEP_ARGS = (DensityField.uniform(_G8), builtin_energy("entropy"),
 _NAN, _INF = float("nan"), float("inf")
 _BAD_INPUTS = {
     "jko_eps_nan": (lambda tmp: jko.JkoOptions(eps=_NAN), NonpositiveParameterError),
-    "jko_tol_nan": (lambda tmp: jko.JkoOptions(tol=_NAN), NonpositiveParameterError),
     "jko_smoothing_nan": (lambda tmp: jko.JkoOptions(smoothing=_NAN),
                           NonpositiveParameterError),
     "pde_t_end_nan": (lambda tmp: pde.PdeConfig(t_end=_NAN), ValueError),
@@ -482,9 +494,8 @@ EVERY_KEY = {
                "width": 0.3, "masses": [4, 3, 2, 1]},
     "flow": {"h": 1e-2, "t_end": 0.05},
     "solver": {"backend": "entropic", "eps": 0.3, "smoothing": 0.1,
-               "max_iters": 500, "tol": 1e-8, "exact_coupling": False},
-    "pde": {"t_end": 0.01, "cfl": 0.25, "delta_reg": 1e-6, "stride": 5,
-            "fixed_dt": 1e-6},
+               "exact_coupling": False},
+    "pde": {"t_end": 0.01, "cfl": 0.25, "stride": 5, "fixed_dt": 1e-6},
     "compare": {"threshold": 0.1, "stride": 2},
     "norms": {"samples": 7},
     "finsler": {"n_steps": 3},
@@ -503,8 +514,8 @@ def test_every_documented_key_validates(tmp_path):
     path = write_config(tmp_path, **EVERY_KEY)
     assert cli.main(["validate", str(path), "--quiet"]) == 0
     cfg = cli.load_config(path)
-    assert cfg.jko_opts == jko.JkoOptions("entropic", 0.3, 0.1, 500, 1e-8, False)
-    assert cfg.pde_cfg == pde.PdeConfig(0.01, 0.25, 1e-6, 5, 1e-6)
+    assert cfg.jko_opts == jko.JkoOptions("entropic", 0.3, 0.1, False)
+    assert cfg.pde_cfg == pde.PdeConfig(0.01, 0.25, 5, 1e-6)
     assert (cfg.compare_threshold, cfg.compare_stride) == (0.1, 2)
     assert (cfg.norm_samples, cfg.finsler_steps, cfg.seed) == (7, 3, 3)
 

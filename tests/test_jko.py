@@ -594,7 +594,7 @@ def _solve_columns_mixed(W, eps_vec, e, dx, start=None):
     return 0.5 * (lo + hi)
 
 
-def _log_domain_backend(log_ref, kernel, mu, e, dx, opts, eps_vec, guess=None):
+def _log_domain_backend(log_ref, kernel, mu, e, dx, eps_vec, guess=None):
     """The dual block ascent that the Newton loop replaced, as the oracle
     of that loop: two n-by-n log-sum-exps per iteration, the row update in
     closed form and the column equations solved by root finding (the mixed
@@ -616,7 +616,7 @@ def _log_domain_backend(log_ref, kernel, mu, e, dx, opts, eps_vec, guess=None):
     sigma = None
     converged = False
     it = 0
-    for it in range(1, opts.max_iters + 1):
+    for it in range(1, jko.MAX_ITERS + 1):
         u = eps_vec * (log_mu - logsumexp(log_ref - phi[None, :] / epsr, axis=1))
         u = np.where(np.isfinite(log_mu), u, -np.inf)
         with np.errstate(invalid="ignore"):
@@ -1005,17 +1005,18 @@ def _reference_objective_gradient(gam, C, e, dx):
     return C + e.deriv(col / dx)[None, :]
 
 
-def _reference_armijo_descent(C, mu, e, dx, opts, update):
+def _reference_armijo_descent(C, mu, e, dx, update):
     """The descent loop before it cached the column sums, the cost and the
-    linear gain: the oracle of jko._armijo_descent. update(gam, grad, eta,
-    mu) proposes the next plan for step size eta."""
+    linear gain: the oracle of jko._armijo_descent, with its cap and
+    tolerance. update(gam, grad, eta, mu) proposes the next plan for step
+    size eta."""
     gam = jko._uniform_rows(mu)
     f_cur = _reference_objective(gam, C, e, dx)
     eta = 1.0 / (1.0 + np.abs(C).max())
     quiet = 0
     converged = False
     it = 0
-    for it in range(1, opts.max_iters + 1):
+    for it in range(1, jko.MAX_ITERS + 1):
         grad = _reference_objective_gradient(gam, C, e, dx)
         accepted = False
         while eta >= 1e-16:
@@ -1032,7 +1033,7 @@ def _reference_armijo_descent(C, mu, e, dx, opts, update):
         drop = f_cur - f_cand
         gam, f_cur = cand, f_cand
         eta = min(eta * 1.3, 1e6)
-        if drop <= opts.tol * max(1.0, abs(f_cur)):
+        if drop <= jko.DESCENT_TOL * max(1.0, abs(f_cur)):
             quiet += 1
             if quiet >= 3:
                 converged = True
@@ -1075,17 +1076,16 @@ _DIRECTIONS = {"mirror": (jko._mirror_direction, _reference_mirror_update),
                "projected": (jko._projected_direction, _reference_projected_update)}
 
 
-def _assert_descent_matches_reference(backend, g, p, h, e, mu, tol=1e-9):
+def _assert_descent_matches_reference(backend, g, p, h, e, mu):
     """Same iterations and converged flag as the reference loop, column
     masses within 1e-12, the returned objective that of the plan, and for
     mirror the row masses to rounding."""
     C = transport.build_cost(g, p, h).values
-    opts = jko.JkoOptions(backend=backend, tol=tol)
     direction, update = _DIRECTIONS[backend]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        gam, f, it, converged = jko._armijo_descent(C, mu, e, g.dx, opts, direction)
-    ref, ref_it, ref_converged = _reference_armijo_descent(C, mu, e, g.dx, opts, update)
+        gam, f, it, converged = jko._armijo_descent(C, mu, e, g.dx, direction)
+    ref, ref_it, ref_converged = _reference_armijo_descent(C, mu, e, g.dx, update)
     assert (it, converged) == (ref_it, ref_converged)
     np.testing.assert_allclose(gam.sum(axis=0), ref.sum(axis=0), rtol=0.0, atol=1e-12)
     assert f == pytest.approx(_reference_objective(gam, C, e, g.dx), rel=1e-13, abs=1e-15)
@@ -1135,12 +1135,13 @@ def test_descent_matches_the_reference_on_rough_data(backend, p0, h, name):
 
 @pytest.mark.parametrize("name,seed", [("power3", 721), ("power3", 809),
                                        ("quadratic", 806), ("quadratic", 807)])
-def test_descent_matches_the_reference_at_the_rounding_floor(name, seed):
-    # with tol=1e-12 the last drops are rounding noise, and the 1e-15 slack
-    # of the Armijo test decides whether they are accepted
+def test_descent_matches_the_reference_at_the_rounding_floor(name, seed, monkeypatch):
+    # with a tolerance of 1e-12 the last drops are rounding noise, and the
+    # 1e-15 slack of the Armijo test decides whether they are accepted
+    monkeypatch.setattr(jko, "DESCENT_TOL", 1e-12)
     g = make_grid(0.0, 1.0, 16)
     _assert_descent_matches_reference("mirror", g, affine_p(g, 6.0), 1e-2, ENERGIES[name],
-                                      _rough_masses(g, seed), tol=1e-12)
+                                      _rough_masses(g, seed))
 
 
 class _CountingNumpy:
@@ -1164,7 +1165,7 @@ def test_mirror_trials_run_on_the_live_support(monkeypatch):
     counting = _CountingNumpy()
     monkeypatch.setattr(jko, "np", counting)
     C = transport.build_cost(g, p, 1e-2).values
-    jko._armijo_descent(C, mu, ENTROPY, g.dx, jko.JkoOptions(), jko._mirror_direction)
+    jko._armijo_descent(C, mu, ENTROPY, g.dx, jko._mirror_direction)
     assert counting.exp_sizes[0] == g.n_cells**2
     assert counting.exp_sizes[-1] <= g.n_cells**2 // 4
 
@@ -1185,6 +1186,23 @@ def test_default_step_evaluates_the_energy_slope_once_per_iteration():
     assert len(evaluations) == step.iterations + 1
 
 
+# ------------------------------------------------------------ iteration cap
+
+@pytest.mark.parametrize("opts", [jko.JkoOptions(), jko.JkoOptions(backend="projected"),
+                                  blur_opts(1e-2)], ids=["mirror", "projected", "entropic"])
+def test_a_step_stopped_by_the_cap_reports_it(opts, monkeypatch):
+    # a cold step that needs more iterations than the patched cap stops at
+    # the cap and says it did not converge, with the masses still conserved
+    g = make_grid(0.0, 1.0, 16)
+    rho = DensityField.cosine_bump(g, amplitude=0.5)
+    free = jko.jko_step(rho, ENTROPY, affine_p(g), 1e-2, g, opts)
+    assert free.converged and free.iterations > 2
+    monkeypatch.setattr(jko, "MAX_ITERS", 2)
+    capped = jko.jko_step(rho, ENTROPY, affine_p(g), 1e-2, g, opts)
+    assert (capped.iterations, capped.converged) == (2, False)
+    assert capped.mass_error <= 1e-15
+
+
 # ------------------------------------------------------------------ options
 
 def test_options_validation():
@@ -1194,21 +1212,16 @@ def test_options_validation():
         jko.JkoOptions(eps=0.0)
     with pytest.raises(NonpositiveParameterError):
         jko.JkoOptions(smoothing=-0.1)
-    with pytest.raises(ValueError):
-        jko.JkoOptions(max_iters=0)
-    with pytest.raises(NonpositiveParameterError):
-        jko.JkoOptions(tol=0.0)
 
 
 @pytest.mark.parametrize("call,error", [
     (lambda g: jko.JkoOptions(backend="simplex"), InvalidParameterError),
-    (lambda g: jko.JkoOptions(max_iters=0), InvalidParameterError),
     (lambda g: jko.Trajectory(times=np.zeros(2), states=[uniform(g)]), SizeMismatchError),
     (lambda g: jko.run_flow(uniform(g), ENTROPY, affine_p(g), 1e-2, math.inf, g),
      InvalidParameterError),
     (lambda g: jko.dissipation_check(jko.Trajectory(times=np.zeros(0), states=[]),
                                      ENTROPY, affine_p(g), g), SizeMismatchError),
-], ids=["backend", "max_iters", "trajectory_length", "t_end", "empty_trajectory"])
+], ids=["backend", "trajectory_length", "t_end", "empty_trajectory"])
 def test_bad_arguments_raise_typed_value_errors(call, error):
     with pytest.raises(error) as info:
         call(make_grid(0.0, 1.0, 8))

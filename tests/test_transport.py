@@ -558,6 +558,24 @@ class TestDisplacementInterpolant:
         with pytest.raises(ValueError):
             displacement_interpolant(mu, mu, 1.5, g)
 
+    def test_keeps_a_common_total_that_is_not_one(self):
+        g = make_grid(0.0, 1.0, 16)
+        mu, nu = (DensityField.from_masses(0.3 * m, require_unit_mass=False)
+                  for m in vacuum_pair(16))
+        for t, end in ((0.0, mu), (0.5, None), (1.0, nu)):
+            state = displacement_interpolant(mu, nu, t, g)
+            assert not state.require_unit_mass
+            assert state.total_mass == pytest.approx(0.3, rel=1e-14)
+            if end is not None:
+                np.testing.assert_allclose(state.mass, end.mass, atol=1e-12)
+
+    @pytest.mark.filterwarnings("error")
+    def test_zero_total_gives_the_zero_state_silently(self):
+        g = make_grid(0.0, 1.0, 8)
+        empty = DensityField.from_masses(np.zeros(8), require_unit_mass=False)
+        state = displacement_interpolant(empty, empty, 0.5, g)
+        assert np.array_equal(state.mass, np.zeros(8))
+
 
 def _bad_transport_calls():
     g = make_grid(0.0, 1.0, 4)
@@ -578,6 +596,8 @@ def _bad_transport_calls():
         "wasserstein exponent below one": (lambda: wasserstein_1d(0.5, rho, rho, g),
                                            NonpositiveParameterError),
         "wasserstein masses differ": (lambda: wasserstein_1d(2.0, heavy, rho, g),
+                                      MarginalMismatchError),
+        "interpolant masses differ": (lambda: displacement_interpolant(heavy, rho, 0.5, g),
                                       MarginalMismatchError),
     }
 
