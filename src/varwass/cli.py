@@ -34,7 +34,7 @@ import yaml
 from . import __version__, finsler, jko, pde, transport
 from .energy import EnergyModel, builtin_energy, total_energy
 from .errors import (ConfigError, ConfigValidationError, ExponentRangeError, VarwassError,
-                     check_count, check_nonnegative, check_positive)
+                     check_count)
 from .grid import Grid, make_grid
 from .varexp import DensityField, ExponentField, conjugate, luxemburg_norm, modular
 
@@ -255,8 +255,8 @@ def load_config(path: str | Path, seed_override: int | None = None,
 
     h = sec["flow"].get("h", 1e-3)
     t_end = sec["flow"].get("t_end", 0.0)
-    check_positive(h, "[flow] h", ConfigValidationError)
-    check_nonnegative(t_end, "[flow] t_end", ConfigValidationError)
+    with _invalid("[flow] section"):
+        jko._step_count(t_end, h)
     with _invalid("[solver] section"):
         jopts = jko.JkoOptions(**sec["solver"])
     with _invalid("[pde] section"):

@@ -40,9 +40,9 @@ masses extrapolated from the last two states. On the README compare flow
 this takes 101 Newton steps, one per step after the first; from the
 previous masses it took 200, and the plain fixed-point loop 6678
 iterations. The cost, the per-row temperatures, the reflected log kernel,
-the kernel itself and the conjugate exponents and displacements that the
-residual reads depend only on the grid, p, h, eps and smoothing, so
-_step_plan builds them once and a flow reuses them for every step.
+the kernel itself and the conjugate exponents that the residual reads
+depend only on the grid, p, h, eps and smoothing, so _step_plan builds
+them once and a flow reuses them for every step.
 """
 
 from __future__ import annotations
@@ -86,8 +86,8 @@ class JkoOptions:
     narrower kernels and the uneven blur drifts mass sideways.
 
     With exact_coupling=True the returned coupling is re-derived by the exact
-    transport solver between the previous masses and the new ones, which is
-    what the step's el_residual expects.
+    transport solver between the previous masses and the new ones, and the
+    step measures its el_residual on it; otherwise el_residual is NaN.
     """
 
     backend: str = "mirror"
@@ -107,6 +107,14 @@ class JkoOptions:
 
 @dataclass(frozen=True)
 class JkoStepResult:
+    """One step's new density, its coupling and diagnostics.
+
+    transport_cost is <c, coupling>. el_residual (see _residual_of) is
+    measured on an exact coupling only; with coupling_is_exact False it is
+    NaN. mass_error is the gap between the plan's total column mass and
+    the previous total, before rho_next is scaled back to that total.
+    """
+
     rho_next: DensityField
     coupling: transport.Coupling
     transport_cost: float
@@ -158,12 +166,6 @@ class Trajectory:
 def _uniform_rows(mu: np.ndarray) -> np.ndarray:
     n = mu.size
     return np.outer(mu, np.full(n, 1.0 / n))
-
-
-def _rescale_rows(gam: np.ndarray, mu: np.ndarray) -> np.ndarray:
-    """gam with its rows scaled to the masses mu, empty rows left at 0."""
-    rs = gam.sum(axis=1)
-    return gam * np.divide(mu, rs, out=np.zeros_like(rs), where=rs > 0.0)[:, None]
 
 
 def _armijo_descent(C, mu, e, dx, direction):
@@ -414,22 +416,21 @@ class _StepPlan(NamedTuple):
     log_ref: np.ndarray | None
     kernel: np.ndarray | None
     q: np.ndarray
-    disp: np.ndarray
 
 
 def _step_plan(g: Grid, p: ExponentField, h: float, opts: JkoOptions) -> _StepPlan:
-    """(cost, eps_vec, log_ref, kernel, q, disp) of a step: what stays fixed
+    """(cost, eps_vec, log_ref, kernel, q) of a step: what stays fixed
     through a flow.
 
     The cost depends only on the grid, p and h; the entropic temperatures,
     the reflected log kernel and the kernel exp(log_ref) itself also on eps
     and smoothing (for the other backends the three are None). q holds the
-    values of conjugate(p) and disp the displacements x_j - x_i, both read
-    by the step's el_residual. The uniform-temperature plan multiplies by
-    the kernel. Its entries below about e^-708 underflow, which the e^-600
-    sum floor of those products keeps at rounding level; so the kernel
-    holds 0.0 where exp(log_ref) is subnormal, as a subnormal operand slows
-    every product that touches it several-fold. A plan is kept under the
+    values of conjugate(p), read by the step's el_residual. The
+    uniform-temperature plan multiplies by the kernel. Its entries below
+    about e^-708 underflow, which the e^-600 sum floor of those products
+    keeps at rounding level; so the kernel holds 0.0 where exp(log_ref) is
+    subnormal, as a subnormal operand slows every product that touches it
+    several-fold. A plan is kept under the
     content of those inputs, not their identity, so an in-place edit of
     p.values gets a fresh plan. The _PLAN_SLOTS most recently used plans are
     kept, enough for callers that alternate backends or step sizes on one
@@ -448,9 +449,7 @@ def _step_plan(g: Grid, p: ExponentField, h: float, opts: JkoOptions) -> _StepPl
             log_ref = _log_reference(g, p, h, eps_vec)
             kernel = np.exp(log_ref)
             kernel[kernel < np.finfo(float).tiny] = 0.0
-        x = g.centers
-        plan = _StepPlan(cost, eps_vec, log_ref, kernel, conjugate(p).values,
-                         x[None, :] - x[:, None])
+        plan = _StepPlan(cost, eps_vec, log_ref, kernel, conjugate(p).values)
         for arr in (cost.values,) + plan[1:]:
             if arr is not None:
                 arr.setflags(write=False)
@@ -476,10 +475,11 @@ def _column_picture(sigma, e, dx, log_ref, kernel, mu, log_mu, w):
     """The step's plan at the column log masses sigma.
 
     phi = G'(exp(sigma)/dx) tilts the reference: P is the row softmax of
-    log_ref_ij - w_i phi_j, w = 1/eps, and the plan mu_i P_ij has exact row
-    masses. Returns (log col, phi, c, softmaxes, plan): the log column sums
-    of the plan, phi, c = dphi/dsigma, and two functions that build (P, Q),
-    Q the column softmax of the plan, and the plan itself.
+    log_ref_ij - w_i phi_j, w = 1/eps, and the plan mu_i P_ij has the row
+    masses mu to rounding. Returns (log col, exp(sigma), phi, softmaxes,
+    plan): the log column sums of the plan, the column masses sigma stands
+    for, phi, and two functions that build (P, Q), Q the column softmax of
+    the plan, and the plan itself, each as a fresh array.
 
     With one temperature (kernel given) P = diag(1/K b) K diag(b) with
     b = exp(-w phi) shifted by its maximum, and Q = diag(a) K diag(1/K^T a)
@@ -490,9 +490,8 @@ def _column_picture(sigma, e, dx, log_ref, kernel, mu, log_mu, w):
     log moves by at most n e^-108 relative. Otherwise, and with per-row
     temperatures, both softmaxes are n-by-n log-sum-exps.
     """
-    t = np.exp(sigma) / dx
-    phi = e.deriv(t)
-    c = _clamped_curvature(e, t)
+    s = np.exp(sigma)
+    phi = e.deriv(s / dx)
     if kernel is not None:
         x = -w[0] * phi
         x -= x.max()
@@ -503,14 +502,14 @@ def _column_picture(sigma, e, dx, log_ref, kernel, mu, log_mu, w):
             top = a.max()
             kta = kernel.T @ (a / top)
             if kta.min() >= _SUM_FLOOR:
-                return (np.log(kta) + math.log(top) + x, phi, c,
+                return (np.log(kta) + math.log(top) + x, s, phi,
                         lambda: (kernel * b / kb[:, None], a[:, None] * kernel / (top * kta)),
                         lambda: a[:, None] * kernel * b)
     tilt = log_ref - w[:, None] * phi
     lse, P = logsumexp(tilt, axis=1, weights=True)
     log_plan = tilt + (log_mu - lse)[:, None]
     log_col, Q = logsumexp(log_plan, axis=0, weights=True)
-    return log_col, phi, c, lambda: (P, Q), lambda: np.exp(log_plan)
+    return log_col, s, phi, lambda: (P, Q), lambda: np.exp(log_plan)
 
 
 def _entropic_backend(log_ref, kernel, mu, e, dx, eps_vec, guess=None):
@@ -535,7 +534,8 @@ def _entropic_backend(log_ref, kernel, mu, e, dx, eps_vec, guess=None):
     diag(1/col) (diag(col/c) + M) diag(c), a positive definite matrix
     between two positive diagonals; a column with c = 0 is a column of the
     identity. So it is invertible, and one dense solve gives each Newton
-    step. Its P and Q entries below _FLUSH are left out: they are
+    step; c is computed only for a point that a step starts from. The P
+    and Q entries below _FLUSH are left out of the Jacobian: they are
     rounding there, and subnormal operands slow the product and the solve
     several-fold. The residual and the plan keep every entry. A step is
     halved until |R|^2 falls by 2e-4 of itself per unit step (Armijo on
@@ -547,15 +547,17 @@ def _entropic_backend(log_ref, kernel, mu, e, dx, eps_vec, guess=None):
     floors near eps_machine mu.sum() (1 + max w |phi|) (below a fifth of
     it on 412 measured steps). Once the error is below that floor
     and a full Newton step no longer halves it, the loop stops there too;
-    either way the step counts as converged. At most MAX_ITERS steps run.
+    either way the step counts as converged. The floor is evaluated only
+    where one of these tests reads it. At most MAX_ITERS steps run.
 
     The cold start is the previous masses floored at the clamp point, so
     phi starts at G' of the previous density. A guess of the column masses,
     floored the same way, is evaluated first and kept when its column-mass
     error is at most half of max |guess - mu|, the change it predicts;
     otherwise the loop begins from whichever of the two has the smaller
-    |R|^2. The returned plan is rescaled to the exact row masses. Zero
-    total mass has only the zero plan, returned without entering the loop.
+    |R|^2. The plan is returned as built, mu_i P_ij, whose rows hold mu_i
+    to a few ulps. Zero total mass has only the zero plan, returned
+    without entering the loop.
     """
     n = mu.size
     total = mu.sum()
@@ -568,14 +570,18 @@ def _entropic_backend(log_ref, kernel, mu, e, dx, eps_vec, guess=None):
         log_mu = np.log(mu)
     tol = _MASS_RTOL * total
     unit = np.finfo(float).eps * total
+    w_max = float(w.max())
 
     def evaluate(sigma):
-        """(sigma, its picture, R, |R|^2, column-mass error, its rounding floor)."""
+        """(sigma, its picture, R, |R|^2, column-mass error)."""
         pic = _column_picture(sigma, e, dx, log_ref, kernel, mu, log_mu, w)
         res = sigma - pic[0]
         return (sigma, pic, res, float(res @ res),
-                float(np.abs(np.exp(sigma) - np.exp(pic[0])).max()),
-                unit * (1.0 + w.max() * float(np.abs(pic[1]).max())))
+                float(np.abs(pic[1] - np.exp(pic[0])).max()))
+
+    def floor(phi):
+        """The rounding floor of the column-mass error at the potential phi."""
+        return unit * (1.0 + w_max * float(np.abs(phi).max()))
 
     # A trial far from the root can overflow; it then reads as no decrease.
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
@@ -588,29 +594,28 @@ def _entropic_backend(log_ref, kernel, mu, e, dx, eps_vec, guess=None):
         it = 0
         while not cur[4] <= tol and it < MAX_ITERS:
             it += 1
-            sigma, (_, _, c, softmaxes, _), res, size, err, floor = cur
+            sigma, (_, s, phi, softmaxes, _), res, size, err = cur
             P, Q = softmaxes()
-            P = np.where(P >= _FLUSH, P, 0.0)
-            Q = np.where(Q >= _FLUSH, Q, 0.0)
+            P[P < _FLUSH] = 0.0
+            Q[Q < _FLUSH] = 0.0
             jac = Q.T @ (w[:, None] * P)
             np.subtract(np.diag(Q.T @ w), jac, out=jac)
-            jac *= c
+            jac *= _clamped_curvature(e, s / dx)
             jac[np.abs(jac) < _FLUSH] = 0.0
             jac.flat[::n + 1] += 1.0
             step = np.linalg.solve(jac, -res)
             t = 1.0
             for _ in range(_HALVINGS):
                 trial = evaluate(sigma + t * step)
-                if trial[3] <= (1.0 - 2e-4 * t) * size or err <= floor:
+                if trial[3] <= (1.0 - 2e-4 * t) * size or err <= floor(phi):
                     break
                 t *= 0.5
             else:
                 break
-            if err <= floor and not trial[4] < 0.5 * err:
+            if not trial[4] < 0.5 * err and err <= floor(phi):
                 break
             cur = trial
-    gam = _rescale_rows(cur[1][4](), mu)
-    return gam, it, cur[4] <= max(tol, cur[5])
+    return cur[1][4](), it, bool(cur[4] <= tol or cur[4] <= floor(cur[1][2]))
 
 
 def jko_step(rho_prev: DensityField, e: EnergyModel, p: ExponentField, h: float,
@@ -621,7 +626,8 @@ def jko_step(rho_prev: DensityField, e: EnergyModel, p: ExponentField, h: float,
     Solves the joint program for the chosen backend, reads the new density
     off the column sums, and packages diagnostics. The reported coupling is
     the exact plan between the old and new masses when opts.exact_coupling
-    is set (the default), otherwise the solver iterate itself. _guess, a
+    is set (the default), otherwise the solver iterate itself; el_residual
+    is computed only for the exact plan and is NaN otherwise. _guess, a
     prediction of the new masses that run_flow passes to entropic steps,
     is where the entropic dual loop may start (see _entropic_backend).
     """
@@ -647,21 +653,22 @@ def jko_step(rho_prev: DensityField, e: EnergyModel, p: ExponentField, h: float,
         if e_before < f_iter:
             gam = np.diag(mu)
 
-    m_next = gam.sum(axis=0)
-    mass_error = float(abs(m_next.sum() - mu.sum()))
-    if m_next.sum() > 0.0:
-        m_next = m_next * (mu.sum() / m_next.sum())
+    col = gam.sum(axis=0)
+    col_total, mu_total = col.sum(), mu.sum()
+    mass_error = float(abs(col_total - mu_total))
+    m_next = col * (mu_total / col_total) if col_total > 0.0 else col
     rho_next = DensityField(m_next, require_unit_mass=rho_prev.require_unit_mass)
 
     if opts.exact_coupling:
         exact = transport.solve_exact(plan.cost, mu, m_next)
         coupling, cost_value = exact.coupling, exact.value
+        residual = _residual_of(coupling, rho_next, e, plan.q, h, g)
     else:
-        coupling = transport.Coupling(gam, mu, gam.sum(axis=0))
-        cost_value = float((C * gam).sum())
+        coupling = transport.Coupling(gam, mu, col)
+        cost_value = float(np.vdot(C, gam))
+        residual = math.nan
 
     e_after = total_energy(rho_next, e, g)
-    residual = _residual_of(coupling, rho_next, e, plan.q, plan.disp, h, g)
     return JkoStepResult(
         rho_next=rho_next,
         coupling=coupling,
@@ -674,6 +681,21 @@ def jko_step(rho_prev: DensityField, e: EnergyModel, p: ExponentField, h: float,
         coupling_is_exact=opts.exact_coupling,
         mass_error=mass_error,
     )
+
+
+def _step_count(t_end: float, h: float) -> int:
+    """ceil(t_end / h), up to a 1e-9 slack: the steps of a flow.
+
+    Raises InvalidParameterError for a t_end that is negative or not finite
+    and for a ratio t_end / h that overflows, NonpositiveParameterError for
+    an h that is not positive and finite. Config validation runs it too.
+    """
+    check_nonnegative(t_end, "t_end")
+    check_positive(h, "step size h")
+    ratio = t_end / h
+    if ratio == math.inf:
+        raise InvalidParameterError(f"step count t_end / h = {t_end} / {h} overflows")
+    return max(0, math.ceil(ratio - 1e-9))
 
 
 def run_flow(rho0: DensityField, e: EnergyModel, p: ExponentField, h: float,
@@ -696,12 +718,7 @@ def run_flow(rho0: DensityField, e: EnergyModel, p: ExponentField, h: float,
     (the stay-put plan won); on the entropic one once a step with the guess
     c returns c, as the next guess 2c - c is c exactly.
     """
-    check_nonnegative(t_end, "t_end")
-    check_positive(h, "step size h")
-    ratio = t_end / h
-    if ratio == math.inf:
-        raise InvalidParameterError(f"step count t_end / h = {t_end} / {h} overflows")
-    n_steps = max(0, math.ceil(ratio - 1e-9))
+    n_steps = _step_count(t_end, h)
     warm = opts is not None and opts.backend == "entropic"
     states = [rho0]
     steps = []
@@ -748,17 +765,19 @@ def _predicted_displacement(rho_next: DensityField, e: EnergyModel,
 
 
 def _residual_of(coupling: transport.Coupling, rho_next: DensityField,
-                 e: EnergyModel, q: np.ndarray, disp: np.ndarray, h: float,
-                 g: Grid) -> float:
+                 e: EnergyModel, q: np.ndarray, h: float, g: Grid) -> float:
     """A step's el_residual: sum_i m[i] |d[i] - d_hat[i]| over source cells
     with mass, d[i] the barycentric displacement of the coupling's row i and
     d_hat[i] the optimality-condition prediction from the post-step density.
-    q and disp are the step plan's conjugate exponents and displacements
-    x_j - x_i. Meaningful for an exact coupling (the step's
+    q holds the step plan's conjugate exponents. Row i's mass-weighted move
+    sum_j gam_ij (x_j - x_i), x the cell centres, is taken as the matvec
+    (gam x)_i - x_i m[i], equal to it while the row sums are the marginal
+    m. jko_step calls it for exact couplings only (the step's
     coupling_is_exact)."""
     gam = coupling.gamma
     mu = coupling.row_marginal
-    moved = (gam * disp).sum(axis=1)
+    x = g.centers
+    moved = gam @ x - x * mu
     d = np.where(mu > 0.0, moved / np.where(mu > 0.0, mu, 1.0), 0.0)
     d_hat = _predicted_displacement(rho_next, e, q, h, g)
     return float(np.sum(mu * np.abs(d - d_hat)))

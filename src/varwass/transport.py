@@ -113,15 +113,23 @@ class Coupling:
 def build_cost(g: Grid, p: ExponentField, h: float) -> CostMatrix:
     """Cost matrix c[i][j] = |x_i - x_j|^p(x_i) / (h^(p(x_i)-1) p(x_i)).
 
-    The diagonal is exactly zero; h must be positive and finite.
+    The diagonal is exactly zero; h must be positive and finite. Every other
+    entry must come out positive and finite: an h whose power h^(p-1)
+    underflows to 0 would give infinite costs, and one whose power
+    overflows zero costs, so either raises InvalidParameterError.
     """
     check_positive(h, "time scale h")
     g.check_cell_field(p.values, "exponent field")
     x = g.centers
     pi = p.values[:, None]
     dist = np.abs(x[:, None] - x[None, :])
-    vals = dist**pi / (h ** (pi - 1.0) * pi)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        vals = dist**pi / (h ** (pi - 1.0) * pi)
     np.fill_diagonal(vals, 0.0)
+    off = vals[~np.eye(g.n_cells, dtype=bool)]
+    check_positive(np.array([off.min(), off.max()]),
+                   f"smallest and largest cost at time scale h={h!r}",
+                   InvalidParameterError)
     return CostMatrix(vals, float(h), p)
 
 

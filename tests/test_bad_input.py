@@ -66,7 +66,9 @@ def _entry_points():
         "varexp.luxemburg_norm u": (lambda x: luxemburg_norm(cell(np.ones(N), x), rho,
                                                              p, g), ()),
         "energy.builtin_energy m": (lambda x: builtin_energy("power", m=x), (1.0, 0.5)),
-        "transport.build_cost h": (lambda x: transport.build_cost(g, p, x), (0.0, -1.0)),
+        # h^(p-1) underflows to 0 at 1e-300 and overflows at 1e300 (p = 2 + x)
+        "transport.build_cost h": (lambda x: transport.build_cost(g, p, x),
+                                   (0.0, -1.0, 1e-300, 1e300)),
         "transport.Coupling gamma": (plan, (-0.1,)),
         "transport.solve_exact mu": (
             lambda x: transport.solve_exact(cost, cell(rho.mass, x), other.mass), (-0.1,)),

@@ -278,13 +278,16 @@ def test_numerical_failure_exits_4(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("numerical failure: ")
 
 
-def test_overflowing_step_count_exits_4_naming_it(tmp_path, capsys):
-    # t_end / h overflows to inf; the flow raises a typed error, not a traceback
+@pytest.mark.parametrize("command", ["validate", "run"])
+def test_overflowing_step_count_exits_3_naming_it(tmp_path, capsys, command):
+    # t_end / h overflows to inf: config validation runs the flow's own
+    # step-count check, so validate rejects what run would, with no traceback
     path = write_config(tmp_path, flow={"h": 1e-320, "t_end": 0.05})
-    assert cli.main(["run", str(path), "--quiet"]) == 4
+    assert cli.main([command, str(path), "--quiet"]) == 3
     err = capsys.readouterr().err
-    assert err.startswith("numerical failure: step count t_end / h")
+    assert err.startswith("validation error: invalid [flow] section: step count t_end / h")
     assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
 
 
 # ------------------------------------------------------------- determinism
@@ -472,13 +475,25 @@ def test_readme_library_example_runs_verbatim(capsys):
 
 
 #: The configs that CI runs through the console script, one file each.
-CI_CONFIGS = ("jko", "pde", "rows", "rows128", "transport")
+CI_CONFIGS = ("jko", "jko_entropic", "pde", "rows", "rows128", "transport")
 
 
 @pytest.mark.parametrize("name", CI_CONFIGS)
 def test_ci_config_validates(name):
     path = ROOT / "tests" / "configs" / f"{name}.yaml"
     assert cli.main(["validate", str(path), "--quiet"]) == 0
+
+
+def test_entropic_jko_config_prints_nan_residuals_and_converged_steps(tmp_path):
+    # without the exact coupling a step measures no el_residual: jko.csv
+    # prints nan there, and 1 under converged as for every backend
+    path = ROOT / "tests" / "configs" / "jko_entropic.yaml"
+    assert cli.main(["run", str(path), "--quiet", "--out", str(tmp_path)]) == 0
+    _, header, rows = read_csv(tmp_path / "jko.csv")
+    assert len(rows) == 11
+    for row in rows[1:]:
+        assert row[header.index("el_residual")] == "nan"
+        assert row[header.index("converged")] == "1"
 
 
 #: One value for every key of every section the README documents.
