@@ -28,21 +28,25 @@ stay-put comparison: if the diagonal plan beats the iterate, the diagonal
 is returned, so the energy can never increase across a step.
 
 The entropic backend's unknowns are the log column masses; the row
-potentials are eliminated, so every iterate has exact row masses. Each
-Newton step is one dense n-by-n solve, with the Jacobian built from the
-row softmax of the plan and its column softmax; with one temperature for
-every row both come from products of a fixed kernel with a vector (the
-scaling form of stabilized Sinkhorn, Schmitzer, SIAM J. Sci. Comput. 2019),
-and otherwise, or where such a sum would underflow, from log-sum-exps. The
-loop stops on the column-mass error of the plan it returns, not on the
-change of the potential. run_flow starts each step after the first from the
-masses extrapolated from the last two states. On the README compare flow
-this takes 101 Newton steps, one per step after the first; from the
-previous masses it took 200, and the plain fixed-point loop 6678
-iterations. The cost, the per-row temperatures, the reflected log kernel,
-the kernel itself and the conjugate exponents that the residual reads
-depend only on the grid, p, h, eps and smoothing, so _step_plan builds
-them once and a flow reuses them for every step.
+potentials are eliminated, so every iterate has exact row masses. The
+Newton matrix is a dense n-by-n Jacobian built from the row softmax of the
+plan and its column softmax; with one temperature for every row both come
+from products of a fixed kernel with a vector (the scaling form of
+stabilized Sinkhorn, Schmitzer, SIAM J. Sci. Comput. 2019), and otherwise,
+or where such a sum would underflow, from log-sum-exps. The loop stops on
+the column-mass error of the plan it returns, not on the change of the
+potential. run_flow starts each step after the first from the masses
+extrapolated from the last two states, and carries the inverse of the
+last Newton matrix from step to step: each update first tries the chord
+step from it and builds a fresh matrix only when that does not contract.
+The README compare flow builds one matrix for its 100 steps and takes two
+updates per step, 200 in all, each a chord step but the first; with a
+fresh matrix for every update it took 101 Newton steps from the
+extrapolated masses, 200 from the previous masses, and the plain
+fixed-point loop 6678 iterations. The cost, the per-row temperatures, the
+reflected log kernel, the kernel itself and the conjugate exponents that
+the residual reads depend only on the grid, p, h, eps and smoothing, so
+_step_plan builds them once and a flow reuses them for every step.
 """
 
 from __future__ import annotations
@@ -470,6 +474,29 @@ _FLUSH = 1e-150
 #: Most halvings of one Newton step.
 _HALVINGS = 30
 
+#: A chord step from the carried inverse Newton matrix is kept only when it
+#: cuts the column-mass error to at most this share of its value (or meets
+#: the stop). On the 16 vacuum sweep flows of the tests 1e-3 ran faster
+#: than 1e-4, 1e-2 or 0.1: a looser bound keeps slow chords going, a
+#: tighter one builds more matrices.
+_REUSE_RATE = 1e-3
+
+
+@dataclass(slots=True)
+class _Warm:
+    """What a step of run_flow carries over from the steps before it.
+
+    guess is the predicted new masses that an entropic step's dual loop may
+    start from; jinv the inverse Newton matrix that the loop tries first,
+    which _entropic_backend replaces with the one it ends with (None once
+    it dropped it); energy the energy of the step's input state, which is
+    the previous step's energy_after. None carries nothing.
+    """
+
+    guess: np.ndarray | None = None
+    jinv: np.ndarray | None = None
+    energy: float | None = None
+
 
 def _column_picture(sigma, e, dx, log_ref, kernel, mu, log_mu, w):
     """The step's plan at the column log masses sigma.
@@ -512,7 +539,7 @@ def _column_picture(sigma, e, dx, log_ref, kernel, mu, log_mu, w):
     return log_col, s, phi, lambda: (P, Q), lambda: np.exp(log_plan)
 
 
-def _entropic_backend(log_ref, kernel, mu, e, dx, eps_vec, guess=None):
+def _entropic_backend(log_ref, kernel, mu, e, dx, eps_vec, warm):
     """Damped Newton on the dual of the KL-smoothed joint program.
 
     The plan gamma_ij = mu_i P_ij, P the row softmax of log_ref_ij -
@@ -533,13 +560,29 @@ def _entropic_backend(log_ref, kernel, mu, e, dx, eps_vec, guess=None):
     mass, however small, is divided by. Where every c > 0 the Jacobian is
     diag(1/col) (diag(col/c) + M) diag(c), a positive definite matrix
     between two positive diagonals; a column with c = 0 is a column of the
-    identity. So it is invertible, and one dense solve gives each Newton
-    step; c is computed only for a point that a step starts from. The P
-    and Q entries below _FLUSH are left out of the Jacobian: they are
-    rounding there, and subnormal operands slow the product and the solve
-    several-fold. The residual and the plan keep every entry. A step is
-    halved until |R|^2 falls by 2e-4 of itself per unit step (Armijo on
-    the residual norm), at most _HALVINGS times.
+    identity. So it is invertible. The P and Q entries below _FLUSH are
+    left out of it: they are rounding there, and subnormal operands slow
+    the product and the inverse several-fold. The residual and the plan
+    keep every entry.
+
+    The loop keeps the inverse of the last Jacobian it built and first
+    tries the chord step sigma - J^-1 R from it (Shamanskii's method;
+    Kelley, Solving Nonlinear Equations with Newton's Method, SIAM 2003).
+    That point is kept when its column-mass error is at most _REUSE_RATE
+    times the current one, or meets the stop. Otherwise the inverse is
+    dropped, and a fresh Jacobian at the current point gives a damped
+    Newton step: it is halved until |R|^2 falls by 2e-4 of itself per unit
+    step (Armijo on the residual norm), at most _HALVINGS times. c is
+    computed only for a point a fresh Jacobian is built at. Every kept
+    point, chord or fresh, counts as one iteration; a failed try costs one
+    column picture. Where a chord cannot contract, no try is made: a fresh
+    step that neither cuts the error to _REUSE_RATE of itself nor meets
+    the stop drops its own inverse (far from the root Newton contracts
+    little, and its chord less), and so does a step whose guess misses
+    (the flow turned since the inverse was built). warm (a _Warm) hands
+    in the inverse an earlier step of the flow ended with and takes
+    back the one this step ends with, so in a flow whose steps move little
+    one Jacobian serves every step.
 
     The loop stops once max |exp(sigma) - col| <= _MASS_RTOL mu.sum(),
     a bound on the column-mass error of the plan it returns. Where the
@@ -548,16 +591,16 @@ def _entropic_backend(log_ref, kernel, mu, e, dx, eps_vec, guess=None):
     it on 412 measured steps). Once the error is below that floor
     and a full Newton step no longer halves it, the loop stops there too;
     either way the step counts as converged. The floor is evaluated only
-    where one of these tests reads it. At most MAX_ITERS steps run.
+    where one of these tests reads it. At most MAX_ITERS iterations run.
 
     The cold start is the previous masses floored at the clamp point, so
-    phi starts at G' of the previous density. A guess of the column masses,
-    floored the same way, is evaluated first and kept when its column-mass
-    error is at most half of max |guess - mu|, the change it predicts;
-    otherwise the loop begins from whichever of the two has the smaller
-    |R|^2. The plan is returned as built, mu_i P_ij, whose rows hold mu_i
-    to a few ulps. Zero total mass has only the zero plan, returned
-    without entering the loop.
+    phi starts at G' of the previous density. A guess of the column masses
+    (warm.guess), floored the same way, is evaluated first and kept when
+    its column-mass error is at most half of max |guess - mu|, the change
+    it predicts; otherwise the loop begins from whichever of the two has
+    the smaller |R|^2. The plan is returned as built, mu_i P_ij, whose rows
+    hold mu_i to a few ulps. Zero total mass has only the zero plan,
+    returned without entering the loop.
     """
     n = mu.size
     total = mu.sum()
@@ -571,6 +614,7 @@ def _entropic_backend(log_ref, kernel, mu, e, dx, eps_vec, guess=None):
     tol = _MASS_RTOL * total
     unit = np.finfo(float).eps * total
     w_max = float(w.max())
+    guess, jinv = warm.guess, warm.jinv
 
     def evaluate(sigma):
         """(sigma, its picture, R, |R|^2, column-mass error)."""
@@ -588,6 +632,8 @@ def _entropic_backend(log_ref, kernel, mu, e, dx, eps_vec, guess=None):
         clamp = RHO_FLOOR * dx
         cur = evaluate(np.log(np.maximum(mu if guess is None else guess, clamp)))
         if guess is not None and not cur[4] <= 0.5 * float(np.abs(guess - mu).max()):
+            # the flow turned, so the last step's matrix would not contract
+            jinv = None
             cold = evaluate(np.log(np.maximum(mu, clamp)))
             if not cur[3] <= cold[3]:
                 cur = cold
@@ -595,6 +641,11 @@ def _entropic_backend(log_ref, kernel, mu, e, dx, eps_vec, guess=None):
         while not cur[4] <= tol and it < MAX_ITERS:
             it += 1
             sigma, (_, s, phi, softmaxes, _), res, size, err = cur
+            if jinv is not None:
+                trial = evaluate(sigma - jinv @ res)
+                if trial[4] <= max(_REUSE_RATE * err, tol):
+                    cur = trial
+                    continue
             P, Q = softmaxes()
             P[P < _FLUSH] = 0.0
             Q[Q < _FLUSH] = 0.0
@@ -603,7 +654,8 @@ def _entropic_backend(log_ref, kernel, mu, e, dx, eps_vec, guess=None):
             jac *= _clamped_curvature(e, s / dx)
             jac[np.abs(jac) < _FLUSH] = 0.0
             jac.flat[::n + 1] += 1.0
-            step = np.linalg.solve(jac, -res)
+            jinv = np.linalg.inv(jac)
+            step = -(jinv @ res)
             t = 1.0
             for _ in range(_HALVINGS):
                 trial = evaluate(sigma + t * step)
@@ -614,34 +666,39 @@ def _entropic_backend(log_ref, kernel, mu, e, dx, eps_vec, guess=None):
                 break
             if not trial[4] < 0.5 * err and err <= floor(phi):
                 break
+            if not trial[4] <= max(_REUSE_RATE * err, tol):
+                jinv = None
             cur = trial
+    warm.jinv = jinv
     return cur[1][4](), it, bool(cur[4] <= tol or cur[4] <= floor(cur[1][2]))
 
 
 def jko_step(rho_prev: DensityField, e: EnergyModel, p: ExponentField, h: float,
              g: Grid, opts: JkoOptions | None = None, *,
-             _guess: np.ndarray | None = None) -> JkoStepResult:
+             _warm: _Warm | None = None) -> JkoStepResult:
     """One implicit step of the minimizing-movement scheme.
 
     Solves the joint program for the chosen backend, reads the new density
     off the column sums, and packages diagnostics. The reported coupling is
     the exact plan between the old and new masses when opts.exact_coupling
     is set (the default), otherwise the solver iterate itself; el_residual
-    is computed only for the exact plan and is NaN otherwise. _guess, a
-    prediction of the new masses that run_flow passes to entropic steps,
-    is where the entropic dual loop may start (see _entropic_backend).
+    is computed only for the exact plan and is NaN otherwise. _warm is what
+    run_flow carries from step to step (see _Warm): the energy of rho_prev,
+    and for entropic steps the guess and the inverse Newton matrix that the
+    dual loop starts from and hands back (see _entropic_backend).
     """
     check_positive(h, "step size h")
     opts = opts or JkoOptions()
+    warm = _Warm() if _warm is None else _warm
     mu = g.check_cell_field(rho_prev.mass, "previous mass")
     plan = _step_plan(g, p, h, opts)
     C = plan.cost.values
     dx = g.dx
-    e_before = total_energy(rho_prev, e, g)
+    e_before = total_energy(rho_prev, e, g) if warm.energy is None else warm.energy
 
     if opts.backend == "entropic":
         gam, iters, converged = _entropic_backend(plan.log_ref, plan.kernel, mu, e, dx,
-                                                  plan.eps_vec, _guess)
+                                                  plan.eps_vec, warm)
     else:
         direction = (_mirror_direction if opts.backend == "mirror"
                      else _projected_direction)
@@ -664,7 +721,7 @@ def jko_step(rho_prev: DensityField, e: EnergyModel, p: ExponentField, h: float,
         coupling, cost_value = exact.coupling, exact.value
         residual = _residual_of(coupling, rho_next, e, plan.q, h, g)
     else:
-        coupling = transport.Coupling(gam, mu, col)
+        coupling = transport.Coupling.of_plan(gam, mu, col)
         cost_value = float(np.vdot(C, gam))
         residual = math.nan
 
@@ -709,34 +766,41 @@ def run_flow(rho0: DensityField, e: EnergyModel, p: ExponentField, h: float,
 
     Consecutive states differ by O(h), so from the second step on an
     entropic step gets the extrapolation 2 m_k - m_{k-1} of the last two
-    masses as the guess its dual loop may start from: a step then depends
-    on the state before its input too. The other backends get no guess.
-    jko_step is a deterministic function of its inputs, so a step whose
-    masses and guess repeat bit for bit those of the step before reuses
-    that step's result instead of being solved again. On the mirror and
-    projected backends that happens once a step returns its input masses
-    (the stay-put plan won); on the entropic one once a step with the guess
-    c returns c, as the next guess 2c - c is c exactly.
+    masses as the guess its dual loop may start from. The flow also carries
+    the inverse Newton matrix from step to step: each entropic step starts
+    from the one the steps before it built last and hands on the one it
+    builds, so a step depends on the steps before its input too. The other
+    backends get neither. Every step after the first takes its energy_before
+    from the previous step's energy_after, the energy of the same state.
+    jko_step is a deterministic function of its inputs and of the carried
+    matrix, so a step whose masses and guess repeat bit for bit those of the
+    step before, and which starts from the same carried matrix, reuses that
+    step's result instead of being solved again. On the mirror and projected
+    backends that happens once a step returns its input masses (the stay-put
+    plan won); on the entropic one once a step with the guess c returns c,
+    as the next guess 2c - c is c exactly, without building a new matrix.
     """
     n_steps = _step_count(t_end, h)
-    warm = opts is not None and opts.backend == "entropic"
+    entropic = opts is not None and opts.backend == "entropic"
+    warm = _Warm()
     states = [rho0]
     steps = []
     previous, current = None, rho0
     solved = None
     for k in range(1, n_steps + 1):
-        guess = {}
-        if warm and previous is not None:
-            guess["_guess"] = 2.0 * current.mass - previous.mass
-        inputs = [current.mass.tobytes()] + [v.tobytes() for v in guess.values()]
-        if inputs != solved:
+        if entropic and previous is not None:
+            warm.guess = 2.0 * current.mass - previous.mass
+        inputs = (current.mass.tobytes(), None if warm.guess is None else warm.guess.tobytes(),
+                  warm.jinv)
+        if solved is None or inputs[:2] != solved[:2] or inputs[2] is not solved[2]:
             try:
-                step = jko_step(current, e, p, h, g, opts, **guess)
+                step = jko_step(current, e, p, h, g, opts, _warm=warm)
             except Exception as exc:
                 if exc.args and isinstance(exc.args[0], str):
                     exc.args = (f"step {k}: {exc.args[0]}",) + exc.args[1:]
                 raise
             solved = inputs
+        warm.energy = step.energy_after
         previous, current = current, step.rho_next
         states.append(current)
         steps.append(step)

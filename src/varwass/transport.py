@@ -74,7 +74,8 @@ class Coupling:
     gamma[i, j] is the mass moved from cell i to cell j. On construction the
     row and column sums are checked against the stored marginals to within
     MARGINAL_TOL (skipped with check=False for reporting unconverged
-    iterates).
+    iterates; of_plan checks the rows only, where the column marginal is
+    the plan's own column sums).
     """
 
     gamma: np.ndarray
@@ -95,19 +96,41 @@ class Coupling:
         object.__setattr__(self, "row_marginal", mu)
         object.__setattr__(self, "col_marginal", nu)
         if self.check:
-            # written so that a NaN entry or marginal fails them
-            if not gam.min() >= -MARGINAL_TOL:
-                raise NegativeCouplingError(
-                    f"coupling has negative or NaN entries, min {gam.min()}")
-            err = self.marginal_error()
-            if not err <= MARGINAL_TOL:
-                raise MarginalMismatchError(f"coupling marginals off by {err:.2e}")
+            self._verify(columns=True)
+
+    def _verify(self, columns: bool):
+        """Raise on a negative or NaN entry, then on a row sum (and with
+        columns, a column sum) off its marginal by more than MARGINAL_TOL."""
+        gam = self.gamma
+        # written so that a NaN entry or marginal fails them
+        if not gam.min() >= -MARGINAL_TOL:
+            raise NegativeCouplingError(
+                f"coupling has negative or NaN entries, min {gam.min()}")
+        err = self.marginal_error() if columns else float(self._row_error())
+        if not err <= MARGINAL_TOL:
+            raise MarginalMismatchError(f"coupling marginals off by {err:.2e}")
+
+    @classmethod
+    def of_plan(cls, gamma: np.ndarray, row_marginal: np.ndarray,
+                col_sums: np.ndarray) -> "Coupling":
+        """The checked coupling of a plan whose column marginal is its own
+        column sums col_sums, gamma.sum(axis=0) as the caller took them.
+
+        Re-summing the columns would compare col_sums with themselves, so
+        only the sign of the entries and the row sums are checked.
+        """
+        coupling = cls(gamma, row_marginal, col_sums, check=False)
+        coupling._verify(columns=False)
+        object.__setattr__(coupling, "check", True)
+        return coupling
+
+    def _row_error(self):
+        return np.abs(self.gamma.sum(axis=1) - self.row_marginal).max()
 
     def marginal_error(self) -> float:
         """Largest gap of a row or column sum to its marginal; NaN stays NaN."""
-        row_err = np.abs(self.gamma.sum(axis=1) - self.row_marginal).max()
         col_err = np.abs(self.gamma.sum(axis=0) - self.col_marginal).max()
-        return float(np.maximum(row_err, col_err))
+        return float(np.maximum(self._row_error(), col_err))
 
 
 def build_cost(g: Grid, p: ExponentField, h: float) -> CostMatrix:

@@ -166,9 +166,9 @@ def test_run_flow_reuses_a_step_that_returns_its_input(monkeypatch):
     calls = []
     real = jko.jko_step
 
-    def counted(*args):
+    def counted(*args, **kwargs):
         calls.append(args[0])
-        return real(*args)
+        return real(*args, **kwargs)
 
     monkeypatch.setattr(jko, "jko_step", counted)
     traj = jko.run_flow(rho0, ENTROPY, affine_p(g), 1e-2, 0.05, g)
@@ -190,9 +190,9 @@ def test_run_flow_reuses_an_entropic_step_once_its_guess_repeats(monkeypatch):
     guesses = []
     real = jko.jko_step
 
-    def counted(*args, _guess=None):
-        guesses.append(_guess)
-        return real(*args, _guess=_guess)
+    def counted(*args, _warm=None):
+        guesses.append(_warm.guess)
+        return real(*args, _warm=_warm)
 
     monkeypatch.setattr(jko, "jko_step", counted)
     traj = jko.run_flow(rho0, ENTROPY, affine_p(g), 1e-3, 5e-3, g, blur_opts(1e-3))
@@ -215,13 +215,13 @@ def test_run_flow_reraises_the_step_exception_itself(monkeypatch):
     rho0 = DensityField.cosine_bump(g, amplitude=0.3)
     calls, raised = [], []
 
-    def failing_step(rho, *args):
+    def failing_step(rho, *args, **kwargs):
         # a step that moves its masses, so run_flow calls the next one
         calls.append(rho)
         if len(calls) == 2:
             raised.append(_CodedError("solver gave up", 7))
             raise raised[0]
-        return SimpleNamespace(rho_next=DensityField(rho.mass[::-1].copy()))
+        return SimpleNamespace(rho_next=DensityField(rho.mass[::-1].copy()), energy_after=0.0)
 
     monkeypatch.setattr(jko, "jko_step", failing_step)
     with pytest.raises(_CodedError) as info:
@@ -496,21 +496,22 @@ def test_temperatures_take_few_evaluations(monkeypatch, p1, h, smoothing, most):
 
 # ----------------------------------------------------------- invariant sweep
 
-# Total dual iterations of each 5-step flow: (Newton steps, the plain
+# Total dual iterations of each 5-step flow: (Newton-loop updates, the plain
 # fixed-point loop that the Newton loop replaced). The plain counts were
 # taken with bisection column solves; they stay as the ceiling that the
 # Newton counts must not pass. The Newton counts are warm-started from the
-# extrapolated masses; power3/constant without smoothing takes one more
-# step than from the cold start (33 against 32).
+# extrapolated masses and count chord updates from a carried matrix as well
+# as fresh Newton steps: 419 in all, 305 of them fresh, where fresh steps
+# alone took 383.
 SWEEP_ITERATIONS = {
-    ("entropy", "constant", None): (24, 622), ("entropy", "constant", 0.03): (18, 188),
-    ("entropy", "ramp", None): (24, 546), ("entropy", "ramp", 0.03): (21, 475),
-    ("quadratic", "constant", None): (25, 824), ("quadratic", "constant", 0.03): (20, 229),
-    ("quadratic", "ramp", None): (25, 895), ("quadratic", "ramp", 0.03): (20, 610),
-    ("power1.5", "constant", None): (25, 965), ("power1.5", "constant", 0.03): (20, 266),
-    ("power1.5", "ramp", None): (25, 940), ("power1.5", "ramp", 0.03): (20, 714),
-    ("power3", "constant", None): (33, 2572), ("power3", "constant", 0.03): (26, 633),
-    ("power3", "ramp", None): (32, 5820), ("power3", "ramp", 0.03): (25, 1535),
+    ("entropy", "constant", None): (28, 622), ("entropy", "constant", 0.03): (21, 188),
+    ("entropy", "ramp", None): (26, 546), ("entropy", "ramp", 0.03): (25, 475),
+    ("quadratic", "constant", None): (27, 824), ("quadratic", "constant", 0.03): (23, 229),
+    ("quadratic", "ramp", None): (26, 895), ("quadratic", "ramp", 0.03): (22, 610),
+    ("power1.5", "constant", None): (27, 965), ("power1.5", "constant", 0.03): (24, 266),
+    ("power1.5", "ramp", None): (27, 940), ("power1.5", "ramp", 0.03): (23, 714),
+    ("power3", "constant", None): (34, 2572), ("power3", "constant", 0.03): (28, 633),
+    ("power3", "ramp", None): (32, 5820), ("power3", "ramp", 0.03): (26, 1535),
 }
 
 
@@ -592,7 +593,7 @@ def _solve_columns_mixed(W, eps_vec, e, dx, start=None):
     return 0.5 * (lo + hi)
 
 
-def _log_domain_backend(log_ref, kernel, mu, e, dx, eps_vec, guess=None):
+def _log_domain_backend(log_ref, kernel, mu, e, dx, eps_vec, warm=None):
     """The dual block ascent that the Newton loop replaced, as the oracle
     of that loop: two n-by-n log-sum-exps per iteration, the row update in
     closed form and the column equations solved by root finding (the mixed
@@ -601,7 +602,7 @@ def _log_domain_backend(log_ref, kernel, mu, e, dx, eps_vec, guess=None):
     see the Newton loop's distance to the fixed point more than the
     oracle's own stopping error; where the plain loop contracts slowly,
     that error can still reach a few 1e-13. It always starts cold and
-    ignores the guess."""
+    ignores what the flow carries (warm)."""
     n = mu.size
     if mu.sum() == 0.0:
         return np.zeros((n, n)), 0, True
@@ -670,11 +671,12 @@ def test_readme_flow_runs_on_kernel_products_only(monkeypatch):
 
 def test_readme_flow_is_bit_identical_across_runs():
     first, second = _readme_flow(100), _readme_flow(100)
-    # 6678 with the plain fixed-point step, 800 with Anderson mixing and 200
-    # with Newton from the previous masses; from the extrapolated masses the
-    # first step takes two Newton steps and every later one a single step
+    # 6678 with the plain fixed-point step, 800 with Anderson mixing, 200
+    # with Newton from the previous masses and 101 from the extrapolated
+    # masses; with one Newton matrix carried through the flow every step
+    # takes two updates, 200 in all, each a chord step but the first
     iterations = sum(s.iterations for s in first.steps)
-    assert iterations == 101
+    assert iterations == 200
     assert iterations <= 3339
     for a, b in zip(first.states, second.states, strict=True):
         np.testing.assert_array_equal(a.mass, b.mass)
@@ -693,7 +695,7 @@ def _criterion3_flow():
 def test_readme_flow_states_match_a_cold_step_from_the_state_before():
     traj = _readme_flow(100)
     assert all(s.converged for s in traj.steps)
-    assert [s.iterations for s in traj.steps] == [2] + [1] * 99
+    assert [s.iterations for s in traj.steps] == [2] * 100
     g = make_grid(0.0, 1.0, 64)
     opts = jko.JkoOptions(backend="entropic", smoothing=0.5 * g.dx, exact_coupling=False)
     p = ExponentField.constant(2.0, g.n_cells)
@@ -702,23 +704,85 @@ def test_readme_flow_states_match_a_cold_step_from_the_state_before():
         np.testing.assert_allclose(after.mass, cold.rho_next.mass, rtol=0.0, atol=1e-13)
 
 
-@pytest.mark.parametrize("flow,warm_total,cold_total", [
-    (lambda: _readme_flow(100), 101, 200),
-    (_criterion3_flow, 79, 100),
+def _count_newton_matrices(monkeypatch):
+    """Record each Newton matrix the entropic loop builds (one inverse each)."""
+    built = []
+    real = jko.np.linalg.inv
+
+    def counted(a):
+        built.append(a.shape[0])
+        return real(a)
+
+    monkeypatch.setattr(jko.np.linalg, "inv", counted)
+    return built
+
+
+@pytest.mark.parametrize("flow,warm_counts,cold_counts", [
+    (lambda: _readme_flow(100), (1, 200), (100, 200)),
+    (_criterion3_flow, (1, 150), (50, 101)),
 ], ids=["readme", "criterion3"])
-def test_warm_start_takes_at_most_the_cold_newton_steps(monkeypatch, flow, warm_total,
-                                                        cold_total):
+def test_warm_start_takes_at_most_the_cold_newton_steps(monkeypatch, flow, warm_counts,
+                                                        cold_counts):
+    # (Newton matrices built, dual updates): the warm flow builds one matrix
+    # and carries it through every step; the cold one, every step without
+    # its guess and its carried matrix, builds one per step and reuses it
+    # within that step only
+    built = _count_newton_matrices(monkeypatch)
     warm = flow()
-    # every step without its guess, from the previous masses
+    warm_built = len(built)
     real = jko.jko_step
-    monkeypatch.setattr(jko, "jko_step", lambda *args, _guess=None: real(*args))
+    monkeypatch.setattr(jko, "jko_step", lambda *args, _warm=None: real(*args))
     cold = flow()
-    totals = (sum(s.iterations for s in warm.steps), sum(s.iterations for s in cold.steps))
-    assert totals == (warm_total, cold_total)
-    assert totals[0] <= totals[1]
+    counts = [(n, sum(s.iterations for s in traj.steps))
+              for n, traj in ((warm_built, warm), (len(built) - warm_built, cold))]
+    assert counts == [warm_counts, cold_counts]
+    assert counts[0][0] <= counts[1][0]
     assert all(s.converged for s in warm.steps + cold.steps)
     for a, b in zip(warm.states, cold.states, strict=True):
         np.testing.assert_allclose(a.mass, b.mass, rtol=0.0, atol=1e-13)
+
+
+def test_step_rebuilds_when_the_carried_matrix_does_not_contract(monkeypatch):
+    # the matrix that criterion 3's first step leaves behind (p=2+x,
+    # entropy, per-row temperatures) is useless to a power(3) step on the
+    # sweep's vacuum data at constant p: its chord try is dropped, and the
+    # step lands where a step that carries nothing lands
+    g = make_grid(0.0, 1.0, 32)
+    donor = jko._Warm()
+    jko.jko_step(DensityField.cosine_bump(g, amplitude=0.5), ENTROPY, affine_p(g), 1e-3, g,
+                 blur_opts(1e-3), _warm=donor)
+    useless = donor.jinv
+    assert useless is not None and useless.shape == (32, 32)
+    rho = _vacuum_flow("power3", "constant", None, steps=0).final
+    args = (rho, ENERGIES["power3"], ExponentField.constant(2.0, 32), 1e-3, g,
+            jko.JkoOptions(backend="entropic", eps=0.2, exact_coupling=False))
+    built = _count_newton_matrices(monkeypatch)
+    carried = jko._Warm(jinv=useless)
+    step = jko.jko_step(*args, _warm=carried)
+    assert built and carried.jinv is not useless
+    assert step.converged
+    plain = jko.jko_step(*args)
+    np.testing.assert_allclose(step.rho_next.mass, plain.rho_next.mass, rtol=0.0, atol=1e-12)
+
+
+def test_run_flow_hands_each_step_its_energy_before(monkeypatch):
+    # one energy evaluation per state: the first step evaluates its input,
+    # every later one takes the energy_after of the step before, bit for bit
+    calls = []
+    real = jko.total_energy
+
+    def counted(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(jko, "total_energy", counted)
+    traj = _readme_flow(15)
+    assert len(calls) == 16
+    g = make_grid(0.0, 1.0, 64)
+    for state, step in zip(traj.states, traj.steps):
+        assert step.energy_before == real(state, ENTROPY, g)
+    for before, after in zip(traj.steps, traj.steps[1:]):
+        assert after.energy_before == before.energy_after
 
 
 def test_vacuum_flow_falls_back_to_the_cold_start(monkeypatch):

@@ -128,6 +128,21 @@ class TestCoupling:
         c = Coupling(gam, np.array([0.5, 0.5]), np.array([0.5, 0.5]))
         assert c.marginal_error() == pytest.approx(0.0, abs=1e-16)
 
+    def test_of_plan_takes_the_column_sums_it_is_given(self):
+        gam = np.array([[0.3, 0.2], [0.1, 0.4]])
+        col = gam.sum(axis=0)
+        c = Coupling.of_plan(gam, np.array([0.5, 0.5]), col)
+        assert c.check and c.col_marginal is col
+
+    @pytest.mark.parametrize("gam,error", [
+        (np.array([[0.3, 0.2], [0.1, 0.3]]), MarginalMismatchError),
+        (np.array([[0.6, -0.1], [0.1, 0.4]]), NegativeCouplingError),
+        (np.array([[0.3, np.nan], [0.1, 0.4]]), NegativeCouplingError),
+    ], ids=["row_sum", "negative", "nan"])
+    def test_of_plan_still_checks_rows_and_signs(self, gam, error):
+        with pytest.raises(error):
+            Coupling.of_plan(gam, np.array([0.5, 0.5]), gam.sum(axis=0))
+
     @pytest.mark.parametrize("side", ["rows", "cols"])
     def test_marginal_error_is_nan_when_a_marginal_is_nan(self, side):
         half, nan = np.array([0.5, 0.5]), np.array([np.nan, np.nan])
