@@ -1,15 +1,20 @@
 """The package's one monotone root finder and its shifted log-sum-exp.
 
-They import nothing from the package, so varexp, transport and jko all can.
+They import nothing from the package but its errors, so varexp, transport
+and jko all can.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from .errors import NumericalBlowupError
 
 #: Growth step of each bracket end.
 _STEP = 1.0
+
+#: Most growth steps of each bracket end.
+_GROWTH = 200
 
 #: Most refinement steps per call, far more than a bracket of width 2 needs.
 _CAP = 120
@@ -19,7 +24,9 @@ def bisect(f, lo, hi):
     """Brackets (lo, hi) of the root of each entry of an increasing vectorized f.
 
     f returns the pair (f(x), f'(x)). Each bracket is first widened by
-    _STEP, up to 200 times per side, until f(lo) <= 0 <= f(hi); then it is
+    _STEP, up to _GROWTH times per side, until f(lo) <= 0 <= f(hi), and
+    NumericalBlowupError is raised where that does not bracket the root:
+    a silent non-bracket would pass for a root. Then each bracket is
     refined at most _CAP times, by safeguarded Newton steps started at the
     midpoint of the grown bracket. Each evaluation moves the bracket end on
     its side of the root to the trial point. A Newton point is pushed one
@@ -40,16 +47,7 @@ def bisect(f, lo, hi):
     finite (an infinite value or slope, a zero slope, or a quotient that
     overflows) is rejected silently, and the trial is the midpoint.
     """
-    for _ in range(200):
-        bad = f(lo)[0] > 0.0
-        if not bad.any():
-            break
-        lo = np.where(bad, lo - _STEP, lo)
-    for _ in range(200):
-        bad = f(hi)[0] < 0.0
-        if not bad.any():
-            break
-        hi = np.where(bad, hi + _STEP, hi)
+    lo, hi = _grow(f, lo, -1.0), _grow(f, hi, 1.0)
     x = x_before = 0.5 * (lo + hi)
     last = before = hi - lo
     zero = False
@@ -73,6 +71,20 @@ def bisect(f, lo, hi):
         before, last = last, np.where(ok, np.abs(newton), 0.5 * (hi - lo))
         x, x_before = np.where(ok, trial, 0.5 * (lo + hi)), x
     return lo, hi
+
+
+def _grow(f, x, side):
+    """x moved by _STEP toward side (-1 or 1) where side * f(x) < 0, at most
+    _GROWTH times; raises NumericalBlowupError where that is not enough."""
+    for k in range(_GROWTH + 1):
+        bad = side * f(x)[0] < 0.0
+        if not bad.any():
+            return x
+        if k < _GROWTH:
+            x = np.where(bad, x + side * _STEP, x)
+    raise NumericalBlowupError(
+        f"root bracket did not close within {_GROWTH} steps of {_STEP} "
+        f"on {np.count_nonzero(bad)} entries, ending at {np.asarray(x)[bad][:3]}")
 
 
 def logsumexp(a: np.ndarray, axis: int, weights: bool = False):

@@ -40,13 +40,12 @@ extrapolated from the last two states, and carries the inverse of the
 last Newton matrix from step to step: each update first tries the chord
 step from it and builds a fresh matrix only when that does not contract.
 The README compare flow builds one matrix for its 100 steps and takes two
-updates per step, 200 in all, each a chord step but the first; with a
-fresh matrix for every update it took 101 Newton steps from the
-extrapolated masses, 200 from the previous masses, and the plain
-fixed-point loop 6678 iterations. The cost, the per-row temperatures, the
-reflected log kernel, the kernel itself and the conjugate exponents that
-the residual reads depend only on the grid, p, h, eps and smoothing, so
-_step_plan builds them once and a flow reuses them for every step.
+updates per step, 200 in all, each a chord step but the first. The cost,
+the per-row temperatures, the reflected log kernel, the kernel itself
+(where every row has the same temperature) and the conjugate exponents
+that the residual reads depend only on the grid, p, h, eps and
+smoothing, so _step_plan builds them once and a flow reuses them for
+every step.
 """
 
 from __future__ import annotations
@@ -336,7 +335,7 @@ def _clamped_curvature(e: EnergyModel, t: np.ndarray) -> np.ndarray:
 
 
 def _entropic_temperatures(opts: JkoOptions, p: ExponentField, h: float,
-                           n: int, dx: float) -> np.ndarray:
+                           g: Grid) -> np.ndarray:
     """Per-row temperatures for the entropic backend.
 
     Without smoothing every row shares opts.eps. With smoothing set, each
@@ -347,10 +346,11 @@ def _entropic_temperatures(opts: JkoOptions, p: ExponentField, h: float,
     whose exponents, and hence kernel shapes, differ; unequal blur acts as a
     spurious drift toward the wider-kernel side and can push mass uphill.
     """
+    n = g.n_cells
     if opts.smoothing is None:
         return np.full(n, opts.eps)
     target = opts.smoothing**2
-    disp = dx * np.arange(1 - n, n)
+    disp = g.dx * np.arange(1 - n, n)
     d2 = disp * disp
     cap = float(d2.mean())
     if target >= 0.9 * cap:
@@ -361,7 +361,7 @@ def _entropic_temperatures(opts: JkoOptions, p: ExponentField, h: float,
     pv = p.values[:, None]
     # Cost of each lattice displacement, per row. eps enters only as a divisor,
     # so the moment increases in log eps, with slope Cov_w(d2, a) / eps.
-    a = np.abs(disp)[None, :] ** pv / (pv * h ** (pv - 1.0))
+    a = transport._power_cost(disp[None, :], pv, h)
 
     def excess(log_eps: np.ndarray):
         eps = np.exp(log_eps)
@@ -373,7 +373,7 @@ def _entropic_temperatures(opts: JkoOptions, p: ExponentField, h: float,
 
     # Continuum width sqrt(target) is the right scale; bracket around it in
     # log eps and return the geometric midpoint of the final eps bracket.
-    guess = np.log(opts.smoothing ** pv[:, 0] / (pv[:, 0] * h ** (pv[:, 0] - 1.0)))
+    guess = np.log(transport._power_cost(opts.smoothing, p.values, h))
     lo, hi = bisect(excess, guess - 1.0, guess + 1.0)
     return np.sqrt(np.exp(lo) * np.exp(hi))
 
@@ -393,13 +393,10 @@ def _log_reference(g: Grid, p: ExponentField, h: float,
     """
     x = g.centers
     pv = p.values[:, None]
-    denom = pv * h ** (pv - 1.0) * eps_vec[:, None]
-    d0 = np.abs(x[None, :] - x[:, None])
-    d_left = (x[:, None] - g.a) + (x[None, :] - g.a)
-    d_right = (g.b - x[:, None]) + (g.b - x[None, :])
-    t0 = -(d0**pv) / denom
-    t_left = -(d_left**pv) / denom
-    t_right = -(d_right**pv) / denom
+    t = eps_vec[:, None]
+    t0 = -transport._power_cost(x[None, :] - x[:, None], pv, h, t)
+    t_left = -transport._power_cost((x[:, None] - g.a) + (x[None, :] - g.a), pv, h, t)
+    t_right = -transport._power_cost((g.b - x[:, None]) + (g.b - x[None, :]), pv, h, t)
     return np.logaddexp(t0, np.logaddexp(t_left, t_right))
 
 
@@ -413,7 +410,8 @@ _SUM_FLOOR = math.exp(-600.0)
 
 
 class _StepPlan(NamedTuple):
-    """What stays fixed through a flow; see _step_plan."""
+    """What stays fixed through a flow; see _step_plan. kernel is None
+    unless every row has the same temperature."""
 
     cost: transport.CostMatrix
     eps_vec: np.ndarray | None
@@ -426,20 +424,20 @@ def _step_plan(g: Grid, p: ExponentField, h: float, opts: JkoOptions) -> _StepPl
     """(cost, eps_vec, log_ref, kernel, q) of a step: what stays fixed
     through a flow.
 
-    The cost depends only on the grid, p and h; the entropic temperatures,
-    the reflected log kernel and the kernel exp(log_ref) itself also on eps
-    and smoothing (for the other backends the three are None). q holds the
-    values of conjugate(p), read by the step's el_residual. The
-    uniform-temperature plan multiplies by the kernel. Its entries below
-    about e^-708 underflow, which the e^-600 sum floor of those products
-    keeps at rounding level; so the kernel holds 0.0 where exp(log_ref) is
-    subnormal, as a subnormal operand slows every product that touches it
-    several-fold. A plan is kept under the
-    content of those inputs, not their identity, so an in-place edit of
-    p.values gets a fresh plan. The _PLAN_SLOTS most recently used plans are
-    kept, enough for callers that alternate backends or step sizes on one
-    grid. The arrays are shared by every step that uses the plan, so they
-    are read-only.
+    The cost depends only on the grid, p and h; the entropic temperatures
+    and the reflected log kernel also on eps and smoothing (for the other
+    backends the three are None). q holds the values of conjugate(p), read
+    by the step's el_residual. The kernel exp(log_ref) is built only where
+    every row has the same temperature, so the plan decides once whether
+    the dual loop runs on kernel products. It holds 0.0 where exp(log_ref)
+    is subnormal, below about e^-708, which the e^-600 sum floor of its
+    products keeps at rounding level: a subnormal operand slows every
+    product that touches it several-fold. A plan is kept under the content
+    of those inputs, not their identity, so an in-place edit of p.values
+    gets a fresh plan. The _PLAN_SLOTS most recently used plans are kept,
+    enough for callers that alternate backends or step sizes on one grid.
+    The arrays are shared by every step that uses the plan, so they are
+    read-only.
     """
     entropic = opts.backend == "entropic"
     key = (g.a, g.b, g.n_cells, h, p.values.tobytes(),
@@ -449,10 +447,11 @@ def _step_plan(g: Grid, p: ExponentField, h: float, opts: JkoOptions) -> _StepPl
         cost = transport.build_cost(g, p, h)
         eps_vec = log_ref = kernel = None
         if entropic:
-            eps_vec = _entropic_temperatures(opts, p, h, g.n_cells, g.dx)
+            eps_vec = _entropic_temperatures(opts, p, h, g)
             log_ref = _log_reference(g, p, h, eps_vec)
-            kernel = np.exp(log_ref)
-            kernel[kernel < np.finfo(float).tiny] = 0.0
+            if np.all(eps_vec == eps_vec[0]):
+                kernel = np.exp(log_ref)
+                kernel[kernel < np.finfo(float).tiny] = 0.0
         plan = _StepPlan(cost, eps_vec, log_ref, kernel, conjugate(p).values)
         for arr in (cost.values,) + plan[1:]:
             if arr is not None:
@@ -539,19 +538,19 @@ def _column_picture(sigma, e, dx, log_ref, kernel, mu, log_mu, w):
     return log_col, s, phi, lambda: (P, Q), lambda: np.exp(log_plan)
 
 
-def _entropic_backend(log_ref, kernel, mu, e, dx, eps_vec, warm):
+def _entropic_backend(plan: _StepPlan, mu, e, dx, warm):
     """Damped Newton on the dual of the KL-smoothed joint program.
 
     The plan gamma_ij = mu_i P_ij, P the row softmax of log_ref_ij -
-    phi_j/eps_i (log_ref the wall-reflected reference from _log_reference),
-    has exact row masses for any column potential phi. The step's plan is
-    the one whose column sums col_j are the masses s_j with G'(s_j/dx) =
-    phi_j, the maximizer of the concave dual with the row potentials
-    eliminated (Brauer, Clason, Lorenz & Wirth, arXiv:1710.06635, for
-    fixed marginals). The unknowns are sigma = log s: phi = G'(exp(sigma)/dx)
-    then covers the RHO_FLOOR clamp, where phi stays put while the mass
-    moves, and the equations R(sigma) = sigma - log col(sigma) = 0 stay
-    well scaled for columns of any mass, vacuum ones too.
+    phi_j/eps_i (eps_vec, log_ref and kernel read from the _StepPlan
+    plan), has exact row masses for any column potential phi. The step's
+    plan is the one whose column sums col_j are the masses s_j with
+    G'(s_j/dx) = phi_j, the maximizer of the concave dual with the row
+    potentials eliminated (Brauer, Clason, Lorenz & Wirth,
+    arXiv:1710.06635, for fixed marginals). The unknowns are sigma = log
+    s: phi = G'(exp(sigma)/dx) then covers the RHO_FLOOR clamp, where phi
+    stays put while the mass moves, and R(sigma) = sigma - log col(sigma)
+    = 0 stays well scaled for columns of any mass, vacuum ones too.
 
     With M = sum_i (mu_i/eps_i) (diag P_i - P_i^T P_i) and c = dphi/dsigma
     (_clamped_curvature), d col/d sigma = -M diag(c), so R has the Jacobian
@@ -606,9 +605,8 @@ def _entropic_backend(log_ref, kernel, mu, e, dx, eps_vec, warm):
     total = mu.sum()
     if total == 0.0:
         return np.zeros((n, n)), 0, True
-    w = 1.0 / eps_vec
-    if not np.all(eps_vec == eps_vec[0]):
-        kernel = None
+    log_ref, kernel = plan.log_ref, plan.kernel
+    w = 1.0 / plan.eps_vec
     with np.errstate(divide="ignore"):
         log_mu = np.log(mu)
     tol = _MASS_RTOL * total
@@ -697,8 +695,7 @@ def jko_step(rho_prev: DensityField, e: EnergyModel, p: ExponentField, h: float,
     e_before = total_energy(rho_prev, e, g) if warm.energy is None else warm.energy
 
     if opts.backend == "entropic":
-        gam, iters, converged = _entropic_backend(plan.log_ref, plan.kernel, mu, e, dx,
-                                                  plan.eps_vec, warm)
+        gam, iters, converged = _entropic_backend(plan, mu, e, dx, warm)
     else:
         direction = (_mirror_direction if opts.backend == "mirror"
                      else _projected_direction)

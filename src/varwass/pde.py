@@ -188,7 +188,9 @@ def solve(rho0: DensityField, e: EnergyModel, q: ExponentField, cfg: PdeConfig,
     runs on identical time samples; a fixed dt above the bound raises
     before the step it would take). When no K_f is positive, as for an
     energy whose G' decreases, the bound allows any dt, and the density
-    guards are what catch the run.
+    guards are what catch the run. A dt so small that t + dt == t raises
+    NumericalBlowupError before that step, as its update would move the
+    masses but not the time.
     Recorded states are renormalized to the initial total mass, hiding
     only rounding-level drift; the raw drift is observable through the
     returned times and the per-step mass balance, which telescopes exactly.
@@ -251,12 +253,18 @@ def solve(rho0: DensityField, e: EnergyModel, q: ExponentField, cfg: PdeConfig,
         dt = min(dt, t_final - t)
         if not math.isfinite(dt) or dt <= 0.0:
             break
+        t_next = t + dt
+        if t_next == t:
+            raise NumericalBlowupError(
+                f"time step dt={dt:.3e} does not advance t={t:.6g}: the step "
+                "bound fell below the resolution of t"
+            )
         rate = rhs(rho, e, q, g, _faces=faces)
         # the bits of m + dt * rate * dx: (dt * rate) * dx, then the sum
         np.multiply(rate, dt, out=inc)
         inc *= dx
         m += inc
-        t += dt
+        t = t_next
         step += 1
         if step > MAX_STEPS:
             raise NumericalBlowupError(

@@ -50,11 +50,9 @@ ENTROPIC_MAX_ITERS = 100_000
 
 @dataclass(frozen=True)
 class CostMatrix:
-    """Dense n-by-n cost values together with the scale h and exponent used."""
+    """Dense n-by-n transport cost values, square and nonempty."""
 
     values: np.ndarray
-    h: float
-    exponents: ExponentField
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=float)
@@ -133,6 +131,12 @@ class Coupling:
         return float(np.maximum(self._row_error(), col_err))
 
 
+def _power_cost(d, p, h: float, t=1.0):
+    """|d|^p / (h^(p-1) p t): the cost of a displacement d from a point of
+    exponent p, over a Gibbs kernel's temperature t. Every cost is this."""
+    return np.abs(d) ** p / (h ** (p - 1.0) * p * t)
+
+
 def build_cost(g: Grid, p: ExponentField, h: float) -> CostMatrix:
     """Cost matrix c[i][j] = |x_i - x_j|^p(x_i) / (h^(p(x_i)-1) p(x_i)).
 
@@ -144,16 +148,14 @@ def build_cost(g: Grid, p: ExponentField, h: float) -> CostMatrix:
     check_positive(h, "time scale h")
     g.check_cell_field(p.values, "exponent field")
     x = g.centers
-    pi = p.values[:, None]
-    dist = np.abs(x[:, None] - x[None, :])
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        vals = dist**pi / (h ** (pi - 1.0) * pi)
+        vals = _power_cost(x[:, None] - x[None, :], p.values[:, None], h)
     np.fill_diagonal(vals, 0.0)
     off = vals[~np.eye(g.n_cells, dtype=bool)]
     check_positive(np.array([off.min(), off.max()]),
                    f"smallest and largest cost at time scale h={h!r}",
                    InvalidParameterError)
-    return CostMatrix(vals, float(h), p)
+    return CostMatrix(vals)
 
 
 def _check_marginals(n: int, mu: np.ndarray, nu: np.ndarray):

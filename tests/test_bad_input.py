@@ -159,8 +159,7 @@ def _size_cases():
     short_p = ExponentField.constant(2.0, N - 1)
     pair = Trajectory(times=np.array([0.0, 1e-2]), states=[rho, rho])
     return {
-        "transport.CostMatrix empty": lambda: transport.CostMatrix(
-            np.zeros((0, 0)), 1.0, ExponentField.constant(2.0, 2)),
+        "transport.CostMatrix empty": lambda: transport.CostMatrix(np.zeros((0, 0))),
         "transport.Coupling empty": lambda: transport.Coupling(
             np.zeros((0, 0)), np.zeros(0), np.zeros(0)),
         "jko.Trajectory empty": lambda: Trajectory(times=[], states=[]),

@@ -475,7 +475,7 @@ def test_readme_library_example_runs_verbatim(capsys):
 
 
 #: The configs that CI runs through the console script, one file each.
-CI_CONFIGS = ("jko", "jko_entropic", "pde", "rows", "rows128", "transport")
+CI_CONFIGS = ("jko", "jko_entropic", "oracle_transport", "pde", "rows", "rows128", "transport")
 
 
 @pytest.mark.parametrize("name", CI_CONFIGS)

@@ -6,12 +6,13 @@ import functools
 import itertools
 import math
 import warnings
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from varwass import jko, pde, transport
+from varwass import cli, jko, pde, transport
 from varwass._kernels import bisect, logsumexp
 from varwass.energy import RHO_FLOOR, builtin_energy, total_energy
 from varwass.errors import (InvalidParameterError, NonpositiveParameterError,
@@ -366,6 +367,13 @@ def _readme_flow(steps):
     return jko.run_flow(rho0, ENTROPY, p, h, steps * h, g, opts)
 
 
+def test_bisection_raises_when_its_bracket_cannot_grow_to_the_root():
+    # 200 unit steps take hi from 1 to 201, short of the root at 500: a
+    # bracket that does not hold the root is an error, not an answer
+    with pytest.raises(NumericalBlowupError, match="200 steps"):
+        bisect(lambda x: (x - 500.0, np.ones_like(x)), np.zeros(1), np.ones(1))
+
+
 def test_dual_loop_never_calls_the_root_finder(monkeypatch):
     # the README compare flow, 15 steps: the finder runs once, for the
     # temperatures, and the Newton loop solves no column equation
@@ -397,12 +405,59 @@ def test_step_plan_is_reused_and_read_only(monkeypatch):
     assert jko._step_plan(g, p, 1e-3, opts) is plan
     assert np.array_equal(first.rho_next.mass, second.rho_next.mass)
     assert first.iterations == second.iterations
-    np.testing.assert_array_equal(plan.kernel, np.exp(plan.log_ref))
     np.testing.assert_array_equal(plan.q, conjugate(p).values)
-    for arr in (plan.cost.values, plan.eps_vec, plan.log_ref, plan.kernel, plan.q):
+    # one temperature for every row: the same flow at constant p has a kernel
+    flat = jko._step_plan(g, ExponentField.constant(2.0, g.n_cells), 1e-3, opts)
+    np.testing.assert_array_equal(flat.kernel, np.exp(flat.log_ref))
+    for arr in (plan.cost.values, plan.eps_vec, plan.log_ref, plan.q, flat.kernel):
         assert not arr.flags.writeable
         with pytest.raises(ValueError):
             arr[0] = 0.0
+
+
+@pytest.mark.parametrize("p_kind,smoothing,has_kernel", [
+    ("affine", False, True), ("constant", True, True), ("affine", True, False),
+], ids=["eps", "smoothed-constant-p", "per-row"])
+def test_step_plan_builds_the_kernel_only_for_one_temperature(monkeypatch, p_kind, smoothing,
+                                                              has_kernel):
+    # the plan, not the dual loop, decides whether the loop runs on kernel
+    # products: a per-row plan holds no kernel at all
+    monkeypatch.setattr(jko, "_PLANS", {})
+    g = make_grid(0.0, 1.0, 16)
+    h = 1e-3
+    p = affine_p(g) if p_kind == "affine" else ExponentField.constant(2.0, g.n_cells)
+    opts = blur_opts(h) if smoothing else jko.JkoOptions(backend="entropic", eps=0.2)
+    plan = jko._step_plan(g, p, h, opts)
+    assert bool(np.all(plan.eps_vec == plan.eps_vec[0])) is has_kernel
+    if has_kernel:
+        np.testing.assert_array_equal(plan.kernel, np.exp(plan.log_ref))
+    else:
+        assert plan.kernel is None
+
+
+def test_every_cost_is_the_one_power_cost(monkeypatch):
+    # build_cost, the temperatures' lattice costs and starting guess, and the
+    # three terms of the reflected kernel all go through transport._power_cost
+    monkeypatch.setattr(jko, "_PLANS", {})
+    calls = []
+    real = jko.transport._power_cost
+
+    def counted(*args):
+        calls.append(len(args))
+        return real(*args)
+
+    monkeypatch.setattr(jko.transport, "_power_cost", counted)
+    g = make_grid(0.0, 1.0, 16)
+    h = 1e-3
+    jko.transport.build_cost(g, affine_p(g), h)
+    assert calls == [3]
+    jko._entropic_temperatures(blur_opts(h), affine_p(g), h, g)
+    assert calls == [3, 3, 3]
+    jko._log_reference(g, affine_p(g), h, np.full(g.n_cells, 0.2))
+    assert calls == [3, 3, 3, 4, 4, 4]
+    calls.clear()
+    jko._step_plan(g, affine_p(g), h, blur_opts(h))
+    assert calls == [3, 3, 3, 4, 4, 4]
 
 
 def test_step_plan_kernel_holds_zero_where_its_exponential_is_subnormal(monkeypatch):
@@ -466,7 +521,7 @@ def test_temperatures_meet_their_moment_target_silently(n):
         opts = jko.JkoOptions(backend="entropic", smoothing=factor * g.dx)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            eps = jko._entropic_temperatures(opts, p, h, n, g.dx)
+            eps = jko._entropic_temperatures(opts, p, h, g)
         pv = p.values[:, None]
         w = np.exp(-np.abs(disp) ** pv / (pv * h ** (pv - 1.0)) / eps[:, None])
         moment = (disp**2 * w).sum(axis=1) / w.sum(axis=1)
@@ -490,7 +545,7 @@ def test_temperatures_take_few_evaluations(monkeypatch, p1, h, smoothing, most):
     monkeypatch.setattr(jko, "bisect", counted)
     g = make_grid(0.0, 1.0, 64)
     opts = jko.JkoOptions(backend="entropic", smoothing=smoothing)
-    jko._entropic_temperatures(opts, affine_p(g, 2.0, p1), h, g.n_cells, g.dx)
+    jko._entropic_temperatures(opts, affine_p(g, 2.0, p1), h, g)
     assert len(evaluations) <= most
 
 
@@ -559,17 +614,25 @@ def _solve_column_scalar(log_target, e, dx, eps, start=None):
     sigma = log(RHO_FLOOR dx), with slope 1 + 1/eps above it and 1 below;
     it is increasing and continuous, so the root is the free branch's where
     that lies above the clamp point and the clamped branch's otherwise.
-    Every other energy takes safeguarded Newton steps in bisect, from the
-    bracket start +- 1, by default log_target +- 1; far above the root
-    exp(sigma)/dx or G' overflows to +inf, read as above the root.
+    The power energies take safeguarded Newton steps in bisect. G' >= 0
+    puts the root at or below log_target L, and where it lies below L - 1,
+    G'(exp(sigma)/dx) > eps puts it above log(dx (G')^-1(eps)) =
+    log(dx e.legendre_deriv(eps)), so it lies at or above the lower of
+    that and L - 1. Without a start that is the bracket (L alone lay more
+    than 200 units above the root on rough steps, out of bisect's reach);
+    with one, the bracket is start +- 1, for a start at the previous root.
     """
     if e is ENTROPY:
         free = (log_target + (math.log(dx) - 1.0) / eps) / (1.0 + 1.0 / eps)
         clamped = log_target - (math.log(RHO_FLOOR) + 1.0) / eps
         return np.where(free > math.log(RHO_FLOOR * dx), free, clamped)
-    start = log_target if start is None else start
+    if start is None:
+        lo = np.minimum(log_target - 1.0, math.log(dx * float(e.legendre_deriv(eps))))
+        hi = log_target
+    else:
+        lo, hi = start - 1.0, start + 1.0
     with np.errstate(over="ignore", invalid="ignore"):
-        lo, hi = bisect(_column(e, log_target, dx, eps), start - 1.0, start + 1.0)
+        lo, hi = bisect(_column(e, log_target, dx, eps), lo, hi)
     return 0.5 * (lo + hi)
 
 
@@ -593,7 +656,7 @@ def _solve_columns_mixed(W, eps_vec, e, dx, start=None):
     return 0.5 * (lo + hi)
 
 
-def _log_domain_backend(log_ref, kernel, mu, e, dx, eps_vec, warm=None):
+def _log_domain_backend(plan, mu, e, dx, warm=None):
     """The dual block ascent that the Newton loop replaced, as the oracle
     of that loop: two n-by-n log-sum-exps per iteration, the row update in
     closed form and the column equations solved by root finding (the mixed
@@ -602,11 +665,14 @@ def _log_domain_backend(log_ref, kernel, mu, e, dx, eps_vec, warm=None):
     see the Newton loop's distance to the fixed point more than the
     oracle's own stopping error; where the plain loop contracts slowly,
     that error can still reach a few 1e-13. It always starts cold and
-    ignores what the flow carries (warm)."""
+    ignores what the flow carries (warm). It reads the plan's log_ref and
+    eps_vec, and takes the scalar column solve where the plan holds a
+    kernel, that is where every row has the same temperature."""
     n = mu.size
     if mu.sum() == 0.0:
         return np.zeros((n, n)), 0, True
-    uniform = bool(np.all(eps_vec == eps_vec[0]))
+    log_ref, eps_vec = plan.log_ref, plan.eps_vec
+    uniform = plan.kernel is not None
     epsr = eps_vec[:, None]
     with np.errstate(divide="ignore"):
         log_mu = np.log(mu)
@@ -1064,6 +1130,20 @@ def test_dissipation_check_takes_one_dt_per_step():
                for k in range(1, len(traj))]
     assert report.per_step_slack.tolist() == by_loop
     assert report.energies.tolist() == energies
+
+
+@pytest.mark.parametrize("run", ["readme_compare", "pde_config"])
+def test_cumulative_slack_is_positive(run):
+    # the energy headroom exceeds what the flow dissipates: measured 0.054
+    # on the README compare flow and 0.030 on the PDE run of the CI config
+    if run == "readme_compare":
+        g = make_grid(0.0, 1.0, 64)
+        traj, e, p = _readme_flow(100), ENTROPY, ExponentField.constant(2.0, g.n_cells)
+    else:
+        cfg = cli.load_config(Path(__file__).parent / "configs" / "pde.yaml")
+        g, e, p = cfg.grid, cfg.energy, cfg.p
+        traj = pde.solve(cfg.rho0, e, conjugate(p), cfg.pde_cfg, g)
+    assert jko.dissipation_check(traj, e, p, g).cumulative_slack > 0.0
 
 
 def test_dissipation_rate_positive_off_uniform():

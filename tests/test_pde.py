@@ -706,8 +706,10 @@ def _rough_case(seed):
 def test_rough_data_keeps_mass_positivity_maximum_principle_and_descent(name, monkeypatch):
     # every run at the default cfl keeps the invariants of a positive
     # average; a run may only stop on the step budget, and only where a
-    # face exponent q_f above 20 meets a steep slope: the explicit loop's
-    # stiffness at large q, where the bound falls below 1e-30
+    # face exponent q_f above 20 meets a steep slope. Those 6 stops (seeds
+    # 8 and 11, every energy) are the instability of a step past
+    # 1 / (q_f - 1) of the bound (ROADMAP item 15), not stiffness: at cfl
+    # 0.5 no run reaches the budget and the longest that ends takes 20 steps
     e = SWEEP_ENERGIES[name]
     monkeypatch.setattr(pde, "MAX_STEPS", 5000)
     for seed in range(20):
@@ -725,3 +727,16 @@ def test_rough_data_keeps_mass_positivity_maximum_principle_and_descent(name, mo
             assert d.min() >= 0.0, seed
             assert d.max() <= d0.max() * (1.0 + 1e-12), seed
         assert np.all(np.diff(pde.energy_series(traj, e, g)) <= 1e-12), seed
+
+
+@pytest.mark.parametrize("name,cfl", [("entropy", 0.5), ("power3", 0.5), ("power3", 0.25)])
+@pytest.mark.parametrize("stride", [1, 10**9])
+def test_a_step_that_does_not_advance_t_raises(name, cfl, stride):
+    # rough seed 8 (n=27, largest q_f 25.3): the bound falls below half an
+    # ulp of t, so t + dt == t while the masses would still change. Unless
+    # that step raises, repeated times fail later in Trajectory at stride 1
+    # with a misleading message, and a large stride returns without a sign
+    rho0, q, g = _rough_case(8)
+    with pytest.raises(NumericalBlowupError, match=r"dt=.* does not advance t="):
+        pde.solve(rho0, SWEEP_ENERGIES[name], q,
+                  pde.PdeConfig(t_end=1e-4, cfl=cfl, stride=stride), g)

@@ -45,7 +45,7 @@ def vacuum_pair(n):
 def plain_power_cost(g, p_const):
     x = np.asarray(g.centers)
     values = np.abs(x[None, :] - x[:, None]) ** p_const
-    return CostMatrix(values, 1.0, ExponentField.constant(p_const, g.n_cells))
+    return CostMatrix(values)
 
 
 class TestBuildCost:
@@ -285,7 +285,7 @@ def _tree_and_dense_instances():
             nu[rng.choice(n, n // 3 + 1, replace=False)] = 0.0
         yield cost, mu / mu.sum(), nu / nu.sum()
     for _ in range(4):
-        cost = CostMatrix(rng.random((32, 32)), 1.0, ExponentField.constant(2.0, 32))
+        cost = CostMatrix(rng.random((32, 32)))
         yield cost, np.full(32, 1.0 / 32), np.full(32, 1.0 / 32)
 
 
@@ -599,9 +599,7 @@ def _bad_transport_calls():
     rho = DensityField.uniform(g)
     heavy = DensityField.from_masses(np.full(4, 0.5), require_unit_mass=False)
     return {
-        "non-square cost": (lambda: CostMatrix(np.zeros((2, 3)), 1.0,
-                                               ExponentField.constant(2.0, 2)),
-                            SizeMismatchError),
+        "non-square cost": (lambda: CostMatrix(np.zeros((2, 3))), SizeMismatchError),
         "coupling shape": (lambda: Coupling(np.zeros((2, 2)), np.full(3, 1 / 3),
                                             np.full(2, 0.5)), SizeMismatchError),
         "marginal shape": (lambda: solve_exact(cost, np.full(3, 1 / 3), uniform),
