@@ -36,7 +36,8 @@ from .energy import EnergyModel, builtin_energy, total_energy
 from .errors import (ConfigError, ConfigValidationError, ExponentRangeError, VarwassError,
                      check_count)
 from .grid import Grid, make_grid
-from .varexp import DensityField, ExponentField, conjugate, luxemburg_norm, modular
+from .varexp import (DensityField, ExponentField, Trajectory, conjugate, luxemburg_norm,
+                     modular)
 
 RANDOMIZED_KINDS = ("norms",)
 
@@ -331,7 +332,7 @@ def _run_transport(cfg: ExperimentConfig, quiet: bool) -> int:
 def _run_jko(cfg: ExperimentConfig, quiet: bool) -> int:
     g, e = cfg.grid, cfg.energy
     traj = jko.run_flow(cfg.rho0, e, cfg.p, cfg.h, cfg.t_end, g, cfg.jko_opts)
-    slacks = jko.dissipation_check(traj, e, cfg.p, g).per_step_slack
+    slacks = finsler.dissipation_check(traj, e, cfg.p, g).per_step_slack
     rows = [(0, 0.0, total_energy(traj.states[0], e, g), 0.0,
              float(traj.states[0].density(g).max()), 0.0, 0.0, 0.0, 0, True)]
     for k, step in enumerate(traj.steps, start=1):
@@ -350,7 +351,7 @@ def _run_jko(cfg: ExperimentConfig, quiet: bool) -> int:
 def _run_pde(cfg: ExperimentConfig, quiet: bool) -> int:
     g, e = cfg.grid, cfg.energy
     traj = pde.solve(cfg.rho0, e, conjugate(cfg.p), cfg.pde_cfg, g)
-    report = jko.dissipation_check(traj, e, cfg.p, g)
+    report = finsler.dissipation_check(traj, e, cfg.p, g)
     slacks = np.concatenate(([0.0], report.per_step_slack))
     total0 = traj.states[0].total_mass
     rows = [(k, float(traj.times[k]), report.energies[k],
@@ -402,11 +403,11 @@ def _run_compare(cfg: ExperimentConfig, quiet: bool) -> int:
     return 0
 
 
-def _interpolation_trajectory(cfg: ExperimentConfig, n_steps: int) -> jko.Trajectory:
+def _interpolation_trajectory(cfg: ExperimentConfig, n_steps: int) -> Trajectory:
     times = np.linspace(0.0, 1.0, n_steps + 1)
     states = [transport.displacement_interpolant(cfg.rho0, cfg.rho1, float(t), cfg.grid)
               for t in times]
-    return jko.Trajectory(times=times, states=states)
+    return Trajectory(times=times, states=states)
 
 
 def _run_finsler(cfg: ExperimentConfig, quiet: bool) -> int:
@@ -464,7 +465,7 @@ def _run_oracle(cfg: ExperimentConfig, quiet: bool) -> int:
         # chain rule: d/dt E = <G'(rho), rhs> should equal minus the
         # dissipation integral, up to the face/cell averaging error
         slope = float(np.sum(cfg.energy.deriv(cfg.rho0.density(g)) * rate) * g.dx)
-        s_cell = jko._cell_slope(cfg.rho0, cfg.energy, g)
+        s_cell = finsler._cell_slope(cfg.rho0.mass, cfg.energy, g)
         rate_int = float(np.sum(
             np.abs(s_cell) ** q.values * cfg.rho0.density(g)) * g.dx)
         rows.append(("energy_slope_vs_dissipation", slope, -rate_int,

@@ -95,11 +95,14 @@ def gradient(u: np.ndarray, g: Grid) -> np.ndarray:
     """Face-centered difference quotient of a cell field.
 
     Interior face i+1/2 gets (u[i+1] - u[i]) / dx; the boundary faces get 0,
-    the discrete counterpart of a homogeneous Neumann condition.
+    the discrete counterpart of a homogeneous Neumann condition. A stack of
+    cell fields, one per row, is taken row by row.
     """
-    u = g.check_cell_field(u)
-    out = np.zeros(g.n_cells + 1)
-    out[1:-1] = (u[1:] - u[:-1]) / g.dx
+    u = np.asarray(u, dtype=float)
+    if u.shape[-1:] != (g.n_cells,):
+        raise SizeMismatchError(f"cell fields must have {g.n_cells} entries, got {u.shape}")
+    out = np.zeros(u.shape[:-1] + (g.n_cells + 1,))
+    out[..., 1:-1] = (u[..., 1:] - u[..., :-1]) / g.dx
     return out
 
 

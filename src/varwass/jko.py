@@ -46,6 +46,9 @@ the per-row temperatures, the reflected log kernel, the kernel itself
 that the residual reads depend only on the grid, p, h, eps and
 smoothing, so _step_plan builds them once and a flow reuses them for
 every step.
+
+Trajectories come from varexp, and the slope of G'(rho) from finsler,
+which also checks a flow's dissipation; neither module imports this one.
 """
 
 from __future__ import annotations
@@ -59,10 +62,11 @@ import numpy as np
 from . import transport
 from ._kernels import bisect, logsumexp
 from .energy import RHO_FLOOR, EnergyModel, total_energy
-from .errors import (InvalidParameterError, NumericalBlowupError, SizeMismatchError,
-                     check_nonnegative, check_positive)
-from .grid import Grid, gradient, neighbor_mean
-from .varexp import DensityField, ExponentField, conjugate
+from .errors import (InvalidParameterError, NumericalBlowupError, check_nonnegative,
+                     check_positive)
+from .finsler import _cell_slope
+from .grid import Grid
+from .varexp import DensityField, ExponentField, Trajectory, conjugate
 
 VALID_BACKENDS = ("mirror", "projected", "entropic")
 
@@ -128,42 +132,6 @@ class JkoStepResult:
     converged: bool
     coupling_is_exact: bool
     mass_error: float
-
-
-@dataclass(frozen=True)
-class Trajectory:
-    """Piecewise-constant-in-time sequence of density states.
-
-    times[k] is the left endpoint of the k-th interval, a finite step after
-    times[k-1], and every time is finite; states[k] the density there.
-    steps holds the per-step diagnostics when the trajectory came from
-    run_flow (None for externally assembled trajectories).
-    """
-
-    times: np.ndarray
-    states: list
-    steps: list | None = None
-
-    def __post_init__(self):
-        t = np.asarray(self.times, dtype=float)
-        if t.ndim != 1 or t.size != len(self.states):
-            raise SizeMismatchError(
-                f"times (len {t.size}) and states (len {len(self.states)}) disagree"
-            )
-        if not self.states:
-            raise SizeMismatchError("trajectory is empty")
-        check_positive(np.diff(t), "trajectory time steps")
-        # finite steps from a finite start keep every time finite
-        if not abs(t[0]) < math.inf:
-            raise InvalidParameterError(f"trajectory start time must be finite, got {t[0]}")
-        object.__setattr__(self, "times", t)
-
-    def __len__(self) -> int:
-        return len(self.states)
-
-    @property
-    def final(self) -> DensityField:
-        return self.states[-1]
 
 
 def _uniform_rows(mu: np.ndarray) -> np.ndarray:
@@ -805,93 +773,24 @@ def run_flow(rho0: DensityField, e: EnergyModel, p: ExponentField, h: float,
     return Trajectory(times=times, states=states, steps=steps)
 
 
-def _cell_slope(rho: DensityField, e: EnergyModel, g: Grid) -> np.ndarray:
-    """Face slopes of G'(rho), zero on the walls, averaged onto the cells."""
-    return neighbor_mean(gradient(e.deriv(rho.density(g)), g))
-
-
-def _predicted_displacement(rho_next: DensityField, e: EnergyModel,
-                            q: np.ndarray, h: float, g: Grid) -> np.ndarray:
-    """Cell-averaged displacement -h |grad G'(rho)|^(q-2) grad G'(rho).
-
-    The sign makes the prediction point down the slope of G'(rho), which is
-    the direction the optimality condition of the step problem moves mass.
-    q holds the values of the pointwise conjugate of p.
-    """
-    s_cell = _cell_slope(rho_next, e, g)
-    mag = np.abs(s_cell)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        d_hat = np.where(mag > 0.0, -h * mag ** (q - 2.0) * s_cell, 0.0)
-    return d_hat
-
-
 def _residual_of(coupling: transport.Coupling, rho_next: DensityField,
                  e: EnergyModel, q: np.ndarray, h: float, g: Grid) -> float:
     """A step's el_residual: sum_i m[i] |d[i] - d_hat[i]| over source cells
     with mass, d[i] the barycentric displacement of the coupling's row i and
-    d_hat[i] the optimality-condition prediction from the post-step density.
-    q holds the step plan's conjugate exponents. Row i's mass-weighted move
-    sum_j gam_ij (x_j - x_i), x the cell centres, is taken as the matvec
-    (gam x)_i - x_i m[i], equal to it while the row sums are the marginal
-    m. jko_step calls it for exact couplings only (the step's
-    coupling_is_exact)."""
+    d_hat[i] = -h |s|^(q-2) s the optimality-condition prediction, s the
+    cell slope of G' of the post-step density: it points down that slope,
+    where the step moves mass. q holds the step plan's conjugate exponents.
+    Row i's mass-weighted move sum_j gam_ij (x_j - x_i), x the cell centres,
+    is taken as the matvec (gam x)_i - x_i m[i], equal to it while the row
+    sums are the marginal m. jko_step calls it for exact couplings only
+    (the step's coupling_is_exact)."""
     gam = coupling.gamma
     mu = coupling.row_marginal
     x = g.centers
     moved = gam @ x - x * mu
     d = np.where(mu > 0.0, moved / np.where(mu > 0.0, mu, 1.0), 0.0)
-    d_hat = _predicted_displacement(rho_next, e, q, h, g)
+    s_cell = _cell_slope(rho_next.mass, e, g)
+    mag = np.abs(s_cell)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        d_hat = np.where(mag > 0.0, -h * mag ** (q - 2.0) * s_cell, 0.0)
     return float(np.sum(mu * np.abs(d - d_hat)))
-
-
-def dissipation_rate(rho: DensityField, e: EnergyModel, p: ExponentField,
-                     g: Grid) -> float:
-    """Integral of |grad G'(rho)|^q(x) / p(x) * rho, the step dissipation bound."""
-    g.check_cell_field(p.values, "exponent field")
-    return _dissipation_rate(rho, e, p.values, conjugate(p).values, g)
-
-
-def _dissipation_rate(rho: DensityField, e: EnergyModel, p: np.ndarray,
-                      q: np.ndarray, g: Grid) -> float:
-    """dissipation_rate from the values of p and of its conjugate q."""
-    rate = np.abs(_cell_slope(rho, e, g)) ** q / p * rho.density(g)
-    return float(rate.sum() * g.dx)
-
-
-@dataclass(frozen=True)
-class DissipationReport:
-    """Per-step and cumulative slack of the energy-dissipation inequality.
-
-    per_step_slack[k] = (E(rho^k) - E(rho^{k+1})) - dt_k * dissipation_rate(rho^{k+1});
-    cumulative_slack compares the total dissipation against the energy
-    headroom E(rho_0) - |domain| G(M / |domain|). Nonnegative slacks (up to
-    tolerance) are what the scheme promises. energies[k] = E(rho^k).
-    """
-
-    per_step_slack: np.ndarray
-    worst_step_slack: float
-    cumulative_slack: float
-    total_dissipation: float
-    energies: np.ndarray
-
-
-def dissipation_check(traj: Trajectory, e: EnergyModel, p: ExponentField,
-                      g: Grid) -> DissipationReport:
-    """Dissipation slacks along traj, each interval with its own time step."""
-    g.check_cell_field(p.values, "exponent field")
-    dt = np.diff(traj.times)
-    energies = np.array([total_energy(s, e, g) for s in traj.states])
-    q = conjugate(p).values
-    rates = np.array([_dissipation_rate(s, e, p.values, q, g) for s in traj.states[1:]])
-    dissipated = dt * rates
-    slacks = (energies[:-1] - energies[1:]) - dissipated
-    mass = traj.states[0].total_mass
-    floor = g.length * float(e.value(np.asarray(mass / g.length)))
-    total_rate = float(np.sum(dissipated))
-    return DissipationReport(
-        per_step_slack=slacks,
-        worst_step_slack=float(slacks.min()) if slacks.size else 0.0,
-        cumulative_slack=float((energies[0] - floor) - total_rate),
-        total_dissipation=total_rate,
-        energies=energies,
-    )

@@ -37,8 +37,7 @@ from .energy import EnergyModel, total_energy
 from .errors import (InvalidParameterError, NumericalBlowupError, SizeMismatchError,
                      check_count, check_nonnegative, check_positive)
 from .grid import Grid, neighbor_mean
-from .jko import Trajectory
-from .varexp import DensityField, ExponentField
+from .varexp import DensityField, ExponentField, Trajectory
 
 #: Regularization delta of the gradient magnitude in the flux.
 DELTA_REG = 1e-8
@@ -178,6 +177,7 @@ def rhs(rho: DensityField, e: EnergyModel, q: ExponentField, g: Grid, *,
     return _faces.rate()
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def solve(rho0: DensityField, e: EnergyModel, q: ExponentField, cfg: PdeConfig,
           g: Grid) -> Trajectory:
     """March rho0 to cfg.t_end with explicit Euler steps.
@@ -190,7 +190,9 @@ def solve(rho0: DensityField, e: EnergyModel, q: ExponentField, cfg: PdeConfig,
     energy whose G' decreases, the bound allows any dt, and the density
     guards are what catch the run. A dt so small that t + dt == t raises
     NumericalBlowupError before that step, as its update would move the
-    masses but not the time.
+    masses but not the time; so does a bound that overflows, as dt is then 0.
+    The solve silences overflow, since that check and the density guards
+    read what it produces.
     Recorded states are renormalized to the initial total mass, hiding
     only rounding-level drift; the raw drift is observable through the
     returned times and the per-step mass balance, which telescopes exactly.
@@ -229,7 +231,6 @@ def solve(rho0: DensityField, e: EnergyModel, q: ExponentField, cfg: PdeConfig,
     step = 0
     t_final = cfg.t_end
     t_stop = t_final - 1e-15 * max(1.0, t_final)
-    dt_floor = 1e-30
     dx = g.dx
     dt_scale = cfg.cfl * dx**2
     rv = np.empty_like(m)
@@ -240,7 +241,7 @@ def solve(rho0: DensityField, e: EnergyModel, q: ExponentField, cfg: PdeConfig,
         np.divide(m, dx, out=rv)
         faces.load(e.deriv(rv))
         k_max = faces.bound()
-        dt_stable = dt_scale / max(k_max, dt_floor) if k_max > 0.0 else np.inf
+        dt_stable = dt_scale / k_max if k_max > 0.0 else math.inf
         if cfg.fixed_dt is not None:
             if cfg.fixed_dt > dt_stable * (1.0 + 1e-9):
                 raise NumericalBlowupError(
@@ -251,8 +252,6 @@ def solve(rho0: DensityField, e: EnergyModel, q: ExponentField, cfg: PdeConfig,
         else:
             dt = dt_stable
         dt = min(dt, t_final - t)
-        if not math.isfinite(dt) or dt <= 0.0:
-            break
         t_next = t + dt
         if t_next == t:
             raise NumericalBlowupError(

@@ -1,4 +1,4 @@
-"""Variable exponents, discrete densities, and the Luxemburg norm.
+"""Variable exponents, discrete densities, trajectories, and the Luxemburg norm.
 
 A cell field u is measured against a density rho and an exponent field p
 through the modular
@@ -9,6 +9,9 @@ and the Luxemburg norm is the unique lam > 0 at which the modular equals 1
 (0 for u vanishing on the support of rho). With constant p this reduces to
 the usual weighted p-norm. _norm_rows solves for a stack of norms in log lam
 with one call of the shared root finder.
+
+Trajectory, the states of a flow at increasing times, lives beside the
+state types, so jko, pde and finsler all take it from here.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ import numpy as np
 
 from ._kernels import bisect, logsumexp
 from .errors import (ExponentRangeError, InvalidDensityError, InvalidParameterError,
-                     check_positive)
+                     SizeMismatchError, check_positive)
 from .grid import Grid
 
 #: Below this, a density value counts as zero support for norm purposes.
@@ -188,6 +191,42 @@ class DensityField:
             raise InvalidParameterError("gaussian center must be finite")
         v = np.exp(-0.5 * ((g.centers - center) / width) ** 2)
         return cls.from_cell_values(v, g)
+
+
+@dataclass(frozen=True)
+class Trajectory:
+    """Piecewise-constant-in-time sequence of density states.
+
+    times[k] is the left endpoint of the k-th interval, a finite step after
+    times[k-1], and every time is finite; states[k] the density there.
+    steps holds the per-step diagnostics when the trajectory came from
+    jko.run_flow (None for externally assembled trajectories).
+    """
+
+    times: np.ndarray
+    states: list
+    steps: list | None = None
+
+    def __post_init__(self):
+        t = np.asarray(self.times, dtype=float)
+        if t.ndim != 1 or t.size != len(self.states):
+            raise SizeMismatchError(
+                f"times (len {t.size}) and states (len {len(self.states)}) disagree"
+            )
+        if not self.states:
+            raise SizeMismatchError("trajectory is empty")
+        check_positive(np.diff(t), "trajectory time steps")
+        # finite steps from a finite start keep every time finite
+        if not abs(t[0]) < math.inf:
+            raise InvalidParameterError(f"trajectory start time must be finite, got {t[0]}")
+        object.__setattr__(self, "times", t)
+
+    def __len__(self) -> int:
+        return len(self.states)
+
+    @property
+    def final(self) -> DensityField:
+        return self.states[-1]
 
 
 def _check_shapes(u: np.ndarray, rho: DensityField, p: ExponentField, g: Grid):

@@ -9,10 +9,10 @@ import pytest
 from varwass import finsler, jko, pde, transport
 from varwass.energy import builtin_energy, total_energy
 from varwass.grid import integrate, make_grid
-from varwass.jko import Trajectory
 from varwass.varexp import (
     DensityField,
     ExponentField,
+    Trajectory,
     conjugate,
     luxemburg_norm,
     modular,
@@ -79,7 +79,7 @@ def test_criterion_03_variable_exponent_smoke():
     worst_max = max(float(s.density(g).max()) for s in traj.states)
     assert worst_max <= m0 * (1.0 + 1e-6)
 
-    report = jko.dissipation_check(traj, ENTROPY, p, g)
+    report = finsler.dissipation_check(traj, ENTROPY, p, g)
     assert report.worst_step_slack >= -1e-6
 
     residuals = []

@@ -163,8 +163,8 @@ def _size_cases():
         "transport.Coupling empty": lambda: transport.Coupling(
             np.zeros((0, 0)), np.zeros(0), np.zeros(0)),
         "jko.Trajectory empty": lambda: Trajectory(times=[], states=[]),
-        "jko.dissipation_rate p": lambda: jko.dissipation_rate(rho, e, short_p, g),
-        "jko.dissipation_check p": lambda: jko.dissipation_check(pair, e, short_p, g),
+        "finsler.dissipation_rate p": lambda: finsler.dissipation_rate(rho, e, short_p, g),
+        "finsler.dissipation_check p": lambda: finsler.dissipation_check(pair, e, short_p, g),
     }
 
 

@@ -94,6 +94,21 @@ def test_compare_experiment_cross_validates(tmp_path):
     assert float(rows[-1][2]) <= 0.05
 
 
+def test_compare_samples_the_last_step_off_the_stride(tmp_path):
+    # a stride of 2 over 5 steps samples steps 0, 2 and 4, then the last
+    path = write_config(
+        tmp_path,
+        experiment={"kind": "compare", "out": str(tmp_path / "out")},
+        flow={"h": 1e-3, "t_end": 5e-3},
+        solver={"backend": "entropic", "smoothing": 0.015625,
+                "exact_coupling": False},
+        compare={"stride": 2},
+    )
+    assert cli.main(["run", str(path), "--quiet"]) == 0
+    _, _, rows = read_csv(tmp_path / "out" / "compare.csv")
+    assert [r[0] for r in rows] == ["0", "2", "4", "5"]
+
+
 def test_compare_failure_exits_4(tmp_path):
     path = write_config(
         tmp_path,
@@ -252,6 +267,17 @@ def test_oracle_pde_checks_mass_and_chain_rule(tmp_path):
     slope, dissipation = float(rows[1][1]), float(rows[1][2])
     assert slope < 0.0 and dissipation < 0.0
     assert float(rows[1][3]) <= 0.05 * abs(dissipation)
+
+
+def test_oracle_runs_a_cross_check_experiment_as_it_is(tmp_path):
+    # a finsler run already checks lengths against a transport distance, so
+    # the oracle writes the run's own finsler.csv
+    path = ROOT / "tests" / "configs" / "finsler.yaml"
+    assert cli.main(["oracle", str(path), "--quiet", "--out", str(tmp_path / "a")]) == 0
+    assert cli.main(["run", str(path), "--quiet", "--out", str(tmp_path / "b")]) == 0
+    assert not (tmp_path / "a" / "oracle.csv").exists()
+    assert ((tmp_path / "a" / "finsler.csv").read_bytes()
+            == (tmp_path / "b" / "finsler.csv").read_bytes())
 
 
 def test_oracle_norms_match_a_modular_scan(tmp_path):
@@ -440,6 +466,11 @@ def test_per_cell_list_of_the_wrong_length_rejected(tmp_path, capsys, section, s
     assert f"[{section}]" in capsys.readouterr().err
 
 
+def test_omitted_initial_density_is_uniform(tmp_path):
+    cfg = cli.load_config(write_config(tmp_path, initial=None))
+    assert np.array_equal(cfg.rho0.mass, DensityField.uniform(cfg.grid).mass)
+
+
 def test_omitted_solver_and_pde_keys_take_the_dataclass_defaults(tmp_path):
     cfg = cli.load_config(write_config(tmp_path, flow={"t_end": 0.25}))
     assert cfg.jko_opts == jko.JkoOptions()
@@ -475,7 +506,8 @@ def test_readme_library_example_runs_verbatim(capsys):
 
 
 #: The configs that CI runs through the console script, one file each.
-CI_CONFIGS = ("jko", "jko_entropic", "oracle_transport", "pde", "rows", "rows128", "transport")
+CI_CONFIGS = ("finsler", "jko", "jko_entropic", "oracle_transport", "pde", "rows", "rows128",
+              "transport")
 
 
 @pytest.mark.parametrize("name", CI_CONFIGS)

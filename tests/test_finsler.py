@@ -8,8 +8,7 @@ from varwass import finsler, pde, transport, varexp
 from varwass.energy import builtin_energy, total_energy
 from varwass.errors import NonzeroMeanError, VanishingDensityError, VarwassError
 from varwass.grid import integrate, make_grid
-from varwass.jko import Trajectory
-from varwass.varexp import DensityField, ExponentField, conjugate
+from varwass.varexp import DensityField, ExponentField, Trajectory, conjugate
 
 ENTROPY = builtin_energy("entropy")
 
@@ -251,6 +250,21 @@ def test_metric_derivative_index_bounds():
     single = Trajectory(times=np.array([0.0]), states=[rho])
     with pytest.raises(ValueError):
         finsler.curve_length(single, p, g)
+
+
+def test_dissipation_check_of_one_state_has_no_steps():
+    # a zero-horizon run: no step and nothing dissipated, so the whole
+    # energy headroom is slack
+    g = make_grid(0.0, 1.0, 16)
+    rho = DensityField.cosine_bump(g, amplitude=0.5)
+    single = Trajectory(times=np.array([0.0]), states=[rho])
+    report = finsler.dissipation_check(single, ENTROPY, ExponentField.affine(2.0, 1.0, g), g)
+    energy = total_energy(rho, ENTROPY, g)
+    floor = g.length * float(ENTROPY.value(np.asarray(rho.total_mass / g.length)))
+    assert report.per_step_slack.shape == (0,)
+    assert (report.worst_step_slack, report.total_dissipation) == (0.0, 0.0)
+    assert report.cumulative_slack == energy - floor
+    assert report.energies.tolist() == [energy]
 
 
 def test_displacement_path_length_matches_distance_at_constant_p():

@@ -41,6 +41,9 @@ def test_gradient_of_linear_field():
     out = gradient(np.asarray(g.centers), g)
     np.testing.assert_allclose(out[1:-1], np.ones(3), rtol=1e-14)
     assert out[0] == 0.0 and out[-1] == 0.0
+    # a stack of fields is taken row by row
+    stack = gradient(np.stack([g.centers, 2.0 * g.centers]), g)
+    np.testing.assert_array_equal(stack, [out, gradient(2.0 * g.centers, g)])
 
 
 def test_gradient_two_cells():
@@ -53,6 +56,8 @@ def test_gradient_size_mismatch():
     g = make_grid(0.0, 1.0, 4)
     with pytest.raises(SizeMismatchError):
         gradient(np.zeros(5), g)
+    with pytest.raises(SizeMismatchError):
+        gradient(np.zeros((2, 5)), g)
 
 
 def test_divergence_of_zero_flux():

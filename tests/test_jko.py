@@ -12,7 +12,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from varwass import cli, jko, pde, transport
+from varwass import cli, finsler, jko, pde, transport
 from varwass._kernels import bisect, logsumexp
 from varwass.energy import RHO_FLOOR, builtin_energy, total_energy
 from varwass.errors import (InvalidParameterError, NonpositiveParameterError,
@@ -1095,7 +1095,7 @@ def test_dissipation_check_trivial_on_stationary_flow():
     p = affine_p(g)
     traj = jko.run_flow(uniform(g), ENTROPY, p, 1e-3, 5e-3, g,
                         jko.JkoOptions(backend="mirror"))
-    report = jko.dissipation_check(traj, ENTROPY, p, g)
+    report = finsler.dissipation_check(traj, ENTROPY, p, g)
     assert np.max(np.abs(report.per_step_slack)) <= 1e-12
     assert report.total_dissipation <= 1e-12
 
@@ -1107,7 +1107,7 @@ def test_dissipation_slack_shrinks_with_h():
     worsts = []
     for h in (2e-3, 1e-3):
         traj = jko.run_flow(rho0, ENTROPY, p, h, 20 * h, g, blur_opts(h))
-        report = jko.dissipation_check(traj, ENTROPY, p, g)
+        report = finsler.dissipation_check(traj, ENTROPY, p, g)
         assert report.worst_step_slack >= -1e-6
         worsts.append(float(np.max(np.abs(report.per_step_slack))))
     assert worsts[1] <= 0.75 * worsts[0]
@@ -1122,11 +1122,11 @@ def test_dissipation_check_takes_one_dt_per_step():
                      conjugate(p), pde.PdeConfig(t_end=0.02, stride=3), g)
     dt = np.diff(traj.times)
     assert dt.min() < dt.max()
-    report = jko.dissipation_check(traj, ENTROPY, p, g)
+    report = finsler.dissipation_check(traj, ENTROPY, p, g)
     energies = [total_energy(s, ENTROPY, g) for s in traj.states]
     by_loop = [(energies[k - 1] - energies[k])
                - float(traj.times[k] - traj.times[k - 1])
-               * jko.dissipation_rate(traj.states[k], ENTROPY, p, g)
+               * finsler.dissipation_rate(traj.states[k], ENTROPY, p, g)
                for k in range(1, len(traj))]
     assert report.per_step_slack.tolist() == by_loop
     assert report.energies.tolist() == energies
@@ -1143,15 +1143,15 @@ def test_cumulative_slack_is_positive(run):
         cfg = cli.load_config(Path(__file__).parent / "configs" / "pde.yaml")
         g, e, p = cfg.grid, cfg.energy, cfg.p
         traj = pde.solve(cfg.rho0, e, conjugate(p), cfg.pde_cfg, g)
-    assert jko.dissipation_check(traj, e, p, g).cumulative_slack > 0.0
+    assert finsler.dissipation_check(traj, e, p, g).cumulative_slack > 0.0
 
 
 def test_dissipation_rate_positive_off_uniform():
     g = make_grid(0.0, 1.0, 16)
     rho = DensityField.cosine_bump(g, amplitude=0.5)
-    rate = jko.dissipation_rate(rho, ENTROPY, affine_p(g), g)
+    rate = finsler.dissipation_rate(rho, ENTROPY, affine_p(g), g)
     assert rate > 0.0
-    assert jko.dissipation_rate(uniform(g), ENTROPY, affine_p(g), g) == 0.0
+    assert finsler.dissipation_rate(uniform(g), ENTROPY, affine_p(g), g) == 0.0
 
 
 # ----------------------------------------------------------- step inequality
@@ -1412,6 +1412,39 @@ def test_a_step_stopped_by_the_cap_reports_it(opts, monkeypatch):
     assert capped.mass_error <= 1e-15
 
 
+def test_an_entropic_step_can_stop_on_the_rounding_floor(monkeypatch):
+    # a cold power(3) step at eps=1e-3 on p=2+x tilts the plan so far that
+    # its column-mass error cannot reach _MASS_RTOL of the mass (1e-14):
+    # the loop stops below the rounding floor (7.5e-13 here) after 20
+    # updates and counts as converged, and a larger cap changes nothing
+    g = make_grid(0.0, 1.0, 16)
+    rho = DensityField.cosine_bump(g, amplitude=0.5)
+    opts = jko.JkoOptions(backend="entropic", eps=1e-3, exact_coupling=False)
+    args = (rho, ENERGIES["power3"], affine_p(g), 1e-2, g, opts)
+    real = jko._column_picture
+    returned = []
+
+    def spy(*picture_args):
+        # record the picture whose plan the loop returns
+        picture = real(*picture_args)
+
+        def plan():
+            returned.append(picture)
+            return picture[4]()
+        return picture[:4] + (plan,)
+
+    monkeypatch.setattr(jko, "_column_picture", spy)
+    step = jko.jko_step(*args)
+    (log_col, s, phi, _, _), = returned
+    err = float(np.abs(s - np.exp(log_col)).max())
+    total = rho.mass.sum()
+    floor = np.finfo(float).eps * total * (1.0 + float(np.abs(phi).max()) / opts.eps)
+    assert step.converged
+    assert jko._MASS_RTOL * total < err <= floor
+    monkeypatch.setattr(jko, "MAX_ITERS", 100 * jko.MAX_ITERS)
+    assert jko.jko_step(*args).iterations == step.iterations == 20
+
+
 # ------------------------------------------------------------------ options
 
 def test_options_validation():
@@ -1428,7 +1461,7 @@ def test_options_validation():
     (lambda g: jko.Trajectory(times=np.zeros(2), states=[uniform(g)]), SizeMismatchError),
     (lambda g: jko.run_flow(uniform(g), ENTROPY, affine_p(g), 1e-2, math.inf, g),
      InvalidParameterError),
-    (lambda g: jko.dissipation_check(jko.Trajectory(times=np.zeros(0), states=[]),
+    (lambda g: finsler.dissipation_check(jko.Trajectory(times=np.zeros(0), states=[]),
                                      ENTROPY, affine_p(g), g), SizeMismatchError),
 ], ids=["backend", "trajectory_length", "t_end", "empty_trajectory"])
 def test_bad_arguments_raise_typed_value_errors(call, error):

@@ -11,9 +11,8 @@ from varwass.energy import builtin_energy, total_energy
 from varwass.errors import (InvalidDensityError, InvalidParameterError,
                              NonpositiveParameterError, NumericalBlowupError,
                              SizeMismatchError, VarwassError)
-from varwass.jko import Trajectory
 from varwass.grid import integrate, make_grid
-from varwass.varexp import DensityField, ExponentField, conjugate
+from varwass.varexp import DensityField, ExponentField, Trajectory, conjugate
 
 ENTROPY = builtin_energy("entropy")
 
@@ -321,7 +320,7 @@ def _reference_solve(rho0, e, q, cfg, g, steps):
                            0.5 * (rv[:-1] + rv[1:]) * mag * dgp
                            / np.where(drho != 0.0, drho, 1.0), 0.0)
         k_max = float((k[:-1] + k[1:]).max())
-        dt_stable = cfg.cfl * g.dx**2 / max(k_max, 1e-30) if k_max > 0.0 else np.inf
+        dt_stable = cfg.cfl * g.dx**2 / k_max if k_max > 0.0 else np.inf
         if cfg.fixed_dt is not None:
             if cfg.fixed_dt > dt_stable * (1.0 + 1e-9):
                 raise NumericalBlowupError(
@@ -332,8 +331,8 @@ def _reference_solve(rho0, e, q, cfg, g, steps):
         else:
             dt = dt_stable
         dt = min(dt, t_final - t)
-        if not np.isfinite(dt) or dt <= 0.0:
-            break
+        if t + dt == t:
+            raise NumericalBlowupError(f"time step dt={dt:.3e} does not advance t={t:.6g}")
         rate = _reference_rhs(DensityField(m, require_unit_mass=False), e, q, g)
         m = m + dt * rate * g.dx
         t += dt
@@ -729,14 +728,24 @@ def test_rough_data_keeps_mass_positivity_maximum_principle_and_descent(name, mo
         assert np.all(np.diff(pde.energy_series(traj, e, g)) <= 1e-12), seed
 
 
-@pytest.mark.parametrize("name,cfl", [("entropy", 0.5), ("power3", 0.5), ("power3", 0.25)])
+@pytest.mark.parametrize("name,cfl", [("entropy", 0.5), ("power3", 0.5), ("power3", 0.25),
+                                      ("power10", 1.0)])
 @pytest.mark.parametrize("stride", [1, 10**9])
 def test_a_step_that_does_not_advance_t_raises(name, cfl, stride):
     # rough seed 8 (n=27, largest q_f 25.3): the bound falls below half an
     # ulp of t, so t + dt == t while the masses would still change. Unless
     # that step raises, repeated times fail later in Trajectory at stride 1
-    # with a misleading message, and a large stride returns without a sign
-    rho0, q, g = _rough_case(8)
+    # with a misleading message, and a large stride returns without a sign.
+    # power10: a spike of 1.0 on 1e-3 at p = 1.04 (q_f = 26) overflows the
+    # bound to inf at t = 0, so dt is exactly 0; unless that step raises,
+    # the solve returns its one state at t = 0, with an overflow warning
+    if name == "power10":
+        g = make_grid(0.0, 1.0, 64)
+        values = np.full(64, 1e-3)
+        values[32] = 1.0
+        rho0, e = DensityField.from_cell_values(values, g), builtin_energy("power", 10.0)
+        q, t_end = conjugate(ExponentField.constant(1.04, 64)), 0.01
+    else:
+        (rho0, q, g), e, t_end = _rough_case(8), SWEEP_ENERGIES[name], 1e-4
     with pytest.raises(NumericalBlowupError, match=r"dt=.* does not advance t="):
-        pde.solve(rho0, SWEEP_ENERGIES[name], q,
-                  pde.PdeConfig(t_end=1e-4, cfl=cfl, stride=stride), g)
+        pde.solve(rho0, e, q, pde.PdeConfig(t_end=t_end, cfl=cfl, stride=stride), g)

@@ -507,6 +507,11 @@ class TestWasserstein1d:
         rho = DensityField.cosine_bump(g, 0.3)
         assert wasserstein_1d(2.0, rho, rho, g) == pytest.approx(0.0, abs=1e-12)
 
+    def test_zero_total_is_zero_distance(self):
+        g = make_grid(0.0, 1.0, 8)
+        empty = DensityField.from_masses(np.zeros(8), require_unit_mass=False)
+        assert wasserstein_1d(2.0, empty, empty, g) == 0.0
+
     def test_two_point_masses(self):
         g = make_grid(0.0, 1.0, 8)
         mu = np.zeros(8)
