@@ -163,8 +163,10 @@ def _size_cases():
         "transport.Coupling empty": lambda: transport.Coupling(
             np.zeros((0, 0)), np.zeros(0), np.zeros(0)),
         "jko.Trajectory empty": lambda: Trajectory(times=[], states=[]),
-        "finsler.dissipation_rate p": lambda: finsler.dissipation_rate(rho, e, short_p, g),
-        "finsler.dissipation_check p": lambda: finsler.dissipation_check(pair, e, short_p, g),
+        # these two ids keep the module the functions lived in before they
+        # moved to finsler, so the case names stay stable across the move
+        "jko.dissipation_rate p": lambda: finsler.dissipation_rate(rho, e, short_p, g),
+        "jko.dissipation_check p": lambda: finsler.dissipation_check(pair, e, short_p, g),
     }
 
 
