@@ -32,12 +32,12 @@ import numpy as np
 import yaml
 
 from . import __version__, finsler, jko, pde, transport
-from .energy import EnergyModel, builtin_energy, total_energy
+from .energy import EnergyModel, builtin_energy, total_energy  # perfbench traces cli.total_energy
 from .errors import (ConfigError, ConfigValidationError, ExponentRangeError, VarwassError,
                      check_count)
 from .grid import Grid, make_grid
-from .varexp import (DensityField, ExponentField, Trajectory, conjugate, luxemburg_norm,
-                     modular)
+from .varexp import (DensityField, ExponentField, Trajectory, _masses, conjugate,
+                     luxemburg_norm, modular)
 
 RANDOMIZED_KINDS = ("norms",)
 
@@ -332,15 +332,12 @@ def _run_transport(cfg: ExperimentConfig, quiet: bool) -> int:
 def _run_jko(cfg: ExperimentConfig, quiet: bool) -> int:
     g, e = cfg.grid, cfg.energy
     traj = jko.run_flow(cfg.rho0, e, cfg.p, cfg.h, cfg.t_end, g, cfg.jko_opts)
-    slacks = finsler.dissipation_check(traj, e, cfg.p, g).per_step_slack
-    rows = [(0, 0.0, total_energy(traj.states[0], e, g), 0.0,
-             float(traj.states[0].density(g).max()), 0.0, 0.0, 0.0, 0, True)]
-    for k, step in enumerate(traj.steps, start=1):
-        rows.append((
-            k, float(traj.times[k]), step.energy_after, step.transport_cost,
-            float(step.rho_next.density(g).max()), step.mass_error,
-            step.el_residual, slacks[k - 1], step.iterations, step.converged,
-        ))
+    report = finsler.dissipation_check(traj, e, cfg.p, g)
+    top = (_masses(traj.states, g) / g.dx).max(axis=1)
+    rows = [(0, 0.0, report.energies[0], 0.0, top[0], 0.0, 0.0, 0.0, 0, True)]
+    rows += [(k, traj.times[k], report.energies[k], s.transport_cost, top[k], s.mass_error,
+              s.el_residual, report.per_step_slack[k - 1], s.iterations, s.converged)
+             for k, s in enumerate(traj.steps, start=1)]
     _write_csv(cfg, "jko.csv",
                ["step", "time", "energy", "transport_cost", "max_density",
                 "mass_error", "el_residual", "dissipation_slack", "iterations",
@@ -352,11 +349,9 @@ def _run_pde(cfg: ExperimentConfig, quiet: bool) -> int:
     g, e = cfg.grid, cfg.energy
     traj = pde.solve(cfg.rho0, e, conjugate(cfg.p), cfg.pde_cfg, g)
     report = finsler.dissipation_check(traj, e, cfg.p, g)
-    slacks = np.concatenate(([0.0], report.per_step_slack))
-    total0 = traj.states[0].total_mass
-    rows = [(k, float(traj.times[k]), report.energies[k],
-             float(s.density(g).max()), abs(s.total_mass - total0), slacks[k])
-            for k, s in enumerate(traj.states)]
+    mass = _masses(traj.states, g)
+    rows = zip(range(len(traj)), traj.times, report.energies, (mass / g.dx).max(axis=1),
+               abs(mass.sum(axis=1) - mass[0].sum()), np.r_[0.0, report.per_step_slack])
     _write_csv(cfg, "pde.csv",
                ["step", "time", "energy", "max_density", "mass_error",
                 "dissipation_slack"], rows, quiet)
@@ -379,16 +374,11 @@ def _run_compare(cfg: ExperimentConfig, quiet: bool) -> int:
     g = cfg.grid
     traj = jko.run_flow(cfg.rho0, cfg.energy, cfg.p, cfg.h, cfg.t_end, g,
                         cfg.jko_opts)
-    sample_idx = list(range(0, len(traj), cfg.compare_stride))
-    if sample_idx[-1] != len(traj) - 1:
-        sample_idx.append(len(traj) - 1)
+    sample_idx = sorted({*range(0, len(traj), cfg.compare_stride), len(traj) - 1})
     times = traj.times[sample_idx]
-    ref_states = _pde_states_at(cfg, times)
-    rows = []
-    for j, k in enumerate(sample_idx):
-        diff = traj.states[k].density(g) - ref_states[j].density(g)
-        l1 = float(np.abs(diff).sum() * g.dx)
-        rows.append((k, float(times[j]), l1))
+    ref = _masses(_pde_states_at(cfg, times), g)
+    diff = _masses(traj.states, g)[sample_idx] / g.dx - ref / g.dx
+    rows = list(zip(sample_idx, times, np.abs(diff).sum(axis=1) * g.dx))
     _write_csv(cfg, "compare.csv", ["step", "time", "l1_error"], rows, quiet)
     final_err = rows[-1][2]
     if cfg.compare_threshold is not None and final_err > cfg.compare_threshold:

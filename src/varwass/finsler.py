@@ -17,7 +17,7 @@ finder. A single tangent vector or segment is the one-row case.
 
 The slope side of the energy-dissipation balance lives here too: the cell
 slope of G'(rho), the dissipation rate, and dissipation_check, which takes
-every state's rate in one stacked pass over the (K, n) masses.
+every state's energy and rate in one stacked pass over the (K, n) masses.
 """
 
 from __future__ import annotations
@@ -27,12 +27,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import pde
-from .energy import EnergyModel
+from .energy import EnergyModel, _energies
 from .errors import (BoundaryFluxError, InvalidDensityError, NonzeroMeanError,
                      SampleIndexError, SizeMismatchError, VanishingDensityError)
 from .grid import Grid, gradient, neighbor_mean
-from .varexp import (DensityField, ExponentField, Trajectory, _norm_rows, conjugate,
-                     luxemburg_norm)
+from .varexp import (DensityField, ExponentField, Trajectory, _masses, _norm_rows,
+                     conjugate, luxemburg_norm)
 
 #: Tolerance on the integral of a tangent vector.
 MEAN_TOL = 1e-12
@@ -115,9 +115,8 @@ def min_norm_velocity(rho: DensityField, nu: TangentVector, g: Grid) -> Velocity
     integrate to 0 within MEAN_TOL * max(1, sum |nu| dx).
     """
     values = g.check_cell_field(nu.values, "tangent values")
-    mass = g.check_cell_field(rho.mass, "mass")
     scale = max(1.0, float(np.abs(values).sum() * g.dx))
-    return VelocityField(_velocities(mass[None, :], values[None, :], scale, g)[0])
+    return VelocityField(_velocities(_masses([rho], g), values[None, :], scale, g)[0])
 
 
 def tangent_norm(rho: DensityField, nu: TangentVector, p: ExponentField,
@@ -148,7 +147,7 @@ def _speeds(states: list, times: np.ndarray, p: ExponentField, g: Grid) -> np.nd
     DensityField lets masses differ by MASS_TOL, so its zero-mean check is
     relative to max(1, (m_k + m_{k+1}) / dt_k), which also bounds sum |nu| dx.
     """
-    mass = np.stack([g.check_cell_field(s.mass, "mass") for s in states])
+    mass = _masses(states, g)
     exponent = g.check_cell_field(p.values, "exponent field")
     dt = np.diff(times)
     density = mass / g.dx
@@ -192,7 +191,7 @@ def _rates(mass: np.ndarray, e: EnergyModel, p: ExponentField, g: Grid) -> np.nd
 def dissipation_rate(rho: DensityField, e: EnergyModel, p: ExponentField,
                      g: Grid) -> float:
     """Integral of |grad G'(rho)|^q(x) / p(x) * rho, the step dissipation bound."""
-    return float(_rates(g.check_cell_field(rho.mass, "mass")[None, :], e, p, g)[0])
+    return float(_rates(_masses([rho], g), e, p, g)[0])
 
 
 @dataclass(frozen=True)
@@ -215,9 +214,9 @@ class DissipationReport:
 def dissipation_check(traj: Trajectory, e: EnergyModel, p: ExponentField,
                       g: Grid) -> DissipationReport:
     """Dissipation slacks along traj, each interval with its own time step."""
-    energies = pde.energy_series(traj, e, g)
     # all states stacked, so a one-state trajectory gives rates no rows
-    mass = np.stack([g.check_cell_field(s.mass, "mass") for s in traj.states])
+    mass = _masses(traj.states, g)
+    energies = _energies(mass, e, g)
     dissipated = np.diff(traj.times) * _rates(mass[1:], e, p, g)
     slacks = (energies[:-1] - energies[1:]) - dissipated
     floor = g.length * float(e.value(np.asarray(traj.states[0].total_mass / g.length)))

@@ -10,8 +10,8 @@ and the Luxemburg norm is the unique lam > 0 at which the modular equals 1
 the usual weighted p-norm. _norm_rows solves for a stack of norms in log lam
 with one call of the shared root finder.
 
-Trajectory, the states of a flow at increasing times, lives beside the
-state types, so jko, pde and finsler all take it from here.
+Trajectory, the states of a flow at increasing times, and _masses, their
+masses as one (K, n) stack, live beside the state types for every module.
 """
 
 from __future__ import annotations
@@ -227,6 +227,11 @@ class Trajectory:
     @property
     def final(self) -> DensityField:
         return self.states[-1]
+
+
+def _masses(states: list, g: Grid) -> np.ndarray:
+    """The (K, n) stack of the masses of K states, each checked as density(g) does."""
+    return np.stack([g.check_cell_field(s.mass, "mass") for s in states])
 
 
 def _check_shapes(u: np.ndarray, rho: DensityField, p: ExponentField, g: Grid):

@@ -1,6 +1,7 @@
 """Reference explicit solver: spatial operator accuracy, conservation,
 dissipation, ordering, and the stability guards."""
 
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -342,8 +343,9 @@ def _reference_solve(rho0, e, q, cfg, g, steps):
                 f"step budget {pde.MAX_STEPS} exhausted at t={t:.6g}"
             )
         if not np.all(np.isfinite(m)) or (m / g.dx).max() > pde.BLOWUP_DENSITY:
+            # the NaN-skipping maximum of nanmax, without its warning on all NaN
             raise NumericalBlowupError(
-                f"density blew up at t={t:.6g} (max {np.nanmax(m) / g.dx:.3e})"
+                f"density blew up at t={t:.6g} (max {np.fmax.reduce(m) / g.dx:.3e})"
             )
         if m.min() < -1e-12:
             raise NumericalBlowupError(
@@ -631,9 +633,20 @@ def _oversized_fixed_dt():
     return rho0, ENTROPY, q, cfg, g
 
 
+def _nan_slope():
+    """G' NaN everywhere: the first Euler step turns every mass NaN, and
+    nanmax of those masses would warn "All-NaN slice encountered"."""
+    quadratic = builtin_energy("quadratic")
+    e = replace(quadratic, deriv=lambda t: np.full(np.shape(t), np.nan))
+    g = make_grid(0.0, 1.0, 8)
+    return (DensityField.uniform(g), e, ExponentField.constant(2.0, 8),
+            pde.PdeConfig(t_end=0.01), g)
+
+
 ERROR_CASES = {
     # case: (inputs, message, Euler steps taken when the guard fires); the
     # dt guard fires before a step, the density guards after it
+    "all_nan": (_nan_slope, r"blew up at t=0\.01 \(max nan\)", 1),
     "fixed_dt": (_oversized_fixed_dt, "exceeds the stability bound", 1),
     "blowup": (lambda: _anti_diffusion(3e5, 1e-8), "blew up", 12),
     "negative": (lambda: _anti_diffusion(100.0, 1e-5), "went negative", 25),
@@ -749,3 +762,72 @@ def test_a_step_that_does_not_advance_t_raises(name, cfl, stride):
         (rho0, q, g), e, t_end = _rough_case(8), SWEEP_ENERGIES[name], 1e-4
     with pytest.raises(NumericalBlowupError, match=r"dt=.* does not advance t="):
         pde.solve(rho0, e, q, pde.PdeConfig(t_end=t_end, cfl=cfl, stride=stride), g)
+
+
+# ------------------------------------------------- exact self-similar profiles
+
+def _profile(m, q):
+    """Constants of the self-similar solution of the power(m) flow at
+    constant q (ROADMAP item 16): rho(t, x) = t^-a f((x - c) t^-a) with
+    a = 1 / (1 + m (q - 1)) and f(xi) = k (C - b |xi|^r)_+^beta, where
+    beta = 1/(m-1), r = q/(q-1), b = a^(1/(q-1)) (q-1)/q, k = ((m-1)/m)^beta.
+    The integral of f is (2 k / r) B(1/r, beta + 1) C^(beta + 1/r) / b^(1/r),
+    which C sets to 1. Returns a, k, b, r, beta, C and the half-width
+    (C / b)^(1/r) of the support in xi."""
+    a = 1.0 / (1.0 + m * (q - 1.0))
+    beta, r = 1.0 / (m - 1.0), q / (q - 1.0)
+    b = a ** (1.0 / (q - 1.0)) * (q - 1.0) / q
+    k = ((m - 1.0) / m) ** beta
+    beta_fn = math.exp(math.lgamma(1.0 / r) + math.lgamma(beta + 1.0)
+                       - math.lgamma(1.0 / r + beta + 1.0))
+    c = (b ** (1.0 / r) * r / (2.0 * k * beta_fn)) ** (1.0 / (beta + 1.0 / r))
+    return a, k, b, r, beta, c, (c / b) ** (1.0 / r)
+
+
+def exact_masses(m, q, t, center, g):
+    """Cell masses of the self-similar solution at time t, centred at center:
+    each cell's average of the closed form over 64 midpoint sub-cells, times
+    dx. Against 4096 sub-cells the masses differ by at most 3e-7 in L1 for
+    the profiles below, far under the errors they gate."""
+    a, k, b, r, beta, c, _ = _profile(m, q)
+    sub = 64
+    x = g.a + (np.arange(g.n_cells * sub) + 0.5) * (g.dx / sub)
+    f = k * np.maximum(c - b * np.abs((x - center) * t ** -a) ** r, 0.0) ** beta
+    return (t ** -a * f).reshape(g.n_cells, sub).mean(axis=1) * g.dx
+
+
+def _support_time(m, q, width):
+    """The time at which the support of the profile is width wide."""
+    a, *_, half = _profile(m, q)
+    return (width / (2.0 * half)) ** (1.0 / a)
+
+
+PROFILE_CASES = [
+    # q: L1 bounds at n = 64 and 128, and the least observed order between
+    # them. Measured at the default cfl: q=2 7.05e-4 and 2.24e-4 (order
+    # 1.66), q=1.6 1.13e-3 and 2.86e-4 (order 1.98). At q=3 the default cfl
+    # gives 7.0e-2 and 3.8e-2, as its step bound ignores the flux's growth
+    # in the slope (ROADMAP item 15); a step of 0.49 of the bound gives
+    # 5.19e-4 and 1.30e-4 (order 2.0), which the bounds follow
+    pytest.param(2.0, (8.0e-4, 2.6e-4), 1.5, id="q2"),
+    pytest.param(1.6, (1.3e-3, 3.3e-4), 1.8, id="q1.6"),
+    pytest.param(3.0, (6.0e-4, 1.5e-4), 1.8, id="q3", marks=pytest.mark.xfail(
+        strict=True, reason="ROADMAP item 15: at q_f > 2 the step bound is not stable")),
+]
+
+
+@pytest.mark.parametrize("q, bounds, order", PROFILE_CASES)
+def test_solve_converges_to_the_exact_self_similar_profile(q, bounds, order):
+    # power(2), centred on [0, 1], from support width 0.4 to 0.8: the
+    # support stays off the walls, so the closed form is the exact solution
+    e = builtin_energy("power", 2.0)
+    t0, t1 = _support_time(2.0, q, 0.4), _support_time(2.0, q, 0.8)
+    errors = []
+    for n in (64, 128):
+        g = make_grid(0.0, 1.0, n)
+        rho0 = DensityField(exact_masses(2.0, q, t0, 0.5, g), require_unit_mass=False)
+        traj = pde.solve(rho0, e, ExponentField.constant(q, n),
+                         pde.PdeConfig(t_end=t1 - t0, stride=10**9), g)
+        errors.append(float(np.abs(traj.final.mass - exact_masses(2.0, q, t1, 0.5, g)).sum()))
+    assert errors[0] <= bounds[0] and errors[1] <= bounds[1], errors
+    assert math.log2(errors[0] / errors[1]) >= order, errors
