@@ -34,11 +34,15 @@ def bisect(f, lo, hi):
     the root and closes the bracket to adjacent doubles: the same pair, and
     so the same midpoint 0.5 * (lo + hi), that plain halving finds wherever
     f is monotone in floating point. The loop stops once every bracket is
-    that narrow, as from then on no step can move the midpoint. The
-    midpoint replaces a Newton point that is not strictly inside the
-    bracket (a point on an end was evaluated already), or whose step is
-    more than half the step before last, as in Numerical Recipes' rtsafe:
-    far out on a convex branch Newton crawls by a fixed amount per step.
+    that narrow, as from then on no step can move the midpoint. A root on
+    an end would push the converged point onto or past it, so a Newton
+    point in the closed bracket that the push takes out of the open one
+    becomes the end's inner neighbour, which closes the bracket there (by
+    halving, a root at 0 takes the cap). The midpoint replaces a Newton
+    point that is not strictly inside the bracket (a point on an end was
+    evaluated already), or whose step is more than half the step before
+    last, as in Numerical Recipes' rtsafe: far out on a convex branch
+    Newton crawls by a fixed amount per step.
     Where f is exactly 0 over a run of doubles, one-ulp pushes would each
     land on another zero and leave the far end of the bracket where it is;
     so after two zeros in a row the push is twice the last one, and at
@@ -61,7 +65,10 @@ def bisect(f, lo, hi):
         lo = np.where(up, lo, x)
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             newton = fx / slope
-        trial = np.nextafter(x - newton, np.where(up, -np.inf, np.inf))
+        target = x - newton
+        trial = np.nextafter(target, np.where(up, -np.inf, np.inf))
+        inner = np.clip(trial, np.nextafter(lo, hi), np.nextafter(hi, lo))
+        trial = np.where((lo <= target) & (target <= hi), inner, trial)
         zero, was_zero = fx == 0.0, zero
         again = zero & was_zero
         if np.count_nonzero(again):

@@ -17,7 +17,7 @@ finder. A single tangent vector or segment is the one-row case.
 
 The slope side of the energy-dissipation balance lives here too: the cell
 slope of G'(rho), the dissipation rate, and dissipation_check, which takes
-every state's energy and rate in one stacked pass over the (K, n) masses.
+every state's energy and rate from blocks of rows of the (K, n) masses.
 """
 
 from __future__ import annotations
@@ -27,12 +27,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import pde
-from .energy import EnergyModel, _energies
+from .energy import EnergyModel
 from .errors import (BoundaryFluxError, InvalidDensityError, NonzeroMeanError,
                      SampleIndexError, SizeMismatchError, VanishingDensityError)
 from .grid import Grid, gradient, neighbor_mean
-from .varexp import (DensityField, ExponentField, Trajectory, _masses, _norm_rows,
-                     conjugate, luxemburg_norm)
+from .varexp import (DensityField, ExponentField, Trajectory, _by_blocks, _masses_on,
+                     _norm_rows, conjugate, luxemburg_norm)
 
 #: Tolerance on the integral of a tangent vector.
 MEAN_TOL = 1e-12
@@ -116,7 +116,8 @@ def min_norm_velocity(rho: DensityField, nu: TangentVector, g: Grid) -> Velocity
     """
     values = g.check_cell_field(nu.values, "tangent values")
     scale = max(1.0, float(np.abs(values).sum() * g.dx))
-    return VelocityField(_velocities(_masses([rho], g), values[None, :], scale, g)[0])
+    mass = g.check_cell_field(rho.mass, "mass")[None, :]
+    return VelocityField(_velocities(mass, values[None, :], scale, g)[0])
 
 
 def tangent_norm(rho: DensityField, nu: TangentVector, p: ExponentField,
@@ -140,14 +141,14 @@ def finsler_gradient(rho: DensityField, e: EnergyModel, q: ExponentField,
     return TangentVector(-pde.rhs(rho, e, q, g))
 
 
-def _speeds(states: list, times: np.ndarray, p: ExponentField, g: Grid) -> np.ndarray:
-    """Speeds F(rho^k, (rho^{k+1} - rho^k) / dt_k) of consecutive states, stacked.
+def _speeds(mass: np.ndarray, times: np.ndarray, p: ExponentField, g: Grid) -> np.ndarray:
+    """Speeds F(rho^k, (rho^{k+1} - rho^k) / dt_k) of the consecutive rows of
+    a (K, n) mass stack, stacked.
 
     A quotient integrates to the mass difference of its states over dt, and
     DensityField lets masses differ by MASS_TOL, so its zero-mean check is
     relative to max(1, (m_k + m_{k+1}) / dt_k), which also bounds sum |nu| dx.
     """
-    mass = _masses(states, g)
     exponent = g.check_cell_field(p.values, "exponent field")
     dt = np.diff(times)
     density = mass / g.dx
@@ -165,14 +166,14 @@ def metric_derivative(traj: Trajectory, p: ExponentField, g: Grid, k: int) -> fl
         raise SampleIndexError(
             f"sample index {k} out of range for a trajectory of {len(traj)} states"
         )
-    return float(_speeds(traj.states[k:k + 2], traj.times[k:k + 2], p, g)[0])
+    return float(_speeds(_masses_on(traj, g)[k:k + 2], traj.times[k:k + 2], p, g)[0])
 
 
 def curve_length(traj: Trajectory, p: ExponentField, g: Grid) -> float:
     """Sum of speed * dt along a discrete trajectory (>= 2 states)."""
     if len(traj) < 2:
         raise SizeMismatchError("curve length needs at least 2 states")
-    return float(_speeds(traj.states, traj.times, p, g) @ np.diff(traj.times))
+    return float(_speeds(_masses_on(traj, g), traj.times, p, g) @ np.diff(traj.times))
 
 
 def _cell_slope(mass: np.ndarray, e: EnergyModel, g: Grid) -> np.ndarray:
@@ -191,7 +192,7 @@ def _rates(mass: np.ndarray, e: EnergyModel, p: ExponentField, g: Grid) -> np.nd
 def dissipation_rate(rho: DensityField, e: EnergyModel, p: ExponentField,
                      g: Grid) -> float:
     """Integral of |grad G'(rho)|^q(x) / p(x) * rho, the step dissipation bound."""
-    return float(_rates(_masses([rho], g), e, p, g)[0])
+    return float(_rates(g.check_cell_field(rho.mass, "mass")[None, :], e, p, g)[0])
 
 
 @dataclass(frozen=True)
@@ -214,12 +215,12 @@ class DissipationReport:
 def dissipation_check(traj: Trajectory, e: EnergyModel, p: ExponentField,
                       g: Grid) -> DissipationReport:
     """Dissipation slacks along traj, each interval with its own time step."""
-    # all states stacked, so a one-state trajectory gives rates no rows
-    mass = _masses(traj.states, g)
-    energies = _energies(mass, e, g)
-    dissipated = np.diff(traj.times) * _rates(mass[1:], e, p, g)
+    # _BLOCK states at a time; a one-state trajectory gives rates no rows
+    mass = _masses_on(traj, g)
+    energies = pde.energy_series(traj, e, g)
+    dissipated = np.diff(traj.times) * _by_blocks(lambda m: _rates(m, e, p, g), mass[1:])
     slacks = (energies[:-1] - energies[1:]) - dissipated
-    floor = g.length * float(e.value(np.asarray(traj.states[0].total_mass / g.length)))
+    floor = g.length * float(e.value(np.asarray(float(mass[0].sum()) / g.length)))
     total_rate = float(np.sum(dissipated))
     return DissipationReport(
         per_step_slack=slacks,

@@ -66,7 +66,7 @@ from .errors import (InvalidParameterError, NumericalBlowupError, check_nonnegat
                      check_positive)
 from .finsler import _cell_slope
 from .grid import Grid
-from .varexp import DensityField, ExponentField, Trajectory, conjugate
+from .varexp import DensityField, ExponentField, Trajectory, _put_row, conjugate
 
 VALID_BACKENDS = ("mirror", "projected", "entropic")
 
@@ -744,11 +744,14 @@ def run_flow(rho0: DensityField, e: EnergyModel, p: ExponentField, h: float,
     backends that happens once a step returns its input masses (the stay-put
     plan won); on the entropic one once a step with the guess c returns c,
     as the next guess 2c - c is c exactly, without building a new matrix.
+    Each new state's masses are written into the next row of the
+    trajectory's stack as the flow goes.
     """
     n_steps = _step_count(t_end, h)
     entropic = opts is not None and opts.backend == "entropic"
     warm = _Warm()
-    states = [rho0]
+    masses = np.empty((min(n_steps + 1, 16), rho0.mass.size))
+    masses[0] = rho0.mass
     steps = []
     previous, current = None, rho0
     solved = None
@@ -767,10 +770,10 @@ def run_flow(rho0: DensityField, e: EnergyModel, p: ExponentField, h: float,
             solved = inputs
         warm.energy = step.energy_after
         previous, current = current, step.rho_next
-        states.append(current)
+        _put_row(masses, k, current.mass)
         steps.append(step)
     times = h * np.arange(n_steps + 1, dtype=float)
-    return Trajectory(times=times, states=states, steps=steps)
+    return Trajectory._of_stack(times, masses, rho0.require_unit_mass, steps)
 
 
 def _residual_of(coupling: transport.Coupling, rho_next: DensityField,

@@ -14,16 +14,8 @@ dt <= dx^2 / max_i (K_{i-1/2} + K_{i+1/2}) keeps positivity, the maximum
 principle and a non-increasing energy (Carrillo, Chertock & Huang,
 Commun. Comput. Phys. 2015). This module is the slow, transparent
 reference the step scheme is checked against, not a production
-integrator. ``solve`` builds what stays fixed through a solve once, before
-its loop: the padded face exponent, delta^2, one DensityField around the
-loop's own masses, and the buffers that each Euler step writes in place.
-One zero-padded buffer holds the face slopes of G'(rho), and one square,
-add and power over it serve both the flux and the step bound. ``solve``
-hands ``rhs`` the step's face inputs through the private ``_faces``
-keyword and calls it exactly once per Euler step, looked up as a module
-attribute each time, so a wrapper installed on ``pde.rhs`` sees every
-step. Recorded states are copied into preallocated blocks of rows,
-rescaled and checked a block at a time when the loop ends.
+integrator; ``solve`` says what it builds once per solve and how it
+records its states.
 """
 
 from __future__ import annotations
@@ -37,7 +29,8 @@ from .energy import EnergyModel, _energies, total_energy  # perfbench traces pde
 from .errors import (InvalidParameterError, NumericalBlowupError, SizeMismatchError,
                      check_count, check_nonnegative, check_positive)
 from .grid import Grid, neighbor_mean
-from .varexp import DensityField, ExponentField, Trajectory, _masses
+from .varexp import (DensityField, ExponentField, Trajectory, _by_blocks, _masses_on,
+                     _put_row)
 
 #: Regularization delta of the gradient magnitude in the flux.
 DELTA_REG = 1e-8
@@ -204,29 +197,26 @@ def solve(rho0: DensityField, e: EnergyModel, q: ExponentField, cfg: PdeConfig,
     step). Each Euler step divides m by dx once, evaluates G'(rho) once,
     loads the face slopes and face weights rho_f (s^2+delta^2)^((q_f-2)/2)
     and reads the bound from them; the module's rhs, called exactly once
-    per step with the loaded face inputs, turns them into the flux. m is
-    updated in place, so len(traj) - 1 steps at stride 1 mean as many rhs
-    calls.
+    per step with the loaded face inputs through the private _faces
+    keyword, turns them into the flux. It is looked up as a module
+    attribute each time, so a wrapper installed on pde.rhs sees every step.
+    m is updated in place, so len(traj) - 1 steps at stride 1 mean as many
+    rhs calls.
 
-    A recorded step copies m into the next row of a block; blocks start at
-    16 rows and double up to 1024, and none is ever copied. When the loop
-    ends, each block is rescaled in place by total0 / its row sums (the
-    bits of m * (total0 / m.sum())), checked in one pass with the check of
-    DensityField, and the states are views of its rows. So a bad state
-    raises, as DensityField would, once the loop has ended. The final state
-    owns its masses, so traj.final keeps no block alive, and rho0.mass is
-    never written.
+    A recorded step writes m into the next row of the trajectory's (K, n)
+    mass stack, after rho0's row; the stack grows in place (_put_row). When
+    the loop ends, the recorded rows are rescaled in place by total0 /
+    their row sums (the bits of m * (total0 / m.sum())), and the trajectory
+    takes the stack over and checks it, so a bad state raises, as
+    DensityField would, once the loop has ended. rho0.mass is never written.
     """
     m = g.check_cell_field(rho0.mass, "initial mass").copy()
     q_values = g.check_cell_field(q.values, "exponent field")
     total0 = m.sum()
-    unit = rho0.require_unit_mass
     rho = DensityField(m, require_unit_mass=False)
     times = [0.0]
-    states = [rho0]
-    blocks = []
-    block = np.empty((16, m.size))
-    filled = 0
+    stack = np.empty((16, m.size))
+    stack[0] = m
     t = 0.0
     step = 0
     t_final = cfg.t_end
@@ -288,22 +278,13 @@ def solve(rho0: DensityField, e: EnergyModel, q: ExponentField, cfg: PdeConfig,
         if not lo > 0.0:
             np.maximum(m, 0.0, out=m)
         if step % cfg.stride == 0 or t >= t_stop:
-            if filled == len(block):
-                blocks.append(block)
-                block = np.empty((min(2 * filled, 1024), m.size))
-                filled = 0
-            block[filled] = m
-            filled += 1
+            _put_row(stack, len(times), m)
             times.append(t)
 
-    blocks.append(block[:filled])
-    for rows in blocks:
-        # rows.sum(axis=1) has the bits of each row's own sum
-        rows *= (total0 / rows.sum(axis=1))[:, None]
-        states += DensityField._rows(rows, unit)
-    if len(states) > 1:
-        states[-1] = DensityField(states[-1].mass.copy(), require_unit_mass=unit)
-    return Trajectory(times=np.asarray(times), states=states, steps=None)
+    k = len(times)
+    # stack[1:k].sum(axis=1) has the bits of each row's own sum
+    stack[1:k] *= (total0 / stack[1:k].sum(axis=1))[:, None]
+    return Trajectory._of_stack(np.asarray(times), stack, rho0.require_unit_mass)
 
 
 @dataclass(frozen=True)
@@ -323,15 +304,17 @@ class ComparisonReport:
 
 
 def comparison_check(traj1: Trajectory, traj2: Trajectory, g: Grid) -> ComparisonReport:
-    """Evaluate t -> integral of (rho1 - rho2)^+ on matched time samples."""
+    """Evaluate t -> integral of (rho1 - rho2)^+ on matched time samples,
+    _BLOCK states at a time."""
     if len(traj1) != len(traj2):
         raise SizeMismatchError(
             f"trajectories have {len(traj1)} and {len(traj2)} samples"
         )
     if np.max(np.abs(traj1.times - traj2.times)) > 1e-12 * max(1.0, traj1.times[-1]):
         raise InvalidParameterError("trajectories are sampled at different times")
-    diff = _masses(traj1.states, g) / g.dx - _masses(traj2.states, g) / g.dx
-    pos = np.maximum(diff, 0.0).sum(axis=1) * g.dx
+    dx = g.dx
+    pos = _by_blocks(lambda m1, m2: np.maximum(m1 / dx - m2 / dx, 0.0).sum(axis=1) * dx,
+                     _masses_on(traj1, g), _masses_on(traj2, g))
     worst = float(np.diff(pos).max()) if pos.size > 1 else 0.0
     return ComparisonReport(
         times=traj1.times.copy(),
@@ -343,6 +326,5 @@ def comparison_check(traj1: Trajectory, traj2: Trajectory, g: Grid) -> Compariso
 
 def energy_series(traj: Trajectory, e: EnergyModel, g: Grid) -> np.ndarray:
     """Total energy at each recorded state, each with the bits of total_energy,
-    taken 256 states at a time, so a long solve's temporaries stay small."""
-    s = traj.states
-    return np.hstack([_energies(_masses(s[k:k + 256], g), e, g) for k in range(0, len(s), 256)])
+    _BLOCK states at a time."""
+    return _by_blocks(lambda m: _energies(m, e, g), _masses_on(traj, g))

@@ -10,13 +10,14 @@ and the Luxemburg norm is the unique lam > 0 at which the modular equals 1
 the usual weighted p-norm. _norm_rows solves for a stack of norms in log lam
 with one call of the shared root finder.
 
-Trajectory, the states of a flow at increasing times, and _masses, their
-masses as one (K, n) stack, live beside the state types for every module.
+Trajectory, the states of a flow at increasing times over one (K, n)
+stack of their masses, lives beside the state types for every module.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -132,23 +133,6 @@ class DensityField:
         _check_masses(m, self.require_unit_mass)
         object.__setattr__(self, "mass", m)
 
-    @classmethod
-    def _rows(cls, block: np.ndarray, require_unit_mass: bool) -> list:
-        """States over the rows of a (k, n) block, checked in one pass.
-
-        The block gets the check of a single state, over its last axis, and
-        a bad row raises what DensityField(row) would. Each state's mass is
-        a view of its row, so the block stays alive while any state does.
-        """
-        _check_masses(block, require_unit_mass)
-        states = []
-        for row in block:
-            s = cls.__new__(cls)
-            object.__setattr__(s, "mass", row)
-            object.__setattr__(s, "require_unit_mass", require_unit_mass)
-            states.append(s)
-        return states
-
     @property
     def total_mass(self) -> float:
         return float(self.mass.sum())
@@ -193,45 +177,103 @@ class DensityField:
         return cls.from_cell_values(v, g)
 
 
-@dataclass(frozen=True)
+class _States(Sequence):
+    """A trajectory's states: DensityFields over the rows of its stack, each
+    with its own require_unit_mass flag, made when read. Slices are lists."""
+
+    def __init__(self, masses: np.ndarray, unit: np.ndarray):
+        self._masses, self._unit = masses, unit
+
+    def __len__(self) -> int:
+        return len(self._masses)
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return [self[i] for i in range(*k.indices(len(self)))]
+        s = DensityField.__new__(DensityField)  # its row was checked already
+        object.__setattr__(s, "mass", self._masses[k])
+        object.__setattr__(s, "require_unit_mass", bool(self._unit[k]))
+        return s
+
+
 class Trajectory:
     """Piecewise-constant-in-time sequence of density states.
 
     times[k] is the left endpoint of the k-th interval, a finite step after
-    times[k-1], and every time is finite; states[k] the density there.
-    steps holds the per-step diagnostics when the trajectory came from
-    jko.run_flow (None for externally assembled trajectories).
+    times[k-1], and every time is finite. masses is the read-only,
+    C-contiguous (K, n) stack of the states' masses, row k at times[k], and
+    states a read-only sequence of DensityFields over its rows. final owns
+    a copy of the last row, so keeping it keeps no stack alive. steps holds
+    the per-step diagnostics of jko.run_flow (None when assembled
+    elsewhere). Trajectory(times, states) stacks the states once, and
+    raises SizeMismatchError for a state of another shape than the first;
+    another trajectory's states share its stack.
     """
 
-    times: np.ndarray
-    states: list
-    steps: list | None = None
-
-    def __post_init__(self):
-        t = np.asarray(self.times, dtype=float)
-        if t.ndim != 1 or t.size != len(self.states):
+    def __init__(self, times, states, steps: list | None = None):
+        t = np.asarray(times, dtype=float)
+        if t.ndim != 1 or t.size != len(states):
             raise SizeMismatchError(
-                f"times (len {t.size}) and states (len {len(self.states)}) disagree"
+                f"times (len {t.size}) and states (len {len(states)}) disagree"
             )
-        if not self.states:
+        if not states:
             raise SizeMismatchError("trajectory is empty")
         check_positive(np.diff(t), "trajectory time steps")
         # finite steps from a finite start keep every time finite
         if not abs(t[0]) < math.inf:
             raise InvalidParameterError(f"trajectory start time must be finite, got {t[0]}")
-        object.__setattr__(self, "times", t)
+        if not isinstance(states, _States):
+            shape = states[0].mass.shape
+            for s in states:
+                if s.mass.shape != shape:
+                    raise SizeMismatchError(f"mass must have shape {shape}, got {s.mass.shape}")
+            states = _States(np.stack([s.mass for s in states]),
+                             np.array([s.require_unit_mass for s in states]))
+        self.times, self.states, self.steps = t, states, steps
+        self.masses = states._masses
+        self.masses.flags.writeable = False
+        self.final = DensityField(self.masses[-1].copy(), bool(states._unit[-1]))
+
+    @classmethod
+    def _of_stack(cls, times, stack: np.ndarray, unit: bool, steps=None) -> "Trajectory":
+        """The trajectory over the first len(times) rows of a stack that its
+        caller filled and hands over, each state flagged unit: the stack is
+        cut to them in place and checked in one pass, a bad row raising
+        what DensityField(row, unit) would."""
+        stack.resize((len(times), stack.shape[1]), refcheck=False)
+        _check_masses(stack, unit)
+        return cls(times, _States(stack, np.full(len(times), unit)), steps)
 
     def __len__(self) -> int:
-        return len(self.states)
-
-    @property
-    def final(self) -> DensityField:
-        return self.states[-1]
+        return len(self.masses)
 
 
-def _masses(states: list, g: Grid) -> np.ndarray:
-    """The (K, n) stack of the masses of K states, each checked as density(g) does."""
-    return np.stack([g.check_cell_field(s.mass, "mass") for s in states])
+def _masses_on(traj: Trajectory, g: Grid) -> np.ndarray:
+    """traj.masses, once its rows are checked to have g's cells, as density(g) does."""
+    g.check_cell_field(traj.masses[0], "mass")
+    return traj.masses
+
+
+#: Readers of a whole trajectory take this many states at a time, so that
+#: a long run's temporaries stay small.
+_BLOCK = 256
+
+
+def _by_blocks(f, *stacks: np.ndarray) -> np.ndarray:
+    """f of the same blocks of _BLOCK rows of each (K, n) stack, joined: the
+    bits of f of the whole stacks for an f that reads each row alone. With
+    no rows, f runs once, on them."""
+    k = len(stacks[0])
+    return np.concatenate([f(*(s[i:i + _BLOCK] for s in stacks))
+                           for i in range(0, max(k, 1), _BLOCK)])
+
+
+def _put_row(stack: np.ndarray, k: int, row: np.ndarray) -> None:
+    """Write row into row k of a stack filled in order, growing it first, if
+    full, in place by k rows, at most 1024: a realloc, never a second copy."""
+    if k == len(stack):
+        stack.resize((k + min(k, 1024), stack.shape[1]), refcheck=False)
+    stack[k] = row
 
 
 def _check_shapes(u: np.ndarray, rho: DensityField, p: ExponentField, g: Grid):

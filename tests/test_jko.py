@@ -110,7 +110,8 @@ def test_run_flow_zero_horizon_returns_initial_state_only():
     assert len(traj.states) == 1
     assert traj.steps == []
     assert traj.times.tolist() == [0.0]
-    assert traj.states[0] is rho0
+    assert traj.states[0].mass.tobytes() == rho0.mass.tobytes()
+    assert traj.states[0].require_unit_mass == rho0.require_unit_mass
 
 
 def test_run_flow_energies_nonincreasing():
@@ -149,6 +150,26 @@ def test_run_flow_rejects_bad_horizon_and_step():
         jko.run_flow(rho0, ENTROPY, affine_p(g), 1e-2, -1.0, g)
     with pytest.raises(NonpositiveParameterError):
         jko.run_flow(rho0, ENTROPY, affine_p(g), 0.0, 1.0, g)
+
+
+def test_run_flow_with_a_vast_step_count_raises_its_first_steps_error():
+    # 5e298 steps: the flow grows its mass stack as it goes, so the step
+    # whose cost underflows raises its typed error, not the allocation
+    g = make_grid(0.0, 1.0, 8)
+    with pytest.raises(InvalidParameterError, match=r"^step 1: smallest and largest cost"):
+        jko.run_flow(uniform(g), ENTROPY, affine_p(g), 1e-300, 0.05, g)
+
+
+def test_run_flow_writes_every_state_into_one_read_only_stack():
+    g = make_grid(0.0, 1.0, 8)
+    rho0 = DensityField(0.5 * DensityField.cosine_bump(g, amplitude=0.3).mass,
+                        require_unit_mass=False)
+    traj = jko.run_flow(rho0, ENTROPY, affine_p(g), 1e-2, 0.2, g)
+    assert traj.masses.shape == (21, 8) and not traj.masses.flags.writeable
+    assert traj.masses.flags.c_contiguous and traj.masses.flags.owndata
+    for k, step in enumerate(traj.steps, start=1):
+        assert traj.masses[k].tobytes() == step.rho_next.mass.tobytes()
+    assert all(not s.require_unit_mass for s in traj.states)
 
 
 def test_run_flow_prefixes_step_index_on_failure():
@@ -372,6 +393,29 @@ def test_bisection_raises_when_its_bracket_cannot_grow_to_the_root():
     # bracket that does not hold the root is an error, not an answer
     with pytest.raises(NumericalBlowupError, match="200 steps"):
         bisect(lambda x: (x - 500.0, np.ones_like(x)), np.zeros(1), np.ones(1))
+
+
+@pytest.mark.parametrize("shape", ["linear", "sinh"])
+@pytest.mark.parametrize("root,lo,hi", [(0.0, 0.0, 1.0), (0.0, -1.0, 0.0), (-2.0, -2.0, 1.0),
+                                        (1.0, 0.0, 1.0)])
+def test_a_root_on_a_bracket_end_closes_the_bracket_in_a_few_evaluations(shape, root, lo, hi):
+    # the converged Newton point lands on the end, and its one-ulp push
+    # takes it past; halving alone took 55 evaluations for the root at 1 and
+    # stopped on the cap, bracket unclosed, for the roots at 0. 4 (linear)
+    # and 7 or 8 (sinh) evaluations, the two checks of the bracket included,
+    # were measured
+    evaluations = []
+
+    def f(x):
+        evaluations.append(1)
+        if shape == "linear":
+            return x - root, np.ones_like(x)
+        return np.sinh(x - root), np.cosh(x - root)
+
+    got_lo, got_hi = bisect(f, np.array([lo]), np.array([hi]))
+    assert np.nextafter(got_lo[0], np.inf) == got_hi[0]
+    assert root in (got_lo[0], got_hi[0])
+    assert len(evaluations) <= 8
 
 
 def test_dual_loop_never_calls_the_root_finder(monkeypatch):

@@ -7,6 +7,8 @@ stacked reader must give their bits, and a state of the wrong length must
 raise SizeMismatchError from each reader.
 """
 
+import tracemalloc
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -120,6 +122,65 @@ def test_dissipation_check_has_the_bits_of_each_state(name, seed):
     assert np.array_equal(report.energies, energies)
     assert (report.worst_step_slack, report.cumulative_slack, report.total_dissipation) == (
         worst, cumulative, total)
+
+
+# ------------------------------------------------------------ the stack
+
+def test_states_are_views_of_one_read_only_stack():
+    traj = rough_trajectory(0)
+    assert traj.masses.shape == (7, N) and traj.masses.flags.c_contiguous
+    with pytest.raises(ValueError, match="read-only"):
+        traj.masses[0, 0] = 1.0
+    for k, s in enumerate(traj.states):
+        assert s.mass.base is traj.masses and s.mass.tobytes() == traj.masses[k].tobytes()
+    assert [s.mass.tobytes() for s in traj.states[2:5]] == [
+        traj.masses[k].tobytes() for k in range(2, 5)]
+    assert traj.final.mass.flags.owndata
+    assert traj.final.mass.tobytes() == traj.masses[-1].tobytes()
+    # another trajectory's states share its stack
+    assert Trajectory(times=2.0 * traj.times, states=traj.states).masses is traj.masses
+
+
+def test_each_state_keeps_its_own_unit_mass_flag():
+    rho = DensityField.uniform(GRID)
+    heavier = DensityField(1.5 * rho.mass, require_unit_mass=False)
+    traj = Trajectory(times=[0.0, 1.0, 2.0], states=[rho, heavier, rho])
+    assert [s.require_unit_mass for s in traj.states] == [True, False, True]
+    assert traj.final.require_unit_mass
+
+
+# ------------------------------------------------ bounded temporaries
+
+@pytest.mark.parametrize("reader", ["comparison_check", "energy_series", "dissipation_check"])
+def test_whole_trajectory_readers_hold_small_temporaries(reader):
+    # the CI pde config's 3,941 states against the same states in reverse
+    # order, so that many blocks of rows differ. Under tracemalloc
+    # comparison_check and energy_series peaked at 0.43 MB, dissipation_check
+    # at 0.62 MB; holding whole stacks, they had peaked at 4.7, 0.56 (in
+    # blocks already) and 6.2 MB
+    cfg = cli.load_config(Path(__file__).parent / "configs" / "pde.yaml")
+    g, e, p = cfg.grid, cfg.energy, cfg.p
+    traj = pde.solve(cfg.rho0, e, conjugate(p), cfg.pde_cfg, g)
+    reverse = Trajectory(times=traj.times, states=traj.states[::-1])
+    assert len(traj) > 3000
+    tracemalloc.start()
+    try:
+        if reader == "comparison_check":
+            got = pde.comparison_check(traj, reverse, g).positive_part
+        elif reader == "energy_series":
+            got = pde.energy_series(reverse, e, g)
+        else:
+            got = finsler.dissipation_check(reverse, e, p, g).per_step_slack
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < (0.8e6 if reader == "dissipation_check" else 0.6e6), peak
+    if reader == "comparison_check":
+        assert np.array_equal(got, positive_parts_by_state(traj, reverse, g))
+    elif reader == "energy_series":
+        assert np.array_equal(got, energies_by_state(reverse, e, g))
+    else:
+        assert np.array_equal(got, dissipation_by_state(reverse, e, p, g)[0])
 
 
 # ---------------------------------------------------------- CSV writers
