@@ -5,13 +5,15 @@ One step solves the joint convex program
     min over gamma >= 0 with row sums m_prev:
         <c, gamma> + sum_j dx * G(colsum_j / dx)
 
-whose column sums define the new density. Three backends are available:
+whose column sums define the new density. Two backends are available:
 
-``mirror``     multiplicative (entropic mirror) updates on the rows, the
-               default; deterministic from a uniform-row start. Its trials
-               run on the plan entries that have not underflowed to 0.0.
-``projected``  projected gradient with exact per-row simplex projection, a
-               slower independent check of the same program.
+``mirror``     multiplicative (entropic mirror) updates on the rows under an
+               Armijo line search, the default; deterministic from a
+               uniform-row start. Its trials run on the plan entries that
+               have not underflowed to 0.0. It finishes with a stay-put
+               comparison: if the diagonal plan beats the iterate, the
+               diagonal is returned, so the energy can never increase
+               across a step.
 ``entropic``   adds an eps * KL(gamma | uniform-row) smoothing and solves the
                dual by damped Newton steps. The smoothing lets mass leave its cell
                even when every discrete move costs more than the energy gain,
@@ -19,13 +21,11 @@ whose column sums define the new density. Three backends are available:
                unregularized optimum is the stay-put plan and the discrete
                flow would freeze. The price is a diffusive bias of order eps.
 
-The mirror and projected backends run the same Armijo descent driver and
-differ only in the trial map that the loop gets from them once per
-iteration. A trial returns the candidate plan, in the backend's own form,
-with its column sums and cost, which is all the driver reads of it; the
-backend hands back the dense plan at the end. Both finish with a
-stay-put comparison: if the diagonal plan beats the iterate, the diagonal
-is returned, so the energy can never increase across a step.
+For any potential phi, weak duality bounds the program from below by
+sum_i m_prev_i min_j (c_ij + phi_j) - dx sum_j G*(phi_j); at phi = G'(rho)
+of a step's new density, the step objective minus that bound, the
+duality gap, bounds how far the step lies above the optimum. ``varwass
+oracle`` reports it.
 
 The entropic backend's unknowns are the log column masses; the row
 potentials are eliminated, so every iterate has exact row masses. The
@@ -68,7 +68,7 @@ from .finsler import _cell_slope
 from .grid import Grid
 from .varexp import DensityField, ExponentField, Trajectory, _put_row, conjugate
 
-VALID_BACKENDS = ("mirror", "projected", "entropic")
+VALID_BACKENDS = ("mirror", "entropic")
 
 #: Most iterations of one step, on every backend.
 MAX_ITERS = 20_000
@@ -81,9 +81,9 @@ DESCENT_TOL = 1e-9
 class JkoOptions:
     """Solver knobs for a single step.
 
-    Every backend runs at most MAX_ITERS iterations; the mirror and
-    projected backends stop on DESCENT_TOL, the entropic one on its own
-    bound of the column-mass error (_MASS_RTOL), each read at call time.
+    Every backend runs at most MAX_ITERS iterations; the mirror backend
+    stops on DESCENT_TOL, the entropic one on its own bound of the
+    column-mass error (_MASS_RTOL), each read at call time.
     eps and smoothing only matter for the entropic backend. eps is a uniform
     temperature; smoothing, when set, is a length: the standard deviation of
     the blur each row's Gibbs kernel applies per step, measured on the
@@ -139,85 +139,45 @@ def _uniform_rows(mu: np.ndarray) -> np.ndarray:
     return np.outer(mu, np.full(n, 1.0 / n))
 
 
-def _armijo_descent(C, mu, e, dx, direction):
-    """Armijo-checked descent on <C, gam> + dx sum_j G(col_j / dx) from the
-    uniform-row start.
+def _armijo_descent(C, mu, e, dx):
+    """Entropic mirror descent with an Armijo line search on
+    <C, gam> + dx sum_j G(col_j / dx), from the uniform-row start.
 
-    direction(C, gam, mu) takes the start and returns (plan, trials,
-    dense): the start in the direction's own form, trials(plan, slope),
-    run once per iteration with the slope G'(col / dx) of the current plan,
-    and dense(plan), the n-by-n array of a plan. trials returns trial(eta)
-    -> (candidate plan, its column sums, its cost <C, cand>) for step size
-    eta. A candidate is accepted once it gains at least 1e-4 of its
-    linearized decrease <gam - cand, grad>, otherwise eta is halved. The
-    run counts as converged when no step size down to 1e-16 is accepted,
-    or after three consecutive steps whose drop is below DESCENT_TOL
-    relative to the objective; it stops unconverged after MAX_ITERS.
+    Each iteration takes the slope G'(col / dx) of the current plan. A trial
+    for step size eta is gam * exp(-eta z) rescaled to the row masses, z >= 0
+    being the gradient C + G'(col / dx) shifted to a zero minimum in each
+    row. It is accepted once it gains at least 1e-4 of its linearized
+    decrease <gam - cand, grad>, otherwise eta is halved. The run counts as
+    converged when no step size down to 1e-16 is accepted, or after three
+    consecutive steps whose drop is below DESCENT_TOL relative to the
+    objective; it stops unconverged after MAX_ITERS.
 
-    The accepted plan's column sums give the next gradient C + G'(col / dx)
-    without another pass over the plan, and with its cost they give
-    <gam, grad> = <C, gam> + col . G'. So a trial's work is the candidate,
-    its column sums and its cost. Returns the dense plan, its objective, the
-    iteration count and the converged flag.
+    The accepted plan's column sums give the next gradient without another
+    pass over the plan, and with its cost they give <gam, grad> = <C, gam>
+    + col . G'. So a trial's work is the candidate, its column sums and its
+    cost.
+
+    An entry that reaches 0.0 stays 0.0 for the rest of the step, so the
+    plan is kept as its live entries: the nonzero ones, row-major, with
+    their flat indices, columns, costs and row segments. Row sums are
+    segment sums, column sums a weighted count over the columns (in row
+    order, as gam.sum(axis=0) adds them), and the cost a dot with the live
+    costs. z is built once per iteration and shifted by the minimum over
+    each row's live entries, the dead ones reading +inf. Where a row's
+    minimizer is live this is the full-row z bit for bit; elsewhere the two
+    differ by a row constant that the rescale cancels. Either way each row
+    keeps a factor of exactly 1, so its sum is positive and a positive row
+    cannot underflow to empty. Dead entries are dropped once more than 1/8
+    of the kept ones are dead.
+
+    Returns the dense plan, its objective, the iteration count and the
+    converged flag.
     """
     gam = _uniform_rows(mu)
     col = gam.sum(axis=0)
     cost = float(np.vdot(C, gam))
     f_cur = cost + float(dx * e.value(col / dx).sum())
-    plan, trials, dense = direction(C, gam, mu)
     eta = 1.0 / (1.0 + np.abs(C).max())
-    quiet = 0
-    converged = False
-    it = 0
-    for it in range(1, MAX_ITERS + 1):
-        slope = e.deriv(col / dx)
-        lin_cur = cost + float(col @ slope)
-        trial = trials(plan, slope)
-        accepted = False
-        while eta >= 1e-16:
-            cand, cand_col, cand_cost = trial(eta)
-            f_cand = cand_cost + float(dx * e.value(cand_col / dx).sum())
-            lin_gain = lin_cur - (cand_cost + float(cand_col @ slope))
-            if f_cand <= f_cur - 1e-4 * max(lin_gain, 0.0) + 1e-15 * (1.0 + abs(f_cur)):
-                accepted = True
-                break
-            eta *= 0.5
-        if not accepted:
-            converged = True
-            break
-        drop = f_cur - f_cand
-        plan, col, cost, f_cur = cand, cand_col, cand_cost, f_cand
-        eta = min(eta * 1.3, 1e6)
-        if drop <= DESCENT_TOL * max(1.0, abs(f_cur)):
-            quiet += 1
-            if quiet >= 3:
-                converged = True
-                break
-        else:
-            quiet = 0
-    return dense(plan), f_cur, it, converged
-
-
-def _mirror_direction(C, gam, mu):
-    """Multiplicative (entropic mirror) steps on each row, on the plan's
-    live support.
-
-    A trial is gam * exp(-eta z) rescaled to the row masses, z >= 0 being
-    the gradient shifted to a zero minimum in each row. An entry that
-    reaches 0.0 stays 0.0 for the rest of the step, so a plan is kept as
-    its live entries: the nonzero ones, row-major, with their flat indices,
-    columns, costs and row segments. Row sums are segment sums, column sums
-    a weighted count over the columns (in row order, as gam.sum(axis=0)
-    adds them), and the cost a dot with the live costs.
-
-    z is built once per iteration and shifted by the minimum over each
-    row's live entries, the dead ones reading +inf. Where a row's minimizer
-    is live this is the full-row z bit for bit; elsewhere the two differ by
-    a row constant that the rescale cancels. Either way each row keeps a
-    factor of exactly 1, so its sum is positive and a positive row cannot
-    underflow to empty. Dead entries are dropped once more than 1/8 of the
-    kept ones are dead, and dense scatters a plan into an n-by-n array.
-    """
     shape = gam.shape
     C = C.ravel()
 
@@ -229,8 +189,14 @@ def _mirror_direction(C, gam, mu):
         return vals, (idx, idx % shape[1], C[idx], starts, np.cumsum(first) - 1,
                       mu[rows[starts]])
 
-    def trials(plan, slope):
-        vals, sup = plan
+    idx = np.flatnonzero(gam)
+    vals, sup = live(idx, gam.ravel()[idx])
+    quiet = 0
+    converged = False
+    it = 0
+    for it in range(1, MAX_ITERS + 1):
+        slope = e.deriv(col / dx)
+        lin_cur = cost + float(col @ slope)
         dead = vals.size - np.count_nonzero(vals)
         if 8 * dead > vals.size:
             keep = np.flatnonzero(vals)
@@ -241,60 +207,36 @@ def _mirror_direction(C, gam, mu):
         if dead:
             z[vals == 0.0] = np.inf
         z -= np.minimum.reduceat(z, starts)[seg]
-
-        def trial(eta):
-            w = np.multiply(z, -eta)
-            np.exp(w, out=w)
-            w *= vals
-            w *= (mu_seg / np.add.reduceat(w, starts))[seg]
-            col = np.bincount(cols, weights=w, minlength=shape[1])
-            return (w, sup), col, float(c @ w)
-
-        return trial
-
-    def dense(plan):
-        vals, sup = plan
-        out = np.zeros(shape)
-        np.put(out, sup[0], vals)
-        return out
-
-    idx = np.flatnonzero(gam)
-    return live(idx, gam.ravel()[idx]), trials, dense
-
-
-def _projected_direction(C, gam, mu):
-    """Gradient steps, each followed by the Euclidean projection of each row
-    onto the scaled simplex of mass mu[i], on the dense plan.
-
-    The column sums are out.sum(axis=0), not a product with a ones vector.
-    They set the next gradient, and the projection's support follows its
-    last bits: with the product, some of the reference tests' iteration
-    counts change.
-    """
-    n = gam.shape[1]
-    pos = mu > 0.0
-    mp = mu[pos]
-    rows = np.arange(mp.size)
-    k = np.arange(1, n + 1)
-
-    def trials(gam, slope):
-        grad = C + slope[None, :]
-
-        def trial(eta):
-            y = gam - eta * grad
-            out = np.zeros_like(y)
-            if mp.size:
-                yp = y[pos]
-                u = np.sort(yp, axis=1)[:, ::-1]
-                css = np.cumsum(u, axis=1) - mp[:, None]
-                rho_idx = np.count_nonzero(u - css / k > 0.0, axis=1)
-                tau = css[rows, rho_idx - 1] / rho_idx
-                out[pos] = np.maximum(yp - tau[:, None], 0.0)
-            return out, out.sum(axis=0), float(np.vdot(C, out))
-
-        return trial
-
-    return gam, trials, lambda gam: gam
+        accepted = False
+        while eta >= 1e-16:
+            cand = np.multiply(z, -eta)
+            np.exp(cand, out=cand)
+            cand *= vals
+            cand *= (mu_seg / np.add.reduceat(cand, starts))[seg]
+            cand_col = np.bincount(cols, weights=cand, minlength=shape[1])
+            cand_cost = float(c @ cand)
+            f_cand = cand_cost + float(dx * e.value(cand_col / dx).sum())
+            lin_gain = lin_cur - (cand_cost + float(cand_col @ slope))
+            if f_cand <= f_cur - 1e-4 * max(lin_gain, 0.0) + 1e-15 * (1.0 + abs(f_cur)):
+                accepted = True
+                break
+            eta *= 0.5
+        if not accepted:
+            converged = True
+            break
+        drop = f_cur - f_cand
+        vals, col, cost, f_cur = cand, cand_col, cand_cost, f_cand
+        eta = min(eta * 1.3, 1e6)
+        if drop <= DESCENT_TOL * max(1.0, abs(f_cur)):
+            quiet += 1
+            if quiet >= 3:
+                converged = True
+                break
+        else:
+            quiet = 0
+    gam = np.zeros(shape)
+    np.put(gam, sup[0], vals)
+    return gam, f_cur, it, converged
 
 
 def _clamped_curvature(e: EnergyModel, t: np.ndarray) -> np.ndarray:
@@ -393,8 +335,8 @@ def _step_plan(g: Grid, p: ExponentField, h: float, opts: JkoOptions) -> _StepPl
     through a flow.
 
     The cost depends only on the grid, p and h; the entropic temperatures
-    and the reflected log kernel also on eps and smoothing (for the other
-    backends the three are None). q holds the values of conjugate(p), read
+    and the reflected log kernel also on eps and smoothing (for the mirror
+    backend the three are None). q holds the values of conjugate(p), read
     by the step's el_residual. The kernel exp(log_ref) is built only where
     every row has the same temperature, so the plan decides once whether
     the dual loop runs on kernel products. It holds 0.0 where exp(log_ref)
@@ -629,6 +571,7 @@ def _entropic_backend(plan: _StepPlan, mu, e, dx, warm):
                     break
                 t *= 0.5
             else:
+                jinv = None
                 break
             if not trial[4] < 0.5 * err and err <= floor(phi):
                 break
@@ -665,9 +608,7 @@ def jko_step(rho_prev: DensityField, e: EnergyModel, p: ExponentField, h: float,
     if opts.backend == "entropic":
         gam, iters, converged = _entropic_backend(plan, mu, e, dx, warm)
     else:
-        direction = (_mirror_direction if opts.backend == "mirror"
-                     else _projected_direction)
-        gam, f_iter, iters, converged = _armijo_descent(C, mu, e, dx, direction)
+        gam, f_iter, iters, converged = _armijo_descent(C, mu, e, dx)
         # Stay-put comparison: the diagonal plan costs nothing and keeps the
         # old energy, so accepting the better of the two makes the step
         # objective, and with it the energy, provably nonincreasing. Its
@@ -734,16 +675,16 @@ def run_flow(rho0: DensityField, e: EnergyModel, p: ExponentField, h: float,
     masses as the guess its dual loop may start from. The flow also carries
     the inverse Newton matrix from step to step: each entropic step starts
     from the one the steps before it built last and hands on the one it
-    builds, so a step depends on the steps before its input too. The other
-    backends get neither. Every step after the first takes its energy_before
+    builds, so a step depends on the steps before its input too. The mirror
+    backend gets neither. Every step after the first takes its energy_before
     from the previous step's energy_after, the energy of the same state.
     jko_step is a deterministic function of its inputs and of the carried
     matrix, so a step whose masses and guess repeat bit for bit those of the
     step before, and which starts from the same carried matrix, reuses that
-    step's result instead of being solved again. On the mirror and projected
-    backends that happens once a step returns its input masses (the stay-put
-    plan won); on the entropic one once a step with the guess c returns c,
-    as the next guess 2c - c is c exactly, without building a new matrix.
+    step's result instead of being solved again. On the mirror backend that
+    happens once a step returns its input masses (the stay-put plan won);
+    on the entropic one once a step with the guess c returns c, as the next
+    guess 2c - c is c exactly, without building a new matrix.
     Each new state's masses are written into the next row of the
     trajectory's stack as the flow goes.
     """

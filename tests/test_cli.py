@@ -69,6 +69,27 @@ def test_jko_zero_horizon_single_row(tmp_path):
     assert rows[0][-2:] == ["0", "1"]
 
 
+def test_commands_without_quiet_report_what_they_did(tmp_path, capsys):
+    path = write_config(tmp_path, flow={"h": 1e-3, "t_end": 3e-3})
+    assert cli.main(["validate", str(path)]) == 0
+    assert capsys.readouterr().out == f"ok: {path} (jko, grid n=16)\n"
+    assert cli.main(["run", str(path)]) == 0
+    assert capsys.readouterr().out == f"wrote {tmp_path / 'out' / 'jko.csv'} (4 rows)\n"
+    compare = write_config(
+        tmp_path, name="compare.yaml",
+        experiment={"kind": "compare", "out": str(tmp_path / "compare")},
+        flow={"h": 1e-3, "t_end": 5e-3},
+        solver={"backend": "entropic", "smoothing": 0.015625, "exact_coupling": False},
+        compare={"stride": 2},
+    )
+    assert cli.main(["run", str(compare)]) == 0
+    _, _, rows = read_csv(tmp_path / "compare" / "compare.csv")
+    assert capsys.readouterr().out.splitlines() == [
+        f"wrote {tmp_path / 'compare' / 'compare.csv'} (4 rows)",
+        f"final L1 error {float(rows[-1][2]):.6g}",
+    ]
+
+
 def test_csv_comment_records_config_hash_and_seed(tmp_path):
     path = write_config(tmp_path)
     cli.main(["run", str(path), "--quiet"])
@@ -239,18 +260,18 @@ def test_oracle_transport_needs_small_grid(tmp_path):
     assert cli.main(["oracle", str(path), "--quiet"]) == 3
 
 
-def test_oracle_jko_compares_two_backends(tmp_path):
-    # at h=0.1 both backends move the n=8 bump (by 0.165 in L1); at
-    # h <= 1e-2 both keep it in place
+def test_oracle_jko_reports_the_step_duality_gap(tmp_path):
+    # at h=0.1 the mirror step moves the n=8 bump and its objective lies
+    # 8.3e-6 above the Fenchel bound of the step program
     path = write_config(tmp_path, grid={"a": 0.0, "b": 1.0, "n_cells": 8},
                         flow={"h": 0.1, "t_end": 0.0})
     assert cli.main(["oracle", str(path), "--quiet"]) == 0
     _, header, rows = read_csv(tmp_path / "out" / "oracle.csv")
     assert header == ["check", "value", "reference", "abs_diff"]
-    assert [r[0] for r in rows] == ["step_objective_mirror_vs_projected",
-                                    "step_state_l1"]
-    assert float(rows[0][3]) <= 1e-6 * abs(float(rows[0][2]))
-    assert float(rows[1][1]) <= 1e-3
+    assert [r[0] for r in rows] == ["step_duality_gap"]
+    value, bound, gap = map(float, rows[0][1:])
+    assert gap == value - bound
+    assert 0.0 <= gap <= 2e-5
 
 
 def test_oracle_pde_checks_mass_and_chain_rule(tmp_path):
@@ -394,6 +415,8 @@ def test_invalid_yaml_is_a_config_error(tmp_path):
 def test_bad_solver_section_rejected(tmp_path):
     path = write_config(tmp_path, solver={"backend": "warp"})
     assert cli.main(["validate", str(path), "--quiet"]) == 3
+    retired = write_config(tmp_path, name="retired.yaml", solver={"backend": "projected"})
+    assert cli.main(["validate", str(retired), "--quiet"]) == 3
     path2 = write_config(tmp_path, name="two.yaml", solver={"smoothing": -1.0})
     assert cli.main(["validate", str(path2), "--quiet"]) == 3
 

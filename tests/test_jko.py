@@ -40,7 +40,7 @@ def blur_opts(h, factor=0.8, exact=False):
 
 # ---------------------------------------------------------------- stationarity
 
-@pytest.mark.parametrize("backend", ["mirror", "projected"])
+@pytest.mark.parametrize("backend", ["mirror"])
 def test_uniform_is_exactly_stationary(backend):
     g = make_grid(0.0, 1.0, 16)
     step = jko.jko_step(uniform(g), ENTROPY, affine_p(g), 1e-3, g,
@@ -62,7 +62,7 @@ def test_uniform_near_stationary_under_blur():
 
 # ------------------------------------------------------- one-step max principle
 
-@pytest.mark.parametrize("backend", ["mirror", "projected", "entropic"])
+@pytest.mark.parametrize("backend", ["mirror", "entropic"])
 def test_one_step_max_principle(backend):
     g = make_grid(0.0, 1.0, 16)
     p = affine_p(g)
@@ -875,6 +875,26 @@ def test_step_rebuilds_when_the_carried_matrix_does_not_contract(monkeypatch):
     np.testing.assert_allclose(step.rho_next.mass, plain.rho_next.mass, rtol=0.0, atol=1e-12)
 
 
+def test_a_fresh_step_whose_halvings_all_fail_drops_its_inverse(monkeypatch):
+    # with no halving allowed, every fresh Newton step fails its line search:
+    # the step stops after one update, unconverged and with its mass kept,
+    # and hands on no inverse, so the next step makes no chord try and
+    # evaluates only its start
+    monkeypatch.setattr(jko, "_HALVINGS", 0)
+    g = make_grid(0.0, 1.0, 16)
+    args = (ENTROPY, affine_p(g), 1e-2, g, blur_opts(1e-2))
+    warm = jko._Warm()
+    step = jko.jko_step(DensityField.cosine_bump(g, amplitude=0.5), *args, _warm=warm)
+    assert (step.iterations, step.converged) == (1, False)
+    assert step.mass_error <= 1e-15
+    assert warm.jinv is None
+    pictures = []
+    real = jko._column_picture
+    monkeypatch.setattr(jko, "_column_picture", lambda *a: pictures.append(1) or real(*a))
+    jko.jko_step(step.rho_next, *args, _warm=warm)
+    assert len(pictures) == 1
+
+
 def test_run_flow_hands_each_step_its_energy_before(monkeypatch):
     # one energy evaluation per state: the first step evaluates its input,
     # every later one takes the energy_after of the step before, bit for bit
@@ -1117,7 +1137,7 @@ def test_el_residual_is_measured_on_exact_couplings_only(backend):
 
 @pytest.mark.parametrize("backend", jko.VALID_BACKENDS)
 def test_inexact_transport_cost_is_the_plans_inner_product_with_the_cost(backend):
-    # at h=3e-2, as the mirror and projected steps stay put at 1e-3
+    # at h=3e-2, as the mirror step stays put at 1e-3
     step, C = _criterion3_step(backend, exact=False, h=3e-2)
     ref = float((C * step.coupling.gamma).sum())
     assert ref > 0.0
@@ -1200,7 +1220,7 @@ def test_dissipation_rate_positive_off_uniform():
 
 # ----------------------------------------------------------- step inequality
 
-@pytest.mark.parametrize("backend", ["mirror", "projected"])
+@pytest.mark.parametrize("backend", ["mirror"])
 def test_step_never_raises_energy_plus_cost(backend):
     g = make_grid(0.0, 1.0, 12)
     p = affine_p(g)
@@ -1214,16 +1234,17 @@ def test_step_never_raises_energy_plus_cost(backend):
             total_energy(rho0, ENTROPY, g), abs=1e-14)
 
 
-def test_mirror_and_projected_land_close():
+def test_mirror_step_lies_within_its_duality_gap_bound():
+    # at h=0.05 the step moves the n=12 bump; its objective lies 2.2e-5
+    # above the Fenchel bound taken at G' of its new density
     g = make_grid(0.0, 1.0, 12)
     p = affine_p(g)
     rho0 = DensityField.cosine_bump(g, amplitude=0.7)
-    a = jko.jko_step(rho0, ENTROPY, p, 0.05, g,
-                     jko.JkoOptions(backend="mirror"))
-    b = jko.jko_step(rho0, ENTROPY, p, 0.05, g,
-                     jko.JkoOptions(backend="projected"))
-    gap = np.sum(np.abs(a.rho_next.density(g) - b.rho_next.density(g))) * g.dx
-    assert gap <= 5e-4
+    step = jko.jko_step(rho0, ENTROPY, p, 0.05, g, jko.JkoOptions(backend="mirror"))
+    assert step.transport_cost > 0.0
+    gap = _duality_gap(step.energy_after + step.transport_cost, step.rho_next.mass,
+                       transport.build_cost(g, p, 0.05).values, rho0.mass, ENTROPY, g.dx)
+    assert 0.0 <= gap <= 4e-5
 
 
 def test_jko_step_is_deterministic():
@@ -1258,11 +1279,10 @@ def _reference_objective_gradient(gam, C, e, dx):
     return C + e.deriv(col / dx)[None, :]
 
 
-def _reference_armijo_descent(C, mu, e, dx, update):
+def _reference_armijo_descent(C, mu, e, dx):
     """The descent loop before it cached the column sums, the cost and the
-    linear gain: the oracle of jko._armijo_descent, with its cap and
-    tolerance. update(gam, grad, eta, mu) proposes the next plan for step
-    size eta."""
+    linear gain and kept the plan's live entries: the oracle of
+    jko._armijo_descent, with its cap and tolerance, on dense plans."""
     gam = jko._uniform_rows(mu)
     f_cur = _reference_objective(gam, C, e, dx)
     eta = 1.0 / (1.0 + np.abs(C).max())
@@ -1273,7 +1293,7 @@ def _reference_armijo_descent(C, mu, e, dx, update):
         grad = _reference_objective_gradient(gam, C, e, dx)
         accepted = False
         while eta >= 1e-16:
-            cand = update(gam, grad, eta, mu)
+            cand = _reference_mirror_update(gam, grad, eta, mu)
             f_cand = _reference_objective(cand, C, e, dx)
             lin_gain = float(((gam - cand) * grad).sum())
             if f_cand <= f_cur - 1e-4 * max(lin_gain, 0.0) + 1e-15 * (1.0 + abs(f_cur)):
@@ -1307,48 +1327,45 @@ def _reference_mirror_update(gam, grad, eta, mu):
     return _reference_rescale_rows(gam * np.exp(-eta * z), mu)
 
 
-def _reference_projected_update(gam, grad, eta, mu):
-    y = gam - eta * grad
-    n = y.shape[1]
-    out = np.zeros_like(y)
-    pos = mu > 0.0
-    if np.any(pos):
-        yp = y[pos]
-        mp = mu[pos]
-        u = np.sort(yp, axis=1)[:, ::-1]
-        css = np.cumsum(u, axis=1) - mp[:, None]
-        k = np.arange(1, n + 1)
-        cond = u - css / k > 0.0
-        rho_idx = np.count_nonzero(cond, axis=1)
-        tau = css[np.arange(len(mp)), rho_idx - 1] / rho_idx
-        out[pos] = np.maximum(yp - tau[:, None], 0.0)
-    return out
+def _duality_gap(objective, col, C, mu, e, dx):
+    """objective minus the Fenchel dual bound of the step program at
+    phi = G'(col / dx): sum_i mu_i min_j (C_ij + phi_j) - dx sum_j G*(phi_j)
+    bounds every plan with row masses mu from below."""
+    phi = e.deriv(col / dx)
+    return objective - float(mu @ (C + phi).min(axis=1) - dx * e.legendre(phi).sum())
 
 
-_DIRECTIONS = {"mirror": (jko._mirror_direction, _reference_mirror_update),
-               "projected": (jko._projected_direction, _reference_projected_update)}
+#: The duality gap of a mirror step's plan lies in [GAP_FLOOR, GAP_BOUND]:
+#: weak duality keeps it >= 0 up to rounding (-8.9e-16 the lowest measured
+#: over the descent cases below, where a step stays put), and it was 9.2e-6
+#: to 8.9e-5 where the descent moved mass (1.4e-5 to 5.6e-5 on the 16
+#: exact_steps instances).
+GAP_FLOOR, GAP_BOUND = -1e-13, 2e-4
 
 
-def _assert_descent_matches_reference(backend, g, p, h, e, mu):
+def _assert_descent_matches_reference(g, p, h, e, mu):
     """Same iterations and converged flag as the reference loop, column
-    masses within 1e-12, the returned objective that of the plan, and for
-    mirror the row masses to rounding."""
+    masses within 1e-12, the returned objective that of the plan, each
+    positive row's mass to rounding, and a duality gap in [GAP_FLOOR,
+    GAP_BOUND] for the plan a step keeps: the descent's, or the stay-put
+    diagonal where that is lower, as jko_step picks."""
     C = transport.build_cost(g, p, h).values
-    direction, update = _DIRECTIONS[backend]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        gam, f, it, converged = jko._armijo_descent(C, mu, e, g.dx, direction)
-    ref, ref_it, ref_converged = _reference_armijo_descent(C, mu, e, g.dx, update)
+        gam, f, it, converged = jko._armijo_descent(C, mu, e, g.dx)
+    ref, ref_it, ref_converged = _reference_armijo_descent(C, mu, e, g.dx)
     assert (it, converged) == (ref_it, ref_converged)
     np.testing.assert_allclose(gam.sum(axis=0), ref.sum(axis=0), rtol=0.0, atol=1e-12)
     assert f == pytest.approx(_reference_objective(gam, C, e, g.dx), rel=1e-13, abs=1e-15)
-    if backend == "mirror":
-        # rescaled on its live entries, each positive row keeps its mass
-        # mu_i within 4 ulps (at most 2 measured over every case here), and
-        # no positive row ends up empty
-        rows, pos = gam.sum(axis=1), mu > 0.0
-        assert np.all(rows[pos] > 0.0) and np.all(rows[~pos] == 0.0)
-        assert np.all(np.abs(rows[pos] - mu[pos]) <= 4 * np.spacing(mu[pos]))
+    # rescaled on its live entries, each positive row keeps its mass mu_i
+    # within 4 ulps (at most 2 measured over every case here), and no
+    # positive row ends up empty
+    rows, pos = gam.sum(axis=1), mu > 0.0
+    assert np.all(rows[pos] > 0.0) and np.all(rows[~pos] == 0.0)
+    assert np.all(np.abs(rows[pos] - mu[pos]) <= 4 * np.spacing(mu[pos]))
+    stay = float(g.dx * e.value(mu / g.dx).sum())
+    col = mu if stay < f else gam.sum(axis=0)
+    assert GAP_FLOOR <= _duality_gap(min(f, stay), col, C, mu, e, g.dx) <= GAP_BOUND
 
 
 def _rough_masses(g, seed):
@@ -1367,22 +1384,21 @@ def _exact_steps_instance(index):
     return g, affine_p(g), v / v.sum()
 
 
-@pytest.mark.parametrize("index,backend", [(i, "mirror") for i in range(16)]
-                         + [(i, "projected") for i in range(4)])
-def test_descent_matches_the_reference_on_exact_steps_instances(backend, index):
-    # mirror over the whole seed-1 block of the benchmark
+# the ids keep their -mirror suffix, so the case names stay stable
+@pytest.mark.parametrize("index", range(16), ids=lambda i: f"{i}-mirror")
+def test_descent_matches_the_reference_on_exact_steps_instances(index):
+    # the whole seed-1 block of the benchmark
     g, p, mu = _exact_steps_instance(index)
-    _assert_descent_matches_reference(backend, g, p, 1e-2, ENTROPY, mu)
+    _assert_descent_matches_reference(g, p, 1e-2, ENTROPY, mu)
 
 
-@pytest.mark.parametrize("backend", ["mirror", "projected"])
-@pytest.mark.parametrize("p0", [1.05, 6.0])
+@pytest.mark.parametrize("p0", [1.05, 6.0], ids=lambda p0: f"{p0}-mirror")
 @pytest.mark.parametrize("h", [1e-3, 1e-2, 5e-2])
 @pytest.mark.parametrize("name", sorted(ENERGIES))
-def test_descent_matches_the_reference_on_rough_data(backend, p0, h, name):
+def test_descent_matches_the_reference_on_rough_data(p0, h, name):
     g = make_grid(0.0, 1.0, 16)
     seed = 700 + 10 * sorted(ENERGIES).index(name) + [1e-3, 1e-2, 5e-2].index(h)
-    _assert_descent_matches_reference(backend, g, affine_p(g, p0), h, ENERGIES[name],
+    _assert_descent_matches_reference(g, affine_p(g, p0), h, ENERGIES[name],
                                       _rough_masses(g, seed))
 
 
@@ -1393,7 +1409,7 @@ def test_descent_matches_the_reference_at_the_rounding_floor(name, seed, monkeyp
     # 1e-15 slack of the Armijo test decides whether they are accepted
     monkeypatch.setattr(jko, "DESCENT_TOL", 1e-12)
     g = make_grid(0.0, 1.0, 16)
-    _assert_descent_matches_reference("mirror", g, affine_p(g, 6.0), 1e-2, ENERGIES[name],
+    _assert_descent_matches_reference(g, affine_p(g, 6.0), 1e-2, ENERGIES[name],
                                       _rough_masses(g, seed))
 
 
@@ -1418,7 +1434,7 @@ def test_mirror_trials_run_on_the_live_support(monkeypatch):
     counting = _CountingNumpy()
     monkeypatch.setattr(jko, "np", counting)
     C = transport.build_cost(g, p, 1e-2).values
-    jko._armijo_descent(C, mu, ENTROPY, g.dx, jko._mirror_direction)
+    jko._armijo_descent(C, mu, ENTROPY, g.dx)
     assert counting.exp_sizes[0] == g.n_cells**2
     assert counting.exp_sizes[-1] <= g.n_cells**2 // 4
 
@@ -1441,8 +1457,7 @@ def test_default_step_evaluates_the_energy_slope_once_per_iteration():
 
 # ------------------------------------------------------------ iteration cap
 
-@pytest.mark.parametrize("opts", [jko.JkoOptions(), jko.JkoOptions(backend="projected"),
-                                  blur_opts(1e-2)], ids=["mirror", "projected", "entropic"])
+@pytest.mark.parametrize("opts", [jko.JkoOptions(), blur_opts(1e-2)], ids=["mirror", "entropic"])
 def test_a_step_stopped_by_the_cap_reports_it(opts, monkeypatch):
     # a cold step that needs more iterations than the patched cap stops at
     # the cap and says it did not converge, with the masses still conserved
@@ -1500,16 +1515,23 @@ def test_options_validation():
         jko.JkoOptions(smoothing=-0.1)
 
 
-@pytest.mark.parametrize("call,error", [
-    (lambda g: jko.JkoOptions(backend="simplex"), InvalidParameterError),
-    (lambda g: jko.Trajectory(times=np.zeros(2), states=[uniform(g)]), SizeMismatchError),
+#: The message of a bad backend name lists the names there are.
+BACKENDS_NAMED = r"\('mirror', 'entropic'\)"
+
+
+@pytest.mark.parametrize("call,error,match", [
+    (lambda g: jko.JkoOptions(backend="simplex"), InvalidParameterError, BACKENDS_NAMED),
+    # the retired projected backend is an unknown name like any other
+    (lambda g: jko.JkoOptions(backend="projected"), InvalidParameterError, BACKENDS_NAMED),
+    (lambda g: jko.Trajectory(times=np.zeros(2), states=[uniform(g)]), SizeMismatchError,
+     None),
     (lambda g: jko.run_flow(uniform(g), ENTROPY, affine_p(g), 1e-2, math.inf, g),
-     InvalidParameterError),
+     InvalidParameterError, None),
     (lambda g: finsler.dissipation_check(jko.Trajectory(times=np.zeros(0), states=[]),
-                                     ENTROPY, affine_p(g), g), SizeMismatchError),
-], ids=["backend", "trajectory_length", "t_end", "empty_trajectory"])
-def test_bad_arguments_raise_typed_value_errors(call, error):
-    with pytest.raises(error) as info:
+                                     ENTROPY, affine_p(g), g), SizeMismatchError, None),
+], ids=["backend", "retired_backend", "trajectory_length", "t_end", "empty_trajectory"])
+def test_bad_arguments_raise_typed_value_errors(call, error, match):
+    with pytest.raises(error, match=match) as info:
         call(make_grid(0.0, 1.0, 8))
     assert isinstance(info.value, VarwassError)
     assert isinstance(info.value, ValueError)
