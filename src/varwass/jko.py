@@ -7,13 +7,17 @@ One step solves the joint convex program
 
 whose column sums define the new density. Two backends are available:
 
-``mirror``     multiplicative (entropic mirror) updates on the rows under an
-               Armijo line search, the default; deterministic from a
-               uniform-row start. Its trials run on the plan entries that
-               have not underflowed to 0.0. It finishes with a stay-put
-               comparison: if the diagonal plan beats the iterate, the
-               diagonal is returned, so the energy can never increase
-               across a step.
+``mirror``     the default, exact where it can certify it. It first solves
+               the step on the monotone plan by active-set Newton on the
+               column breakpoints (_monotone_newton) and returns that plan
+               once its duality gap is at rounding level. Otherwise it runs
+               multiplicative (entropic mirror) updates on the rows under
+               an Armijo line search, deterministic from a uniform-row
+               start, whose trials run on the plan entries that have not
+               underflowed to 0.0, and keeps the lower of the two plans.
+               It finishes with a stay-put comparison: if the diagonal
+               plan beats the one kept, the diagonal is returned, so the
+               energy can never increase across a step.
 ``entropic``   adds an eps * KL(gamma | uniform-row) smoothing and solves the
                dual by damped Newton steps. The smoothing lets mass leave its cell
                even when every discrete move costs more than the energy gain,
@@ -24,8 +28,9 @@ whose column sums define the new density. Two backends are available:
 For any potential phi, weak duality bounds the program from below by
 sum_i m_prev_i min_j (c_ij + phi_j) - dx sum_j G*(phi_j); at phi = G'(rho)
 of a step's new density, the step objective minus that bound, the
-duality gap, bounds how far the step lies above the optimum. ``varwass
-oracle`` reports it.
+duality gap, bounds how far the step lies above the optimum. The mirror
+backend's Newton step certifies itself with it, and ``varwass oracle``
+reports it.
 
 The entropic backend's unknowns are the log column masses; the row
 potentials are eliminated, so every iterate has exact row masses. The
@@ -76,14 +81,20 @@ MAX_ITERS = 20_000
 #: Relative objective drop that counts as quiet in the Armijo descent.
 DESCENT_TOL = 1e-9
 
+#: The monotone Newton step is returned once its duality gap is at most
+#: GAP_TOL (1 + |objective|).
+GAP_TOL = 1e-12
+
 
 @dataclass(frozen=True)
 class JkoOptions:
     """Solver knobs for a single step.
 
-    Every backend runs at most MAX_ITERS iterations; the mirror backend
-    stops on DESCENT_TOL, the entropic one on its own bound of the
-    column-mass error (_MASS_RTOL), each read at call time.
+    Every backend runs at most MAX_ITERS iterations. The mirror backend's
+    Newton step returns once its duality gap is within GAP_TOL, and the
+    descent it falls back on stops on DESCENT_TOL; the entropic backend
+    stops on its own bound of the column-mass error (_MASS_RTOL). Each is
+    read at call time.
     eps and smoothing only matter for the entropic backend. eps is a uniform
     temperature; smoothing, when set, is a length: the standard deviation of
     the blur each row's Gibbs kernel applies per step, measured on the
@@ -148,9 +159,11 @@ def _armijo_descent(C, mu, e, dx):
     being the gradient C + G'(col / dx) shifted to a zero minimum in each
     row. It is accepted once it gains at least 1e-4 of its linearized
     decrease <gam - cand, grad>, otherwise eta is halved. The run counts as
-    converged when no step size down to 1e-16 is accepted, or after three
-    consecutive steps whose drop is below DESCENT_TOL relative to the
-    objective; it stops unconverged after MAX_ITERS.
+    converged when it tries step sizes down to 1e-16 and accepts none, or
+    after three consecutive steps whose drop is below DESCENT_TOL relative
+    to the objective. It stops unconverged after MAX_ITERS, and after one
+    iteration where the first step size 1 / (1 + max |C|) already lies
+    below 1e-16, as then no step is tried.
 
     The accepted plan's column sums give the next gradient without another
     pass over the plan, and with its cost they give <gam, grad> = <C, gam>
@@ -207,8 +220,9 @@ def _armijo_descent(C, mu, e, dx):
         if dead:
             z[vals == 0.0] = np.inf
         z -= np.minimum.reduceat(z, starts)[seg]
-        accepted = False
+        accepted = tried = False
         while eta >= 1e-16:
+            tried = True
             cand = np.multiply(z, -eta)
             np.exp(cand, out=cand)
             cand *= vals
@@ -222,7 +236,7 @@ def _armijo_descent(C, mu, e, dx):
                 break
             eta *= 0.5
         if not accepted:
-            converged = True
+            converged = tried
             break
         drop = f_cur - f_cand
         vals, col, cost, f_cur = cand, cand_col, cand_cost, f_cand
@@ -237,6 +251,118 @@ def _armijo_descent(C, mu, e, dx):
     gam = np.zeros(shape)
     np.put(gam, sup[0], vals)
     return gam, f_cur, it, converged
+
+
+def _tridiagonal_solve(diag, off, rhs):
+    """x with T x = rhs, T symmetric tridiagonal: diagonal diag, off[i] at
+    (i, i+1) and (i+1, i). Elimination without pivoting, in Python floats:
+    T is positive definite where it is used. A zero pivot raises
+    ZeroDivisionError."""
+    b, c, x = diag.tolist(), off.tolist(), rhs.tolist()
+    for i in range(1, len(b)):
+        w = c[i - 1] / b[i - 1]
+        b[i] -= w * c[i - 1]
+        x[i] -= w * x[i - 1]
+    x[-1] /= b[-1]
+    for i in range(len(b) - 2, -1, -1):
+        x[i] = (x[i] - c[i] * x[i + 1]) / b[i]
+    return np.array(x)
+
+
+def _monotone_newton(C, mu, e, dx):
+    """The step on the monotone plan, by active-set Newton on the column
+    breakpoints, certified by its duality gap.
+
+    Row i holds the quantiles between the row ends M_(i-1) and M_i of the
+    cumulative masses mu; the unknowns are the column ends N_0 <= ... <=
+    N_(n-2), with N_(-1) = 0 and N_(n-1) = M_(n-1), so column j holds nu_j
+    = N_j - N_(j-1). On the monotone plan the cost is const + sum_j
+    w_j(N_j), w_j piecewise linear with slope A_ij = C_ij - C_i,j+1 while
+    N_j lies in row i: its kinks are the row ends. The step minimizes J(N)
+    = sum_j w_j(N_j) + dx sum_j G(nu_j / dx), convex where C is Monge (A
+    nondecreasing down each column); in one dimension this is the grid
+    form of the Lagrangian step of Matthes & Osberger (ESAIM M2AN 48,
+    2014). With phi = G'(nu / dx) and d_j = phi_(j+1) - phi_j, a
+    breakpoint inside row i is optimal at A_ij = d_j, one on a row end when
+    d_j lies between the slopes of the rows on either side of it.
+
+    The start is the stay-put plan, N = M, every breakpoint on a kink.
+    Each iteration classifies the breakpoints: inside a row, pinned on a
+    kink, or leaving it toward the row that d_j points to. The free ones
+    take a Newton step under the tridiagonal Hessian of the energy term
+    (the transport term is linear within a row), each clipped to its row's
+    ends, and the step is halved until J falls by 1e-4 of its linearized
+    decrease, up to a rounding slack of 1e-15 (1 + |J|). J is tracked by
+    differences: the transport part gains A_ij times each move, which is
+    exact within a row, so the objective carries no cancellation of the
+    cost's large far-off entries.
+
+    Every iteration evaluates phi once and measures the duality gap f -
+    (mu . min_j (C_ij + phi_j) - dx sum_j G*(phi_j)) of the plan at that
+    phi, f its objective; the loop returns once the gap is at most GAP_TOL
+    (1 + |f|). It stops uncertified on a stall: when a step moves nothing,
+    when 60 halvings find no decrease, or when a step lowers J by no more
+    than the rounding slack and the gap did not halve since the iteration
+    before. It also stops at MAX_ITERS. The gap does not certify where C
+    breaks the Monge condition near the plan (there the monotone plan can
+    lose to another one), nor where the RHO_FLOOR clamp of G' leaves
+    columns at vacuum under the entropy.
+
+    Returns the column masses (mu itself when no breakpoint moved, so a
+    stay-put step keeps its bits), the objective, the iteration count and
+    whether the gap certified the answer.
+    """
+    n = mu.size
+    ends = np.concatenate(([0.0], np.cumsum(mu)))
+    total = ends[-1]
+    A = C[:, :-1] - C[:, 1:]
+    j = np.arange(n - 1)
+    N, nu, g_val, W = ends, mu, e.value(mu / dx), 0.0
+    last, quiet = math.inf, False
+    for it in range(1, MAX_ITERS + 1):
+        phi = e.deriv(nu / dx)
+        f = W + dx * float(g_val.sum())
+        gap = f - float(mu @ (C + phi).min(axis=1) - dx * e.legendre(phi).sum())
+        if gap <= GAP_TOL * (1.0 + abs(f)):
+            return nu, f, it, True
+        if quiet and not gap <= 0.5 * last:
+            break
+        last, inner = gap, N[1:-1]
+        # the rows reaching each breakpoint from below and from above: the
+        # same row inside it, neighbours on a kink
+        below = np.searchsorted(ends[1:], inner)
+        above = np.searchsorted(ends[1:], inner, "right")
+        d = phi[1:] - phi[:-1]
+        up = (inner < total) & (d > A[np.minimum(above, n - 1), j]) & (below < above)
+        free = (below == above) | up | ((inner > 0.0) & (d < A[below, j]))
+        row = np.where(up, above, below)
+        slope = A[row, j]
+        grad = np.where(free, slope - d, 0.0)
+        k = e.second(nu / dx) / dx
+        try:
+            step = _tridiagonal_solve(np.where(free, k[:-1] + k[1:], 1.0),
+                                      -k[1:-1] * (free[:-1] & free[1:]), -grad)
+        except ZeroDivisionError:
+            break
+        slack, alpha, trial = 1e-15 * (1.0 + abs(f)), 1.0, N.copy()
+        for _ in range(60):
+            trial[1:-1] = np.clip(inner + alpha * step, ends[row], ends[row + 1])
+            nu_t = trial[1:] - trial[:-1]
+            if nu_t.min() >= 0.0:
+                g_t = e.value(nu_t / dx)
+                moved = trial[1:-1] - inner
+                dW = float(slope @ moved)
+                change = dW + dx * float((g_t - g_val).sum())
+                if change <= 1e-4 * float(grad @ moved) + slack:
+                    break
+            alpha *= 0.5
+        else:
+            break
+        if not moved.any():
+            break
+        quiet = change > -slack
+        N, nu, g_val, W = trial, nu_t, g_t, W + dW
+    return nu, W + dx * float(g_val.sum()), it, False
 
 
 def _clamped_curvature(e: EnergyModel, t: np.ndarray) -> np.ndarray:
@@ -588,13 +714,22 @@ def jko_step(rho_prev: DensityField, e: EnergyModel, p: ExponentField, h: float,
     """One implicit step of the minimizing-movement scheme.
 
     Solves the joint program for the chosen backend, reads the new density
-    off the column sums, and packages diagnostics. The reported coupling is
-    the exact plan between the old and new masses when opts.exact_coupling
-    is set (the default), otherwise the solver iterate itself; el_residual
-    is computed only for the exact plan and is NaN otherwise. _warm is what
-    run_flow carries from step to step (see _Warm): the energy of rho_prev,
-    and for entropic steps the guess and the inverse Newton matrix that the
-    dual loop starts from and hands back (see _entropic_backend).
+    off the column sums, and packages diagnostics. On the mirror backend
+    the monotone Newton step (_monotone_newton) comes first; where its
+    duality gap does not certify it, _armijo_descent runs, and the lowest
+    objective of three plans wins: the Newton plan, the descent's and the
+    stay-put diagonal. iterations and converged are those of the solver
+    whose plan is returned, or, where the diagonal wins, of the solver it
+    beat; on the Newton plan, converged means certified. Both solvers
+    share the cap MAX_ITERS. The reported coupling is the exact plan
+    between the old and new masses when opts.exact_coupling is set (the
+    default), otherwise the solver's plan itself (the Newton step's
+    monotone plan, built from transport._quantile_segments, is made dense
+    only then); el_residual is computed only for the exact plan and is NaN
+    otherwise. _warm is what run_flow carries from step to step (see
+    _Warm): the energy of rho_prev, and for entropic steps the guess and
+    the inverse Newton matrix that the dual loop starts from and hands
+    back (see _entropic_backend).
     """
     check_positive(h, "step size h")
     opts = opts or JkoOptions()
@@ -608,15 +743,30 @@ def jko_step(rho_prev: DensityField, e: EnergyModel, p: ExponentField, h: float,
     if opts.backend == "entropic":
         gam, iters, converged = _entropic_backend(plan, mu, e, dx, warm)
     else:
-        gam, f_iter, iters, converged = _armijo_descent(C, mu, e, dx)
+        # gam stays None while the monotone plan with columns col is kept
+        gam = None
+        col, f_step, iters, converged = _monotone_newton(C, mu, e, dx)
+        if not converged:
+            descent = _armijo_descent(C, mu, e, dx)
+            if descent[1] <= f_step:
+                gam, f_step, iters, converged = descent
         # Stay-put comparison: the diagonal plan costs nothing and keeps the
-        # old energy, so accepting the better of the two makes the step
+        # old energy, so accepting it where it is lower makes the step
         # objective, and with it the energy, provably nonincreasing. Its
         # objective dx * sum G(mu / dx) has the bits of e_before.
-        if e_before < f_iter:
+        if e_before < f_step:
             gam = np.diag(mu)
+        elif gam is None and not opts.exact_coupling:
+            # the monotone plan is made dense only to be the coupling
+            if col is mu:
+                gam = np.diag(mu)
+            else:
+                seg, rows, cols = transport._quantile_segments(mu, col)
+                gam = np.zeros(C.shape)
+                gam[rows, cols] = seg * mu.sum()
 
-    col = gam.sum(axis=0)
+    if gam is not None:
+        col = gam.sum(axis=0)
     col_total, mu_total = col.sum(), mu.sum()
     mass_error = float(abs(col_total - mu_total))
     m_next = col * (mu_total / col_total) if col_total > 0.0 else col

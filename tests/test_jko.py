@@ -1235,7 +1235,8 @@ def test_step_never_raises_energy_plus_cost(backend):
 
 
 def test_mirror_step_lies_within_its_duality_gap_bound():
-    # at h=0.05 the step moves the n=12 bump; its objective lies 2.2e-5
+    # at h=0.05 the step moves the n=12 bump; the monotone Newton step
+    # certifies it, and the objective of its exact coupling lies 5.6e-17
     # above the Fenchel bound taken at G' of its new density
     g = make_grid(0.0, 1.0, 12)
     p = affine_p(g)
@@ -1244,7 +1245,7 @@ def test_mirror_step_lies_within_its_duality_gap_bound():
     assert step.transport_cost > 0.0
     gap = _duality_gap(step.energy_after + step.transport_cost, step.rho_next.mass,
                        transport.build_cost(g, p, 0.05).values, rho0.mass, ENTROPY, g.dx)
-    assert 0.0 <= gap <= 4e-5
+    assert GAP_FLOOR <= gap <= 1e-14
 
 
 def test_jko_step_is_deterministic():
@@ -1291,8 +1292,9 @@ def _reference_armijo_descent(C, mu, e, dx):
     it = 0
     for it in range(1, jko.MAX_ITERS + 1):
         grad = _reference_objective_gradient(gam, C, e, dx)
-        accepted = False
+        accepted = tried = False
         while eta >= 1e-16:
+            tried = True
             cand = _reference_mirror_update(gam, grad, eta, mu)
             f_cand = _reference_objective(cand, C, e, dx)
             lin_gain = float(((gam - cand) * grad).sum())
@@ -1301,7 +1303,7 @@ def _reference_armijo_descent(C, mu, e, dx):
                 break
             eta *= 0.5
         if not accepted:
-            converged = True
+            converged = tried
             break
         drop = f_cur - f_cand
         gam, f_cur = cand, f_cand
@@ -1335,11 +1337,12 @@ def _duality_gap(objective, col, C, mu, e, dx):
     return objective - float(mu @ (C + phi).min(axis=1) - dx * e.legendre(phi).sum())
 
 
-#: The duality gap of a mirror step's plan lies in [GAP_FLOOR, GAP_BOUND]:
-#: weak duality keeps it >= 0 up to rounding (-8.9e-16 the lowest measured
-#: over the descent cases below, where a step stays put), and it was 9.2e-6
-#: to 8.9e-5 where the descent moved mass (1.4e-5 to 5.6e-5 on the 16
-#: exact_steps instances).
+#: The duality gap of the descent's plan, or of the stay-put plan where
+#: that is lower, lies in [GAP_FLOOR, GAP_BOUND]: weak duality keeps it >= 0
+#: up to rounding (-8.9e-16 the lowest measured over the descent cases
+#: below, where a step stays put), and it was 9.2e-6 to 8.9e-5 where the
+#: descent moved mass (1.4e-5 to 5.6e-5 on the 16 exact_steps instances).
+#: A certified Newton step's gap is rounding, so GAP_FLOOR bounds it too.
 GAP_FLOOR, GAP_BOUND = -1e-13, 2e-4
 
 
@@ -1392,14 +1395,37 @@ def test_descent_matches_the_reference_on_exact_steps_instances(index):
     _assert_descent_matches_reference(g, p, 1e-2, ENTROPY, mu)
 
 
+def _rough_case(p0, h, name):
+    """(g, p, e, mu) of a rough case: n=16, p = p0 + x, rough masses."""
+    g = make_grid(0.0, 1.0, 16)
+    seed = 700 + 10 * sorted(ENERGIES).index(name) + [1e-3, 1e-2, 5e-2].index(h)
+    return g, affine_p(g, p0), ENERGIES[name], _rough_masses(g, seed)
+
+
+ROUGH = pytest.mark.parametrize("p0,h,name", list(itertools.product(
+    [1.05, 6.0], [1e-3, 1e-2, 5e-2], sorted(ENERGIES))))
+
+
 @pytest.mark.parametrize("p0", [1.05, 6.0], ids=lambda p0: f"{p0}-mirror")
 @pytest.mark.parametrize("h", [1e-3, 1e-2, 5e-2])
 @pytest.mark.parametrize("name", sorted(ENERGIES))
 def test_descent_matches_the_reference_on_rough_data(p0, h, name):
-    g = make_grid(0.0, 1.0, 16)
-    seed = 700 + 10 * sorted(ENERGIES).index(name) + [1e-3, 1e-2, 5e-2].index(h)
-    _assert_descent_matches_reference(g, affine_p(g, p0), h, ENERGIES[name],
-                                      _rough_masses(g, seed))
+    g, p, e, mu = _rough_case(p0, h, name)
+    _assert_descent_matches_reference(g, p, h, e, mu)
+
+
+@pytest.mark.parametrize("name", sorted(ENERGIES))
+def test_a_descent_that_tries_no_step_does_not_claim_convergence(name):
+    # at p0=6 and h=1e-3 the largest cost is about 1e17: the first step size
+    # 1 / (1 + max |C|) already lies below the 1e-16 floor, no step is tried,
+    # and the uniform-row start, whose duality gap is above 1e14, is not
+    # reported as converged
+    g, p, e, mu = _rough_case(6.0, 1e-3, name)
+    C = transport.build_cost(g, p, 1e-3).values
+    assert 1.0 / (1.0 + np.abs(C).max()) < 1e-16
+    gam, f, it, converged = jko._armijo_descent(C, mu, e, g.dx)
+    assert (it, converged) == (1, False)
+    assert _duality_gap(f, gam.sum(axis=0), C, mu, e, g.dx) > 1e14
 
 
 @pytest.mark.parametrize("name,seed", [("power3", 721), ("power3", 809),
@@ -1411,6 +1437,136 @@ def test_descent_matches_the_reference_at_the_rounding_floor(name, seed, monkeyp
     g = make_grid(0.0, 1.0, 16)
     _assert_descent_matches_reference(g, affine_p(g, 6.0), 1e-2, ENERGIES[name],
                                       _rough_masses(g, seed))
+
+
+# ------------------------------------------ monotone Newton step, certified
+
+def _assert_newton_certified(g, p, h, e, mu):
+    """The monotone Newton step certifies its answer: its objective is that
+    of the monotone plan of its columns, the duality gap of that plan lies
+    in [GAP_FLOOR, GAP_TOL (1 + |f|)], and the objective is at most the
+    descent's plus 1e-15. Returns the iteration count."""
+    C = transport.build_cost(g, p, h).values
+    col, f, it, certified = jko._monotone_newton(C, mu, e, g.dx)
+    assert certified
+    seg, rows, cols = transport._quantile_segments(mu, col)
+    plan = float(seg @ C[rows, cols]) * mu.sum() + g.dx * float(e.value(col / g.dx).sum())
+    assert f == pytest.approx(plan, rel=1e-13, abs=1e-16)
+    assert GAP_FLOOR <= _duality_gap(plan, col, C, mu, e, g.dx) <= jko.GAP_TOL * (1.0 + abs(f))
+    assert f <= jko._armijo_descent(C, mu, e, g.dx)[1] + 1e-15
+    return it
+
+
+@pytest.mark.parametrize("index", range(16))
+def test_newton_certifies_the_exact_steps_block(index):
+    # 14 to 23 iterations each, where the descent takes 448 to 937; the new
+    # masses hold no cheaper plan than the monotone one, so the exact
+    # coupling of the step takes no pivot
+    g, p, mu = _exact_steps_instance(index)
+    assert _assert_newton_certified(g, p, 1e-2, ENTROPY, mu) <= 30
+    step = jko.jko_step(DensityField.from_masses(mu), ENTROPY, p, 1e-2, g)
+    assert step.converged
+    assert transport.solve_exact(transport.build_cost(g, p, 1e-2), mu,
+                                 step.rho_next.mass).pivots == 0
+
+
+def test_tridiagonal_solve_matches_the_dense_solve():
+    # the Newton matrix's shape: free rows couple to free neighbours, pinned
+    # rows are rows of the identity; curvatures over six decades
+    rng = np.random.default_rng(5)
+    k = 10.0 ** rng.uniform(-3.0, 3.0, 41)
+    free = rng.random(40) < 0.8
+    diag = np.where(free, k[:-1] + k[1:], 1.0)
+    off = -k[1:-1] * (free[:-1] & free[1:])
+    rhs = rng.standard_normal(40)
+    T = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
+    x = jko._tridiagonal_solve(diag, off, rhs)
+    # a componentwise backward error at rounding level, as elimination
+    # without pivoting gives on a diagonally dominant matrix
+    bound = 16 * np.finfo(float).eps * (np.abs(T) @ np.abs(x) + np.abs(rhs))
+    assert np.all(np.abs(T @ x - rhs) <= bound)
+    np.testing.assert_allclose(x, np.linalg.solve(T, rhs), rtol=1e-9, atol=0.0)
+    with pytest.raises(ZeroDivisionError):
+        jko._tridiagonal_solve(np.zeros(3), np.zeros(2), np.ones(3))
+
+
+def test_an_inexact_default_step_returns_the_monotone_plan():
+    # without the exact coupling, the coupling is the Newton step's own
+    # plan: monotone (its support a staircase), with the row masses, the
+    # new masses of the exact-coupled step and the exact plan's cost
+    g, p, mu = _exact_steps_instance(0)
+    rho = DensityField.from_masses(mu)
+    inexact = jko.jko_step(rho, ENTROPY, p, 1e-2, g, jko.JkoOptions(exact_coupling=False))
+    exact = jko.jko_step(rho, ENTROPY, p, 1e-2, g)
+    gam = inexact.coupling.gamma
+    assert inexact.converged and inexact.iterations == exact.iterations
+    assert np.all(np.diff(np.nonzero(gam)[1]) >= 0)
+    np.testing.assert_allclose(gam.sum(axis=1), mu, rtol=0.0, atol=1e-15)
+    np.testing.assert_allclose(inexact.rho_next.mass, exact.rho_next.mass, rtol=0.0, atol=1e-15)
+    assert inexact.transport_cost == pytest.approx(exact.transport_cost, rel=1e-12)
+
+
+def test_newton_certifies_criterion_5():
+    # acceptance criterion 5's 50 instances: 4 to 6 iterations each
+    g = make_grid(0.0, 1.0, 12)
+    for seed in range(50):
+        v = 0.1 + 0.9 * np.random.default_rng(7000 + seed).random(g.n_cells)
+        mu = v * g.dx / (v.sum() * g.dx)
+        assert _assert_newton_certified(g, affine_p(g), 0.01, ENTROPY, mu) <= 10
+
+
+#: Rough cases whose gap the monotone step cannot close: at p0=1.05 the cost
+#: breaks the Monge condition on 61 to 88 of the 225 adjacent 2x2 blocks,
+#: and the descent's plan, which is not monotone, is cheaper.
+ROUGH_FALLBACKS = {(1.05, 1e-3, "entropy"), (1.05, 1e-3, "power1.5"),
+                   (1.05, 1e-2, "entropy"), (1.05, 1e-2, "quadratic"),
+                   (1.05, 5e-2, "power3")}
+
+
+@ROUGH
+def test_newton_on_rough_data_certifies_or_falls_back_to_the_descent(p0, h, name):
+    g, p, e, mu = _rough_case(p0, h, name)
+    if (p0, h, name) not in ROUGH_FALLBACKS:
+        _assert_newton_certified(g, p, h, e, mu)
+        return
+    C = transport.build_cost(g, p, h).values
+    assert not jko._monotone_newton(C, mu, e, g.dx)[3]
+    gam, _, it, converged = jko._armijo_descent(C, mu, e, g.dx)
+    step = jko.jko_step(DensityField.from_masses(mu), e, p, h, g,
+                        jko.JkoOptions(exact_coupling=False))
+    assert (step.iterations, step.converged) == (it, converged)
+    assert np.array_equal(step.coupling.gamma, gam)
+
+
+NEWTON_ENERGIES = {"power2": builtin_energy("power", m=2.0),
+                   "power3": ENERGIES["power3"], "quadratic": QUADRATIC}
+
+
+@pytest.mark.parametrize("n", [32, 64])
+@pytest.mark.parametrize("p_kind", ["2", "2+x", "1.5", "3"])
+@pytest.mark.parametrize("h", [1e-3, 1e-2])
+@pytest.mark.parametrize("name", sorted(NEWTON_ENERGIES))
+def test_newton_certifies_compact_support(n, p_kind, h, name):
+    # a bump on [0.2, 0.6] with vacuum around it: the columns outside the
+    # support stay at 0 with their breakpoints pinned at 0 or at the total
+    g = make_grid(0.0, 1.0, n)
+    p = (affine_p(g) if p_kind == "2+x"
+         else ExponentField.constant(float(p_kind), n))
+    v = np.maximum(0.0, 1.0 - ((g.centers - 0.4) / 0.2) ** 2)
+    _assert_newton_certified(g, p, h, NEWTON_ENERGIES[name], v / v.sum())
+
+
+def test_a_frozen_step_of_the_jko_config_is_certified_stay_put_in_one_iteration():
+    # tests/configs/jko.yaml freezes after three steps: steps 4 and 5 keep
+    # their input masses bit for bit, certified at the first iteration
+    # (the descent took 2,739 iterations on the frozen step of its flow)
+    cfg = cli.load_config(Path(__file__).parent / "configs" / "jko.yaml")
+    traj = jko.run_flow(cfg.rho0, cfg.energy, cfg.p, cfg.h, cfg.t_end, cfg.grid,
+                        cfg.jko_opts)
+    assert [s.iterations for s in traj.steps[3:]] == [1, 1]
+    assert all(s.converged and s.transport_cost == 0.0 for s in traj.steps[3:])
+    assert np.array_equal(traj.states[4].mass, traj.states[3].mass)
+    assert all(s.converged and s.iterations <= 30 for s in traj.steps)
 
 
 class _CountingNumpy:
@@ -1440,8 +1596,9 @@ def test_mirror_trials_run_on_the_live_support(monkeypatch):
 
 
 def test_default_step_evaluates_the_energy_slope_once_per_iteration():
-    # one G' per descent iteration, the accepted plan's column sums reused,
-    # and one in the EL residual
+    # one G' per Newton iteration, the certificate reading the same one, and
+    # one in the EL residual; at h=5e-2 the step moves (at 1e-2 it is a
+    # stay-put step, certified in one iteration)
     g = make_grid(0.0, 1.0, 16)
     evaluations = []
 
@@ -1450,23 +1607,27 @@ def test_default_step_evaluates_the_energy_slope_once_per_iteration():
         return ENTROPY.deriv(t)
 
     step = jko.jko_step(DensityField.cosine_bump(g, amplitude=0.5),
-                        dataclasses.replace(ENTROPY, deriv=counted), affine_p(g), 1e-2, g)
-    assert step.iterations > 1
+                        dataclasses.replace(ENTROPY, deriv=counted), affine_p(g), 5e-2, g)
+    assert step.converged and step.iterations > 1
     assert len(evaluations) == step.iterations + 1
 
 
 # ------------------------------------------------------------ iteration cap
 
-@pytest.mark.parametrize("opts", [jko.JkoOptions(), blur_opts(1e-2)], ids=["mirror", "entropic"])
-def test_a_step_stopped_by_the_cap_reports_it(opts, monkeypatch):
+@pytest.mark.parametrize("opts,h", [(jko.JkoOptions(), 5e-2), (blur_opts(1e-2), 1e-2)],
+                         ids=["mirror", "entropic"])
+def test_a_step_stopped_by_the_cap_reports_it(opts, h, monkeypatch):
     # a cold step that needs more iterations than the patched cap stops at
-    # the cap and says it did not converge, with the masses still conserved
+    # the cap and says it did not converge, with the masses still conserved;
+    # the default step moves at h=5e-2 (at 1e-2 it stays put, certified in
+    # one iteration), and its Newton loop and the descent that follows it
+    # share the cap
     g = make_grid(0.0, 1.0, 16)
     rho = DensityField.cosine_bump(g, amplitude=0.5)
-    free = jko.jko_step(rho, ENTROPY, affine_p(g), 1e-2, g, opts)
+    free = jko.jko_step(rho, ENTROPY, affine_p(g), h, g, opts)
     assert free.converged and free.iterations > 2
     monkeypatch.setattr(jko, "MAX_ITERS", 2)
-    capped = jko.jko_step(rho, ENTROPY, affine_p(g), 1e-2, g, opts)
+    capped = jko.jko_step(rho, ENTROPY, affine_p(g), h, g, opts)
     assert (capped.iterations, capped.converged) == (2, False)
     assert capped.mass_error <= 1e-15
 
