@@ -333,7 +333,7 @@ def _monotone_newton(C, mu, e, dx):
         below = np.searchsorted(ends[1:], inner)
         above = np.searchsorted(ends[1:], inner, "right")
         d = phi[1:] - phi[:-1]
-        up = (inner < total) & (d > A[np.minimum(above, n - 1), j]) & (below < above)
+        up = (inner < total) & (d > A[np.minimum(above, n - 1), j])
         free = (below == above) | up | ((inner > 0.0) & (d < A[below, j]))
         row = np.where(up, above, below)
         slope = A[row, j]

@@ -1507,7 +1507,7 @@ def test_an_inexact_default_step_returns_the_monotone_plan():
 
 
 def test_newton_certifies_criterion_5():
-    # acceptance criterion 5's 50 instances: 4 to 6 iterations each
+    # acceptance criterion 5's 50 instances: 1 to 6 iterations each
     g = make_grid(0.0, 1.0, 12)
     for seed in range(50):
         v = 0.1 + 0.9 * np.random.default_rng(7000 + seed).random(g.n_cells)
