@@ -38,11 +38,14 @@ def bisect(f, lo, hi):
     an end would push the converged point onto or past it, so a Newton
     point in the closed bracket that the push takes out of the open one
     becomes the end's inner neighbour, which closes the bracket there (by
-    halving, a root at 0 takes the cap). The midpoint replaces a Newton
-    point that is not strictly inside the bracket (a point on an end was
-    evaluated already), or whose step is more than half the step before
-    last, as in Numerical Recipes' rtsafe: far out on a convex branch
-    Newton crawls by a fixed amount per step.
+    halving, a root at 0 takes the cap). So does a Newton target
+    x - f(x) / f'(x) that lies past an end by at most the spacing of x:
+    there it cancelled (x - (x - c) rounds to 0 for a root c far below x
+    in size), and halving from x down to c would take the cap. The
+    midpoint replaces a Newton point that is not strictly inside the
+    bracket (a point on an end was evaluated already), or whose step is
+    more than half the step before last, as in Numerical Recipes' rtsafe:
+    far out on a convex branch Newton crawls by a fixed amount per step.
     Where f is exactly 0 over a run of doubles, one-ulp pushes would each
     land on another zero and leave the far end of the bracket where it is;
     so after two zeros in a row the push is twice the last one, and at
@@ -68,7 +71,10 @@ def bisect(f, lo, hi):
         target = x - newton
         trial = np.nextafter(target, np.where(up, -np.inf, np.inf))
         inner = np.clip(trial, np.nextafter(lo, hi), np.nextafter(hi, lo))
-        trial = np.where((lo <= target) & (target <= hi), inner, trial)
+        # a target that cancelled to just past an end, by at most the
+        # spacing of x, counts as on it
+        slack = np.spacing(np.abs(x))
+        trial = np.where((lo - slack <= target) & (target <= hi + slack), inner, trial)
         zero, was_zero = fx == 0.0, zero
         again = zero & was_zero
         if np.count_nonzero(again):

@@ -11,9 +11,10 @@ and subadditive (the flux map nu -> rho*v is linear), the gradient of the
 internal energy is the negated spatial operator of the reference equation,
 and lengths of discrete curves bound the transport distance from above.
 
-A curve's K segments are measured at once: quotients, momenta, velocities
-and norms are (K, n) stacks, and the norms take one call of the shared root
-finder. A single tangent vector or segment is the one-row case.
+A curve's segments are measured a block of them at a time: quotients,
+momenta, velocities and norms are (K, n) stacks, and each block's norms take
+one call of the shared root finder. A single tangent vector or segment is
+the one-row case.
 
 The slope side of the energy-dissipation balance lives here too: the cell
 slope of G'(rho), the dissipation rate, and dissipation_check, which takes
@@ -141,23 +142,23 @@ def finsler_gradient(rho: DensityField, e: EnergyModel, q: ExponentField,
     return TangentVector(-pde.rhs(rho, e, q, g))
 
 
-def _speeds(mass: np.ndarray, times: np.ndarray, p: ExponentField, g: Grid) -> np.ndarray:
-    """Speeds F(rho^k, (rho^{k+1} - rho^k) / dt_k) of the consecutive rows of
-    a (K, n) mass stack, stacked.
+def _speeds(before: np.ndarray, after: np.ndarray, dt: np.ndarray, p: ExponentField,
+            g: Grid) -> np.ndarray:
+    """Speeds F(rho^k, (rho^{k+1} - rho^k) / dt_k) of the segments from the
+    rows of a (K, n) mass stack before to the same rows of after, dt_k
+    apart, stacked.
 
     A quotient integrates to the mass difference of its states over dt, and
     DensityField lets masses differ by MASS_TOL, so its zero-mean check is
     relative to max(1, (m_k + m_{k+1}) / dt_k), which also bounds sum |nu| dx.
     """
     exponent = g.check_cell_field(p.values, "exponent field")
-    dt = np.diff(times)
-    density = mass / g.dx
-    nu = (density[1:] - density[:-1]) / dt[:, None]
+    nu = (after / g.dx - before / g.dx) / dt[:, None]
     if not np.isfinite(nu).all():
         raise InvalidDensityError("tangent values must be finite")
-    total = mass.sum(axis=1)
-    v = _velocities(mass[:-1], nu, np.maximum(1.0, (total[:-1] + total[1:]) / dt), g)
-    return _norm_rows(neighbor_mean(v), mass[:-1], exponent)
+    scale = np.maximum(1.0, (before.sum(axis=1) + after.sum(axis=1)) / dt)
+    v = _velocities(before, nu, scale, g)
+    return _norm_rows(neighbor_mean(v), before, exponent)
 
 
 def metric_derivative(traj: Trajectory, p: ExponentField, g: Grid, k: int) -> float:
@@ -166,14 +167,23 @@ def metric_derivative(traj: Trajectory, p: ExponentField, g: Grid, k: int) -> fl
         raise SampleIndexError(
             f"sample index {k} out of range for a trajectory of {len(traj)} states"
         )
-    return float(_speeds(_masses_on(traj, g)[k:k + 2], traj.times[k:k + 2], p, g)[0])
+    mass = _masses_on(traj, g)
+    return float(_speeds(mass[k:k + 1], mass[k + 1:k + 2], np.diff(traj.times[k:k + 2]),
+                         p, g)[0])
 
 
 def curve_length(traj: Trajectory, p: ExponentField, g: Grid) -> float:
-    """Sum of speed * dt along a discrete trajectory (>= 2 states)."""
+    """Sum of speed * dt along a discrete trajectory (>= 2 states).
+
+    The speeds are taken _BLOCK segments at a time (varexp._by_blocks), so a
+    long run's temporaries stay small; each segment's norm is solved on its
+    own row, so they have the bits of the whole stack's speeds.
+    """
     if len(traj) < 2:
         raise SizeMismatchError("curve length needs at least 2 states")
-    return float(_speeds(_masses_on(traj, g), traj.times, p, g) @ np.diff(traj.times))
+    mass, dt = _masses_on(traj, g), np.diff(traj.times)
+    speeds = _by_blocks(lambda m0, m1, t: _speeds(m0, m1, t, p, g), mass[:-1], mass[1:], dt)
+    return float(speeds @ dt)
 
 
 def _cell_slope(mass: np.ndarray, e: EnergyModel, g: Grid) -> np.ndarray:

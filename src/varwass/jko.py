@@ -131,10 +131,14 @@ class JkoStepResult:
     measured on an exact coupling only; with coupling_is_exact False it is
     NaN. mass_error is the gap between the plan's total column mass and
     the previous total, before rho_next is scaled back to that total.
+    coupling is None on the steps of run_flow: each such step forms and
+    checks its n-by-n plan and measures the step on it, but does not keep
+    it, so a flow holds O(K n) and not O(K n^2). jko_step called on its own
+    returns the plan.
     """
 
     rho_next: DensityField
-    coupling: transport.Coupling
+    coupling: transport.Coupling | None
     transport_cost: float
     energy_before: float
     energy_after: float
@@ -729,7 +733,10 @@ def jko_step(rho_prev: DensityField, e: EnergyModel, p: ExponentField, h: float,
     otherwise. _warm is what run_flow carries from step to step (see
     _Warm): the energy of rho_prev, and for entropic steps the guess and
     the inverse Newton matrix that the dual loop starts from and hands
-    back (see _entropic_backend).
+    back (see _entropic_backend). Only run_flow passes it, and a step
+    given _warm returns coupling None: the plan is still formed, checked
+    and measured (transport_cost, el_residual), but the flow does not keep
+    it.
     """
     check_positive(h, "step size h")
     opts = opts or JkoOptions()
@@ -784,7 +791,7 @@ def jko_step(rho_prev: DensityField, e: EnergyModel, p: ExponentField, h: float,
     e_after = total_energy(rho_next, e, g)
     return JkoStepResult(
         rho_next=rho_next,
-        coupling=coupling,
+        coupling=coupling if _warm is None else None,
         transport_cost=cost_value,
         energy_before=e_before,
         energy_after=e_after,
@@ -836,7 +843,9 @@ def run_flow(rho0: DensityField, e: EnergyModel, p: ExponentField, h: float,
     on the entropic one once a step with the guess c returns c, as the next
     guess 2c - c is c exactly, without building a new matrix.
     Each new state's masses are written into the next row of the
-    trajectory's stack as the flow goes.
+    trajectory's stack as the flow goes, and traj.steps holds each step's
+    result with its diagnostics but coupling None: the flow keeps no n-by-n
+    plan. jko_step, called on its own, returns a step's plan.
     """
     n_steps = _step_count(t_end, h)
     entropic = opts is not None and opts.backend == "entropic"

@@ -205,9 +205,11 @@ class Trajectory:
     states a read-only sequence of DensityFields over its rows. final owns
     a copy of the last row, so keeping it keeps no stack alive. steps holds
     the per-step diagnostics of jko.run_flow (None when assembled
-    elsewhere). Trajectory(times, states) stacks the states once, and
-    raises SizeMismatchError for a state of another shape than the first;
-    another trajectory's states share its stack.
+    elsewhere), each without its n-by-n plan (coupling None), so a flow
+    holds O(K n); jko.jko_step gives a step's plan. Trajectory(times,
+    states) stacks the states once, and raises SizeMismatchError for a
+    state of another shape than the first; another trajectory's states
+    share its stack.
     """
 
     def __init__(self, times, states, steps: list | None = None):

@@ -151,13 +151,14 @@ def test_each_state_keeps_its_own_unit_mass_flag():
 
 # ------------------------------------------------ bounded temporaries
 
-@pytest.mark.parametrize("reader", ["comparison_check", "energy_series", "dissipation_check"])
+@pytest.mark.parametrize("reader", ["comparison_check", "energy_series", "dissipation_check",
+                                    "curve_length"])
 def test_whole_trajectory_readers_hold_small_temporaries(reader):
     # the CI pde config's 3,941 states against the same states in reverse
     # order, so that many blocks of rows differ. Under tracemalloc
     # comparison_check and energy_series peaked at 0.43 MB, dissipation_check
-    # at 0.62 MB; holding whole stacks, they had peaked at 4.7, 0.56 (in
-    # blocks already) and 6.2 MB
+    # at 0.62 MB and curve_length at 1.38 MB; holding whole stacks, they had
+    # peaked at 4.7, 0.56 (in blocks already), 6.2 and 21.1 MB
     cfg = cli.load_config(Path(__file__).parent / "configs" / "pde.yaml")
     g, e, p = cfg.grid, cfg.energy, cfg.p
     traj = pde.solve(cfg.rho0, e, conjugate(p), cfg.pde_cfg, g)
@@ -169,18 +170,25 @@ def test_whole_trajectory_readers_hold_small_temporaries(reader):
             got = pde.comparison_check(traj, reverse, g).positive_part
         elif reader == "energy_series":
             got = pde.energy_series(reverse, e, g)
-        else:
+        elif reader == "dissipation_check":
             got = finsler.dissipation_check(reverse, e, p, g).per_step_slack
+        else:
+            got = finsler.curve_length(reverse, p, g)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < (0.8e6 if reader == "dissipation_check" else 0.6e6), peak
+    bound = {"dissipation_check": 0.8e6, "curve_length": 2.0e6}.get(reader, 0.6e6)
+    assert peak < bound, peak
     if reader == "comparison_check":
         assert np.array_equal(got, positive_parts_by_state(traj, reverse, g))
     elif reader == "energy_series":
         assert np.array_equal(got, energies_by_state(reverse, e, g))
-    else:
+    elif reader == "dissipation_check":
         assert np.array_equal(got, dissipation_by_state(reverse, e, p, g)[0])
+    else:
+        # the speeds of the whole stack at once, as curve_length took them
+        mass, dt = reverse.masses, np.diff(reverse.times)
+        assert got == float(finsler._speeds(mass[:-1], mass[1:], dt, p, g) @ dt)
 
 
 # ---------------------------------------------------------- CSV writers
