@@ -25,7 +25,6 @@ import hashlib
 import sys
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
-from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -76,8 +75,15 @@ def _fmt(v) -> str:
 
 
 # Value readers for _SCHEMA: each returns its value as the key's type or
-# raises ValueError or TypeError.
+# raises ValueError or TypeError. YAML reads true and false as Python bools,
+# which float() and int() would take as 1 and 0, so only _flag accepts them.
+def _no_bool(value) -> None:
+    if isinstance(value, bool):
+        raise TypeError(f"expected a number, got {value!r}")
+
+
 def _real(value) -> float:
+    _no_bool(value)
     x = float(value)
     if not np.isfinite(x):
         raise ValueError(f"{x} is not a finite number")
@@ -85,6 +91,7 @@ def _real(value) -> float:
 
 
 def _integer(value) -> int:
+    _no_bool(value)
     n = int(value)
     if isinstance(value, float) and n != value:
         raise ValueError(f"{value!r} is not a whole number")
@@ -103,7 +110,12 @@ def _flag(value) -> bool:
     return bool(value)
 
 
-_reals = partial(np.asarray, dtype=float)
+def _reals(value) -> np.ndarray:
+    for v in value if isinstance(value, list) else [value]:
+        _no_bool(v)
+    return np.asarray(value, dtype=float)
+
+
 _DENSITY_KEYS = {"kind": str, "amplitude": _real, "center": _real, "width": _real,
                  "masses": _reals}
 

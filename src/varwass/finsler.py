@@ -176,7 +176,7 @@ def curve_length(traj: Trajectory, p: ExponentField, g: Grid) -> float:
     """Sum of speed * dt along a discrete trajectory (>= 2 states).
 
     The speeds are taken _BLOCK segments at a time (varexp._by_blocks), so a
-    long run's temporaries stay small; each segment's norm is solved on its
+    long run's temporaries stay small; each segment's norm is found on its
     own row, so they have the bits of the whole stack's speeds.
     """
     if len(traj) < 2:

@@ -8,9 +8,8 @@ Conventions used throughout the package:
   cell interfaces, with the two boundary faces carrying zero whenever the
   field represents a physical flux (no-flux boundary).
 
-``gradient`` and ``divergence`` are exact adjoints of each other up to the
-sign: sum(phi * divergence(f)) * dx == -sum(gradient(phi) * f) * dx holds to
-rounding because both sides telescope.
+``gradient`` takes cell fields to face fields. The divergence of a face
+flux back to cells is taken in ``pde.rhs``, its one user.
 """
 
 from __future__ import annotations
@@ -20,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import BoundaryFluxError, InvalidDomainError, SizeMismatchError
+from .errors import InvalidDomainError, SizeMismatchError
 
 
 @dataclass(frozen=True)
@@ -77,14 +76,6 @@ class Grid:
             )
         return u
 
-    def check_face_field(self, f: np.ndarray, name: str = "face field") -> np.ndarray:
-        f = np.asarray(f, dtype=float)
-        if f.shape != (self.n_cells + 1,):
-            raise SizeMismatchError(
-                f"{name} must have shape ({self.n_cells + 1},), got {f.shape}"
-            )
-        return f
-
 
 def make_grid(a: float, b: float, n_cells: int) -> Grid:
     """Build a Grid; raises InvalidDomainError for bad endpoints or n_cells < 2."""
@@ -114,21 +105,6 @@ def neighbor_mean(u: np.ndarray) -> np.ndarray:
     runs inside the explicit time loop.
     """
     return 0.5 * (u[..., :-1] + u[..., 1:])
-
-
-def divergence(f: np.ndarray, g: Grid) -> np.ndarray:
-    """Cell-centered divergence of a face flux.
-
-    Cell i gets (f[i+1] - f[i]) / dx. The boundary faces must carry exactly
-    zero (no-flux); anything else raises BoundaryFluxError. Because the sum
-    over cells telescopes, integrate(divergence(f), g) == 0 identically.
-    """
-    f = g.check_face_field(f, "flux")
-    if f[0] != 0.0 or f[-1] != 0.0:
-        raise BoundaryFluxError(
-            f"boundary faces must carry zero flux, got f[0]={f[0]}, f[-1]={f[-1]}"
-        )
-    return (f[1:] - f[:-1]) / g.dx
 
 
 def integrate(u: np.ndarray, g: Grid) -> float:

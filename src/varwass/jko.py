@@ -820,7 +820,7 @@ def _step_count(t_end: float, h: float) -> int:
 
 def run_flow(rho0: DensityField, e: EnergyModel, p: ExponentField, h: float,
              t_end: float, g: Grid, opts: JkoOptions | None = None) -> Trajectory:
-    """ceil(t_end / h) successive steps from rho0.
+    """ceil(t_end / h) successive jko_step calls from rho0.
 
     t_end = 0 yields the single-state trajectory. A step count t_end / h
     that overflows raises InvalidParameterError. A failing step re-raises
@@ -835,13 +835,6 @@ def run_flow(rho0: DensityField, e: EnergyModel, p: ExponentField, h: float,
     builds, so a step depends on the steps before its input too. The mirror
     backend gets neither. Every step after the first takes its energy_before
     from the previous step's energy_after, the energy of the same state.
-    jko_step is a deterministic function of its inputs and of the carried
-    matrix, so a step whose masses and guess repeat bit for bit those of the
-    step before, and which starts from the same carried matrix, reuses that
-    step's result instead of being solved again. On the mirror backend that
-    happens once a step returns its input masses (the stay-put plan won);
-    on the entropic one once a step with the guess c returns c, as the next
-    guess 2c - c is c exactly, without building a new matrix.
     Each new state's masses are written into the next row of the
     trajectory's stack as the flow goes, and traj.steps holds each step's
     result with its diagnostics but coupling None: the flow keeps no n-by-n
@@ -854,20 +847,15 @@ def run_flow(rho0: DensityField, e: EnergyModel, p: ExponentField, h: float,
     masses[0] = rho0.mass
     steps = []
     previous, current = None, rho0
-    solved = None
     for k in range(1, n_steps + 1):
         if entropic and previous is not None:
             warm.guess = 2.0 * current.mass - previous.mass
-        inputs = (current.mass.tobytes(), None if warm.guess is None else warm.guess.tobytes(),
-                  warm.jinv)
-        if solved is None or inputs[:2] != solved[:2] or inputs[2] is not solved[2]:
-            try:
-                step = jko_step(current, e, p, h, g, opts, _warm=warm)
-            except Exception as exc:
-                if exc.args and isinstance(exc.args[0], str):
-                    exc.args = (f"step {k}: {exc.args[0]}",) + exc.args[1:]
-                raise
-            solved = inputs
+        try:
+            step = jko_step(current, e, p, h, g, opts, _warm=warm)
+        except Exception as exc:
+            if exc.args and isinstance(exc.args[0], str):
+                exc.args = (f"step {k}: {exc.args[0]}",) + exc.args[1:]
+            raise
         warm.energy = step.energy_after
         previous, current = current, step.rho_next
         _put_row(masses, k, current.mass)

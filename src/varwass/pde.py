@@ -138,7 +138,7 @@ class _Faces:
         return float(np.maximum.reduce(self.k_sum))
 
     def rate(self) -> np.ndarray:
-        """divergence(flux), flux = rho_f (s^2 + reg2)^half_q s on the
+        """The divergence of flux = rho_f (s^2 + reg2)^half_q s on the
         interior faces: the operations, in the order, of the plain formula.
         The boundary faces power to 1 and take slope 0, so their flux is 0."""
         flux_right, flux_left = self._rate_views

@@ -329,7 +329,7 @@ def solve_exact(cost: CostMatrix, mu: np.ndarray, nu: np.ndarray) -> ExactResult
     Bland's rule once degenerate pivots pile up, which rules out cycling.
     The basis is a spanning tree on the row and column nodes: a pivot walks
     the entering arc's cycle up the tree and recomputes the potentials of
-    the subtree it moves, so no linear system is solved. Returns the
+    the subtree it moves, so it solves no linear system. Returns the
     optimal plan, its cost, and the dual potentials (u, v) with v[n-1] = 0;
     complementary slackness against those potentials certifies optimality.
 

@@ -439,6 +439,11 @@ def test_bad_solver_section_rejected(tmp_path):
     ("solver", "max_iters", 500),
     ("solver", "tol", 1e-8),
     ("pde", "delta_reg", 1e-6),
+    # YAML booleans are not numbers
+    ("experiment", "seed", True),
+    ("flow", "h", True),
+    ("norms", "samples", True),
+    ("initial", "masses", [True, False]),
 ])
 def test_malformed_value_exits_3_naming_the_section(tmp_path, capsys, section,
                                                     key, value):

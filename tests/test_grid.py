@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from varwass.errors import BoundaryFluxError, InvalidDomainError, SizeMismatchError
-from varwass.grid import divergence, gradient, integrate, make_grid
+from varwass.errors import InvalidDomainError, SizeMismatchError
+from varwass.grid import gradient, integrate, make_grid
 
 
 def test_make_grid_unit_interval():
@@ -60,34 +60,6 @@ def test_gradient_size_mismatch():
         gradient(np.zeros((2, 5)), g)
 
 
-def test_divergence_of_zero_flux():
-    g = make_grid(0.0, 1.0, 6)
-    np.testing.assert_array_equal(divergence(np.zeros(7), g), np.zeros(6))
-
-
-def test_divergence_two_cells():
-    g = make_grid(0.0, 1.0, 2)
-    out = divergence(np.array([0.0, 1.0, 0.0]), g)
-    np.testing.assert_allclose(out, [2.0, -2.0])
-
-
-def test_divergence_integrates_to_zero():
-    g = make_grid(0.0, 1.0, 32)
-    rng = np.random.default_rng(5)
-    f = np.zeros(33)
-    f[1:-1] = rng.standard_normal(31)
-    out = divergence(f, g)
-    assert abs(out.sum() * g.dx) <= 1e-14
-
-
-def test_divergence_rejects_boundary_flux():
-    g = make_grid(0.0, 1.0, 4)
-    f = np.zeros(5)
-    f[0] = 1e-3
-    with pytest.raises(BoundaryFluxError):
-        divergence(f, g)
-
-
 def test_integrate_basics():
     g = make_grid(0.0, 1.0, 10)
     assert integrate(np.ones(10), g) == pytest.approx(1.0, abs=1e-15)
@@ -95,20 +67,3 @@ def test_integrate_basics():
     g2 = make_grid(0.0, 1.0, 2)
     assert integrate(np.array([1.0, 3.0]), g2) == pytest.approx(2.0)
 
-
-def test_summation_by_parts():
-    # For zero-boundary f: sum_i phi_i div(f)_i dx = -sum_faces grad(phi) f dx.
-    g = make_grid(0.0, 2.0, 24)
-    rng = np.random.default_rng(17)
-    phi = rng.standard_normal(24)
-    f = np.zeros(25)
-    f[1:-1] = rng.standard_normal(23)
-    lhs = float(np.sum(phi * divergence(f, g)) * g.dx)
-    rhs = -float(np.sum(gradient(phi, g) * f) * g.dx)
-    assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-12)
-
-
-def test_divergence_size_mismatch():
-    g = make_grid(0.0, 1.0, 4)
-    with pytest.raises(SizeMismatchError):
-        divergence(np.zeros(4), g)
