@@ -13,11 +13,10 @@ whose column sums define the new density. Two backends are available:
                once its duality gap is at rounding level. Otherwise it runs
                multiplicative (entropic mirror) updates on the rows under
                an Armijo line search, deterministic from a uniform-row
-               start, whose trials run on the plan entries that have not
-               underflowed to 0.0, and keeps the lower of the two plans.
-               It finishes with a stay-put comparison: if the diagonal
-               plan beats the one kept, the diagonal is returned, so the
-               energy can never increase across a step.
+               start, and keeps the lower of the two plans. It finishes
+               with a stay-put comparison: if the diagonal plan beats the
+               one kept, the diagonal is returned, so the energy can never
+               increase across a step.
 ``entropic``   adds an eps * KL(gamma | uniform-row) smoothing and solves the
                dual by damped Newton steps. The smoothing lets mass leave its cell
                even when every discrete move costs more than the energy gain,
@@ -160,79 +159,46 @@ def _armijo_descent(C, mu, e, dx):
 
     Each iteration takes the slope G'(col / dx) of the current plan. A trial
     for step size eta is gam * exp(-eta z) rescaled to the row masses, z >= 0
-    being the gradient C + G'(col / dx) shifted to a zero minimum in each
-    row. It is accepted once it gains at least 1e-4 of its linearized
-    decrease <gam - cand, grad>, otherwise eta is halved. The run counts as
-    converged when it tries step sizes down to 1e-16 and accepts none, or
-    after three consecutive steps whose drop is below DESCENT_TOL relative
-    to the objective. It stops unconverged after MAX_ITERS, and after one
+    being the gradient C + G'(col / dx) shifted by its minimum over the
+    row's positive entries, the entries at 0.0 reading +inf: each row keeps
+    a factor of exactly 1, so a positive row cannot underflow to empty.
+    Rows without mass stay at 0 and are left out of the loop. A trial is
+    accepted once it gains at least 1e-4 of its linearized decrease
+    <gam - cand, grad>, otherwise eta is halved. The run counts as converged
+    when it tries step sizes down to 1e-16 and accepts none, or after three
+    consecutive steps whose drop is below DESCENT_TOL relative to the
+    objective. It stops unconverged after MAX_ITERS, and after one
     iteration where the first step size 1 / (1 + max |C|) already lies
     below 1e-16, as then no step is tried.
 
     The accepted plan's column sums give the next gradient without another
     pass over the plan, and with its cost they give <gam, grad> = <C, gam>
     + col . G'. So a trial's work is the candidate, its column sums and its
-    cost.
-
-    An entry that reaches 0.0 stays 0.0 for the rest of the step, so the
-    plan is kept as its live entries: the nonzero ones, row-major, with
-    their flat indices, columns, costs and row segments. Row sums are
-    segment sums, column sums a weighted count over the columns (in row
-    order, as gam.sum(axis=0) adds them), and the cost a dot with the live
-    costs. z is built once per iteration and shifted by the minimum over
-    each row's live entries, the dead ones reading +inf. Where a row's
-    minimizer is live this is the full-row z bit for bit; elsewhere the two
-    differ by a row constant that the rescale cancels. Either way each row
-    keeps a factor of exactly 1, so its sum is positive and a positive row
-    cannot underflow to empty. Dead entries are dropped once more than 1/8
-    of the kept ones are dead.
-
-    Returns the dense plan, its objective, the iteration count and the
-    converged flag.
+    cost. Returns the dense plan, its objective, the iteration count and
+    the converged flag.
     """
-    gam = _uniform_rows(mu)
+    out = _uniform_rows(mu)
+    eta = 1.0 / (1.0 + np.abs(C).max())
+    rows = mu > 0.0
+    C, m, gam = C[rows], mu[rows, None], out[rows]
     col = gam.sum(axis=0)
     cost = float(np.vdot(C, gam))
     f_cur = cost + float(dx * e.value(col / dx).sum())
-    eta = 1.0 / (1.0 + np.abs(C).max())
-    shape = gam.shape
-    C = C.ravel()
-
-    def live(idx, vals):
-        rows = idx // shape[1]
-        first = np.ones(idx.size, dtype=bool)
-        first[1:] = rows[1:] != rows[:-1]
-        starts = np.flatnonzero(first)
-        return vals, (idx, idx % shape[1], C[idx], starts, np.cumsum(first) - 1,
-                      mu[rows[starts]])
-
-    idx = np.flatnonzero(gam)
-    vals, sup = live(idx, gam.ravel()[idx])
-    quiet = 0
-    converged = False
-    it = 0
+    quiet, converged, it = 0, False, 0
     for it in range(1, MAX_ITERS + 1):
         slope = e.deriv(col / dx)
         lin_cur = cost + float(col @ slope)
-        dead = vals.size - np.count_nonzero(vals)
-        if 8 * dead > vals.size:
-            keep = np.flatnonzero(vals)
-            vals, sup = live(sup[0][keep], vals[keep])
-            dead = 0
-        _, cols, c, starts, seg, mu_seg = sup
-        z = c + slope[cols]
-        if dead:
-            z[vals == 0.0] = np.inf
-        z -= np.minimum.reduceat(z, starts)[seg]
+        z = np.where(gam > 0.0, C + slope, np.inf)
+        z -= z.min(axis=1, keepdims=True)
         accepted = tried = False
         while eta >= 1e-16:
             tried = True
             cand = np.multiply(z, -eta)
             np.exp(cand, out=cand)
-            cand *= vals
-            cand *= (mu_seg / np.add.reduceat(cand, starts))[seg]
-            cand_col = np.bincount(cols, weights=cand, minlength=shape[1])
-            cand_cost = float(c @ cand)
+            cand *= gam
+            cand *= m / cand.sum(axis=1, keepdims=True)
+            cand_col = cand.sum(axis=0)
+            cand_cost = float(np.vdot(C, cand))
             f_cand = cand_cost + float(dx * e.value(cand_col / dx).sum())
             lin_gain = lin_cur - (cand_cost + float(cand_col @ slope))
             if f_cand <= f_cur - 1e-4 * max(lin_gain, 0.0) + 1e-15 * (1.0 + abs(f_cur)):
@@ -243,7 +209,7 @@ def _armijo_descent(C, mu, e, dx):
             converged = tried
             break
         drop = f_cur - f_cand
-        vals, col, cost, f_cur = cand, cand_col, cand_cost, f_cand
+        gam, col, cost, f_cur = cand, cand_col, cand_cost, f_cand
         eta = min(eta * 1.3, 1e6)
         if drop <= DESCENT_TOL * max(1.0, abs(f_cur)):
             quiet += 1
@@ -252,9 +218,8 @@ def _armijo_descent(C, mu, e, dx):
                 break
         else:
             quiet = 0
-    gam = np.zeros(shape)
-    np.put(gam, sup[0], vals)
-    return gam, f_cur, it, converged
+    out[rows] = gam
+    return out, f_cur, it, converged
 
 
 def _tridiagonal_solve(diag, off, rhs):

@@ -50,7 +50,7 @@ ENTROPIC_MAX_ITERS = 100_000
 
 @dataclass(frozen=True)
 class CostMatrix:
-    """Dense n-by-n transport cost values, square and nonempty."""
+    """Dense n-by-n transport cost values, square, nonempty and finite."""
 
     values: np.ndarray
 
@@ -58,6 +58,8 @@ class CostMatrix:
         v = np.asarray(self.values, dtype=float)
         if v.ndim != 2 or v.shape[0] != v.shape[1] or v.size == 0:
             raise SizeMismatchError(f"cost matrix must be square and nonempty, got {v.shape}")
+        if not np.isfinite(v).all():
+            raise InvalidParameterError("cost matrix entries must be finite")
         object.__setattr__(self, "values", v)
 
     @property
@@ -540,13 +542,14 @@ def wasserstein_1d(p_const: float, mu: DensityField, nu: DensityField, g: Grid) 
     Both measures live on the cell centers of g; the distance is
     (integral over s in (0,1) of |Q_mu(s) - Q_nu(s)|^p ds)^(1/p) with
     piecewise-constant quantiles, which is the exact optimal-transport value
-    for the convex cost |x - y|^p in one dimension.
+    for the convex cost |x - y|^p in one dimension. It is 0 where either
+    total is 0.
     """
     if not 1.0 <= p_const < math.inf:
         raise NonpositiveParameterError(f"exponent must be finite and >= 1, got {p_const}")
     a, b = _check_marginals(g.n_cells, mu.mass, nu.mass)
     ta = a.sum()
-    if ta <= 0.0:
+    if min(ta, b.sum()) <= 0.0:
         return 0.0
     seg, i, j = _quantile_segments(a, b)
     x = g.centers
@@ -562,14 +565,15 @@ def displacement_interpolant(mu: DensityField, nu: DensityField, t: float,
     particles are deposited back onto the grid with linear (two-cell) weights,
     so mass is conserved exactly and t=0, t=1 reproduce mu, nu up to one cell
     of smearing. The totals of mu and nu must agree; the result carries
-    that of mu, and requires unit mass when both inputs do.
+    that of mu, and requires unit mass when both inputs do. Where either
+    total is 0, it is mu itself.
     """
     if not 0.0 <= t <= 1.0:
         raise InvalidParameterError(
             f"interpolation parameter must lie in [0, 1], got {t}")
     a, b = _check_marginals(g.n_cells, mu.mass, nu.mass)
     total = a.sum()
-    if total <= 0.0:
+    if min(total, b.sum()) <= 0.0:
         return mu
     seg, i, j = _quantile_segments(a, b)
     x = g.centers

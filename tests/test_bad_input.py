@@ -70,6 +70,8 @@ def _entry_points():
         "transport.build_cost h": (lambda x: transport.build_cost(g, p, x),
                                    (0.0, -1.0, 1e-300, 1e300)),
         "transport.Coupling gamma": (plan, (-0.1,)),
+        "transport.CostMatrix values": (
+            lambda x: transport.CostMatrix(cell(cost.values.ravel(), x).reshape(N, N)), ()),
         "transport.solve_exact mu": (
             lambda x: transport.solve_exact(cost, cell(rho.mass, x), other.mass), (-0.1,)),
         "transport.solve_exact nu": (

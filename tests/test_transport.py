@@ -597,6 +597,21 @@ class TestDisplacementInterpolant:
         assert np.array_equal(state.mass, np.zeros(8))
 
 
+@pytest.mark.parametrize("call", ["wasserstein_1d", "displacement_interpolant"])
+@pytest.mark.parametrize("tiny_first", [True, False], ids=["tiny-empty", "empty-tiny"])
+def test_one_empty_marginal_is_the_empty_case(call, tiny_first):
+    # totals 1e-10 and 0 agree within MARGINAL_TOL, and the empty side has
+    # no quantile function: the call gives its empty answer, silently
+    g = make_grid(0.0, 1.0, 4)
+    tiny = DensityField.from_masses(np.array([1e-10, 0.0, 0.0, 0.0]), require_unit_mass=False)
+    empty = DensityField.from_masses(np.zeros(4), require_unit_mass=False)
+    mu, nu = (tiny, empty) if tiny_first else (empty, tiny)
+    if call == "wasserstein_1d":
+        assert wasserstein_1d(2.0, mu, nu, g) == 0.0
+    else:
+        assert displacement_interpolant(mu, nu, 0.5, g) is mu
+
+
 def _bad_transport_calls():
     g = make_grid(0.0, 1.0, 4)
     cost = build_cost(g, ExponentField.constant(2.0, 4), 1e-2)
