@@ -5,11 +5,14 @@ h is |x_i - x_j|^p(x_i) / (h^(p(x_i)-1) p(x_i)): the exponent is read at the
 source point, so the matrix is asymmetric whenever p varies.
 
 Three solvers live here: an exact transportation simplex that keeps its
-basis as a spanning tree on the row and column nodes (the workhorse for n up
-to a few hundred, with Bland-rule fallback against cycling), a log-domain
+basis as a spanning tree on the row and column nodes, built straight from
+the northwest-corner staircase, with per-node lists and a potential array
+that numpy prices against in place (the workhorse for n up to a few
+hundred, with Bland-rule fallback against cycling; a pivot costs one n^2
+pricing pass plus a walk of about 20 tree nodes at n=64), a log-domain
 entropic scaling loop, and the closed-form quantile evaluation of the
-constant-exponent 1-D Wasserstein distance. A brute-force vertex enumeration
-is included as an independent reference for tiny instances.
+constant-exponent 1-D Wasserstein distance. A brute-force vertex
+enumeration is included as an independent reference for tiny instances.
 """
 
 from __future__ import annotations
@@ -187,30 +190,30 @@ class ExactResult:
 
 
 def _northwest_corner(mu: np.ndarray, nu: np.ndarray):
-    """Initial basic feasible staircase with exactly 2n-1 cells."""
-    n = len(mu)
+    """Initial basic feasible staircase: its 2n-1 cells (i, j, mass) in
+    order from (0, 0) to (n-1, n-1), each a step right or down from the last."""
     a = mu.tolist()
     b = nu.tolist()
-    alloc = {}
-    basis = []
+    last = len(a) - 1
+    stair = []
     i = j = 0
+    row, col = a[0], b[0]  # the mass row i and column j have left
     while True:
-        t = min(a[i], b[j])
-        basis.append(i * n + j)
-        alloc[i * n + j] = t
-        a[i] -= t
-        b[j] -= t
-        if i == n - 1 and j == n - 1:
-            break
-        if i == n - 1:
+        t = min(row, col)
+        stair.append((i, j, t))
+        row -= t
+        col -= t
+        if i == last:
+            if j == last:
+                return stair
             j += 1
-        elif j == n - 1:
+            col = b[j]
+        elif j == last or row <= col:
             i += 1
-        elif a[i] <= b[j]:
-            i += 1
+            row = a[i]
         else:
             j += 1
-    return basis, alloc
+            col = b[j]
 
 
 def _constraint_column(k: int, n: int) -> np.ndarray:
@@ -234,45 +237,44 @@ class _BasisTree:
     """Spanning-tree basis of the n-by-n transport simplex.
 
     Node i < n is row i and node n + j is column j; the tree hangs from
-    column n - 1, whose potential is pinned at 0. Every other node w keeps
-    its parent, the basic variable k = i*n + j of the arc to it, and its
-    depth; pot[w] is u_i or v_j, set from u_i + v_j = C_ij on each arc to
-    the root.
+    column n - 1, whose potential is pinned at 0. Every other node w keeps,
+    in lists indexed by node, its parent, its depth, and the basic variable
+    k = i*n + j of the arc to its parent with that arc's cost and flow;
+    pot[w] is u_i or v_j, set from u_i + v_j = C_ij on each arc to the root.
+    pot is a memoryview of a float array, so numpy prices against it in place.
     """
 
-    def __init__(self, c_flat: list, n: int, arcs):
-        self.c = c_flat
-        self.root = root = 2 * n - 1
-        near = [[] for _ in range(2 * n)]
-        for k in arcs:
-            i, j = divmod(k, n)
-            near[i].append((n + j, k))
-            near[n + j].append((i, k))
-        self.parent = [root] * (2 * n)
-        self.arc = [-1] * (2 * n)
-        self.depth = [0] * (2 * n)
-        self.pot = [0.0] * (2 * n)
-        self.children = [[] for _ in range(2 * n)]
-        order = [root]
-        for w in order:
-            for x, k in near[w]:
-                if x != root and self.arc[x] < 0:
-                    self.parent[x], self.arc[x] = w, k
-                    self.children[w].append(x)
-                    order.append(x)
-        for w in self.children[root]:
-            self._refresh(w)
+    def __init__(self, C: np.ndarray, stair: list):
+        """The tree of the northwest staircase stair (_northwest_corner).
 
-    def _refresh(self, top: int):
-        """Recompute depth and potential on the subtree of top from its parent."""
-        parent, arc, depth, pot, c = self.parent, self.arc, self.depth, self.pot, self.c
-        stack = [top]
-        while stack:
-            w = stack.pop()
-            up = parent[w]
+        Walking back from cell (n-1, n-1), each cell adds the one node it
+        does not share with the cell after it and hangs it from the node
+        they share, so a parent's depth and potential are set first.
+        """
+        n = len(C)
+        self.root = root = 2 * n - 1
+        self.parent = parent = [root] * (2 * n)
+        self.arc = arc = [-1] * (2 * n)
+        self.cost = cost = [0.0] * (2 * n)
+        self.flow = flow = [0.0] * (2 * n)
+        self.depth = depth = [0] * (2 * n)
+        self.pot = pot = memoryview(np.zeros(2 * n))
+        self.children = children = [[] for _ in range(2 * n)]
+        next_row = -1
+        for i, j, mass in reversed(stair):
+            if i == next_row:
+                w, up = n + j, i
+            else:
+                w, up = i, n + j
+                next_row = i
+            c = C.item(i, j)
+            parent[w] = up
+            arc[w] = i * n + j
+            cost[w] = c
+            flow[w] = mass
             depth[w] = depth[up] + 1
-            pot[w] = c[arc[w]] - pot[up]
-            stack.extend(self.children[w])
+            pot[w] = c - pot[up]
+            children[up].append(w)
 
     def cycle(self, a: int, b: int):
         """Nodes whose parent arcs close the cycle of arc (a, b), walked up from each end.
@@ -294,33 +296,45 @@ class _BasisTree:
             a, b = parent[a], parent[b]
         return from_a, from_b
 
-    def exchange(self, k: int, inner: int, outer: int, cut: int):
-        """Drop the arc from cut to its parent and hang cut's subtree from k.
+    def exchange(self, k: int, c: float, theta: float, inner: int, outer: int, cut: int):
+        """Drop the arc from cut to its parent and hang cut's subtree from
+        arc k, of cost c, carrying flow theta.
 
         inner is the end of arc k inside that subtree and outer the other
-        end; the path from inner up to cut turns over, and the subtree's
-        depths and potentials are recomputed.
+        end. The path from inner up to cut turns over, each node on it
+        taking the arc, cost and flow of the node below; then the
+        subtree's depths and potentials are recomputed from the top down.
         """
-        parent, arc, children = self.parent, self.arc, self.children
-        w, up, up_arc = inner, outer, k
+        parent, arc, cost, flow, children = (
+            self.parent, self.arc, self.cost, self.flow, self.children)
+        w, up = inner, outer
         while True:
-            old_up, old_arc = parent[w], arc[w]
+            old_up = parent[w]
             children[old_up].remove(w)
-            parent[w], arc[w] = up, up_arc
+            parent[w] = up
             children[up].append(w)
+            # w takes the carried arc and hands its own on to old_up
+            arc[w], k = k, arc[w]
+            cost[w], c = c, cost[w]
+            flow[w], theta = theta, flow[w]
             if w == cut:
                 break
-            w, up, up_arc = old_up, w, old_arc
-        self._refresh(inner)
+            w, up = old_up, w
+        depth, pot = self.depth, self.pot
+        order = [inner]
+        for w in order:
+            up = parent[w]
+            depth[w] = depth[up] + 1
+            pot[w] = cost[w] - pot[up]
+            order += children[w]
 
-    def peel(self, supply: list) -> dict:
-        """Flow on every tree arc that meets the node supplies, leaves first."""
+    def peel(self, supply: list) -> list:
+        """Flow on every node's arc that meets the node supplies, leaves first."""
         rest = list(supply)
-        flow = {}
+        parent = self.parent
         for w in sorted(range(self.root), key=self.depth.__getitem__, reverse=True):
-            flow[self.arc[w]] = rest[w]
-            rest[self.parent[w]] -= rest[w]
-        return flow
+            rest[parent[w]] -= rest[w]
+        return rest
 
 
 def solve_exact(cost: CostMatrix, mu: np.ndarray, nu: np.ndarray) -> ExactResult:
@@ -329,13 +343,17 @@ def solve_exact(cost: CostMatrix, mu: np.ndarray, nu: np.ndarray) -> ExactResult
     Starts from the northwest-corner staircase, prices with Dantzig's rule
     (deterministic smallest-index tie break) and switches permanently to
     Bland's rule once degenerate pivots pile up, which rules out cycling.
-    The basis is a spanning tree on the row and column nodes: a pivot walks
+    The basis is a spanning tree on the row and column nodes, built
+    straight from the staircase: a pivot prices all n^2 arcs at once, walks
     the entering arc's cycle up the tree and recomputes the potentials of
     the subtree it moves, so it solves no linear system. Returns the
     optimal plan, its cost, and the dual potentials (u, v) with v[n-1] = 0;
     complementary slackness against those potentials certifies optimality.
 
-    At most EXACT_MAX_N cells and MAX_PIVOTS pivots; raises for bad marginals.
+    At most EXACT_MAX_N cells and MAX_PIVOTS pivots; raises for bad
+    marginals, and raises NumericalBlowupError when a reduced cost or its
+    tolerance overflows on the final pricing, where no certificate can be
+    read.
     """
     mu, nu = _check_marginals(cost.n, mu, nu)
     n = cost.n
@@ -344,80 +362,83 @@ def solve_exact(cost: CostMatrix, mu: np.ndarray, nu: np.ndarray) -> ExactResult
             f"exact solver is limited to n <= {EXACT_MAX_N}, got {n}")
     C = cost.values
     nu_eff, _ = _equality_rhs(mu, nu)
-    basis, flow = _northwest_corner(mu, nu_eff)
-    tree = _BasisTree(C.ravel().tolist(), n, basis)
-    arc = tree.arc
+    tree = _BasisTree(C, _northwest_corner(mu, nu_eff))
+    pot, flow, arc = tree.pot, tree.flow, tree.arc
+    # u and v are views of the tree's potentials and follow every pivot
+    uv = np.asarray(pot)
+    u, v = uv[:n], uv[n:]
 
     # An arc improves when its reduced cost C_ij - u_i - v_j is below -1e-10
     # times 1 + |C_ij| + |u_i| + |v_j|, the magnitudes it is computed from.
     # A tolerance set by the largest cost (about 5e6 for far arcs at small h)
     # would stop while near arcs still improve.
     scale = 1.0 + np.abs(C)
-    scale_flat = scale.ravel()
     red = np.empty_like(C)
     red_flat = red.ravel()
     bland = False
     degenerate_run = 0
     pivots = 0
     in_basis = np.zeros(n * n, dtype=bool)
-    in_basis[basis] = True
+    in_basis[arc[:tree.root]] = True
 
-    while True:
-        u = np.array(tree.pot[:n])
-        v = np.array(tree.pot[n:])
-        np.subtract(C, u[:, None], out=red)
-        red -= v[None, :]
-        # Dantzig's arc is the most negative reduced cost overall whenever
-        # that one improves, so the full tolerance test runs only under
-        # Bland's rule and on the final pricing.
-        enter = int(np.argmin(red_flat))
-        i, j = divmod(enter, n)
-        if (bland or in_basis[enter] or not red_flat[enter] < -1e-10 * (
-                scale_flat[enter] + abs(u[i]) + abs(v[j]))):
-            tol = 1e-10 * (scale + np.abs(u)[:, None] + np.abs(v)[None, :])
-            improving = (red < -tol).ravel()
-            improving[in_basis] = False
-            negs = np.flatnonzero(improving)
-            if negs.size == 0:
-                break
-            enter = int(negs[0] if bland else negs[np.argmin(red_flat[negs])])
-        if pivots >= MAX_PIVOTS:
-            raise NumericalBlowupError(
-                f"simplex did not terminate within {MAX_PIVOTS} pivots"
-            )
-        i, j = divmod(enter, n)
-        from_row, from_col = tree.cycle(i, n + j)
-        losing = from_row[::2] + from_col[::2]
-        theta = min(flow[arc[w]] for w in losing)
-        # Bland-style leaving choice: among the minimizing arcs take the
-        # smallest variable index.
-        tie = theta + 1e-13 * (1.0 + theta)
-        cut = min((w for w in losing if flow[arc[w]] <= tie), key=arc.__getitem__)
-        for w in losing:
-            flow[arc[w]] = max(flow[arc[w]] - theta, 0.0)
-        for w in from_row[1::2] + from_col[1::2]:
-            flow[arc[w]] += theta
-        leave = arc[cut]
-        del flow[leave]
-        flow[enter] = theta
-        in_basis[leave] = False
-        in_basis[enter] = True
-        if cut in from_row:
-            tree.exchange(enter, i, n + j, cut)
-        else:
-            tree.exchange(enter, n + j, i, cut)
-        pivots += 1
-        if theta <= 1e-13:
-            degenerate_run += 1
-            if degenerate_run > 25:
-                bland = True
-        else:
-            degenerate_run = 0
+    # overflowing reduced costs are caught once, on the final pricing
+    with np.errstate(over="ignore", invalid="ignore"):
+        while True:
+            np.subtract(C, u[:, None], out=red)
+            np.subtract(red, v, out=red)
+            # Dantzig's arc is the most negative reduced cost overall whenever
+            # that one improves, so the full tolerance test runs only under
+            # Bland's rule and on the final pricing.
+            enter = red.argmin().item()
+            i, j = divmod(enter, n)
+            if (bland or in_basis[enter] or not red.item(enter) < -1e-10 * (
+                    scale.item(enter) + abs(pot[i]) + abs(pot[n + j]))):
+                tol = 1e-10 * (scale + np.abs(u)[:, None] + np.abs(v))
+                improving = (red < -tol).ravel()
+                improving[in_basis] = False
+                negs = np.flatnonzero(improving)
+                if negs.size == 0:
+                    if not (np.isfinite(red).all() and np.isfinite(tol).all()):
+                        raise NumericalBlowupError(
+                            "simplex reduced costs overflow; optimality cannot be certified")
+                    break
+                enter = int(negs[0] if bland else negs[np.argmin(red_flat[negs])])
+                i, j = divmod(enter, n)
+            if pivots >= MAX_PIVOTS:
+                raise NumericalBlowupError(
+                    f"simplex did not terminate within {MAX_PIVOTS} pivots"
+                )
+            from_row, from_col = tree.cycle(i, n + j)
+            losing = from_row[::2] + from_col[::2]
+            lost = [flow[w] for w in losing]
+            theta = min(lost)
+            # Bland-style leaving choice: among the minimizing arcs take the
+            # smallest variable index.
+            tie = theta + 1e-13 * (1.0 + theta)
+            cut = min([w for w, f in zip(losing, lost) if f <= tie], key=arc.__getitem__)
+            for w, f in zip(losing, lost):
+                f -= theta
+                flow[w] = 0.0 if f < 0.0 else f  # max(f, 0.0), without the call
+            for w in from_row[1::2] + from_col[1::2]:
+                flow[w] += theta
+            in_basis[arc[cut]] = False
+            in_basis[enter] = True
+            if cut in from_row:
+                tree.exchange(enter, C.item(enter), theta, i, n + j, cut)
+            else:
+                tree.exchange(enter, C.item(enter), theta, n + j, i, cut)
+            pivots += 1
+            if theta <= 1e-13:
+                degenerate_run += 1
+                if degenerate_run > 25:
+                    bland = True
+            else:
+                degenerate_run = 0
 
     # One clean pass from the leaves removes drift accumulated by the updates.
-    flow = tree.peel(mu.tolist() + nu_eff.tolist())
+    rest = tree.peel(mu.tolist() + nu_eff.tolist())
     gamma = np.zeros(n * n)
-    gamma[list(flow)] = list(flow.values())
+    gamma[arc[:tree.root]] = rest[:tree.root]
     if gamma.min() < -1e-8:
         raise NumericalBlowupError(
             f"simplex basis lost feasibility (min {gamma.min():.2e})"

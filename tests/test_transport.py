@@ -209,6 +209,17 @@ class TestSolveExact:
         with pytest.raises(SizeMismatchError):
             solve_exact(cost, np.full(257, 1.0 / 257), np.full(257, 1.0 / 257))
 
+    @pytest.mark.parametrize("C, nu", [
+        ([[1e308, -1e308], [-1e308, 1e308]], [0.5, 0.5]),
+        ([[0.0, 1e308], [1e308, 0.0]], [0.2, 0.8]),
+    ], ids=["opposite-signs", "huge-off-diagonal"])
+    def test_overflowing_reduced_costs_raise(self, C, nu):
+        # (C - u) - v overflows on the final pricing, so its certificate
+        # cannot be read; the first instance's diagonal, at +1e308, used to
+        # come back as optimal where the anti-diagonal gives -1e308
+        with pytest.raises(NumericalBlowupError, match="overflow"):
+            solve_exact(CostMatrix(np.array(C)), np.array([0.5, 0.5]), np.array(nu))
+
     def test_deterministic(self):
         g = make_grid(0.0, 1.0, 8)
         rng = np.random.default_rng(71)
@@ -230,9 +241,10 @@ def _dense_simplex(C, mu, nu):
     """
     n = len(mu)
     nu_eff, b_vec = transport._equality_rhs(mu, nu)
-    basis, alloc = transport._northwest_corner(mu, nu_eff)
+    stair = transport._northwest_corner(mu, nu_eff)
+    basis = [i * n + j for i, j, _ in stair]
     B = np.column_stack([transport._constraint_column(k, n) for k in basis])
-    x_b = np.array([alloc[k] for k in basis])
+    x_b = np.array([mass for _, _, mass in stair])
     in_basis = np.zeros(n * n, dtype=bool)
     in_basis[basis] = True
     bland, degenerate_run, pivots = False, 0, 0
@@ -269,10 +281,26 @@ def _dense_simplex(C, mu, nu):
     return gamma.reshape(n, n), pivots
 
 
+def _exact_steps_pair(g, seed):
+    """Marginals of a comparison LP of the benchmark's exact_steps ops: a
+    0.1 + 0.9 U density against a Gaussian, drawn from seed."""
+    rng = np.random.default_rng(seed)
+    v = 0.1 + 0.9 * rng.random(g.n_cells)
+    comp = DensityField.gaussian(g, rng.uniform(0.25, 0.75), rng.uniform(0.08, 0.2))
+    return v / v.sum(), comp.mass
+
+
+def _exact_steps_cost():
+    """The exact_steps cost: n=64, p = 2 + x, h = 1e-2."""
+    g = make_grid(0.0, 1.0, 64)
+    return g, build_cost(g, ExponentField.affine(2.0, 1.0, g), 1e-2)
+
+
 def _tree_and_dense_instances():
     """Variable-p costs at small and large h, some marginals with vacuum
     cells; then assignment problems (random costs, equal uniform
-    marginals), whose degenerate pivots reach Bland's rule."""
+    marginals), whose degenerate pivots reach Bland's rule; then three
+    exact_steps comparison LPs, which take 174, 107 and 204 pivots."""
     rng = np.random.default_rng(113)
     for k in range(12):
         n = (8, 16, 32)[k % 3]
@@ -287,6 +315,9 @@ def _tree_and_dense_instances():
     for _ in range(4):
         cost = CostMatrix(rng.random((32, 32)))
         yield cost, np.full(32, 1.0 / 32), np.full(32, 1.0 / 32)
+    g, cost = _exact_steps_cost()
+    for seed in (10, 11, 13):
+        yield (cost, *_exact_steps_pair(g, seed))
 
 
 class TestTreeBasisAgainstDenseSimplex:
@@ -336,6 +367,21 @@ class TestSolveExactAgainstHighs:
         gamma = res.coupling.gamma
         assert np.all(np.abs(reduced[gamma > 0.0]) <= 1e-12 * scale[gamma > 0.0])
         assert abs(u @ mu + v @ nu - res.value) <= 1e-9 * res.value
+
+    def test_pivoting_exact_steps_instance(self):
+        # a comparison LP of the benchmark, whose pivots make its tail
+        g, cost = _exact_steps_cost()
+        mu, nu = _exact_steps_pair(g, 13)
+        res = solve_exact(cost, mu, nu)
+        assert res.pivots >= 100
+        want = _highs_value(cost.values, mu, nu)
+        assert abs(res.value - want) <= 1e-9 * want
+        u, v = res.row_potential, res.col_potential
+        reduced = cost.values - u[:, None] - v[None, :]
+        scale = 1.0 + np.abs(cost.values) + np.abs(u)[:, None] + np.abs(v)[None, :]
+        assert np.all(reduced >= -1e-10 * scale)
+        support = res.coupling.gamma > 0.0
+        assert np.all(np.abs(reduced[support]) <= 1e-12 * scale[support])
 
 
 class TestSolveBruteForce:
