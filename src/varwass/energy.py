@@ -23,13 +23,12 @@ RHO_FLOOR = 1e-12
 
 @dataclass(frozen=True)
 class EnergyModel:
-    """Bundle of G, G', G'', the Legendre transform G*, and (G*)'.
+    """Bundle of G, G', G'' and the Legendre transform G*.
 
-    value(t)            -- G(t)
-    deriv(t)            -- G'(t), argument clamped at RHO_FLOOR
-    second(t)           -- G''(t)
-    legendre(s)         -- G*(s) = sup_{t>=0} (s t - G(t))
-    legendre_deriv(s)   -- (G*)'(s), the inverse of G' where defined
+    value(t)      -- G(t)
+    deriv(t)      -- G'(t), argument clamped at RHO_FLOOR
+    second(t)     -- G''(t)
+    legendre(s)   -- G*(s) = sup_{t>=0} (s t - G(t))
     """
 
     name: str
@@ -37,7 +36,6 @@ class EnergyModel:
     deriv: Callable[[np.ndarray], np.ndarray]
     second: Callable[[np.ndarray], np.ndarray]
     legendre: Callable[[np.ndarray], np.ndarray]
-    legendre_deriv: Callable[[np.ndarray], np.ndarray]
 
 
 def _clamp(t):
@@ -65,7 +63,6 @@ def builtin_energy(kind: str, m: float | None = None) -> EnergyModel:
             deriv=lambda t: np.asarray(t, dtype=float),
             second=lambda t: np.ones_like(np.asarray(t, dtype=float)),
             legendre=lambda s: 0.5 * np.maximum(np.asarray(s, dtype=float), 0.0) ** 2,
-            legendre_deriv=lambda s: np.maximum(np.asarray(s, dtype=float), 0.0),
         )
     if kind == "entropy":
         def value(t):
@@ -79,15 +76,14 @@ def builtin_energy(kind: str, m: float | None = None) -> EnergyModel:
             deriv=_entropy_deriv,
             second=lambda t: 1.0 / _clamp(t),
             legendre=lambda s: np.exp(np.asarray(s, dtype=float) - 1.0),
-            legendre_deriv=lambda s: np.exp(np.asarray(s, dtype=float) - 1.0),
         )
     if kind == "power":
         if m is None or not 1.0 < m < math.inf:
             raise InvalidParameterError(
                 f"power energy needs a finite exponent m > 1, got {m}")
         m = float(m)
-        # G'(t) = m t^(m-1)/(m-1); inverting gives (G*)'(s) = ((m-1)s/m)^(1/(m-1))
-        # and G*(s) = ((m-1)s/m)^(m/(m-1)) on s >= 0.
+        # G'(t) = m t^(m-1)/(m-1), which puts the sup of s t - G(t) at
+        # t = ((m-1)s/m)^(1/(m-1)), so G*(s) = ((m-1)s/m)^(m/(m-1)) on s >= 0.
         return EnergyModel(
             name=f"power({m})",
             value=lambda t: np.asarray(t, dtype=float) ** m / (m - 1.0),
@@ -95,8 +91,6 @@ def builtin_energy(kind: str, m: float | None = None) -> EnergyModel:
             second=lambda t: m * _clamp(t) ** (m - 2.0),
             legendre=lambda s: ((m - 1.0) * np.maximum(np.asarray(s, dtype=float), 0.0) / m)
             ** (m / (m - 1.0)),
-            legendre_deriv=lambda s: ((m - 1.0) * np.maximum(np.asarray(s, dtype=float), 0.0) / m)
-            ** (1.0 / (m - 1.0)),
         )
     raise InvalidParameterError(f"unknown energy kind {kind!r}")
 

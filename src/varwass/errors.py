@@ -87,13 +87,13 @@ def check_positive(x, name: str, error: type = NonpositiveParameterError) -> Non
     raise error(f"{name} must be positive and finite, got {x}")
 
 
-def check_nonnegative(x, name: str, error: type = InvalidParameterError) -> None:
-    """Raise error unless x is finite and >= 0."""
+def check_nonnegative(x, name: str) -> None:
+    """Raise InvalidParameterError unless x is finite and >= 0."""
     if not 0.0 <= x < math.inf:
-        raise error(f"{name} must be nonnegative and finite, got {x}")
+        raise InvalidParameterError(f"{name} must be nonnegative and finite, got {x}")
 
 
-def check_count(n, name: str, error: type = InvalidParameterError) -> None:
-    """Raise error unless n is at least 1 and finite."""
+def check_count(n, name: str) -> None:
+    """Raise InvalidParameterError unless n is at least 1 and finite."""
     if not 1 <= n < math.inf:
-        raise error(f"{name} must be at least 1, got {n}")
+        raise InvalidParameterError(f"{name} must be at least 1, got {n}")

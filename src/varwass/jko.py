@@ -238,6 +238,14 @@ def _tridiagonal_solve(diag, off, rhs):
     return np.array(x)
 
 
+def dual_bound(C, mu, phi, e, dx) -> float:
+    """The weak-duality lower bound of the step from masses mu under cost
+    values C, at a potential phi on the columns: sum_i mu_i min_j (C_ij +
+    phi_j) - dx sum_j G*(phi_j), G* being e.legendre. A step objective
+    minus it, at phi = G' of the step's new density, is the duality gap."""
+    return float(mu @ (C + phi).min(axis=1) - dx * e.legendre(phi).sum())
+
+
 def _monotone_newton(C, mu, e, dx):
     """The step on the monotone plan, by active-set Newton on the column
     breakpoints, certified by its duality gap.
@@ -267,15 +275,14 @@ def _monotone_newton(C, mu, e, dx):
     cost's large far-off entries.
 
     Every iteration evaluates phi once and measures the duality gap f -
-    (mu . min_j (C_ij + phi_j) - dx sum_j G*(phi_j)) of the plan at that
-    phi, f its objective; the loop returns once the gap is at most GAP_TOL
-    (1 + |f|). It stops uncertified on a stall: when a step moves nothing,
-    when 60 halvings find no decrease, or when a step lowers J by no more
-    than the rounding slack and the gap did not halve since the iteration
-    before. It also stops at MAX_ITERS. The gap does not certify where C
-    breaks the Monge condition near the plan (there the monotone plan can
-    lose to another one), nor where the RHO_FLOOR clamp of G' leaves
-    columns at vacuum under the entropy.
+    dual_bound(phi) of the plan, f its objective; the loop returns once
+    the gap is at most GAP_TOL (1 + |f|). It stops uncertified on a stall:
+    when a step moves nothing, when 60 halvings find no decrease, or when
+    a step lowers J by no more than the rounding slack and the gap did
+    not halve since the iteration before. It also stops at MAX_ITERS. The
+    gap does not certify where C breaks the Monge condition near the plan
+    (there the monotone plan can lose to another one), nor where the
+    RHO_FLOOR clamp of G' leaves columns at vacuum under the entropy.
 
     Returns the column masses (mu itself when no breakpoint moved, so a
     stay-put step keeps its bits), the objective, the iteration count and
@@ -291,7 +298,7 @@ def _monotone_newton(C, mu, e, dx):
     for it in range(1, MAX_ITERS + 1):
         phi = e.deriv(nu / dx)
         f = W + dx * float(g_val.sum())
-        gap = f - float(mu @ (C + phi).min(axis=1) - dx * e.legendre(phi).sum())
+        gap = f - dual_bound(C, mu, phi, e, dx)
         if gap <= GAP_TOL * (1.0 + abs(f)):
             return nu, f, it, True
         if quiet and not gap <= 0.5 * last:
@@ -733,7 +740,7 @@ def jko_step(rho_prev: DensityField, e: EnergyModel, p: ExponentField, h: float,
             if col is mu:
                 gam = np.diag(mu)
             else:
-                seg, rows, cols = transport._quantile_segments(mu, col)
+                seg, rows, cols = transport._quantile_segments(mu, col, mu.sum(), col.sum())
                 gam = np.zeros(C.shape)
                 gam[rows, cols] = seg * mu.sum()
 

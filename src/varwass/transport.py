@@ -164,20 +164,19 @@ def build_cost(g: Grid, p: ExponentField, h: float) -> CostMatrix:
 
 
 def _check_marginals(n: int, mu: np.ndarray, nu: np.ndarray):
-    """mu and nu as float arrays: n masses each, with totals within MARGINAL_TOL."""
+    """mu and nu as float arrays, n masses each, and their totals, which
+    agree within MARGINAL_TOL. One pass over the pair reads the totals,
+    with the bits of mu.sum() and nu.sum(); a bad mu raises before nu."""
     mu = np.asarray(mu, dtype=float)
     nu = np.asarray(nu, dtype=float)
     if mu.shape != (n,) or nu.shape != (n,):
         raise SizeMismatchError(
             f"marginals must have shape ({n},), got {mu.shape} and {nu.shape}"
         )
-    _check_masses(mu, False)
-    _check_masses(nu, False)
-    if not abs(mu.sum() - nu.sum()) <= MARGINAL_TOL:
-        raise MarginalMismatchError(
-            f"total masses differ: {mu.sum()!r} vs {nu.sum()!r}"
-        )
-    return mu, nu
+    ta, tb = _check_masses(np.stack((mu, nu)), False).tolist()
+    if not abs(ta - tb) <= MARGINAL_TOL:
+        raise MarginalMismatchError(f"total masses differ: {ta} vs {tb}")
+    return mu, nu, ta, tb
 
 
 @dataclass(frozen=True)
@@ -226,11 +225,10 @@ def _constraint_column(k: int, n: int) -> np.ndarray:
     return col
 
 
-def _equality_rhs(mu: np.ndarray, nu: np.ndarray):
-    """nu with any sub-tolerance total-mass gap folded in, so the equalities
-    are exactly consistent, and the right-hand side of the 2n-1 equalities."""
-    nu_eff = nu * (mu.sum() / nu.sum()) if nu.sum() > 0 else nu.copy()
-    return nu_eff, np.concatenate([mu, nu_eff[:-1]])
+def _folded(nu: np.ndarray, ta: float, tb: float) -> np.ndarray:
+    """nu, of total tb, with its sub-tolerance gap to the total ta of the
+    other marginal folded in, so the equalities are exactly consistent."""
+    return nu * (ta / tb) if tb > 0 else nu.copy()
 
 
 class _BasisTree:
@@ -355,13 +353,13 @@ def solve_exact(cost: CostMatrix, mu: np.ndarray, nu: np.ndarray) -> ExactResult
     tolerance overflows on the final pricing, where no certificate can be
     read.
     """
-    mu, nu = _check_marginals(cost.n, mu, nu)
+    mu, nu, ta, tb = _check_marginals(cost.n, mu, nu)
     n = cost.n
     if n > EXACT_MAX_N:
         raise SizeMismatchError(
             f"exact solver is limited to n <= {EXACT_MAX_N}, got {n}")
     C = cost.values
-    nu_eff, _ = _equality_rhs(mu, nu)
+    nu_eff = _folded(nu, ta, tb)
     tree = _BasisTree(C, _northwest_corner(mu, nu_eff))
     pot, flow, arc = tree.pot, tree.flow, tree.arc
     # u and v are views of the tree's potentials and follow every pivot
@@ -461,11 +459,11 @@ def solve_brute_force(cost: CostMatrix, mu: np.ndarray, nu: np.ndarray):
     """
     from itertools import combinations
 
-    mu, nu = _check_marginals(cost.n, mu, nu)
+    mu, nu, ta, tb = _check_marginals(cost.n, mu, nu)
     n = cost.n
     if n > 4:
         raise SizeMismatchError(f"brute force is limited to n <= 4, got {n}")
-    nu_eff, b_vec = _equality_rhs(mu, nu)
+    b_vec = np.concatenate([mu, _folded(nu, ta, tb)[:-1]])
     cols = np.column_stack([_constraint_column(k, n) for k in range(n * n)])
     supports = np.array(list(combinations(range(n * n), 2 * n - 1)))
     A = np.moveaxis(cols[:, supports], 1, 0)
@@ -515,11 +513,11 @@ def solve_entropic(cost: CostMatrix, mu: np.ndarray, nu: np.ndarray,
     of raising. eps must be positive and finite.
     """
     check_positive(eps, "eps")
-    mu, nu = _check_marginals(cost.n, mu, nu)
+    mu, nu, ta, _ = _check_marginals(cost.n, mu, nu)
     C = cost.values
     gamma = np.zeros_like(C)
     rows, cols = np.flatnonzero(mu > 0.0), np.flatnonzero(nu > 0.0)
-    it, violation = 1, float(mu.sum())
+    it, violation = 1, ta
     if rows.size and cols.size:
         support = np.ix_(rows, cols)
         Cs, a = C[support], mu[rows]
@@ -540,16 +538,17 @@ def solve_entropic(cost: CostMatrix, mu: np.ndarray, nu: np.ndarray,
     return EntropicResult(coupling, value, it, converged, violation)
 
 
-def _quantile_segments(a: np.ndarray, b: np.ndarray):
-    """Merge the normalized CDFs of cell masses a and b into quantile segments.
+def _quantile_segments(a: np.ndarray, b: np.ndarray, ta: float, tb: float):
+    """Merge the normalized CDFs of cell masses a and b, of totals ta and
+    tb (their sum()s), into quantile segments.
 
     Returns (seg, i, j): on each segment of positive length seg the quantile
     functions of a and b sit in cells i and j. The sweep stops at the
     smaller of the two CDF ends. Repeated CDF values (vacuum cells, or a
     value both CDFs share) give zero-length segments, which are dropped.
     """
-    ca = np.cumsum(a) / a.sum()
-    cb = np.cumsum(b) / b.sum()
+    ca = np.cumsum(a) / ta
+    cb = np.cumsum(b) / tb
     s = np.sort(np.concatenate([ca, cb]))
     s = s[s <= min(ca[-1], cb[-1])]
     seg = np.diff(s, prepend=0.0)
@@ -568,11 +567,10 @@ def wasserstein_1d(p_const: float, mu: DensityField, nu: DensityField, g: Grid) 
     """
     if not 1.0 <= p_const < math.inf:
         raise NonpositiveParameterError(f"exponent must be finite and >= 1, got {p_const}")
-    a, b = _check_marginals(g.n_cells, mu.mass, nu.mass)
-    ta = a.sum()
-    if min(ta, b.sum()) <= 0.0:
+    a, b, ta, tb = _check_marginals(g.n_cells, mu.mass, nu.mass)
+    if min(ta, tb) <= 0.0:
         return 0.0
-    seg, i, j = _quantile_segments(a, b)
+    seg, i, j = _quantile_segments(a, b, ta, tb)
     x = g.centers
     acc = float(np.sum(seg * np.abs(x[i] - x[j]) ** p_const))
     return float((ta * acc) ** (1.0 / p_const))
@@ -592,11 +590,10 @@ def displacement_interpolant(mu: DensityField, nu: DensityField, t: float,
     if not 0.0 <= t <= 1.0:
         raise InvalidParameterError(
             f"interpolation parameter must lie in [0, 1], got {t}")
-    a, b = _check_marginals(g.n_cells, mu.mass, nu.mass)
-    total = a.sum()
-    if min(total, b.sum()) <= 0.0:
+    a, b, total, tb = _check_marginals(g.n_cells, mu.mass, nu.mass)
+    if min(total, tb) <= 0.0:
         return mu
-    seg, i, j = _quantile_segments(a, b)
+    seg, i, j = _quantile_segments(a, b, total, tb)
     x = g.centers
     n = g.n_cells
     pos = (1.0 - t) * x[i] + t * x[j]

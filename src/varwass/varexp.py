@@ -27,9 +27,6 @@ from .errors import (ExponentRangeError, InvalidDensityError, InvalidParameterEr
                      SizeMismatchError, check_positive)
 from .grid import Grid
 
-#: Below this, a density value counts as zero support for norm purposes.
-SUPPORT_FLOOR = 0.0
-
 #: Probability masses may deviate from 1 by at most this much.
 MASS_TOL = 1e-12
 
@@ -80,11 +77,12 @@ def conjugate(p: ExponentField) -> ExponentField:
     return ExponentField(p.values / (p.values - 1.0))
 
 
-def _check_masses(m: np.ndarray, require_unit_mass: bool) -> None:
+def _check_masses(m: np.ndarray, require_unit_mass: bool):
     """Raise InvalidDensityError unless each row of m (along its last axis)
     holds finite, nonnegative masses with a finite total, summing to 1
     within MASS_TOL when require_unit_mass is set. A stack of rows raises
-    what its first bad row would raise alone.
+    what its first bad row would raise alone. Returns the totals, each
+    with the bits of its row's sum().
 
     Two reductions per row; min never warns, and the sum's overflow and
     inf - inf are silenced because the checks below read them.
@@ -98,7 +96,7 @@ def _check_masses(m: np.ndarray, require_unit_mass: bool) -> None:
     if require_unit_mass:
         bad |= abs(total - 1.0) > MASS_TOL
     if not bad.any():
-        return
+        return total
     if m.ndim > 1:
         k = int(np.argmax(bad))
         m, lo, total = m[k], lo[k], total[k]
@@ -110,7 +108,7 @@ def _check_masses(m: np.ndarray, require_unit_mass: bool) -> None:
     if lo < 0.0:
         raise InvalidDensityError(f"mass must be nonnegative, got min {lo}")
     rule = f"sum to 1 within {MASS_TOL}" if require_unit_mass else "have a finite total"
-    raise InvalidDensityError(f"masses must {rule}, got {total!r}")
+    raise InvalidDensityError(f"masses must {rule}, got {float(total)}")
 
 
 @dataclass(frozen=True)
@@ -320,7 +318,7 @@ def _norm_rows(u: np.ndarray, mass: np.ndarray, p: np.ndarray) -> np.ndarray:
     it should a mass above 1 or rounding put the root outside. Rows that
     vanish on the support get 0 and no solve.
     """
-    au = np.where(mass > SUPPORT_FLOOR, np.abs(u), 0.0)
+    au = np.where(mass > 0.0, np.abs(u), 0.0)
     top = au.max(axis=1)
     live = top > 0.0
     norms = np.zeros(u.shape[0])

@@ -79,13 +79,6 @@ def test_deriv_matches_central_differences():
         assert np.max(np.abs(fd - e.deriv(t)) / np.abs(e.deriv(t))) <= 1e-6, e.name
 
 
-def test_legendre_deriv_inverts_deriv():
-    t = np.geomspace(1e-3, 1e2, 60)
-    for e in ALL_MODELS:
-        back = e.legendre_deriv(e.deriv(t))
-        assert np.max(np.abs(back - t) / np.maximum(t, 1.0)) <= 1e-8, e.name
-
-
 def test_power_requires_m_above_one():
     with pytest.raises(ValueError):
         builtin_energy("power", m=1.0)

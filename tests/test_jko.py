@@ -3,8 +3,10 @@ explicit solver, optimality diagnostics, and bookkeeping invariants."""
 
 import dataclasses
 import functools
+import inspect
 import itertools
 import math
+import sys
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -721,20 +723,23 @@ def _solve_column_scalar(log_target, e, dx, eps, start=None):
     sigma = log(RHO_FLOOR dx), with slope 1 + 1/eps above it and 1 below;
     it is increasing and continuous, so the root is the free branch's where
     that lies above the clamp point and the clamped branch's otherwise.
-    The power energies take safeguarded Newton steps in bisect. G' >= 0
-    puts the root at or below log_target L, and where it lies below L - 1,
-    G'(exp(sigma)/dx) > eps puts it above log(dx (G')^-1(eps)) =
-    log(dx e.legendre_deriv(eps)), so it lies at or above the lower of
-    that and L - 1. Without a start that is the bracket (L alone lay more
-    than 200 units above the root on rough steps, out of bisect's reach);
-    with one, the bracket is start +- 1, for a start at the previous root.
+    The other energies, G(t) = c t^m (the quadratic and the power ones),
+    take safeguarded Newton steps in bisect. G' >= 0 puts the root at or
+    below log_target L, and where it lies below L - 1, G'(exp(sigma)/dx) >
+    eps puts it above log(dx (G')^-1(eps)), with (G')^-1(s) = (s /
+    G'(1))^(1/(m-1)) and m - 1 = G''(1) / G'(1); so it lies at or above
+    the lower of that and L - 1. Without a start that is the bracket (L
+    alone lay more than 200 units above the root on rough steps, out of
+    bisect's reach); with one, the bracket is start +- 1, for a start at
+    the previous root.
     """
     if e is ENTROPY:
         free = (log_target + (math.log(dx) - 1.0) / eps) / (1.0 + 1.0 / eps)
         clamped = log_target - (math.log(RHO_FLOOR) + 1.0) / eps
         return np.where(free > math.log(RHO_FLOOR * dx), free, clamped)
     if start is None:
-        lo = np.minimum(log_target - 1.0, math.log(dx * float(e.legendre_deriv(eps))))
+        slope, curvature = float(e.deriv(1.0)), float(e.second(1.0))
+        lo = np.minimum(log_target - 1.0, math.log(dx * (eps / slope) ** (slope / curvature)))
         hi = log_target
     else:
         lo, hi = start - 1.0, start + 1.0
@@ -1516,7 +1521,7 @@ def _assert_newton_certified(g, p, h, e, mu):
     C = transport.build_cost(g, p, h).values
     col, f, it, certified = jko._monotone_newton(C, mu, e, g.dx)
     assert certified
-    seg, rows, cols = transport._quantile_segments(mu, col)
+    seg, rows, cols = transport._quantile_segments(mu, col, mu.sum(), col.sum())
     plan = float(seg @ C[rows, cols]) * mu.sum() + g.dx * float(e.value(col / g.dx).sum())
     assert f == pytest.approx(plan, rel=1e-13, abs=1e-16)
     assert GAP_FLOOR <= _duality_gap(plan, col, C, mu, e, g.dx) <= jko.GAP_TOL * (1.0 + abs(f))
@@ -1603,6 +1608,58 @@ def test_newton_on_rough_data_certifies_or_falls_back_to_the_descent(p0, h, name
                         jko.JkoOptions(exact_coupling=False))
     assert (step.iterations, step.converged) == (it, converged)
     assert np.array_equal(step.coupling.gamma, gam)
+
+
+def _newton_exits(C, mu, e, dx):
+    """The exits of one jko._monotone_newton call, each named by the source
+    line above the break it ran, found by a line tracer: for the stalls,
+    "except ZeroDivisionError:" (a zero tridiagonal pivot), "else:" (60
+    halvings without a decrease) and "if not moved.any():" (a step that
+    moves nothing)."""
+    lines, first = inspect.getsourcelines(jko._monotone_newton)
+    code, seen = jko._monotone_newton.__code__, set()
+
+    def trace(frame, event, arg):
+        if frame.f_code is not code:
+            return None
+        if event == "line":
+            seen.add(frame.f_lineno)
+        return trace
+
+    old = sys.gettrace()
+    sys.settrace(trace)
+    try:
+        jko._monotone_newton(C, mu, e, dx)
+    finally:
+        sys.settrace(old)
+    return {lines[k - first - 1].strip() for k in seen if lines[k - first].strip() == "break"}
+
+
+@pytest.mark.parametrize("exit_line,n,p_kind,e,h,seed,descent_iters", [
+    ("except ZeroDivisionError:", 32, "2+x", builtin_energy("power", m=5.0), 0.15, 6, 4165),
+    ("else:", 32, "1.5", ENERGIES["power3"], 1e-4, 3, 609),
+    ("if not moved.any():", 8, "rough", QUADRATIC, 7e-3, 3, 145),
+], ids=["zero-pivot", "halvings", "no-move"])
+def test_newton_stall_falls_back_to_the_descent(exit_line, n, p_kind, e, h, seed, descent_iters):
+    # Each stall exit of the Newton step, reached on rough masses with three
+    # vacuum cells, stops it uncertified after 4 iterations; the descent
+    # then runs, and its plan, lower than the Newton plan and the stay-put
+    # one, is the step's: iterations and converged are the descent's. The
+    # step conserves mass and its objective lies at or below the old energy.
+    g = make_grid(0.0, 1.0, n)
+    if p_kind == "rough":
+        p = ExponentField(np.random.default_rng(0).uniform(1.1, 4.0, n))
+    else:
+        p = affine_p(g) if p_kind == "2+x" else ExponentField.constant(float(p_kind), n)
+    mu = _rough_masses(g, seed)
+    C = transport.build_cost(g, p, h).values
+    assert exit_line in _newton_exits(C, mu, e, g.dx)
+    assert jko._monotone_newton(C, mu, e, g.dx)[2:] == (4, False)
+    step = jko.jko_step(DensityField.from_masses(mu), e, p, h, g)
+    assert (step.iterations, step.converged) == (descent_iters, True)
+    assert step.mass_error <= 1e-12
+    before = step.energy_before
+    assert step.energy_after + step.transport_cost <= before + 1e-15 * (1.0 + abs(before))
 
 
 NEWTON_ENERGIES = {"power2": builtin_energy("power", m=2.0),

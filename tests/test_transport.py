@@ -203,6 +203,24 @@ class TestSolveExact:
         with pytest.raises(MarginalMismatchError):
             solve_exact(cost, np.full(4, 0.25), np.full(4, 0.30))
 
+    def test_mismatch_message_prints_plain_floats(self):
+        # the same text under numpy 1 and 2, which would print np.float64(2.0)
+        g = make_grid(0.0, 1.0, 4)
+        cost = build_cost(g, ExponentField.constant(2.0, 4), 1.0)
+        with pytest.raises(MarginalMismatchError) as info:
+            solve_exact(cost, np.full(4, 0.5), np.full(4, 0.25))
+        assert str(info.value) == "total masses differ: 2.0 vs 1.0"
+
+    def test_bad_row_marginal_raises_before_the_column_one(self):
+        g = make_grid(0.0, 1.0, 4)
+        cost = build_cost(g, ExponentField.constant(2.0, 4), 1.0)
+        with pytest.raises(InvalidDensityError) as info:
+            solve_exact(cost, np.array([0.5, -0.1, 0.3, 0.3]), np.array([np.nan, 0.5, 0.25, 0.25]))
+        assert str(info.value) == "mass must be nonnegative, got min -0.1"
+        with pytest.raises(InvalidDensityError) as info:
+            solve_exact(cost, np.full(4, 0.25), np.array([np.nan, 0.5, 0.25, 0.25]))
+        assert str(info.value) == "mass must be finite"
+
     def test_size_cap(self):
         g = make_grid(0.0, 1.0, 257)
         cost = build_cost(g, ExponentField.constant(2.0, 257), 1.0)
@@ -240,7 +258,8 @@ def _dense_simplex(C, mu, nu):
     rule of solve_exact. Returns the plan and the pivot count.
     """
     n = len(mu)
-    nu_eff, b_vec = transport._equality_rhs(mu, nu)
+    nu_eff = transport._folded(nu, mu.sum(), nu.sum())
+    b_vec = np.concatenate([mu, nu_eff[:-1]])
     stair = transport._northwest_corner(mu, nu_eff)
     basis = [i * n + j for i, j, _ in stair]
     B = np.column_stack([transport._constraint_column(k, n) for k in basis])
@@ -329,8 +348,12 @@ class TestTreeBasisAgainstDenseSimplex:
             np.testing.assert_allclose(res.coupling.gamma, gamma, rtol=0.0, atol=1e-12)
 
 
-def _highs_value(C, mu, nu):
-    """Optimal value of the transport LP by scipy's HiGHS, an independent solver."""
+def _highs_value(C, mu, nu, presolve=True):
+    """Optimal value of the transport LP by scipy's HiGHS, an independent solver.
+
+    With presolve on, HiGHS (scipy 1.17.1) calls some feasible instances
+    infeasible, such as _exact_steps_pair(g, 3) with its column of mass
+    9.8e-12; presolve=False solves those."""
     optimize = pytest.importorskip("scipy.optimize")
     sparse = pytest.importorskip("scipy.sparse")
     n = len(mu)
@@ -340,7 +363,7 @@ def _highs_value(C, mu, nu):
         C.ravel(), A_eq=sparse.vstack([rows, cols]).tocsr(),
         b_eq=np.concatenate([mu, nu]), bounds=(0.0, None), method="highs",
         options={"primal_feasibility_tolerance": 1e-10,
-                 "dual_feasibility_tolerance": 1e-10})
+                 "dual_feasibility_tolerance": 1e-10, "presolve": presolve})
     assert res.status == 0, res.message
     return res.fun
 
@@ -368,13 +391,13 @@ class TestSolveExactAgainstHighs:
         assert np.all(np.abs(reduced[gamma > 0.0]) <= 1e-12 * scale[gamma > 0.0])
         assert abs(u @ mu + v @ nu - res.value) <= 1e-9 * res.value
 
-    def test_pivoting_exact_steps_instance(self):
-        # a comparison LP of the benchmark, whose pivots make its tail
+    @staticmethod
+    def _check_exact_steps_instance(seed, presolve):
         g, cost = _exact_steps_cost()
-        mu, nu = _exact_steps_pair(g, 13)
+        mu, nu = _exact_steps_pair(g, seed)
         res = solve_exact(cost, mu, nu)
         assert res.pivots >= 100
-        want = _highs_value(cost.values, mu, nu)
+        want = _highs_value(cost.values, mu, nu, presolve)
         assert abs(res.value - want) <= 1e-9 * want
         u, v = res.row_potential, res.col_potential
         reduced = cost.values - u[:, None] - v[None, :]
@@ -382,6 +405,16 @@ class TestSolveExactAgainstHighs:
         assert np.all(reduced >= -1e-10 * scale)
         support = res.coupling.gamma > 0.0
         assert np.all(np.abs(reduced[support]) <= 1e-12 * scale[support])
+
+    def test_pivoting_exact_steps_instance(self):
+        # a comparison LP of the benchmark, whose pivots make its tail (204)
+        self._check_exact_steps_instance(13, presolve=True)
+
+    def test_exact_steps_instance_with_a_tiny_column(self):
+        # seed 3's Gaussian column holds 9.8e-12, a total that
+        # _check_marginals must read with the bits of nu.sum(); 191 pivots.
+        # HiGHS reports it infeasible with presolve on
+        self._check_exact_steps_instance(3, presolve=False)
 
 
 class TestSolveBruteForce:
