@@ -130,13 +130,14 @@ class JkoStepResult:
     measured on an exact coupling only; with coupling_is_exact False it is
     NaN. mass_error is the gap between the plan's total column mass and
     the previous total, before rho_next is scaled back to that total.
-    coupling is None on the steps of run_flow: each such step forms and
-    checks its n-by-n plan and measures the step on it, but does not keep
-    it, so a flow holds O(K n) and not O(K n^2). jko_step called on its own
-    returns the plan.
+    rho_next and coupling are None on the steps of run_flow, which hold
+    diagnostics only: each such step forms and checks its n-by-n plan and
+    measures the step on it, but does not keep it, and its new state is
+    the trajectory's next row, so a flow holds O(K n) and each state once.
+    jko_step called on its own returns both.
     """
 
-    rho_next: DensityField
+    rho_next: DensityField | None
     coupling: transport.Coupling | None
     transport_cost: float
     energy_before: float
@@ -501,12 +502,14 @@ class _Warm:
     start from; jinv the inverse Newton matrix that the loop tries first,
     which _entropic_backend replaces with the one it ends with (None once
     it dropped it); energy the energy of the step's input state, which is
-    the previous step's energy_after. None carries nothing.
+    the previous step's energy_after; state the new state, which jko_step
+    hands back. None carries nothing.
     """
 
     guess: np.ndarray | None = None
     jinv: np.ndarray | None = None
     energy: float | None = None
+    state: DensityField | None = None
 
 
 def _column_picture(sigma, e, dx, log_ref, kernel, mu, log_mu, w):
@@ -701,12 +704,14 @@ def jko_step(rho_prev: DensityField, e: EnergyModel, p: ExponentField, h: float,
     between the old and new masses when opts.exact_coupling is set (the
     default), otherwise the solver's plan itself (the Newton step's
     monotone plan, built from transport._quantile_segments, is made dense
-    only then); el_residual is computed only for the exact plan and is NaN
-    otherwise. _warm is what run_flow carries from step to step (see
-    _Warm): the energy of rho_prev, and for entropic steps the guess and
-    the inverse Newton matrix that the dual loop starts from and hands
-    back (see _entropic_backend). Only run_flow passes it, and a step
-    given _warm returns coupling None: the plan is still formed, checked
+    only then), which records the same marginals as the exact plan, the
+    previous masses and the new ones; el_residual is computed only for the
+    exact plan and is NaN otherwise. _warm is what run_flow carries from
+    step to step (see _Warm): the energy of rho_prev, and for entropic
+    steps the guess and the inverse Newton matrix that the dual loop starts
+    from and hands back (see _entropic_backend). Only run_flow passes it,
+    and a step given _warm hands its new state back as _warm.state and
+    returns rho_next and coupling None: the plan is still formed, checked
     and measured (transport_cost, el_residual), but the flow does not keep
     it.
     """
@@ -756,13 +761,14 @@ def jko_step(rho_prev: DensityField, e: EnergyModel, p: ExponentField, h: float,
         coupling, cost_value = exact.coupling, exact.value
         residual = _residual_of(coupling, rho_next, e, plan.q, h, g)
     else:
-        coupling = transport.Coupling.of_plan(gam, mu, col)
+        coupling = transport.Coupling(gam, mu, m_next)
         cost_value = float(np.vdot(C, gam))
         residual = math.nan
 
     e_after = total_energy(rho_next, e, g)
+    warm.state = rho_next
     return JkoStepResult(
-        rho_next=rho_next,
+        rho_next=rho_next if _warm is None else None,
         coupling=coupling if _warm is None else None,
         transport_cost=cost_value,
         energy_before=e_before,
@@ -809,8 +815,9 @@ def run_flow(rho0: DensityField, e: EnergyModel, p: ExponentField, h: float,
     from the previous step's energy_after, the energy of the same state.
     Each new state's masses are written into the next row of the
     trajectory's stack as the flow goes, and traj.steps holds each step's
-    result with its diagnostics but coupling None: the flow keeps no n-by-n
-    plan. jko_step, called on its own, returns a step's plan.
+    diagnostics only, with rho_next and coupling None: the flow keeps no
+    n-by-n plan and each state once, in its stack. jko_step, called on its
+    own, returns a step's plan and new state.
     """
     n_steps = _step_count(t_end, h)
     entropic = opts is not None and opts.backend == "entropic"
@@ -829,7 +836,7 @@ def run_flow(rho0: DensityField, e: EnergyModel, p: ExponentField, h: float,
                 exc.args = (f"step {k}: {exc.args[0]}",) + exc.args[1:]
             raise
         warm.energy = step.energy_after
-        previous, current = current, step.rho_next
+        previous, current = current, warm.state
         _put_row(masses, k, current.mass)
         steps.append(step)
     times = h * np.arange(n_steps + 1, dtype=float)

@@ -13,6 +13,8 @@ pricing pass plus a walk of about 20 tree nodes at n=64), a log-domain
 entropic scaling loop, and the closed-form quantile evaluation of the
 constant-exponent 1-D Wasserstein distance. A brute-force vertex
 enumeration is included as an independent reference for tiny instances.
+The exact and entropic plans are Couplings, whose one constructor checks
+signs and both marginals: a Coupling in hand has been checked.
 """
 
 from __future__ import annotations
@@ -74,17 +76,15 @@ class CostMatrix:
 class Coupling:
     """Transport plan with recorded marginals.
 
-    gamma[i, j] is the mass moved from cell i to cell j. On construction the
-    row and column sums are checked against the stored marginals to within
-    MARGINAL_TOL (skipped with check=False for reporting unconverged
-    iterates; of_plan checks the rows only, where the column marginal is
-    the plan's own column sums).
+    gamma[i, j] is the mass moved from cell i to cell j. Construction raises
+    NegativeCouplingError on a negative or NaN entry and then
+    MarginalMismatchError on a row or column sum off its marginal by more
+    than MARGINAL_TOL, so a Coupling in hand has been checked.
     """
 
     gamma: np.ndarray
     row_marginal: np.ndarray
     col_marginal: np.ndarray
-    check: bool = True
 
     def __post_init__(self):
         gam = np.asarray(self.gamma, dtype=float)
@@ -98,42 +98,19 @@ class Coupling:
         object.__setattr__(self, "gamma", gam)
         object.__setattr__(self, "row_marginal", mu)
         object.__setattr__(self, "col_marginal", nu)
-        if self.check:
-            self._verify(columns=True)
-
-    def _verify(self, columns: bool):
-        """Raise on a negative or NaN entry, then on a row sum (and with
-        columns, a column sum) off its marginal by more than MARGINAL_TOL."""
-        gam = self.gamma
         # written so that a NaN entry or marginal fails them
         if not gam.min() >= -MARGINAL_TOL:
             raise NegativeCouplingError(
                 f"coupling has negative or NaN entries, min {gam.min()}")
-        err = self.marginal_error() if columns else float(self._row_error())
+        err = self.marginal_error()
         if not err <= MARGINAL_TOL:
             raise MarginalMismatchError(f"coupling marginals off by {err:.2e}")
 
-    @classmethod
-    def of_plan(cls, gamma: np.ndarray, row_marginal: np.ndarray,
-                col_sums: np.ndarray) -> "Coupling":
-        """The checked coupling of a plan whose column marginal is its own
-        column sums col_sums, gamma.sum(axis=0) as the caller took them.
-
-        Re-summing the columns would compare col_sums with themselves, so
-        only the sign of the entries and the row sums are checked.
-        """
-        coupling = cls(gamma, row_marginal, col_sums, check=False)
-        coupling._verify(columns=False)
-        object.__setattr__(coupling, "check", True)
-        return coupling
-
-    def _row_error(self):
-        return np.abs(self.gamma.sum(axis=1) - self.row_marginal).max()
-
     def marginal_error(self) -> float:
         """Largest gap of a row or column sum to its marginal; NaN stays NaN."""
+        row_err = np.abs(self.gamma.sum(axis=1) - self.row_marginal).max()
         col_err = np.abs(self.gamma.sum(axis=0) - self.col_marginal).max()
-        return float(np.maximum(self._row_error(), col_err))
+        return float(np.maximum(row_err, col_err))
 
 
 def _power_cost(d, p, h: float, t=1.0):
@@ -510,7 +487,9 @@ def solve_entropic(cost: CostMatrix, mu: np.ndarray, nu: np.ndarray,
 
     The reported value is <c, gamma> without the entropy term. On
     nonconvergence the last iterate is returned with converged=False instead
-    of raising. eps must be positive and finite.
+    of raising, as the coupling of its own row sums and nu: a column update
+    ends each iteration, so the columns meet nu, and marginal_violation
+    tells how far the rows are from mu. eps must be positive and finite.
     """
     check_positive(eps, "eps")
     mu, nu, ta, _ = _check_marginals(cost.n, mu, nu)
@@ -534,7 +513,7 @@ def solve_entropic(cost: CostMatrix, mu: np.ndarray, nu: np.ndarray,
         gamma[support] = np.exp((f[:, None] + g[None, :] - Cs) / eps)
     converged = violation < ENTROPIC_TOL
     value = float((C * gamma).sum())
-    coupling = Coupling(gamma, mu, nu, check=converged and violation <= MARGINAL_TOL)
+    coupling = Coupling(gamma, mu if converged else gamma.sum(axis=1), nu)
     return EntropicResult(coupling, value, it, converged, violation)
 
 

@@ -171,7 +171,9 @@ class DensityField:
         check_positive(width, "gaussian width", InvalidParameterError)
         if not math.isfinite(center):
             raise InvalidParameterError("gaussian center must be finite")
-        v = np.exp(-0.5 * ((g.centers - center) / width) ** 2)
+        # an exponent that overflows is -inf, and exp(-inf) = 0 is its value
+        with np.errstate(over="ignore"):
+            v = np.exp(-0.5 * ((g.centers - center) / width) ** 2)
         return cls.from_cell_values(v, g)
 
 
@@ -203,11 +205,11 @@ class Trajectory:
     states a read-only sequence of DensityFields over its rows. final owns
     a copy of the last row, so keeping it keeps no stack alive. steps holds
     the per-step diagnostics of jko.run_flow (None when assembled
-    elsewhere), each without its n-by-n plan (coupling None), so a flow
-    holds O(K n); jko.jko_step gives a step's plan. Trajectory(times,
-    states) stacks the states once, and raises SizeMismatchError for a
-    state of another shape than the first; another trajectory's states
-    share its stack.
+    elsewhere), and diagnostics only: coupling and rho_next are None, so a
+    flow holds O(K n) and each state once, as its row; jko.jko_step gives a
+    step's plan and new state. Trajectory(times, states) stacks the states
+    once, and raises SizeMismatchError for a state of another shape than
+    the first; another trajectory's states share its stack.
     """
 
     def __init__(self, times, states, steps: list | None = None):
@@ -289,11 +291,15 @@ def modular(u: np.ndarray, rho: DensityField, p: ExponentField, lam: float, g: G
     """Weighted modular sum_i |u[i]/lam|^p[i] * rho[i] * dx.
 
     Since rho[i] * dx is exactly the cell mass, the quadrature never touches
-    dx explicitly. lam must be positive and finite.
+    dx explicitly. As in luxemburg_norm, cells with zero mass never
+    contribute, and a term that overflows on a cell with mass reads inf.
+    lam must be positive and finite.
     """
     u = _check_shapes(u, rho, p, g)
     check_positive(lam, "lambda")
-    return float(np.sum(np.abs(u / lam) ** p.values * rho.mass))
+    au = np.where(rho.mass > 0.0, np.abs(u), 0.0)
+    with np.errstate(over="ignore"):
+        return float(np.sum((au / lam) ** p.values * rho.mass))
 
 
 def luxemburg_norm(u: np.ndarray, rho: DensityField, p: ExponentField, g: Grid) -> float:

@@ -2,6 +2,7 @@
 determinism, and the validation surface."""
 
 import hashlib
+import os
 import re
 import shutil
 import subprocess
@@ -622,6 +623,20 @@ def test_console_entry_point_runs(tmp_path):
     proc = subprocess.run(cmd + ["validate", str(path), "--quiet"],
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize("initial", [
+    {"kind": "gaussian", "center": 0.5, "width": 1e-300},
+    {"kind": "gaussian", "center": 1e308, "width": 1.0},
+], ids=["narrow", "far"])
+def test_gaussian_without_mass_exits_3_with_warnings_as_errors(tmp_path, initial):
+    path = write_config(tmp_path, initial=initial)
+    exe = shutil.which("varwass")
+    cmd = [exe] if exe else [sys.executable, "-m", "varwass.cli"]
+    proc = subprocess.run(cmd + ["validate", str(path), "--quiet"], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONWARNINGS": "error"})
+    assert proc.returncode == 3, proc.stderr
+    assert "positive total mass" in proc.stderr and "Traceback" not in proc.stderr
 
 
 @pytest.mark.parametrize("overrides, code", [

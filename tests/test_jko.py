@@ -170,8 +170,7 @@ def test_run_flow_writes_every_state_into_one_read_only_stack():
     traj = jko.run_flow(rho0, ENTROPY, affine_p(g), 1e-2, 0.2, g)
     assert traj.masses.shape == (21, 8) and not traj.masses.flags.writeable
     assert traj.masses.flags.c_contiguous and traj.masses.flags.owndata
-    for k, step in enumerate(traj.steps, start=1):
-        assert traj.masses[k].tobytes() == step.rho_next.mass.tobytes()
+    assert all(step.rho_next is None for step in traj.steps)
     assert all(not s.require_unit_mass for s in traj.states)
 
 
@@ -186,28 +185,23 @@ def test_run_flow_prefixes_step_index_on_failure():
 def _capture_plans(monkeypatch):
     """A function from a step to its plan, for every jko_step call from here
     on. A flow's steps keep no plan, so the plan is taken where the step
-    forms its coupling: from Coupling.of_plan (the solver's own plan) or
-    from solve_exact (the exact one)."""
+    forms its coupling: each step builds exactly one transport.Coupling,
+    itself (the solver's own plan) or inside solve_exact (the exact one),
+    and both look the name up in the transport module."""
     plans, built = {}, []
-    real_step, real_of_plan, real_exact = (jko.jko_step, transport.Coupling.of_plan,
-                                           transport.solve_exact)
+    real_step, real_coupling = jko.jko_step, transport.Coupling
 
-    def of_plan(*args):
-        built.append(real_of_plan(*args))
+    def coupling(*args):
+        built.append(real_coupling(*args))
         return built[-1]
-
-    def solve_exact(*args):
-        result = real_exact(*args)
-        built.append(result.coupling)
-        return result
 
     def step(*args, **kwargs):
         result = real_step(*args, **kwargs)
         plans[id(result)] = built.pop().gamma
+        assert not built
         return result
 
-    monkeypatch.setattr(transport.Coupling, "of_plan", of_plan)
-    monkeypatch.setattr(transport, "solve_exact", solve_exact)
+    monkeypatch.setattr(transport, "Coupling", coupling)
     monkeypatch.setattr(jko, "jko_step", step)
     return lambda result: plans[id(result)]
 
@@ -215,12 +209,13 @@ def _capture_plans(monkeypatch):
 @pytest.mark.parametrize("flow", ["readme", "jko_config"])
 def test_a_flow_keeps_no_plan(flow):
     # what the trajectory of a flow keeps, traced once the plan cache is
-    # warm: its (K, n) stack and each step's diagnostics and new state. The
-    # README compare flow (100 entropic steps) kept 3.52 MB and the CI jko
-    # config (5 default steps, exact couplings) 0.15 MB while each step held
-    # its n-by-n plan; 0.153 and 0.017 MB were measured without
+    # warm: its (K, n) stack and each step's diagnostics. The README compare
+    # flow (100 entropic steps) kept 3.52 MB and the CI jko config (5
+    # default steps, exact couplings) 0.15 MB while each step held its
+    # n-by-n plan; 0.153 and 0.017 MB were measured without, and the README
+    # flow kept 0.078 MB once its steps held no copy of their new state
     if flow == "readme":
-        run, bound = lambda: _readme_flow(100), 0.25e6
+        run, bound = lambda: _readme_flow(100), 0.105e6
     else:
         cfg = cli.load_config(Path(__file__).parent / "configs" / "jko.yaml")
         bound = 0.05e6
@@ -236,7 +231,7 @@ def test_a_flow_keeps_no_plan(flow):
     finally:
         tracemalloc.stop()
     assert kept < bound, kept
-    assert all(s.coupling is None for s in traj.steps)
+    assert all(s.coupling is None and s.rho_next is None for s in traj.steps)
 
 
 def test_run_flow_solves_a_frozen_step_again(monkeypatch):
@@ -256,8 +251,7 @@ def test_run_flow_solves_a_frozen_step_again(monkeypatch):
     monkeypatch.setattr(jko, "jko_step", counted)
     traj = jko.run_flow(rho0, ENTROPY, affine_p(g), 1e-2, 0.05, g)
     assert len(calls) == 5 and len(traj.steps) == 5
-    assert dataclasses.replace(traj.steps[4], rho_next=None, coupling=None) == dataclasses.replace(
-        traj.steps[3], rho_next=None, coupling=None)
+    assert traj.steps[4] == traj.steps[3]
     frozen = traj.states[3].mass.tobytes()
     assert traj.states[4].mass.tobytes() == frozen == traj.states[5].mass.tobytes()
     np.testing.assert_array_equal(plan_of(traj.steps[4]), plan_of(traj.steps[3]))
@@ -282,9 +276,7 @@ def test_run_flow_solves_a_repeated_entropic_step_again(monkeypatch):
     for guess in guesses[1:]:
         np.testing.assert_array_equal(guess, rho0.mass)
     np.testing.assert_array_equal(traj.masses, np.zeros((6, g.n_cells)))
-    frozen = dataclasses.replace(traj.steps[1], rho_next=None, coupling=None)
-    assert all(dataclasses.replace(s, rho_next=None, coupling=None) == frozen
-               for s in traj.steps[2:])
+    assert all(s == traj.steps[1] for s in traj.steps[2:])
 
 
 class _CodedError(RuntimeError):
@@ -300,13 +292,14 @@ def test_run_flow_reraises_the_step_exception_itself(monkeypatch):
     rho0 = DensityField.cosine_bump(g, amplitude=0.3)
     calls, raised = [], []
 
-    def failing_step(rho, *args, **kwargs):
+    def failing_step(rho, *args, _warm):
         # a step that moves its masses, so run_flow calls the next one
         calls.append(rho)
         if len(calls) == 2:
             raised.append(_CodedError("solver gave up", 7))
             raise raised[0]
-        return SimpleNamespace(rho_next=DensityField(rho.mass[::-1].copy()), energy_after=0.0)
+        _warm.state = DensityField(rho.mass[::-1].copy())
+        return SimpleNamespace(energy_after=0.0)
 
     monkeypatch.setattr(jko, "jko_step", failing_step)
     with pytest.raises(_CodedError) as info:
@@ -909,7 +902,14 @@ def test_warm_start_takes_at_most_the_cold_newton_steps(monkeypatch, flow, warm_
     warm = flow()
     warm_built = len(built)
     real = jko.jko_step
-    monkeypatch.setattr(jko, "jko_step", lambda *args, _warm=None: real(*args))
+
+    def cold_step(*args, _warm):
+        # a step of its own, whose new state the flow still takes
+        step = real(*args)
+        _warm.state = step.rho_next
+        return step
+
+    monkeypatch.setattr(jko, "jko_step", cold_step)
     cold = flow()
     counts = [(n, sum(s.iterations for s in traj.steps))
               for n, traj in ((warm_built, warm), (len(built) - warm_built, cold))]
@@ -940,7 +940,7 @@ def test_step_rebuilds_when_the_carried_matrix_does_not_contract(monkeypatch):
     assert built and carried.jinv is not useless
     assert step.converged
     plain = jko.jko_step(*args)
-    np.testing.assert_allclose(step.rho_next.mass, plain.rho_next.mass, rtol=0.0, atol=1e-12)
+    np.testing.assert_allclose(carried.state.mass, plain.rho_next.mass, rtol=0.0, atol=1e-12)
 
 
 def test_a_fresh_step_whose_halvings_all_fail_drops_its_inverse(monkeypatch):
@@ -959,7 +959,7 @@ def test_a_fresh_step_whose_halvings_all_fail_drops_its_inverse(monkeypatch):
     pictures = []
     real = jko._column_picture
     monkeypatch.setattr(jko, "_column_picture", lambda *a: pictures.append(1) or real(*a))
-    jko.jko_step(step.rho_next, *args, _warm=warm)
+    jko.jko_step(warm.state, *args, _warm=warm)
     assert len(pictures) == 1
 
 
@@ -1576,6 +1576,28 @@ def test_an_inexact_default_step_returns_the_monotone_plan():
     np.testing.assert_allclose(gam.sum(axis=1), mu, rtol=0.0, atol=1e-15)
     np.testing.assert_allclose(inexact.rho_next.mass, exact.rho_next.mass, rtol=0.0, atol=1e-15)
     assert inexact.transport_cost == pytest.approx(exact.transport_cost, rel=1e-12)
+
+
+@pytest.mark.parametrize("case", ["exact_steps", "rough"])
+@pytest.mark.parametrize("exact", [True, False], ids=["exact", "own_plan"])
+@pytest.mark.parametrize("backend", ["mirror", "entropic"])
+def test_a_step_couples_the_previous_masses_to_the_new_ones(backend, exact, case):
+    # the exact plan and the solver's own plan record the same marginals,
+    # and both meet them to rounding; the rough case is one where the mirror
+    # backend falls back to the descent
+    h = 1e-2
+    if case == "exact_steps":
+        g, p, mu = _exact_steps_instance(1)
+        e = ENTROPY
+    else:
+        g, p, e, mu = _rough_case(1.05, h, "entropy")
+    opts = jko.JkoOptions(backend=backend, exact_coupling=exact,
+                          smoothing=math.sqrt(0.8 * h) if backend == "entropic" else None)
+    step = jko.jko_step(DensityField.from_masses(mu), e, p, h, g, opts)
+    coupling = step.coupling
+    np.testing.assert_array_equal(coupling.row_marginal, mu)
+    np.testing.assert_allclose(coupling.col_marginal, step.rho_next.mass, rtol=0.0, atol=1e-15)
+    assert coupling.marginal_error() <= 1e-15
 
 
 def test_newton_certifies_criterion_5():

@@ -218,7 +218,7 @@ def flow_with_steps(traj, e, g):
     integrate, without its check of the state's length."""
     rng = np.random.default_rng(4300)
     steps = [SimpleNamespace(
-        rho_next=s, energy_after=float(e.value(s.mass / g.dx).sum() * g.dx),
+        energy_after=float(e.value(s.mass / g.dx).sum() * g.dx),
         transport_cost=rng.random(), mass_error=1e-16 * rng.random(), el_residual=rng.random(),
         iterations=int(rng.integers(1, 50)), converged=bool(rng.random() < 0.8))
         for s in traj.states[1:]]
@@ -253,7 +253,7 @@ def test_jko_csv_has_the_bits_of_each_state(tmp_path, monkeypatch, seed):
              float(first.density(g).max()), 0.0, 0.0, 0.0, 0, True)]
     for k, step in enumerate(traj.steps, start=1):
         rows.append((k, float(traj.times[k]), step.energy_after, step.transport_cost,
-                     float(step.rho_next.density(g).max()), step.mass_error,
+                     float(traj.states[k].density(g).max()), step.mass_error,
                      step.el_residual, slacks[k - 1], step.iterations, step.converged))
     assert csv_rows(tmp_path, "jko.csv") == formatted(rows)
 

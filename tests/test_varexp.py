@@ -170,6 +170,16 @@ class TestDensityField:
         with pytest.raises(InvalidParameterError, match=name):
             DensityField.gaussian(g, center, width)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("center,width", [(0.5, 1e-300), (1e308, 1.0)])
+    def test_gaussian_whose_exponent_overflows_has_no_mass_and_no_warning(
+            self, center, width):
+        # the squared offset overflows to inf (or its quotient does), and
+        # exp(-inf) = 0 in every cell
+        g = make_grid(0.0, 1.0, 8)
+        with pytest.raises(InvalidDensityError, match="positive total mass"):
+            DensityField.gaussian(g, center, width)
+
     def test_accepts_negative_zero_mass(self):
         rho = DensityField(np.array([-0.0, 0.25, 0.75, -0.0]))
         assert rho.total_mass == 1.0
@@ -242,6 +252,25 @@ class TestModular:
         got = modular(u, rho, p, 1.0, g)
         assert got == pytest.approx(8.0, abs=1e-12)
         assert got == pytest.approx(modular_by_loop(u, rho, p, 1.0, g), abs=1e-12)
+
+    @pytest.mark.filterwarnings("error")
+    def test_zero_mass_cells_never_contribute(self):
+        # |1e300|^2 overflows on a cell without mass, where it once made
+        # inf * 0 = NaN; the norm of the same u is 1
+        g = make_grid(0.0, 1.0, 4)
+        rho = DensityField.from_masses(np.array([0.5, 0.5, 0.0, 0.0]))
+        p = ExponentField.constant(2.0, 4)
+        u = np.array([1.0, 1.0, 1e300, 0.0])
+        assert modular(u, rho, p, 1.0, g) == 1.0
+        assert luxemburg_norm(u, rho, p, g) == 1.0
+
+    @pytest.mark.filterwarnings("error")
+    def test_a_term_that_overflows_on_a_cell_with_mass_is_inf(self):
+        g = make_grid(0.0, 1.0, 4)
+        rho = DensityField.from_masses(np.array([0.5, 0.5, 0.0, 0.0]))
+        p = ExponentField.constant(2.0, 4)
+        assert modular(np.array([1e300, 1.0, 0.0, 0.0]), rho, p, 1.0, g) == np.inf
+        assert modular(np.ones(4), rho, p, 1e-300, g) == np.inf
 
     def test_rejects_nonpositive_lambda(self):
         g = make_grid(0.0, 1.0, 2)
