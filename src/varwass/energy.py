@@ -20,6 +20,14 @@ from .varexp import DensityField
 #: Densities are clamped here before slopes are taken.
 RHO_FLOOR = 1e-12
 
+# read-only 0-d copies of the clamp's operands: pde.solve takes G' once per
+# Euler step, and a ufunc given a 0-d float64 array skips NumPy 2's slower
+# path for a Python float operand, with the same bits and result type
+_FLOOR = np.array(RHO_FLOOR)
+_FLOOR.flags.writeable = False
+_ONE = np.array(1.0)
+_ONE.flags.writeable = False
+
 
 @dataclass(frozen=True)
 class EnergyModel:
@@ -39,11 +47,11 @@ class EnergyModel:
 
 
 def _clamp(t):
-    return np.maximum(np.asarray(t, dtype=float), RHO_FLOOR)
+    return np.maximum(np.asarray(t, dtype=float), _FLOOR)
 
 
 def _entropy_deriv(t):
-    return np.log(_clamp(t)) + 1.0
+    return np.log(_clamp(t)) + _ONE
 
 
 def builtin_energy(kind: str, m: float | None = None) -> EnergyModel:

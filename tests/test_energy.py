@@ -3,7 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
-from varwass.energy import builtin_energy, total_energy
+from varwass.energy import RHO_FLOOR, builtin_energy, total_energy
 from varwass.errors import InvalidParameterError, VarwassError
 from varwass.grid import make_grid
 from varwass.varexp import DensityField
@@ -157,3 +157,57 @@ def test_entropy_value_at_zero_and_nan():
     assert np.isnan(value(np.nan))
     out = value(np.array([0.5, np.nan, 0.0]))
     assert np.isnan(out[1]) and not np.isnan(out[[0, 2]]).any()
+
+
+def _as_float(t):
+    return np.asarray(t, dtype=float)
+
+
+def _floored(t):
+    return np.maximum(_as_float(t), 1e-12)
+
+
+# the builtin energies written out with Python-float operands; each energy
+# must return the same type, dtype, shape and bits
+WRITTEN_OUT = {
+    "entropy": {
+        "value": lambda t: _as_float(t) * np.log(np.where(_as_float(t) > 0.0, _as_float(t), 1.0)),
+        "deriv": lambda t: np.log(_floored(t)) + 1.0,
+        "second": lambda t: 1.0 / _floored(t),
+    },
+    "quadratic": {
+        "value": lambda t: 0.5 * _as_float(t) ** 2,
+        "deriv": lambda t: _as_float(t),
+        "second": lambda t: np.ones_like(_as_float(t)),
+    },
+    "power(1.5)": {
+        "value": lambda t: _as_float(t) ** 1.5 / 0.5,
+        "deriv": lambda t: 1.5 * _floored(t) ** 0.5 / 0.5,
+        "second": lambda t: 1.5 * _floored(t) ** -0.5,
+    },
+    "power(3.0)": {
+        "value": lambda t: _as_float(t) ** 3.0 / 2.0,
+        "deriv": lambda t: 3.0 * _floored(t) ** 2.0 / 2.0,
+        "second": lambda t: 3.0 * _floored(t) ** 1.0,
+    },
+}
+EDGE_VALUES = [0.0, RHO_FLOOR, float(np.nextafter(RHO_FLOOR, 0.0)),
+               float(np.nextafter(RHO_FLOOR, 1.0)), 5e-324, 1e-310, 1e300, float("nan")]
+
+
+@pytest.mark.parametrize("part", ["value", "deriv", "second"])
+@pytest.mark.parametrize("name", sorted(WRITTEN_OUT))
+def test_builtin_energies_keep_their_bits_and_result_types(name, part):
+    kind, _, m = name.partition("(")
+    e = builtin_energy(kind, float(m[:-1]) if m else None)
+    assert e.name == name
+    fn, written = getattr(e, part), WRITTEN_OUT[name][part]
+    column = np.array(EDGE_VALUES)
+    inputs = EDGE_VALUES + [np.array(x) for x in EDGE_VALUES] + [
+        column, np.stack([column, column[::-1], 2.0 * column])]
+    for t in inputs:
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            got, want = fn(t), written(t)
+        assert type(got) is type(want), (t, type(got), type(want))
+        assert got.dtype == want.dtype and got.shape == want.shape, t
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), (t, got, want)

@@ -441,6 +441,17 @@ def test_solve_is_bit_identical_to_reference_loop_at_n64():
         np.testing.assert_array_equal(state.mass, want)
 
 
+def test_solve_is_bit_identical_to_reference_loop_at_the_benchmark_inputs():
+    # the benchmark's reference curve: n = 64, p = 2 + x, the entropy and
+    # t_end = 0.05 from its smallest cosine amplitude, which takes the most
+    # Euler steps, each one compared at stride 1
+    g = make_grid(0.0, 1.0, 64)
+    q = conjugate(ExponentField.affine(2.0, 1.0, g))
+    rho0 = DensityField.cosine_bump(g, amplitude=0.3)
+    traj = _assert_matches_reference(rho0, ENTROPY, q, pde.PdeConfig(t_end=0.05), g)
+    assert len(traj) - 1 > 5000
+
+
 def _assert_matches_reference(rho0, e, q, cfg, g):
     steps = {"n": 0}
     want_times, want_masses = _reference_solve(rho0, e, q, cfg, g, steps)
@@ -667,10 +678,43 @@ def _nan_slope():
             pde.PdeConfig(t_end=0.01), g)
 
 
+def _nan_slope_in_one_cell():
+    """The entropy with G' NaN in cell 3 only: the bound's maximum reads that
+    NaN, so dt is the whole t_end, and the step turns cells 2-4 NaN while the
+    others stay finite. A bound maximum that skips NaN would take a shorter
+    dt, and a max and min of the masses that both skip NaN would pass the
+    guard; with all cells NaN, as in _nan_slope, neither would show."""
+    def deriv(t):
+        gp = ENTROPY.deriv(t)
+        gp[3] = np.nan
+        return gp
+
+    g = make_grid(0.0, 1.0, 8)
+    return (DensityField.cosine_bump(g, amplitude=0.5), replace(ENTROPY, deriv=deriv),
+            conjugate(ExponentField.affine(2.0, 1.0, g)), pde.PdeConfig(t_end=0.01), g)
+
+
+def _overflow_in_one_cell():
+    """Anti-diffusion toward a spike of density 2 in cell 3 on density 1: at
+    q = 2 its rate is 192 there, -96 in cells 2 and 4 and 0 elsewhere, so a
+    dt of 1.25 max_float / 192 takes cell 3 to +inf and leaves the others
+    finite: only the maximum of the masses sees the overflow."""
+    quadratic = builtin_energy("quadratic")
+    e = replace(quadratic, deriv=lambda t: -quadratic.deriv(t))
+    g = make_grid(0.0, 1.0, 8)
+    vals = np.ones(8)
+    vals[3] = 2.0
+    rho0 = DensityField.from_masses(vals * g.dx, require_unit_mass=False)
+    dt = float(np.finfo(float).max / 192.0 * 1.25)
+    return rho0, e, ExponentField.constant(2.0, 8), pde.PdeConfig(t_end=dt, fixed_dt=dt), g
+
+
 ERROR_CASES = {
     # case: (inputs, message, Euler steps taken when the guard fires); the
     # dt guard fires before a step, the density guards after it
     "all_nan": (_nan_slope, r"blew up at t=0\.01 \(max nan\)", 1),
+    "nan_in_one_cell": (_nan_slope_in_one_cell, r"blew up at t=0\.01 \(max 1\.438e\+00\)", 1),
+    "overflow_in_one_cell": (_overflow_in_one_cell, r"blew up at t=1\.17037e\+306 \(max inf\)", 1),
     "fixed_dt": (_oversized_fixed_dt, "exceeds the stability bound", 1),
     "blowup": (lambda: _anti_diffusion(3e5, 1e-8), "blew up", 12),
     "negative": (lambda: _anti_diffusion(100.0, 1e-5), "went negative", 25),
@@ -682,7 +726,9 @@ def test_solve_raises_at_the_reference_step(case, monkeypatch):
     make, message, taken = ERROR_CASES[case]
     rho0, e, q, cfg, g = make()
     steps = {"n": 0}
-    with pytest.raises(NumericalBlowupError, match=message) as want:
+    # solve silences overflow, so the reference does too
+    with pytest.raises(NumericalBlowupError, match=message) as want, \
+            np.errstate(over="ignore"):
         _reference_solve(rho0, e, q, cfg, g, steps)
     calls = _counting_rhs(monkeypatch)
     with pytest.raises(NumericalBlowupError) as got:
